@@ -50,7 +50,11 @@ common_options = [
     click.option("--ring", "ring_opt", required=True, help="comma-separated variable names"),
     click.option("--field", "field_opt", default="Q", show_default=True,
                  help="Q or Fp <p> (e.g. F7)"),
-    click.option("--bounds", "bounds_opt", default="", help="e.g. 'hdeg=5 intdeg=12 reslen=8'"),
+    click.option("--bounds", "bounds_opt", default="",
+                 help="e.g. 'hdeg=5 intdeg=12 reslen=8 resdeg=12'; reslen caps "
+                      "resolution length (projective-dimension probes stop at "
+                      "dim S + 1 steps anyway); Ext of k reads no resdeg, it "
+                      "resolves to Backelin's degree bound"),
     click.option("--json", "as_json", is_flag=True, help="emit JSON"),
 ]
 

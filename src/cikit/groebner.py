@@ -160,23 +160,20 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
         k = len(basis) - 1
         pairs.update((i2, k) for i2 in range(k))
 
-    # inter-reduce to the canonical reduced basis
-    reduced: list[Polynomial] = []
+    # minimal basis: in increasing lead order a lead's divisors come first,
+    # so keep an element iff no kept lead divides its lead
     basis.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        r = _reduce(g, others, order) if others else g
-        if not r.is_zero():
-            _, lc = r.leading_term(order)
-            reduced.append(r.scale(F.inv(lc)))
-    # drop duplicates, keep canonical order
-    seen = set()
-    final = []
-    for g in sorted(reduced, key=lambda g: order.key(g.leading_term(order)[0])):
-        key = frozenset(g.terms.items())
-        if key not in seen:
-            seen.add(key)
-            final.append(g)
+    minimal: list[Polynomial] = []
+    for g in basis:
+        lm = g.leading_term(order)[0]
+        if not any(monomial_divides(h.leading_term(order)[0], lm) for h in minimal):
+            minimal.append(g)
+    # tail-reduce against the rest of the minimal basis: the leads are
+    # pairwise non-dividing, so each lead survives and the result is the
+    # unique reduced basis
+    final = [
+        _reduce(g, minimal[:i] + minimal[i + 1 :], order) for i, g in enumerate(minimal)
+    ]
     return GroebnerBasis(ring, order, final)
 
 

@@ -35,7 +35,10 @@ from .koszul import h1_free_summand_probe, koszul_complex, koszul_h1
 from .poly import PolyRing, parse_poly_list
 from .resolution import projdim_probe, verify_composites, verify_resolution
 
-SCHEMA = "cikit-report/1"
+SCHEMA = "cikit-report/2"
+# Part of every cache key: bump whenever a fix can change a computed result,
+# so that results cached before the fix are never served after it.
+RESULTS_VERSION = 2
 
 
 class CriteriaDisagree(RuntimeError):
@@ -55,6 +58,17 @@ class CorpusError(ValueError):
 
 
 class Bounds:
+    """Truncation bounds of one entry.
+
+    ``hdeg`` and ``intdeg`` bound the minimal model and the graded slices
+    the invariants are compared on; ``resdeg`` is the internal degree bound
+    of the projective-dimension probes and the H1/conormal presentations
+    they resolve.  ``reslen`` is only a cap on resolution length: a probe
+    stops at dim S + 1 steps anyway, where Auslander-Buchsbaum decides, and
+    a cap below that leaves the verdict inconclusive.  The Ext cross-check
+    reads none of these: it resolves k to Backelin's degree bound.
+    """
+
     __slots__ = ("hdeg", "intdeg", "reslen", "resdeg")
 
     def __init__(self, hdeg=5, intdeg=12, reslen=8, resdeg=None):
@@ -112,10 +126,22 @@ def ci_certificate(ideal: Ideal, degree_bound: int = 12) -> dict:
 # theorem verifiers
 
 
+def _evidence(probe):
+    """How far a theorem check's probe evidence reaches: ``inconclusive``
+    (with the length cap) when the cap cut the probe short, else ``pass``
+    with the internal degree bound of a finite verdict, or no bound for a
+    certified infinite one."""
+    if probe.verdict == "inconclusive":
+        return {"status": "inconclusive", "bound": probe.value}
+    return {"status": "pass", "bound": probe.degree_bound if probe.is_finite() else None}
+
+
 def verify_conormal_rigidity(ideal: Ideal, bounds: Bounds):
     """Conormal-module side: if S has finite projdim over R and I/I^2 has
     finite projdim over S then I must be a complete intersection.  On
-    non-CI entries the conormal probe must come back non-terminated.
+    non-CI entries the conormal probe must not come back finite, and comes
+    back certified infinite unless ``reslen`` < dim S + 1 cut it short
+    (``status`` inconclusive).
 
     Returns (report, probe resolutions)."""
     cert = ci_certificate(ideal, bounds.intdeg)
@@ -127,6 +153,7 @@ def verify_conormal_rigidity(ideal: Ideal, bounds: Bounds):
         "s_over_r": repr(s_probe),
         "conormal_over_s": repr(con_probe),
         "betti_conormal": con_probe.resolution.betti_totals(),
+        **_evidence(con_probe),
     }
     resolutions = {"s_over_r": s_probe.resolution, "conormal": con_probe.resolution}
     if s_probe.is_finite() and con_probe.is_finite():
@@ -152,7 +179,9 @@ def verify_conormal_rigidity(ideal: Ideal, bounds: Bounds):
 
 def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
     """First-Koszul-homology side, plus the free-summand probe: a free
-    summand of H1 would force a complete intersection.
+    summand of H1 would force a complete intersection.  On non-CI entries
+    the H1 probe comes back certified infinite unless ``reslen`` <
+    dim S + 1 cut it short (``status`` inconclusive).
 
     Returns (report, probe resolutions)."""
     cert = ci_certificate(ideal, bounds.intdeg)
@@ -163,10 +192,12 @@ def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
             raise TheoremViolationSignal("CI entry with nonzero first Koszul homology")
         report["h1_over_s"] = "Finite(0)"
         report["gulliksen"] = h1_free_summand_probe(h1)
+        report.update(status="pass", bound=None)
         return report, {}
     probe = projdim_probe(h1.presentation, bounds.reslen, bounds.resdeg)
     report["h1_over_s"] = repr(probe)
     report["betti_h1"] = probe.resolution.betti_totals()
+    report.update(_evidence(probe))
     if probe.is_finite():
         raise TheoremViolationSignal("non-CI entry with finite H1 projective dimension")
     if any(b <= 0 for b in probe.resolution.betti_totals()):
@@ -368,7 +399,7 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
            detail=None if ok else json.dumps(info))
 
     try:
-        ext = homlie_mod.ext_crosscheck(model, 5, bounds.resdeg)
+        ext = homlie_mod.ext_crosscheck(model, 5)
         data["ext_dims"] = ext
         _check(checks, "ext_crosscheck", True)
     except Exception as exc:
@@ -391,7 +422,8 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
         probe_resolutions.update(resolutions)
         data["conormal_probe"] = rep["conormal_over_s"]
         data["betti_conormal"] = rep["betti_conormal"]
-        _check(checks, "theorem_conormal_consistency", True, bound=bounds.reslen)
+        _check(checks, "theorem_conormal_consistency", rep["status"] == "pass",
+               bound=rep["bound"], inconclusive=True)
     except Exception as exc:
         _check(checks, "theorem_conormal_consistency", False, detail=str(exc))
 
@@ -402,7 +434,8 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
         data["gulliksen"] = rep.get("gulliksen")
         if "betti_h1" in rep:
             data["betti_h1"] = rep["betti_h1"]
-        _check(checks, "theorem_koszul_consistency", True, bound=bounds.reslen)
+        _check(checks, "theorem_koszul_consistency", rep["status"] == "pass",
+               bound=rep["bound"], inconclusive=True)
     except Exception as exc:
         _check(checks, "theorem_koszul_consistency", False, detail=str(exc))
 
@@ -502,18 +535,28 @@ def _evaluate_entry_dict(entry_dict: dict) -> dict:
 
 
 def cache_key(entry: CorpusEntry) -> str:
-    blob = json.dumps({"entry": entry.to_dict(), "schema": SCHEMA}, sort_keys=True)
+    blob = json.dumps(
+        {"entry": entry.to_dict(), "schema": SCHEMA, "results": RESULTS_VERSION},
+        sort_keys=True,
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _read_cached(path: str):
+    """The result stored at ``path``, or None when it is missing or
+    unreadable (truncated, not JSON, not a result object)."""
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return value if isinstance(value, dict) else None
 
 
 def cache_lookup(cache_dir: str | None, key: str):
     if not cache_dir:
         return None
-    path = os.path.join(cache_dir, key + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
-    return None
+    return _read_cached(os.path.join(cache_dir, key + ".json"))
 
 
 def cache_insert(cache_dir: str | None, key: str, value: dict):
@@ -521,8 +564,8 @@ def cache_insert(cache_dir: str | None, key: str, value: dict):
         return
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
-    if os.path.exists(path):
-        return  # insert-only
+    if _read_cached(path) is not None:
+        return  # insert-only; an unreadable file is replaced
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w") as fh:
         json.dump(value, fh, sort_keys=True)

@@ -484,12 +484,10 @@ def expected_ext_dims(model: DgAlgebraModel, N: int):
     return series
 
 
-def ext_crosscheck(model: DgAlgebraModel, N: int = 5, degree_bound: int | None = None):
+def ext_crosscheck(model: DgAlgebraModel, N: int = 5):
     """Resolution-side Ext^i_S(k,k) dims must equal the deviation product
     coefficients for i <= N.  Returns the common list; raises otherwise."""
-    if degree_bound is None:
-        degree_bound = model.intdeg_bound
-    resolved = ext_betti(model.ring, model.ideal, N, degree_bound)
+    resolved = ext_betti(model.ring, model.ideal, N)
     predicted = expected_ext_dims(model, N)
     if resolved != predicted[: N + 1]:
         raise DimensionMismatch(

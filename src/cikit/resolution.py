@@ -5,6 +5,17 @@ so every matrix is minimal by construction (entries in the irrelevant
 maximal ideal); pruning of the input presentation happens first.  All
 statements above the internal degree bound are reported as truncation, never
 extrapolated.
+
+Two resolutions stop where a theorem says they may, not at a user bound:
+
+* ``ext_betti`` resolves k over S = R/I to internal degree 1 + r(n-1) with
+  r = max(1, m-1), m the top degree of the reduced Groebner basis of I.
+  Backelin (LNM 1183, 1986) bounds rate(S) by m-1 when m >= 2, and a
+  polynomial ring has rate 1, so the i-th free module of k is generated in
+  degrees <= 1 + r(i-1) and the Ext dimensions are exact.
+* ``projdim_probe`` runs at most dim S + 1 steps: by Auslander-Buchsbaum
+  (Bruns-Herzog, Thm 1.3.3) a finite pd_S M is at most depth S <= dim S, so
+  a nonzero F_{dim S + 1} certifies infinite projective dimension.
 """
 
 from __future__ import annotations
@@ -14,8 +25,10 @@ from .groebner import (
     FreeSlices,
     ModulePresentation,
     first_syzygy_degree,
+    krull_dimension,
     minimal_generators,
     minimalize_presentation,
+    residue_field_presentation,
     syzygies,
     compose_is_zero,
 )
@@ -71,13 +84,20 @@ class FreeResolution:
 
 
 class ProjDimCertificate:
-    """Finite(d) is asserted only when the d-th syzygy is verified free
-    within the recorded degree bound."""
+    """Projective dimension verdict of a probe, one of three:
+
+    * ``finite``: the resolution terminated at step ``value`` within the
+      recorded internal degree bound (bounded evidence);
+    * ``infinite``: F_value != 0 with value = dim S + 1, which
+      Auslander-Buchsbaum certifies (no bound involved);
+    * ``inconclusive``: the length cap ``value`` (below dim S + 1) cut the
+      resolution off before either of the above.
+    """
 
     __slots__ = ("verdict", "value", "resolution", "degree_bound")
 
     def __init__(self, verdict: str, value: int, resolution: FreeResolution, degree_bound: int):
-        self.verdict = verdict  # "finite" | "not_terminated"
+        self.verdict = verdict  # "finite" | "infinite" | "inconclusive"
         self.value = value
         self.resolution = resolution
         self.degree_bound = degree_bound
@@ -85,9 +105,14 @@ class ProjDimCertificate:
     def is_finite(self) -> bool:
         return self.verdict == "finite"
 
+    def is_infinite(self) -> bool:
+        return self.verdict == "infinite"
+
     def __repr__(self):
         if self.is_finite():
             return f"Finite({self.value}; intdeg<={self.degree_bound})"
+        if self.is_infinite():
+            return f"Infinite(F_{self.value} != 0; dim={self.value - 1})"
         return f"NotTerminatedWithin({self.value})"
 
 
@@ -130,17 +155,34 @@ def minimal_free_resolution(
 def projdim_probe(
     pres: ModulePresentation, length_bound: int, degree_bound: int
 ) -> ProjDimCertificate:
-    res = minimal_free_resolution(pres, length_bound, degree_bound)
+    """Resolve coker(pres) for at most min(length_bound, dim S + 1) steps."""
+    dim = krull_dimension(pres.modulus) if pres.modulus is not None else pres.ring.nvars
+    res = minimal_free_resolution(pres, min(length_bound, dim + 1), degree_bound)
+    # F_{dim+1} != 0 outranks the final termination scan, which can only
+    # come back empty there because syzygies lie above the degree bound
+    if res.length > dim:
+        return ProjDimCertificate("infinite", res.length, res, degree_bound)
     if res.is_terminated():
         return ProjDimCertificate("finite", res.status[1], res, degree_bound)
-    return ProjDimCertificate("not_terminated", length_bound, res, degree_bound)
+    return ProjDimCertificate("inconclusive", length_bound, res, degree_bound)
 
 
-def ext_betti(ring, modulus, n: int, degree_bound: int):
-    """dim_k Ext^i_S(k, k) for i <= n, read off the minimal resolution of k."""
-    from .groebner import residue_field_presentation
+def ext_degree_bound(modulus, n: int) -> int:
+    """Backelin's bound 1 + max(1, m-1)(n-1) on the generator degrees of
+    F_1..F_n in the minimal resolution of k over S = R/modulus, with m the
+    top degree of the reduced Groebner basis (1 for a zero modulus)."""
+    m = 1
+    if modulus is not None and not modulus.is_zero():
+        m = max(g.homogeneous_degree() for g in modulus.groebner())
+    return 1 + max(1, m - 1) * max(n - 1, 0)
 
-    res = minimal_free_resolution(residue_field_presentation(ring, modulus), n, degree_bound)
+
+def ext_betti(ring, modulus, n: int):
+    """dim_k Ext^i_S(k, k) for i <= n, read off the minimal resolution of k
+    resolved to ``ext_degree_bound`` (exact, not truncated)."""
+    res = minimal_free_resolution(
+        residue_field_presentation(ring, modulus), n, ext_degree_bound(modulus, n)
+    )
     totals = res.betti_totals()
     totals = totals + [0] * (n + 1 - len(totals))
     return totals[: n + 1]

@@ -2,8 +2,11 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from cikit import harness
+from cikit.fields import QQ, GF
+from cikit.poly import PolyRing, Polynomial
 
 CORPUS_PATH = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "standard.corpus"
 
@@ -33,3 +36,24 @@ def check_status(entry, check_name):
         if c["name"] == check_name:
             return c["status"]
     return None
+
+
+FUZZ_FIELDS = (QQ, GF(32003))
+
+
+@st.composite
+def homogeneous_ideals(draw, max_vars=4, max_degree=3):
+    """Generators and their ring: 2..max_vars variables over Q or GF(32003),
+    1-3 monomial, binomial or generic (dense random support) forms."""
+    field = draw(st.sampled_from(FUZZ_FIELDS))
+    ring = PolyRing(field, ["x", "y", "z", "w"][: draw(st.integers(2, max_vars))])
+    shape = draw(st.sampled_from(("monomial", "binomial", "generic")))
+    coeffs = st.integers(-5, 5).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mons = ring.monomials_of_degree(draw(st.integers(1, max_degree)))
+        size = {"monomial": 1, "binomial": 2, "generic": None}[shape]
+        support = draw(st.lists(st.sampled_from(mons), min_size=size or 1,
+                                max_size=size or len(mons), unique=True))
+        gens.append(Polynomial(ring, {m: field.of_int(draw(coeffs)) for m in support}))
+    return ring, gens

@@ -13,6 +13,7 @@ import pytest
 
 from cikit import harness
 from cikit.dgmodel import build_minimal_model, kahler_module, verify_model
+from cikit.groebner import krull_dimension
 from cikit.koszul import koszul_complex
 
 from conftest import check_status, entry_by_name
@@ -103,13 +104,15 @@ def test_criterion_4_theorem_consistency(corpus_report, corpus_entries):
             if check_status(rep, "ci_radical_witnesses") != "pass":
                 failures.append(f"{entry.name}: missing radical witnesses")
         else:
-            reslen = entry.bounds.reslen
+            # Auslander-Buchsbaum: F_{dim S + 1} != 0 certifies infinite pd
+            _, ideal = entry.build()
+            dim = krull_dimension(ideal)
             for key in ("conormal_probe", "h1_probe"):
-                if data.get(key) != f"NotTerminatedWithin({reslen})":
+                if data.get(key) != f"Infinite(F_{dim + 1} != 0; dim={dim})":
                     failures.append(f"{entry.name}: {key} = {data.get(key)}")
             for key in ("betti_conormal", "betti_h1"):
                 betti = data.get(key, [])
-                if len(betti) != reslen + 1 or any(b <= 0 for b in betti):
+                if len(betti) != dim + 2 or any(b <= 0 for b in betti):
                     failures.append(f"{entry.name}: {key} not strictly positive: {betti}")
             if data.get("gulliksen") != "NoneFoundWithinBound":
                 failures.append(f"{entry.name}: gulliksen {data.get('gulliksen')}")

@@ -51,7 +51,9 @@ def test_m2_conormal_not_free(R):
     con = conormal(ideal(R, "x^2", "x*y", "y^2"), 10)
     assert con.mu == 3
     probe = projdim_probe(con.presentation, 8, 12)
-    assert not probe.is_finite() and probe.value == 8
+    # dim S = 0, so F_1 != 0 certifies infinite projective dimension
+    assert probe.is_infinite() and probe.value == 1
+    assert repr(probe) == "Infinite(F_1 != 0; dim=0)"
 
 
 def test_routes_checked_on_more_ideals(R3):

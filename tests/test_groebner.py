@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import homogeneous_ideals
 
 from cikit import groebner as gr
 from cikit.fields import QQ, GF
-from cikit.poly import DEGREVLEX, PolyRing
+from cikit.harness import ci_certificate
+from cikit.poly import DEGREVLEX, PolyRing, monomial_divides
 
 
 @pytest.fixture
@@ -223,3 +227,43 @@ def test_prime_field_groebner():
     gb = gr.Ideal(F7, [F7.from_string("x^2 + 3*y^2"), F7.from_string("x*y")]).groebner()
     for g in gb:
         assert gb.normal_form(g).is_zero() or g in gb.elements
+
+
+# -- reduced bases on random homogeneous ideals ---------------------------------
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(), st.randoms(use_true_random=False))
+def test_groebner_basis_is_reduced_and_canonical(ring_gens, rng):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    gb = I.groebner()
+    elems = list(gb)
+    leads = gb.lead_monomials()
+    # generators and S-pairs reduce to zero
+    assert all(gb.normal_form(g).is_zero() for g in I.generators)
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            assert gb.normal_form(gr.s_polynomial(elems[i], elems[j], DEGREVLEX)).is_zero()
+    # reduced: monic, and no term of an element is divisible by another's lead
+    for i, g in enumerate(elems):
+        assert g.leading_term(DEGREVLEX)[1] == ring.field.one()
+        for m in g.terms:
+            assert not any(monomial_divides(lm, m) for j, lm in enumerate(leads) if j != i)
+    # canonical: independent of the order of the generators
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    assert gr.Ideal(ring, shuffled).groebner().elements == elems
+    # the standard-monomial and slice-rank Hilbert routes agree
+    assert gr.quotient_hilbert_by_monomials(I, 6) == gr.ideal_as_module(I).hilbert_function(6)
+    # the two complete-intersection criteria agree (raises CriteriaDisagree).
+    # A degree bound too low for H1 can only raise, never hide a disagreement;
+    # sum(degrees) + 2 sees H1 here and is ~10x cheaper than the default 12.
+    ci_certificate(I, sum(g.homogeneous_degree() for g in I.generators) + 2)
+
+
+def test_equal_leads_do_not_cancel(R3):
+    # both elements lead with y^2 before inter-reduction; x*z + y^2 must
+    # tail-reduce to x*z instead of cancelling against y^2
+    gb = ideal(R3, "x*z + y^2", "y^2").groebner()
+    assert [str(g) for g in gb] == ["x*z", "y^2"]
+    assert gr.height(ideal(R3, "x*z + y^2", "y^2")) == 2

@@ -186,3 +186,58 @@ def test_cli_corpus_run(tmp_path):
     res = runner.invoke(cli_main, ["corpus", "run", str(bad)])
     assert res.exit_code == 1
     assert "liar" in res.output
+
+
+# -- probe verdicts in the theorem checks ------------------------------------
+
+
+def test_koszul_rigidity_on_x2_y2_xyz():
+    # dim S = 1, so F_2 != 0 certifies infinite pd of H1; a resolution run
+    # to a fixed length ran out of degrees and looked finite instead
+    R3 = PolyRing(QQ, ["x", "y", "z"])
+    rep, resolutions = harness.verify_koszul_rigidity(
+        ideal(R3, "x^2", "y^2", "x*y*z"), Bounds())
+    assert rep["h1_over_s"] == "Infinite(F_2 != 0; dim=1)"
+    assert rep["status"] == "pass" and rep["bound"] is None
+    assert len(resolutions["h1"].betti_totals()) == 3
+
+
+def test_length_cap_below_dim_is_inconclusive():
+    # dim S = 1 for (x^2, x*y): reslen=1 stops the probes before F_2
+    entry = parse_corpus(
+        "entry capped / field Q / ring x, y / ideal x^2, x*y / bounds reslen=1\n")[0]
+    result = harness.evaluate_entry(entry)
+    for name in ("theorem_conormal_consistency", "theorem_koszul_consistency"):
+        check = next(c for c in result["checks"] if c["name"] == name)
+        assert check["status"] == "inconclusive" and check["bound"] == 1
+    assert result["data"]["h1_probe"] == "NotTerminatedWithin(1)"
+    assert not result["ok"]
+
+
+# -- cache keys and damaged cache files ----------------------------------------
+
+
+def test_cache_key_covers_schema_and_results_version(monkeypatch):
+    entry = parse_corpus(MINI_CORPUS)[0]
+    key = cache_key(entry)
+    monkeypatch.setattr(harness, "RESULTS_VERSION", harness.RESULTS_VERSION + 1)
+    assert cache_key(entry) != key
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "SCHEMA", "cikit-report/0")
+    assert cache_key(entry) != key
+
+
+@pytest.mark.parametrize("damage", ["", "{\"name\": \"c", "[1, 2]", b"\xff\xfe"])
+def test_unreadable_cache_file_is_a_miss_and_is_replaced(tmp_path, damage):
+    entries = parse_corpus(MINI_CORPUS)[:1]
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    path = cache_dir / (cache_key(entries[0]) + ".json")
+    if isinstance(damage, bytes):
+        path.write_bytes(damage)
+    else:
+        path.write_text(damage)
+    assert cache_lookup(str(cache_dir), cache_key(entries[0])) is None
+    report = run_corpus(entries, cache_dir=str(cache_dir))
+    assert report["summary"]["ok"] == 1
+    assert cache_lookup(str(cache_dir), cache_key(entries[0]))["name"] == "ci"

@@ -1,12 +1,16 @@
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+
+from conftest import homogeneous_ideals
 
 from cikit import groebner as gr
 from cikit.fields import QQ
 from cikit.poly import PolyRing
 from cikit.resolution import (
     ext_betti,
+    ext_degree_bound,
     minimal_free_resolution,
     projdim_probe,
     verify_composites,
@@ -69,10 +73,33 @@ def test_binomial_betti_numbers():
 
 def test_ext_betti_examples(R):
     Rx = PolyRing(QQ, ["x"])
-    assert ext_betti(Rx, ideal(Rx, "x^2"), 5, 10) == [1, 1, 1, 1, 1, 1]
-    assert ext_betti(R, None, 4, 10) == [1, 2, 1, 0, 0]
+    assert ext_betti(Rx, ideal(Rx, "x^2"), 5) == [1, 1, 1, 1, 1, 1]
+    assert ext_betti(R, None, 4) == [1, 2, 1, 0, 0]
     m2 = ideal(R, "x^2", "x*y", "y^2")
-    assert ext_betti(R, m2, 4, 10) == [1, 2, 4, 8, 16]
+    assert ext_betti(R, m2, 4) == [1, 2, 4, 8, 16]
+
+
+def test_ext_betti_linear_modulus_uses_rate_one():
+    # S = Q[x,y,z]/(x) is a polynomial ring: m = 1, yet the rate is 1, not
+    # m - 1 = 0, and Ext^2 lives in internal degree 2
+    R3 = PolyRing(QQ, ["x", "y", "z"])
+    assert ext_degree_bound(ideal(R3, "x"), 5) == 5
+    assert ext_betti(R3, ideal(R3, "x"), 5) == [1, 2, 1, 0, 0, 0]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_backelin_bound_leaves_nothing_above_it(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    n = 3
+    bound = ext_degree_bound(I, n)
+    res = minimal_free_resolution(gr.residue_field_presentation(ring, I), n, bound + 2)
+    rate = (bound - 1) // (n - 1)
+    for i, m in enumerate(res.maps, start=1):
+        assert all(d <= 1 + rate * (i - 1) for d in m.col_degrees), (i, m.col_degrees)
+    totals = res.betti_totals() + [0] * (n + 1 - len(res.betti_totals()))
+    assert ext_betti(ring, I, n) == totals[: n + 1]
 
 
 def test_conormal_probes(R):
@@ -82,10 +109,12 @@ def test_conormal_probes(R):
     cert = projdim_probe(ci, 8, 12)
     assert cert.is_finite() and cert.value == 0
 
+    # dim S = 0: a nonzero F_1 certifies infinite projective dimension
     m2 = conormal_route_a(ideal(R, "x^2", "x*y", "y^2"), 12)
     cert2 = projdim_probe(m2, 8, 12)
-    assert not cert2.is_finite()
-    assert cert2.value == 8
+    assert cert2.is_infinite()
+    assert cert2.value == 1
+    assert len(cert2.resolution.betti_totals()) == 2
     assert all(b > 0 for b in cert2.resolution.betti_totals())
     assert verify_composites(cert2.resolution) == []
 
