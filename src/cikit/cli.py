@@ -15,13 +15,11 @@ import click
 from . import conormal as conormal_mod
 from . import harness
 from . import homlie as homlie_mod
-from .dgmodel import build_minimal_model, kahler_module
+from .dgmodel import build_minimal_model
 from .fields import Field
 from .groebner import (
     Ideal,
     ideal_as_module,
-    minimal_generators,
-    quotient_hilbert_by_monomials,
     residue_field_presentation,
 )
 from .koszul import koszul_complex, koszul_h1

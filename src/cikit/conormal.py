@@ -14,18 +14,15 @@ import warnings
 
 from . import linalg
 from .dgmodel import DgAlgebraModel, build_minimal_model, kahler_module
-from .fields import Field
 from .groebner import (
-    FreeSlices,
     Ideal,
     ModulePresentation,
-    ideal_as_module,
-    minimal_generators,
     minimalize_presentation,
+    quotient_hilbert_by_monomials,
     syzygies,
 )
 from .koszul import koszul_h1
-from .poly import Polynomial, monomial_mul
+from .poly import Polynomial
 from .resolution import projdim_probe
 
 
@@ -56,10 +53,17 @@ class ConormalModule:
 
 
 def conormal_route_a(ideal: Ideal, degree_bound: int) -> ModulePresentation:
-    """I/I^2 presented by minimal generators of I with syzygy relations."""
+    """I/I^2 presented by minimal generators of I with syzygy relations,
+    complete up to the degree bound; computed once per ideal and bound (the
+    ideal's memo)."""
+    return ideal.memo(
+        ("conormal_route_a", degree_bound), lambda: _conormal_route_a(ideal, degree_bound)
+    )
+
+
+def _conormal_route_a(ideal: Ideal, degree_bound: int) -> ModulePresentation:
     ring = ideal.ring
-    _, selected = minimal_generators(ideal_as_module(ideal))
-    gens = [ideal.generators[j] for j in selected]
+    gens = ideal.minimal_generators()
     gen_degs = [g.homogeneous_degree() for g in gens]
     square_gens = [
         gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))
@@ -221,18 +225,12 @@ class JacobiZariskiReport:
         return list(zip(self.degrees, self.d1, self.conormal, self.free, self.omega))
 
 
-def jacobi_zariski_check(
-    ideal: Ideal, degree_bound: int, conormal_pres: ModulePresentation | None = None
-) -> JacobiZariskiReport:
+def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport:
     """Each of the four modules is computed by its own machinery; the
     alternating slice sums vanishing in every degree is the consistency
     statement."""
     ring = ideal.ring
-    from .groebner import quotient_hilbert_by_monomials
-
-    if conormal_pres is None:
-        conormal_pres = conormal_route_a(ideal, degree_bound)
-    hf_conormal = conormal_pres.hilbert_function(degree_bound)
+    hf_conormal = conormal_route_a(ideal, degree_bound).hilbert_function(degree_bound)
     hf_s = quotient_hilbert_by_monomials(ideal, degree_bound)
     hf_free = [0] + [ring.nvars * hf_s[d - 1] for d in range(1, degree_bound + 1)]
     omega = kahler_s_over_k(ideal)
@@ -279,8 +277,7 @@ def lenstra_evolution_check(ideal: Ideal) -> EvolutionVerdict:
     if not ring.field.is_rationals:
         raise ValueError("the evolution criterion is applied over char 0")
     field = ring.field
-    _, selected = minimal_generators(ideal_as_module(ideal))
-    gen_degrees = sorted({ideal.generators[j].homogeneous_degree() for j in selected})
+    gen_degrees = sorted({g.homogeneous_degree() for g in ideal.minimal_generators()})
     sq = Ideal(ring, [a * b for a in ideal.generators for b in ideal.generators])
     for d in gen_degrees:
         kernel_vectors = differential_kernel_slice(ideal, d)
@@ -396,9 +393,8 @@ def sharpvc_hypothesis_check(
 
 def mu_invariant_check(ideal: Ideal, degree_bound: int) -> bool:
     """mu(I/I^2) = mu(I) (graded Nakayama)."""
-    _, selected = minimal_generators(ideal_as_module(ideal))
     pres = conormal_route_a(ideal, degree_bound)
-    return minimalize_presentation(pres).nrows == len(selected)
+    return minimalize_presentation(pres).nrows == len(ideal.minimal_generators())
 
 
 def koszul_strand_crosscheck(ideal: Ideal, degree_bound: int, model: DgAlgebraModel):

@@ -14,15 +14,12 @@ homology that a strictly graded-commutative model cannot kill minimally.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 
 from . import linalg
 from .fields import Field
 from .groebner import (
     Ideal,
-    ideal_as_module,
-    minimal_generators,
     ModulePresentation,
     quotient_hilbert_by_monomials,
 )
@@ -130,14 +127,6 @@ class DgElement:
             return -1
         if len(degs) > 1:
             raise ModelError(f"mixed homological degrees {sorted(degs)}")
-        return degs.pop()
-
-    def internal_degree(self) -> int:
-        degs = {sum(m) + self.model.dgmon_intdeg(w) for (m, w) in self.terms}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise ModelError(f"mixed internal degrees {sorted(degs)}")
         return degs.pop()
 
     def ring_part(self) -> Polynomial:
@@ -567,9 +556,7 @@ def build_minimal_model(
             f"variables above the bound will be missed"
         )
 
-    _, selected = minimal_generators(ideal_as_module(ideal))
-    for j in selected:
-        g = ideal.generators[j]
+    for g in ideal.minimal_generators():
         model.add_variable(1, g.homogeneous_degree(), model.embed(g))
 
     for stage in range(2, hdeg_bound + 1):
@@ -709,18 +696,10 @@ def verify_model(model: DgAlgebraModel):
     return verify_model_differential(model) + verify_model_acyclicity(model)
 
 
-def deviations(model: DgAlgebraModel):
-    return model.deviations()
-
-
 def dg_multiply(a: DgElement, b: DgElement) -> DgElement:
     if a.model is not b.model:
         raise ModelError("elements of different models")
     return a * b
-
-
-def apply_derivation(theta: DgDerivation, a: DgElement) -> DgElement:
-    return theta.apply(a)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,7 @@ slice: results above the bound are reported as unknown, never guessed.
 
 from __future__ import annotations
 
-import itertools
-
 from . import linalg
-from .fields import Field
 from .poly import (
     DEGREVLEX,
     MonomialOrder,
@@ -177,14 +174,17 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
     return GroebnerBasis(ring, order, final)
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(f)
-
-
 class Ideal:
-    """A homogeneous ideal given by generators (zero generators discarded)."""
+    """A homogeneous ideal given by generators (zero generators discarded).
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_slice_cache")
+    An Ideal never changes after construction: its generators are a tuple.
+    Everything computed from it (Groebner bases, slices, minimal generators,
+    the Koszul and conormal presentations) is kept in one per-instance memo,
+    which relies on that.  Memoized values are shared, so callers must not
+    modify them.
+    """
+
+    __slots__ = ("ring", "generators", "_memo")
 
     def __init__(self, ring: PolyRing, generators):
         gens = []
@@ -197,13 +197,26 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb_cache: dict = {}
-        self._slice_cache: dict = {}
+        self._memo: dict = {}
+
+    def memo(self, key, compute):
+        """The value of ``compute()``, computed once per key and ideal."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def groebner(self, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-        if order.name not in self._gb_cache:
-            self._gb_cache[order.name] = buchberger(self, order)
-        return self._gb_cache[order.name]
+        return self.memo(("groebner", order.name), lambda: buchberger(self, order))
+
+    def minimal_generators(self) -> tuple:
+        """The generators that graded Nakayama keeps (see the module-level
+        :func:`minimal_generators`)."""
+
+        def compute():
+            _, selected = minimal_generators(ideal_as_module(self))
+            return tuple(self.generators[j] for j in selected)
+
+        return self.memo(("minimal_generators",), compute)
 
     def contains(self, f: Polynomial) -> bool:
         return self.groebner().contains(f)
@@ -228,10 +241,10 @@ class Ideal:
         return rows
 
     def slice_rref(self, d: int):
-        """Cached canonical (RREF) basis of the degree-d slice."""
-        if d not in self._slice_cache:
-            self._slice_cache[d] = linalg.rref(self.slice_rows(d), self.ring.field)
-        return self._slice_cache[d]
+        """Canonical (RREF) basis of the degree-d slice."""
+        return self.memo(
+            ("slice_rref", d), lambda: linalg.rref(self.slice_rows(d), self.ring.field)
+        )
 
     def slice_dim(self, d: int) -> int:
         return len(self.slice_rref(d)[0])
@@ -462,13 +475,6 @@ class ModulePresentation:
         """dim_k of the cokernel in degrees 0..bound."""
         return [self.cokernel_slice_dim(d) for d in range(bound + 1)]
 
-    def nf_columns(self):
-        """Columns with entries normal-formed mod the quotient ideal."""
-        if not self.over_quotient():
-            return self.columns
-        gb = self.modulus.groebner()
-        return [tuple(gb.normal_form(p) for p in col) for col in self.columns]
-
 
 def free_presentation(ring: PolyRing, modulus, row_degrees) -> ModulePresentation:
     return ModulePresentation(ring, modulus, row_degrees, [])
@@ -477,11 +483,6 @@ def free_presentation(ring: PolyRing, modulus, row_degrees) -> ModulePresentatio
 def ideal_as_module(ideal: Ideal) -> ModulePresentation:
     """The ideal's generators as columns of a rank-one free module over R."""
     return ModulePresentation(ideal.ring, None, [0], [(g,) for g in ideal.generators])
-
-
-def quotient_presentation(ideal: Ideal) -> ModulePresentation:
-    """S = R/I presented as the cokernel of the generators in R."""
-    return ideal_as_module(ideal)
 
 
 def residue_field_presentation(ring: PolyRing, modulus) -> ModulePresentation:
@@ -516,13 +517,6 @@ def minimal_generators(pres: ModulePresentation):
         selected.extend(cand_idx[c] for c in chosen)
     selected.sort()
     return len(selected), selected
-
-
-def minimal_generator_columns(pres: ModulePresentation) -> ModulePresentation:
-    _, selected = minimal_generators(pres)
-    return ModulePresentation(
-        pres.ring, pres.modulus, pres.row_degrees, [pres.columns[j] for j in selected]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +683,6 @@ def minimalize_presentation(pres: ModulePresentation) -> ModulePresentation:
 
 # ---------------------------------------------------------------------------
 # Hilbert series and height via lead-term data
-
-
-def hilbert_series(pres: ModulePresentation, degree_bound: int):
-    """Hilbert function of the cokernel up to the bound (slice ranks)."""
-    return pres.hilbert_function(degree_bound)
 
 
 def quotient_hilbert_by_monomials(ideal: Ideal, degree_bound: int, order=DEGREVLEX):

@@ -23,14 +23,7 @@ from .dgmodel import (
     verify_model_differential,
 )
 from .fields import Field
-from .groebner import (
-    Ideal,
-    ModulePresentation,
-    height,
-    ideal_as_module,
-    minimal_generators,
-    quotient_hilbert_by_monomials,
-)
+from .groebner import Ideal, ModulePresentation, height, ideal_as_module
 from .koszul import h1_free_summand_probe, koszul_complex, koszul_h1
 from .poly import PolyRing, parse_poly_list
 from .resolution import projdim_probe, verify_composites, verify_resolution
@@ -112,7 +105,7 @@ def ci_certificate(ideal: Ideal, degree_bound: int = 12) -> dict:
     mu(I) = height(I).  The two criteria must agree or the run aborts."""
     h1 = koszul_h1(ideal, degree_bound)
     via_h1 = h1.is_zero()
-    mu, _ = minimal_generators(ideal_as_module(ideal))
+    mu = len(ideal.minimal_generators())
     ht = height(ideal)
     via_height = mu == ht
     if via_h1 != via_height:
@@ -324,16 +317,38 @@ def _check(checks, name, ok, detail=None, bound=None, inconclusive=False):
     checks.append(entry)
 
 
+def _crashed(checks, exc):
+    _check(checks, "crashed", False, detail=f"{type(exc).__name__}: {exc}")
+
+
+def _result(name, checks, data) -> dict:
+    ok = all(c["status"] == "pass" for c in checks)
+    result = {"name": name, "checks": checks, "data": data, "ok": ok}
+    # canonical JSON form, so cached and fresh results are indistinguishable
+    return json.loads(json.dumps(result, sort_keys=True))
+
+
 def evaluate_entry(entry: CorpusEntry) -> dict:
-    """Run the full invariant and theorem suite on one corpus entry."""
+    """Run the full invariant and theorem suite on one corpus entry.
+
+    An exception that escapes the suite ends it with a failed ``crashed``
+    check after the checks already made, so one entry cannot abort a run."""
     checks: list = []
     data: dict = {}
+    try:
+        _run_checks(entry, checks, data)
+    except Exception as exc:
+        _crashed(checks, exc)
+    return _result(entry.name, checks, data)
+
+
+def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     bounds = entry.bounds
     try:
         ring, ideal = entry.build()
     except Exception as exc:
         _check(checks, "parse", False, detail=str(exc))
-        return {"name": entry.name, "checks": checks, "data": data, "ok": False}
+        return
 
     is_char0 = ring.field.is_rationals
     try:
@@ -343,7 +358,7 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
         _check(checks, "model_built", True)
     except Exception as exc:
         _check(checks, "model_built", False, detail=str(exc))
-        return {"name": entry.name, "checks": checks, "data": data, "ok": False}
+        return
 
     fails = verify_model_differential(model)
     _check(checks, "model_d2_and_minimality", not fails, detail=fails)
@@ -473,9 +488,7 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
         _check(checks, "ci_pi_structure", brackets_zero and pi_above_2_empty)
 
     if is_char0:
-        jz = conormal_mod.jacobi_zariski_check(
-            ideal, bounds.intdeg,
-            con.route_a if con is not None else None)
+        jz = conormal_mod.jacobi_zariski_check(ideal, bounds.intdeg)
         _check(checks, "jacobi_zariski_exact", jz.exact, detail=jz.failures,
                bound=bounds.intdeg)
         data["jz_table"] = jz.rows()
@@ -487,8 +500,7 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
 
     # sharp hypothesis consistency with the Jacobian map into the free module
     try:
-        _, selected = minimal_generators(ideal_as_module(ideal))
-        gens = [ideal.generators[j] for j in selected]
+        gens = ideal.minimal_generators()
         jac = [tuple(g.partial_derivative(i) for i in range(ring.nvars)) for g in gens]
         alpha = [[jac[j][i] for j in range(len(gens))] for i in range(ring.nvars)]
         target = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
@@ -511,11 +523,6 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
     if "h1mu" in entry.expect:
         _check(checks, "frozen_h1mu", data["h1_mu"] == entry.expect["h1mu"],
                detail=f"computed {data['h1_mu']}")
-
-    ok = all(c["status"] == "pass" for c in checks)
-    result = {"name": entry.name, "checks": checks, "data": data, "ok": ok}
-    # canonical JSON form, so cached and fresh results are indistinguishable
-    return json.loads(json.dumps(result, sort_keys=True))
 
 
 def _evaluate_entry_dict(entry_dict: dict) -> dict:
@@ -581,45 +588,53 @@ def run_corpus(
     parallelism: int = 1,
     cache_dir: str | None = None,
 ) -> dict:
-    """Evaluate all entries; returns the aggregate report.  Entries are
-    independent; with parallelism > 1 they run in separate processes.
-    Cached and uncached runs produce identical reports."""
+    """Evaluate all entries; returns the aggregate report, with results in
+    entry order.  Entries are independent; with parallelism > 1 they run in
+    separate processes.  Cached and uncached runs produce identical reports.
+    A crashed entry (see :func:`evaluate_entry`, or a pool worker that died)
+    is reported, not cached."""
     if cache_dir is None:
         cache_dir = os.environ.get("CIKIT_CACHE_DIR") or None
-    results: dict[str, dict] = {}
+    entries = list(entries)
+    ordered: list = [None] * len(entries)
     timings: dict[str, float] = {}
     to_compute = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         key = cache_key(entry)
         hit = cache_lookup(cache_dir, key)
         if hit is not None:
-            results[entry.name] = hit
+            ordered[i] = hit
             timings[entry.name] = 0.0
         else:
-            to_compute.append((entry, key))
+            to_compute.append((i, key))
+
+    def finish(i, key, t0, result):
+        timings[entries[i].name] = round((time.monotonic() - t0) * 1000.0, 3)
+        if all(c["name"] != "crashed" for c in result["checks"]):
+            cache_insert(cache_dir, key, result)
+        ordered[i] = result
 
     if parallelism > 1 and len(to_compute) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             futures = {}
-            for entry, key in to_compute:
+            for i, key in to_compute:
                 t0 = time.monotonic()
-                fut = pool.submit(_evaluate_entry_dict, entry.to_dict())
-                futures[fut] = (entry, key, t0)
+                fut = pool.submit(_evaluate_entry_dict, entries[i].to_dict())
+                futures[fut] = (i, key, t0)
             for fut in concurrent.futures.as_completed(futures):
-                entry, key, t0 = futures[fut]
-                result = fut.result()
-                timings[entry.name] = round((time.monotonic() - t0) * 1000.0, 3)
-                cache_insert(cache_dir, key, result)
-                results[entry.name] = result
+                i, key, t0 = futures[fut]
+                try:
+                    result = fut.result()
+                except Exception as exc:  # the worker process failed
+                    checks: list = []
+                    _crashed(checks, exc)
+                    result = _result(entries[i].name, checks, {})
+                finish(i, key, t0, result)
     else:
-        for entry, key in to_compute:
+        for i, key in to_compute:
             t0 = time.monotonic()
-            result = evaluate_entry(entry)
-            timings[entry.name] = round((time.monotonic() - t0) * 1000.0, 3)
-            cache_insert(cache_dir, key, result)
-            results[entry.name] = result
+            finish(i, key, t0, evaluate_entry(entries[i]))
 
-    ordered = [results[e.name] for e in entries]
     ok_count = sum(1 for r in ordered if r["ok"])
     return {
         "schema": SCHEMA,

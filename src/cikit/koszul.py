@@ -15,9 +15,6 @@ from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
-    ideal_as_module,
-    minimal_generators,
-    quotient_hilbert_by_monomials,
     scatter_multiples,
     syzygies,
     compose_is_zero,
@@ -79,9 +76,7 @@ class KoszulComplex:
 
 def koszul_complex(ideal: Ideal) -> KoszulComplex:
     """Koszul complex on a minimal generating set of the ideal."""
-    pres = ideal_as_module(ideal)
-    _, selected = minimal_generators(pres)
-    return KoszulComplex(ideal, [ideal.generators[j] for j in selected])
+    return KoszulComplex(ideal, ideal.minimal_generators())
 
 
 class KoszulH1:
@@ -139,6 +134,12 @@ class KoszulH1:
 
 
 def koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
+    """H1 of the ideal's Koszul complex, relations complete up to the
+    degree bound; computed once per ideal and bound (the ideal's memo)."""
+    return ideal.memo(("koszul_h1", degree_bound), lambda: _koszul_h1(ideal, degree_bound))
+
+
+def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     cx = koszul_complex(ideal)
     ring = ideal.ring
     field = ring.field

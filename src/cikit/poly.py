@@ -7,11 +7,10 @@ elements.  Everything is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import lru_cache
 
-from .fields import Field, QQ
+from .fields import Field
 
 
 class AmbientMismatch(ValueError):
@@ -204,10 +203,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def homogeneous_degree(self) -> int:
         """Common degree of all terms; raises on mixed degrees, -1 on zero."""

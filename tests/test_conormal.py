@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+
+from conftest import homogeneous_ideals
 
 from cikit import groebner as gr
 from cikit.conormal import (
@@ -164,3 +167,24 @@ def test_koszul_strand_crosscheck(R):
         model = build_minimal_model(I, 4, 12)
         ok, info = koszul_strand_crosscheck(I, 10, model)
         assert ok, info
+
+
+def test_route_a_is_memoized_per_ideal_and_bound(R):
+    I = ideal(R, "x^2", "x*y")
+    pres = conormal_route_a(I, 6)
+    assert conormal_route_a(I, 6) is pres
+    assert conormal_route_a(I, 7) is not pres
+    assert conormal_route_a(ideal(R, "x^2", "x*y"), 6) is not pres
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_conormal_routes_agree_on_random_ideals(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    # raises RouteDisagreement when route A (syzygies of the generators) and
+    # route B (the Kaehler module of the minimal model) differ in Hilbert
+    # function or minimal generator count up to the bound.  Both routes are
+    # truncated at the same bound, so a low one hides no disagreement below
+    # it; top degree + 2 keeps 100 examples at a few seconds.
+    conormal(I, max(g.homogeneous_degree() for g in I.generators) + 2)

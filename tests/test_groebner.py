@@ -181,18 +181,18 @@ def test_minimal_generators_invariant_under_column_mixing(R):
 
 def test_hilbert_series_examples(R):
     Rx = PolyRing(QQ, ["x"])
-    s = gr.quotient_presentation(gr.Ideal(Rx, [Rx.from_string("x^2")]))
-    assert gr.hilbert_series(s, 5) == [1, 1, 0, 0, 0, 0]
+    s = gr.ideal_as_module(gr.Ideal(Rx, [Rx.from_string("x^2")]))
+    assert s.hilbert_function(5) == [1, 1, 0, 0, 0, 0]
     free = gr.ModulePresentation(R, None, [0], [])
-    assert gr.hilbert_series(free, 3) == [1, 2, 3, 4]
-    m2 = gr.quotient_presentation(ideal(R, "x^2", "x*y", "y^2"))
-    assert gr.hilbert_series(m2, 4) == [1, 2, 0, 0, 0]
+    assert free.hilbert_function(3) == [1, 2, 3, 4]
+    m2 = gr.ideal_as_module(ideal(R, "x^2", "x*y", "y^2"))
+    assert m2.hilbert_function(4) == [1, 2, 0, 0, 0]
 
 
 def test_hilbert_two_routes_agree(R3):
     for texts in (("x^2 - y*z", "x*y"), ("x^2", "y^2"), ("x*y", "x*z", "y*z")):
         I = ideal(R3, *texts)
-        slice_route = gr.hilbert_series(gr.quotient_presentation(I), 8)
+        slice_route = gr.ideal_as_module(I).hilbert_function(8)
         monomial_route = gr.quotient_hilbert_by_monomials(I, 8)
         assert slice_route == monomial_route
 

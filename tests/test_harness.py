@@ -241,3 +241,58 @@ def test_unreadable_cache_file_is_a_miss_and_is_replaced(tmp_path, damage):
     report = run_corpus(entries, cache_dir=str(cache_dir))
     assert report["summary"]["ok"] == 1
     assert cache_lookup(str(cache_dir), cache_key(entries[0]))["name"] == "ci"
+
+
+# -- one computation per invariant, positional results, contained crashes --------
+
+
+def test_evaluate_entry_builds_route_a_and_h1_once_per_bound(corpus_entries, monkeypatch):
+    from cikit import conormal as conormal_mod
+    from cikit import koszul as koszul_mod
+
+    builds = []
+
+    def counting(build):
+        def wrapper(ideal, degree_bound):
+            builds.append((build.__name__, degree_bound))
+            return build(ideal, degree_bound)
+        return wrapper
+
+    monkeypatch.setattr(conormal_mod, "_conormal_route_a", counting(conormal_mod._conormal_route_a))
+    monkeypatch.setattr(koszul_mod, "_koszul_h1", counting(koszul_mod._koszul_h1))
+    entry = next(e for e in corpus_entries if e.name == "aci_x2_xy")
+    assert harness.evaluate_entry(entry)["ok"]
+    assert sorted(builds) == sorted(set(builds))
+    assert {name for name, _ in builds} == {"_conormal_route_a", "_koszul_h1"}
+
+
+def test_results_keyed_by_position_not_name():
+    entries = parse_corpus(
+        "entry a / field Q / ring x, y / ideal x^2\n"
+        "entry a / field Q / ring x, y / ideal x^2, x*y\n"
+    )
+    report = run_corpus(entries)
+    assert [r["data"]["is_ci"] for r in report["entries"]] == [True, False]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_crash_fails_only_its_entry(monkeypatch, parallelism):
+    original = harness.koszul_complex
+
+    def crashing(ideal):
+        if ideal.ring.nvars == 2:
+            raise RuntimeError("boom")
+        return original(ideal)
+
+    monkeypatch.setattr(harness, "koszul_complex", crashing)
+    entries = parse_corpus(
+        "entry one_var / field Q / ring x / ideal x^2 / expect ci=true\n"
+        "entry two_vars / field Q / ring x, y / ideal x^2, y^2 / expect ci=true\n"
+    )
+    report = run_corpus(entries, parallelism=parallelism)
+    good, bad = report["entries"]
+    assert good["name"] == "one_var" and good["ok"]
+    assert bad["name"] == "two_vars" and not bad["ok"]
+    crashed = [c for c in bad["checks"] if c["name"] == "crashed"]
+    assert crashed == [{"name": "crashed", "status": "fail", "detail": "RuntimeError: boom"}]
+    assert report["summary"] == {"total": 2, "ok": 1, "failed": 1}

@@ -94,3 +94,12 @@ def test_ci_corpus_h1_zero():
     for texts in (("x^2", "y^2", "z^2"), ("x^2 - y*z",), ("x^2 + y*z", "y^2 + x*z")):
         I = gr.Ideal(R3, [R3.from_string(t) for t in texts])
         assert koszul_h1(I, 10).is_zero()
+
+
+def test_h1_is_memoized_per_ideal_and_bound(R):
+    I = ideal(R, "x^2", "x*y")
+    h1 = koszul_h1(I, 6)
+    assert koszul_h1(I, 6) is h1
+    assert koszul_h1(I, degree_bound=6) is h1
+    assert koszul_h1(I, 7) is not h1
+    assert koszul_h1(ideal(R, "x^2", "x*y"), 6) is not h1
