@@ -49,10 +49,10 @@ common_options = [
     click.option("--field", "field_opt", default="Q", show_default=True,
                  help="Q or Fp <p> (e.g. F7)"),
     click.option("--bounds", "bounds_opt", default="",
-                 help="e.g. 'hdeg=5 intdeg=12 reslen=8 resdeg=12'; reslen caps "
+                 help="e.g. 'hdeg=5 intdeg=12 reslen=8'; reslen caps "
                       "resolution length (projective-dimension probes stop at "
-                      "dim S + 1 steps anyway); Ext of k reads no resdeg, it "
-                      "resolves to Backelin's degree bound"),
+                      "dim S + 1 steps anyway); the Ext cross-check resolves k "
+                      "to Backelin's degree bound, not to intdeg"),
     click.option("--json", "as_json", is_flag=True, help="emit JSON"),
 ]
 
@@ -98,10 +98,10 @@ def resolve(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, module_opt):
     elif module_opt == "ideal":
         pres = ideal_as_module(ideal)
     elif module_opt == "conormal":
-        pres = conormal_mod.conormal_route_a(ideal, bounds.resdeg)
+        pres = conormal_mod.conormal_route_a(ideal, bounds.intdeg)
     else:
-        pres = koszul_h1(ideal, bounds.resdeg).presentation
-    res = minimal_free_resolution(pres, bounds.reslen, bounds.resdeg)
+        pres = koszul_h1(ideal, bounds.intdeg).presentation
+    res = minimal_free_resolution(pres, bounds.reslen, bounds.intdeg)
     table = sorted(res.betti_bigraded().items())
     payload = {
         "status": {"terminated": res.status[0] == "terminated", "at": res.status[1],

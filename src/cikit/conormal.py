@@ -2,8 +2,9 @@
 differentials of S over the base field, the four-term Jacobi-Zariski
 sequence, the evolution criterion, and hypothesis checkers.
 
-Route A presents I/I^2 directly: generators of I modulo I^2 with relations
-from syzygies.  Route B reads the presentation off the reduced Kaehler
+Route A presents I/I^2 as Z_1 (x) S: I/I^2 = I (x) S and (x) S is right
+exact, so the syzygies Z_1 of the minimal generators of I, reduced mod I,
+are its relations.  Route B reads the presentation off the reduced Kaehler
 complex of the minimal model.  Both must agree in Hilbert function and
 minimal generator count; a disagreement is a bug, not a result.
 """
@@ -19,7 +20,6 @@ from .groebner import (
     ModulePresentation,
     minimalize_presentation,
     quotient_hilbert_by_monomials,
-    syzygies,
 )
 from .koszul import koszul_h1
 from .poly import Polynomial
@@ -53,33 +53,19 @@ class ConormalModule:
 
 
 def conormal_route_a(ideal: Ideal, degree_bound: int) -> ModulePresentation:
-    """I/I^2 presented by minimal generators of I with syzygy relations,
-    complete up to the degree bound; computed once per ideal and bound (the
-    ideal's memo)."""
+    """I/I^2 as Z_1 (x) S: the minimal generators of I with the generator
+    syzygies Z_1 reduced mod I as relations, complete up to the degree
+    bound; computed once per ideal and bound (the ideal's memo)."""
     return ideal.memo(
         ("conormal_route_a", degree_bound), lambda: _conormal_route_a(ideal, degree_bound)
     )
 
 
 def _conormal_route_a(ideal: Ideal, degree_bound: int) -> ModulePresentation:
-    ring = ideal.ring
-    gens = ideal.minimal_generators()
-    gen_degs = [g.homogeneous_degree() for g in gens]
-    square_gens = [
-        gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))
-    ]
-    combined = ModulePresentation(
-        ring, None, [0], [(g,) for g in gens] + [(q,) for q in square_gens]
-    )
-    syz = syzygies(combined, degree_bound)
+    z1 = ideal.generator_syzygies(degree_bound)
     gb = ideal.groebner()
-    t = len(gens)
-    rel_cols = []
-    for col in syz.columns:
-        head = tuple(gb.normal_form(p) for p in col[:t])
-        if any(not p.is_zero() for p in head):
-            rel_cols.append(head)
-    return ModulePresentation(ring, ideal, gen_degs, rel_cols)
+    rel_cols = [tuple(gb.normal_form(p) for p in col) for col in z1.columns]
+    return ModulePresentation(ideal.ring, ideal, z1.row_degrees, rel_cols)
 
 
 def conormal(ideal: Ideal, degree_bound: int, model: DgAlgebraModel | None = None) -> ConormalModule:
@@ -139,9 +125,12 @@ def kahler_s_over_k(ideal: Ideal) -> ModulePresentation:
 # slice helpers for the kernel of d: I/I^2 -> S (x) Omega_{R/K}
 
 
-def _ideal_slice_basis(ideal: Ideal, d: int):
-    """Canonical basis (coordinate rows) of the degree-d slice of I."""
-    return linalg.rref(ideal.slice_rows(d), ideal.ring.field)[0]
+def _square(ideal: Ideal) -> Ideal:
+    """I^2 from the products g_i g_j (i <= j) of the minimal generators,
+    built once per ideal (the ideal's memo)."""
+    gens = ideal.minimal_generators()
+    return ideal.memo(("square",), lambda: Ideal(
+        ideal.ring, [g * h for i, g in enumerate(gens) for h in gens[i:]]))
 
 
 def _coords_to_poly(ring, coords, d: int) -> Polynomial:
@@ -169,10 +158,10 @@ def differential_kernel_slice(ideal: Ideal, d: int):
     """
     ring = ideal.ring
     field = ring.field
-    basis = _ideal_slice_basis(ideal, d)
+    basis = ideal.slice_rref(d)[0]
     if not basis:
         return []
-    lower = _ideal_slice_basis(ideal, d - 1)
+    lower = ideal.slice_rref(d - 1)[0]
     lower_dim = len(ring.monomials_of_degree(d - 1))
     # map: candidate coefficients -> n stacked quotient coordinates
     cols = []
@@ -236,7 +225,7 @@ def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport
     omega = kahler_s_over_k(ideal)
     hf_omega = omega.hilbert_function(degree_bound)
 
-    sq = Ideal(ring, [a * b for a in ideal.generators for b in ideal.generators])
+    sq = _square(ideal)
     hf_d1 = []
     for d in range(degree_bound + 1):
         k = len(differential_kernel_slice(ideal, d))
@@ -278,14 +267,14 @@ def lenstra_evolution_check(ideal: Ideal) -> EvolutionVerdict:
         raise ValueError("the evolution criterion is applied over char 0")
     field = ring.field
     gen_degrees = sorted({g.homogeneous_degree() for g in ideal.minimal_generators()})
-    sq = Ideal(ring, [a * b for a in ideal.generators for b in ideal.generators])
+    sq = _square(ideal)
     for d in gen_degrees:
         kernel_vectors = differential_kernel_slice(ideal, d)
         if not kernel_vectors:
             continue
         # m*(I/I^2) + I^2 at degree d: x_i * I_{d-1} plus I^2_d
         denom = list(sq.slice_rows(d))
-        for w in _ideal_slice_basis(ideal, d - 1):
+        for w in ideal.slice_rref(d - 1)[0]:
             p = _coords_to_poly(ring, w, d - 1)
             for i in range(ring.nvars):
                 denom.append(_poly_coords(ring, p.mul_monomial(_unit(ring.nvars, i)), d))

@@ -178,10 +178,10 @@ class Ideal:
     """A homogeneous ideal given by generators (zero generators discarded).
 
     An Ideal never changes after construction: its generators are a tuple.
-    Everything computed from it (Groebner bases, slices, minimal generators,
-    the Koszul and conormal presentations) is kept in one per-instance memo,
-    which relies on that.  Memoized values are shared, so callers must not
-    modify them.
+    Everything computed from it (Groebner bases, slices, minimal generators
+    and their syzygies, the Koszul and conormal presentations) is kept in
+    one per-instance memo, which relies on that.  Memoized values are
+    shared, so callers must not modify them.
     """
 
     __slots__ = ("ring", "generators", "_memo")
@@ -217,6 +217,17 @@ class Ideal:
             return tuple(self.generators[j] for j in selected)
 
         return self.memo(("minimal_generators",), compute)
+
+    def generator_syzygies(self, degree_bound: int) -> "ModulePresentation":
+        """Z_1: the syzygies over R of :meth:`minimal_generators`, complete
+        up to the degree bound.  Koszul H1 is Z_1 modulo the Koszul
+        boundaries and I/I^2 is Z_1 (x) S, so both read this one module."""
+
+        def compute():
+            gens = [(g,) for g in self.minimal_generators()]
+            return syzygies(ModulePresentation(self.ring, None, [0], gens), degree_bound)
+
+        return self.memo(("generator_syzygies", degree_bound), compute)
 
     def contains(self, f: Polynomial) -> bool:
         return self.groebner().contains(f)

@@ -28,10 +28,10 @@ from .koszul import h1_free_summand_probe, koszul_complex, koszul_h1
 from .poly import PolyRing, parse_poly_list
 from .resolution import projdim_probe, verify_composites, verify_resolution
 
-SCHEMA = "cikit-report/2"
+SCHEMA = "cikit-report/3"
 # Part of every cache key: bump whenever a fix can change a computed result,
 # so that results cached before the fix are never served after it.
-RESULTS_VERSION = 2
+RESULTS_VERSION = 3
 
 
 class CriteriaDisagree(RuntimeError):
@@ -53,30 +53,29 @@ class CorpusError(ValueError):
 class Bounds:
     """Truncation bounds of one entry.
 
-    ``hdeg`` and ``intdeg`` bound the minimal model and the graded slices
-    the invariants are compared on; ``resdeg`` is the internal degree bound
-    of the projective-dimension probes and the H1/conormal presentations
-    they resolve.  ``reslen`` is only a cap on resolution length: a probe
+    ``hdeg`` bounds the model's homological degree; ``intdeg`` is the one
+    internal degree bound, of the model, the compared graded slices, the
+    H1 and conormal presentations and the probes that resolve them.
+    ``reslen`` is only a cap on resolution length: a probe
     stops at dim S + 1 steps anyway, where Auslander-Buchsbaum decides, and
     a cap below that leaves the verdict inconclusive.  The Ext cross-check
     reads none of these: it resolves k to Backelin's degree bound.
     """
 
-    __slots__ = ("hdeg", "intdeg", "reslen", "resdeg")
+    __slots__ = ("hdeg", "intdeg", "reslen")
 
-    def __init__(self, hdeg=5, intdeg=12, reslen=8, resdeg=None):
+    def __init__(self, hdeg=5, intdeg=12, reslen=8):
         self.hdeg = hdeg
         self.intdeg = intdeg
         self.reslen = reslen
-        self.resdeg = intdeg if resdeg is None else resdeg
+
+    @property
+    def resdeg(self) -> int:
+        """``intdeg``, as the benchmark's ``resolve`` requests read it."""
+        return self.intdeg
 
     def to_dict(self):
-        return {
-            "hdeg": self.hdeg,
-            "intdeg": self.intdeg,
-            "reslen": self.reslen,
-            "resdeg": self.resdeg,
-        }
+        return {"hdeg": self.hdeg, "intdeg": self.intdeg, "reslen": self.reslen}
 
     @staticmethod
     def parse(text: str, base: "Bounds | None" = None) -> "Bounds":
@@ -87,7 +86,7 @@ class Bounds:
                 continue
             key, _, val = part.partition("=")
             key = key.strip()
-            if key not in ("hdeg", "intdeg", "reslen", "resdeg"):
+            if key not in ("hdeg", "intdeg", "reslen"):
                 raise CorpusError(f"unknown bound {key!r}")
             setattr(out, key, int(val))
         return out
@@ -138,13 +137,14 @@ def verify_conormal_rigidity(ideal: Ideal, bounds: Bounds):
 
     Returns (report, probe resolutions)."""
     cert = ci_certificate(ideal, bounds.intdeg)
-    s_probe = projdim_probe(ideal_as_module(ideal), bounds.reslen, bounds.resdeg)
-    con_pres = conormal_mod.conormal_route_a(ideal, bounds.resdeg)
-    con_probe = projdim_probe(con_pres, bounds.reslen, bounds.resdeg)
+    s_probe = projdim_probe(ideal_as_module(ideal), bounds.reslen, bounds.intdeg)
+    con_pres = conormal_mod.conormal_route_a(ideal, bounds.intdeg)
+    con_probe = projdim_probe(con_pres, bounds.reslen, bounds.intdeg)
     report = {
         "is_ci": cert["is_ci"],
         "s_over_r": repr(s_probe),
         "conormal_over_s": repr(con_probe),
+        "conormal_free": con_probe.is_finite() and con_probe.value == 0,
         "betti_conormal": con_probe.resolution.betti_totals(),
         **_evidence(con_probe),
     }
@@ -178,7 +178,7 @@ def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
 
     Returns (report, probe resolutions)."""
     cert = ci_certificate(ideal, bounds.intdeg)
-    h1 = koszul_h1(ideal, bounds.resdeg)
+    h1 = koszul_h1(ideal, bounds.intdeg)
     report = {"is_ci": cert["is_ci"], "h1_mu": h1.minimal_generator_count()}
     if cert["is_ci"]:
         if not h1.is_zero():
@@ -187,7 +187,7 @@ def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
         report["gulliksen"] = h1_free_summand_probe(h1)
         report.update(status="pass", bound=None)
         return report, {}
-    probe = projdim_probe(h1.presentation, bounds.reslen, bounds.resdeg)
+    probe = projdim_probe(h1.presentation, bounds.reslen, bounds.intdeg)
     report["h1_over_s"] = repr(probe)
     report["betti_h1"] = probe.resolution.betti_totals()
     report.update(_evidence(probe))
@@ -394,7 +394,6 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         data["conormal_hilbert"] = con.hilbert
         _check(checks, "conormal_routes_agree", True)
     except Exception as exc:
-        con = None
         _check(checks, "conormal_routes_agree", False, detail=str(exc))
 
     _check(checks, "mu_conormal_equals_mu_ideal",
@@ -432,9 +431,11 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         _check(checks, "ci_criteria_agree", False, detail=str(exc))
 
     probe_resolutions = {}
+    conormal_free = None
     try:
         rep, resolutions = verify_conormal_rigidity(ideal, bounds)
         probe_resolutions.update(resolutions)
+        conormal_free = rep["conormal_free"]
         data["conormal_probe"] = rep["conormal_over_s"]
         data["betti_conormal"] = rep["betti_conormal"]
         _check(checks, "theorem_conormal_consistency", rep["status"] == "pass",
@@ -467,11 +468,9 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
 
     if "h1zero" in entry.expect:
         _check(checks, "expected_h1zero", h1.is_zero() == entry.expect["h1zero"])
-    if "conormal_free" in entry.expect and con is not None:
-        free = projdim_probe(con.presentation, bounds.reslen, bounds.resdeg)
-        computed_free = free.is_finite() and free.value == 0
+    if "conormal_free" in entry.expect and conormal_free is not None:
         _check(checks, "expected_conormal_free",
-               computed_free == entry.expect["conormal_free"])
+               conormal_free == entry.expect["conormal_free"])
 
     verdicts = []
     for z in pi.by_degree.get(2, []):
@@ -505,7 +504,7 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         alpha = [[jac[j][i] for j in range(len(gens))] for i in range(ring.nvars)]
         target = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
         rep = conormal_mod.sharpvc_hypothesis_check(
-            ideal, alpha, target, bounds.reslen, bounds.resdeg,
+            ideal, alpha, target, bounds.reslen, bounds.intdeg,
             ci_predicate=lambda I: ci_certificate(I, bounds.intdeg)["is_ci"])
         data["sharp_jacobian_injective"] = rep.alpha_mod_k_injective
         _check(checks, "sharp_hypothesis_consistency", True)
@@ -588,28 +587,28 @@ def run_corpus(
     parallelism: int = 1,
     cache_dir: str | None = None,
 ) -> dict:
-    """Evaluate all entries; returns the aggregate report, with results in
-    entry order.  Entries are independent; with parallelism > 1 they run in
-    separate processes.  Cached and uncached runs produce identical reports.
-    A crashed entry (see :func:`evaluate_entry`, or a pool worker that died)
-    is reported, not cached."""
+    """Evaluate all entries; returns the aggregate report, with results and
+    timings (ms, 0.0 for a cache hit) in entry order.  Entries are
+    independent; with parallelism > 1 they run in separate processes.
+    Cached and uncached runs produce identical reports.  A crashed entry
+    (see :func:`evaluate_entry`, or a pool worker that died) is reported,
+    not cached."""
     if cache_dir is None:
         cache_dir = os.environ.get("CIKIT_CACHE_DIR") or None
     entries = list(entries)
     ordered: list = [None] * len(entries)
-    timings: dict[str, float] = {}
+    timings = [0.0] * len(entries)
     to_compute = []
     for i, entry in enumerate(entries):
         key = cache_key(entry)
         hit = cache_lookup(cache_dir, key)
         if hit is not None:
             ordered[i] = hit
-            timings[entry.name] = 0.0
         else:
             to_compute.append((i, key))
 
     def finish(i, key, t0, result):
-        timings[entries[i].name] = round((time.monotonic() - t0) * 1000.0, 3)
+        timings[i] = round((time.monotonic() - t0) * 1000.0, 3)
         if all(c["name"] != "crashed" for c in result["checks"]):
             cache_insert(cache_dir, key, result)
         ordered[i] = result

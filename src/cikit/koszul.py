@@ -149,11 +149,8 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
         pres = ModulePresentation(ring, ideal, [], [])
         return KoszulH1(cx, [], [], pres, degree_bound)
 
-    gen_module = ModulePresentation(ring, None, [0], [(g,) for g in gens])
-    cycles = syzygies(gen_module, degree_bound)  # columns: vectors in R^c... rows of R^1
-
-    # reorient: syzygies of the 1-row presentation live in the free module on
-    # the generator degrees
+    # the cycles Z_1 live in the free module on the generator degrees
+    cycles = ideal.generator_syzygies(degree_bound)
     cycle_cols = cycles.columns
     cycle_degs = cycles.col_degrees
 

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from conftest import homogeneous_ideals
 
 from cikit import groebner as gr
+from cikit import linalg
 from cikit.conormal import (
     IllFormedMap,
     conormal,
@@ -188,3 +189,34 @@ def test_conormal_routes_agree_on_random_ideals(ring_gens):
     # truncated at the same bound, so a low one hides no disagreement below
     # it; top degree + 2 keeps 100 examples at a few seconds.
     conormal(I, max(g.homogeneous_degree() for g in I.generators) + 2)
+
+
+def _route_a_from_products(I, degree_bound):
+    """Reference: I/I^2 by the former construction, syzygies over R of
+    [generators | products g_i g_j], first block reduced mod I."""
+    ring = I.ring
+    gens = I.minimal_generators()
+    products = [gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))]
+    combined = ModulePresentation(ring, None, [0], [(g,) for g in gens + tuple(products)])
+    gb = I.groebner()
+    cols = [tuple(gb.normal_form(p) for p in col[: len(gens)])
+            for col in gr.syzygies(combined, degree_bound).columns]
+    return ModulePresentation(ring, I, [g.homogeneous_degree() for g in gens], cols)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_route_a_spans_the_products_construction(ring_gens):
+    # I/I^2 = I (x) S: the relations Z_1 mod I span, in every degree up to
+    # the bound, the same submodule of S^t (with I*S^t) as the relations
+    # a with sum a_i g_i in I^2
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = max(g.homogeneous_degree() for g in I.generators) + 2
+    route_a = conormal_route_a(I, bound)
+    reference = _route_a_from_products(I, bound)
+    assert route_a.row_degrees == reference.row_degrees
+    for d in range(bound + 1):
+        ours, theirs = route_a.span_slice_rows(d), reference.span_slice_rows(d)
+        assert linalg.span_contains_all(ours, theirs, ring.field), d
+        assert linalg.span_contains_all(theirs, ours, ring.field), d

@@ -46,11 +46,14 @@ def test_ci_certificate_examples(R):
 
 
 def test_bounds_parse():
-    b = Bounds.parse("hdeg=4 intdeg=10,reslen=6 resdeg=11")
-    assert (b.hdeg, b.intdeg, b.reslen, b.resdeg) == (4, 10, 6, 11)
-    assert Bounds().resdeg == Bounds().intdeg
-    with pytest.raises(CorpusError):
-        Bounds.parse("nope=1")
+    b = Bounds.parse("hdeg=4 intdeg=10,reslen=6")
+    assert (b.hdeg, b.intdeg, b.reslen) == (4, 10, 6)
+    # resdeg is folded into intdeg: no longer settable, read as intdeg
+    assert Bounds.parse("intdeg=15").resdeg == 15
+    assert Bounds().to_dict() == {"hdeg": 5, "intdeg": 12, "reslen": 8}
+    for text in ("nope=1", "resdeg=11", "intdeg=10 resdeg=11"):
+        with pytest.raises(CorpusError):
+            Bounds.parse(text)
 
 
 def test_corpus_parse():
@@ -247,23 +250,40 @@ def test_unreadable_cache_file_is_a_miss_and_is_replaced(tmp_path, damage):
 
 
 def test_evaluate_entry_builds_route_a_and_h1_once_per_bound(corpus_entries, monkeypatch):
-    from cikit import conormal as conormal_mod
-    from cikit import koszul as koszul_mod
+    # Every memoized computation of an entry is recorded with the syzygy
+    # computations it runs itself (not inside a nested memoized one).  Each
+    # entry must build Z_1, H1 and route A once, at one degree bound, and
+    # route A must take its relations from Z_1, not run syzygies of its own.
+    from cikit import groebner as gr
 
-    builds = []
+    shared = ("generator_syzygies", "koszul_h1", "conormal_route_a")
+    builds, syzygy_owners, running = [], [], []
+    memo, syzygy_generators = gr.Ideal.memo, gr.syzygy_generators
 
-    def counting(build):
-        def wrapper(ideal, degree_bound):
-            builds.append((build.__name__, degree_bound))
-            return build(ideal, degree_bound)
-        return wrapper
+    def recording_memo(self, key, compute):
+        def traced():
+            builds.append(key)
+            running.append(key[0])
+            try:
+                return compute()
+            finally:
+                running.pop()
+        return memo(self, key, traced)
 
-    monkeypatch.setattr(conormal_mod, "_conormal_route_a", counting(conormal_mod._conormal_route_a))
-    monkeypatch.setattr(koszul_mod, "_koszul_h1", counting(koszul_mod._koszul_h1))
-    entry = next(e for e in corpus_entries if e.name == "aci_x2_xy")
-    assert harness.evaluate_entry(entry)["ok"]
-    assert sorted(builds) == sorted(set(builds))
-    assert {name for name, _ in builds} == {"_conormal_route_a", "_koszul_h1"}
+    def recording_syzygies(pres, degree_bound):
+        syzygy_owners.append(running[-1] if running else None)
+        return syzygy_generators(pres, degree_bound)
+
+    monkeypatch.setattr(gr.Ideal, "memo", recording_memo)
+    monkeypatch.setattr(gr, "syzygy_generators", recording_syzygies)
+    for entry in corpus_entries:
+        builds.clear()
+        syzygy_owners.clear()
+        assert harness.evaluate_entry(entry)["ok"], entry.name
+        built = sorted(key for key in builds if key[0] in shared)
+        assert built == sorted((name, entry.bounds.intdeg) for name in shared), entry.name
+        assert "generator_syzygies" in syzygy_owners, entry.name
+        assert "conormal_route_a" not in syzygy_owners, entry.name
 
 
 def test_results_keyed_by_position_not_name():
@@ -273,6 +293,7 @@ def test_results_keyed_by_position_not_name():
     )
     report = run_corpus(entries)
     assert [r["data"]["is_ci"] for r in report["entries"]] == [True, False]
+    assert len(report["timings"]) == 2 and all(t > 0 for t in report["timings"])
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
