@@ -1,18 +1,27 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Field elements are plain Python values (`fractions.Fraction` over the
-rationals, `int` in ``[0, p)`` over GF(p)); a :class:`Field` object only
-bundles the arithmetic.  Keeping elements unboxed keeps the inner loops of
-the linear algebra and polynomial kernels cheap.
+Field elements are plain Python values; a :class:`Field` object only
+bundles the arithmetic.  Over GF(p) an element is an `int` in ``[0, p)``.
+Over the rationals it is an `int` when integral and a `fractions.Fraction`
+otherwise, never a float.  The constructors and `inv` keep to that; sums
+and products of `Fraction`s can be integral `Fraction`s, which compare,
+hash and print like the equal `int`.  Keeping elements unboxed, and
+integral rationals as `int`, keeps the inner loops of the linear algebra
+and polynomial kernels cheap: integral rational rows reach the integer
+row-reduction kernel as they are.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
 class FieldError(ValueError):
     pass
+
+
+_PRIME_FIELD_SPEC = re.compile(r"(?:Fp\s*|F|GF)([0-9]+)|GF\(([0-9]+)\)")
 
 
 def is_prime(n: int) -> bool:
@@ -28,8 +37,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(q: Fraction):
+    """``q`` as an `int` when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """The rationals (``p is None``) or GF(p) for an odd prime p.
+
+    A rational element is an `int` when integral and a `Fraction`
+    otherwise, never a float; a GF(p) element is an `int` in ``[0, p)``.
 
     Characteristic 2 is rejected globally: strict graded commutativity
     degenerates there and every downstream module assumes it.
@@ -67,19 +84,19 @@ class Field:
     # -- arithmetic ----------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def of_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
 
     def of_fraction(self, num: int, den: int):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if self.p is None:
-            return Fraction(num, den)
+            return _rational(Fraction(num, den))
         d = den % self.p
         if d == 0:
             raise FieldError(f"denominator {den} vanishes mod {self.p}")
@@ -100,7 +117,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
+        return _rational(Fraction(1, a)) if self.p is None else pow(a, self.p - 2, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -122,16 +139,15 @@ class Field:
 
     @staticmethod
     def parse(text: str) -> "Field":
-        """Parse a field spec such as ``Q``, ``QQ``, ``F7`` or ``Fp 7``."""
+        """Parse a field spec: ``Q``, ``QQ``, ``Fp N``, ``FN``, ``GFN`` or
+        ``GF(N)``; anything else raises :class:`FieldError`."""
         text = text.strip()
         if text in ("Q", "QQ"):
             return QQ
-        if text.startswith("Fp"):
-            return Field(int(text[2:].strip()))
-        if text.startswith("F") or text.startswith("GF"):
-            digits = text.lstrip("GF").strip("() ")
-            return Field(int(digits))
-        raise FieldError(f"unrecognised field spec {text!r}")
+        m = _PRIME_FIELD_SPEC.fullmatch(text)
+        if m is None:
+            raise FieldError(f"unrecognised field spec {text!r}")
+        return Field(int(m.group(1) or m.group(2)))
 
     def spec_str(self) -> str:
         return "Q" if self.p is None else f"Fp {self.p}"

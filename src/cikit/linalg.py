@@ -5,6 +5,13 @@ kernel (`_rowred`, Cython) is preferred; the pure-Python twin (`_rowred_py`)
 is selected when the extension is unavailable or ``CIKIT_PURE_PYTHON`` is
 set.  Both produce identical output, which `benchmarks/bench_rowred.py`
 exercises directly.
+
+Over Q a row holds `int` entries where they are integral and `Fraction`
+entries elsewhere (see `fields`).  Integral rows reach the integer kernel
+unconverted; a row with `Fraction` entries is scaled by the lcm of their
+denominators.  `rref` hands back the kernel's integer rows where the pivot
+is 1 and divides the rest exactly, so its entries are `int` wherever they
+are integral.  No function here returns a float.
 """
 
 from __future__ import annotations
@@ -32,13 +39,12 @@ _FP_LIMIT = 1 << 31
 
 
 def _scale_row_to_int(row):
-    den = 1
-    for v in row:
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-    if den == 1:
-        return [int(v) for v in row]
-    return [int(v * den) for v in row]
+    """An integer row with the same span: ``row`` itself when every entry is
+    an `int`, else ``row`` times the lcm of its denominators."""
+    if set(map(type, row)) == {int}:
+        return row
+    den = lcm(*[v.denominator for v in row])
+    return [v.numerator * (den // v.denominator) for v in row]
 
 
 def _fp_impl(p):
@@ -56,7 +62,9 @@ def rref(rows, field: Field):
         out = []
         for row, pc in zip(red, pivots):
             piv = row[pc]
-            out.append([Fraction(v, piv) for v in row])
+            if piv != 1:
+                row = [v // piv if v % piv == 0 else Fraction(v, piv) for v in row]
+            out.append(row)
         return out, pivots
     return _fp_impl(field.p).rref_fp(rows, field.p)
 

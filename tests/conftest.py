@@ -42,10 +42,11 @@ FUZZ_FIELDS = (QQ, GF(32003))
 
 
 @st.composite
-def homogeneous_ideals(draw, max_vars=4, max_degree=3):
-    """Generators and their ring: 2..max_vars variables over Q or GF(32003),
-    1-3 monomial, binomial or generic (dense random support) forms."""
-    field = draw(st.sampled_from(FUZZ_FIELDS))
+def homogeneous_ideals(draw, max_vars=4, max_degree=3, fields=FUZZ_FIELDS):
+    """Generators and their ring: 2..max_vars variables over one of
+    ``fields`` (Q or GF(32003)), 1-3 monomial, binomial or generic (dense
+    random support) forms."""
+    field = draw(st.sampled_from(fields))
     ring = PolyRing(field, ["x", "y", "z", "w"][: draw(st.integers(2, max_vars))])
     shape = draw(st.sampled_from(("monomial", "binomial", "generic")))
     coeffs = st.integers(-5, 5).filter(bool)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cikit.fields import QQ, GF, Field, FieldError
 
@@ -40,11 +42,51 @@ def test_parse():
     assert Field.parse("F7") == GF(7)
     assert Field.parse("Fp 11") == GF(11)
     assert Field.parse("GF(13)") == GF(13)
+    assert Field.parse("Fp7") == GF(7)
+    assert Field.parse("GF7") == GF(7)
+    assert Field.parse(" Fp 7 ") == GF(7)
     with pytest.raises(FieldError):
         Field.parse("R")
+
+
+@pytest.mark.parametrize("spec", ["GFFG7", "FG7", "F(7", "GF(7", "F7)", "Fp", "Fpx", "F", "GF",
+                                  "GF()", "FF7", "F 7", "Q7", "Fp 7x", ""])
+def test_parse_rejects_malformed_specs(spec):
+    with pytest.raises(FieldError):
+        Field.parse(spec)
 
 
 def test_parse_scalar():
     assert QQ.parse_scalar("3/2") == Fraction(3, 2)
     assert GF(7).parse_scalar("3/2") == (3 * 4) % 7
     assert QQ.parse_scalar("-5") == Fraction(-5)
+
+
+def test_rationals_keep_integral_values_as_int():
+    for value in (QQ.zero(), QQ.one(), QQ.of_int(3), QQ.parse_scalar("4/2"),
+                  QQ.parse_scalar("-5"), QQ.of_fraction(6, -3), QQ.inv(-1),
+                  QQ.inv(Fraction(1, 3))):
+        assert type(value) is int
+    assert QQ.parse_scalar("4/2") == 2 and QQ.inv(Fraction(1, 3)) == 3
+    for value, want in ((QQ.inv(2), Fraction(1, 2)), (QQ.div(1, 3), Fraction(1, 3)),
+                        (QQ.of_fraction(1, 3), Fraction(1, 3))):
+        assert type(value) is Fraction and value == want
+
+
+rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12),
+                      st.integers(-50, 50).map(Fraction))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=rationals, b=rationals)
+def test_rational_ops_agree_with_fraction_arithmetic(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [(QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb), (QQ.mul(a, b), fa * fb),
+             (QQ.neg(a), -fa)]
+    if b:
+        inv = QQ.inv(b)
+        assert type(inv) is int or inv.denominator != 1
+        cases += [(inv, 1 / fb), (QQ.div(a, b), fa / fb)]
+    for got, want in cases:
+        assert type(got) in (int, Fraction)
+        assert got == want

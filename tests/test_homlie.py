@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, target
+from hypothesis import strategies as st
 
 from cikit import groebner as gr
 from cikit.dgmodel import build_minimal_model
@@ -18,6 +20,8 @@ from cikit.homlie import (
     theta,
 )
 from cikit.poly import PolyRing
+
+from conftest import FUZZ_FIELDS, homogeneous_ideals
 
 
 @pytest.fixture
@@ -97,6 +101,22 @@ def test_induced_ad_matches_minus_bracket(R):
         model, pi = setup(R, *texts)
         for z in pi.by_degree[2]:
             induced_ad(theta(model, pi, z), pi)  # raises on mismatch
+
+
+@pytest.mark.parametrize("field", FUZZ_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_theta_induces_minus_ad_on_random_ideals(field, data):
+    """theta_z against -ad(z) for every z in pi^2; ``target`` steers the
+    search to ideals with a nonzero bracket, where the check has content."""
+    ring, gens = data.draw(homogeneous_ideals(max_vars=3, max_degree=2, fields=(field,)))
+    hdeg = 4
+    top = max(g.homogeneous_degree() for g in gens)
+    model = build_minimal_model(gr.Ideal(ring, gens), hdeg, top * hdeg)
+    pi = compute_pi(model)
+    target(float(sum(map(len, pi.bracket.values()))))
+    for z in pi.by_degree.get(2, []):
+        induced_ad(theta(model, pi, z), pi)  # raises MismatchWithBracket
 
 
 def test_lift_independence(R):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cikit import _rowred_py, linalg
 from cikit.fields import QQ, GF
@@ -120,6 +123,75 @@ def test_compiled_reduce_matches_pure():
         vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
         assert compiled.reduce_fp(ech, pivots, [list(v) for v in vecs], p) == \
             _rowred_py.reduce_fp(ech, pivots, [list(v) for v in vecs], p)
+
+
+def fraction_rref(rows):
+    """The all-`Fraction` rational RREF: rows scaled to integers through
+    `Fraction`, the kernel's rows divided back by their pivots."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return [], []
+    int_rows = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row))
+        int_rows.append([int(Fraction(v) * den) for v in row])
+    red, pivots = _rowred_py.rref_int(int_rows)
+    return [[Fraction(v, row[pc]) for v in row] for row, pc in zip(red, pivots)], pivots
+
+
+def assert_no_float(value):
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            assert_no_float(v)
+    else:
+        assert not isinstance(value, float), value
+
+
+def canonical(v):
+    return v.numerator if v.denominator == 1 else v
+
+
+q_entries = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=4))
+
+
+@st.composite
+def q_matrix_forms(draw, nrows, ncols):
+    """One rational matrix in three forms: `int` where integral and
+    `Fraction` elsewhere, all `Fraction`, and integral entries mixed."""
+    entries = st.integers(-4, 4) if draw(st.booleans()) else q_entries
+    values = [[Fraction(draw(entries)) for _ in range(ncols)] for _ in range(nrows)]
+    as_int = [[canonical(v) for v in row] for row in values]
+    mixed = [[v if draw(st.booleans()) else canonical(v) for v in row] for row in values]
+    return as_int, values, mixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_q_rows_give_equal_results_as_int_fraction_or_mixed(data):
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    forms = data.draw(q_matrix_forms(m, n))
+    others = data.draw(q_matrix_forms(data.draw(st.integers(0, 3)), n))
+    vecs = data.draw(q_matrix_forms(data.draw(st.integers(0, 3)), n))
+    rhs = data.draw(q_matrix_forms(1, m))
+    want_rref = fraction_rref(forms[1])
+    results = []
+    for rows, extra, vs, b in zip(forms, others, vecs, rhs):
+        red, pivots = linalg.rref(rows, QQ)
+        assert (red, pivots) == want_rref
+        assert all(type(v) is int or v.denominator != 1 for row in red for v in row)
+        ech, ech_pivots = linalg.rref(extra, QQ)
+        out = (
+            red, pivots,
+            linalg.rank(rows, QQ),
+            linalg.nullspace(rows, n, QQ),
+            linalg.independent_subset(extra, rows, QQ),
+            linalg.kernel_modulo(rows, n, extra, QQ),
+            linalg.reduce_mod_echelon(ech, ech_pivots, vs, QQ),
+            linalg.solve(rows, n, b[0], QQ),
+        )
+        assert_no_float(out)
+        results.append(out)
+    assert results[0] == results[1] == results[2]
 
 
 def test_pure_python_env_selection():
