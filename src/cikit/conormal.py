@@ -54,11 +54,12 @@ class ConormalModule:
 
 def conormal_route_a(ideal: Ideal, degree_bound: int) -> ModulePresentation:
     """I/I^2 as Z_1 (x) S: the minimal generators of I with the generator
-    syzygies Z_1 reduced mod I as relations, complete up to the degree
-    bound; computed once per ideal and bound (the ideal's memo)."""
-    return ideal.memo(
-        ("conormal_route_a", degree_bound), lambda: _conormal_route_a(ideal, degree_bound)
-    )
+    syzygies Z_1 reduced mod I as relations.  Z_1 runs to Schreyer's bound
+    (:meth:`Ideal.generator_syzygies`), so the presentation is complete
+    unless the degree bound, a cap, is below it; computed once per ideal
+    and Z_1 bound (the ideal's memo)."""
+    bound = min(ideal.generator_syzygy_bound(), degree_bound)
+    return ideal.memo(("conormal_route_a", bound), lambda: _conormal_route_a(ideal, bound))
 
 
 def _conormal_route_a(ideal: Ideal, degree_bound: int) -> ModulePresentation:
@@ -314,7 +315,8 @@ def sharpvc_hypothesis_check(
     ci_predicate=None,
 ) -> SharpVCReport:
     """Check (a) alpha (x) k injective, (b) target has finite projective
-    dimension; if both hold the complete-intersection certificate must hold
+    dimension, by a certified probe verdict (a bounded one does not
+    count); if both hold the complete-intersection certificate must hold
     for I (an executable instance of the conormal rigidity theorem), which
     is asserted through ``ci_predicate`` when provided."""
     ring = ideal.ring
@@ -365,7 +367,7 @@ def sharpvc_hypothesis_check(
     injective = linalg.rank(cols_k, field) == source.nrows
 
     probe = projdim_probe(target, length_bound, degree_bound)
-    hold = injective and probe.is_finite()
+    hold = injective and probe.is_finite() and probe.certified
     ci_asserted = None
     if hold and ci_predicate is not None:
         ci_asserted = bool(ci_predicate(ideal))

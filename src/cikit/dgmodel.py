@@ -24,6 +24,7 @@ from .groebner import (
     quotient_hilbert_by_monomials,
 )
 from .poly import PolyRing, Polynomial, monomial_mul
+from .resolution import ext_degree_bound
 
 
 class ModelError(RuntimeError):
@@ -231,7 +232,11 @@ def _in_augmentation(elem: DgElement) -> bool:
 
 
 class DgAlgebraModel:
-    """R[X] with differential, truncated at (hdeg_bound, intdeg_bound)."""
+    """R[X] with differential, truncated at (hdeg_bound, intdeg_bound).
+
+    ``warnings`` holds one notice when a cap stopped the model below the
+    degree bound that makes it complete (see :func:`build_minimal_model`).
+    """
 
     def __init__(self, ring: PolyRing, ideal: Ideal | None, hdeg_bound: int, intdeg_bound: int):
         self.ring = ring
@@ -534,8 +539,13 @@ def build_minimal_model(
 ) -> DgAlgebraModel:
     """Minimal model of R -> R/I with variables in degrees 1..hdeg_bound.
 
-    After stage n the model kills H_{n-1}, so on completion H_i vanishes for
-    0 < i < hdeg_bound within internal degree <= intdeg_bound.
+    The variables X_n span a copy of pi^{n+1}(S) inside Ext^{n+1}_S(k, k),
+    so Backelin's bound ``ext_degree_bound(ideal, n + 1)`` bounds their
+    internal degrees: the model is built to that bound at n = hdeg_bound,
+    with ``intdeg_bound`` as a cap, and is complete unless the cap is below
+    it (then ``warnings`` says so).  After stage n the model kills H_{n-1},
+    so on completion H_i vanishes for 0 < i < hdeg_bound within the
+    model's ``intdeg_bound``.
     """
     ring = ideal.ring
     field = ring.field
@@ -547,13 +557,12 @@ def build_minimal_model(
     if hdeg_bound < 2:
         raise ModelError("homological bound must be at least 2")
 
-    model = DgAlgebraModel(ring, ideal, hdeg_bound, intdeg_bound)
-    max_gen_degree = max((g.homogeneous_degree() for g in ideal.generators), default=0)
-    if intdeg_bound < max_gen_degree * hdeg_bound:
+    derived = ext_degree_bound(ideal, hdeg_bound + 1)
+    model = DgAlgebraModel(ring, ideal, hdeg_bound, min(derived, intdeg_bound))
+    if intdeg_bound < derived:
         model.warnings.append(
-            f"internal degree bound {intdeg_bound} is below (max generator "
-            f"degree) * (homological bound) = {max_gen_degree * hdeg_bound}; "
-            f"variables above the bound will be missed"
+            f"internal degree cap {intdeg_bound} is below Backelin's bound "
+            f"{derived}; variables above the cap are missing"
         )
 
     for g in ideal.minimal_generators():

@@ -218,16 +218,35 @@ class Ideal:
 
         return self.memo(("minimal_generators",), compute)
 
+    def generator_syzygy_bound(self) -> int:
+        """Schreyer's bound B on the degrees of a generating set of Z_1:
+        the top degree of :meth:`minimal_generators` and of the lcm of any
+        two leads of the reduced Groebner basis G.
+
+        The S-pair syzygies generate Syz(G) (Schreyer), each in its lcm
+        degree.  With G = F A and F = G C for the minimal generators F,
+        Syz(F) = A Syz(G) + image(Id - A C), whose columns sit in the
+        degrees of F."""
+        leads = self.groebner().lead_monomials()
+        return max(
+            [g.homogeneous_degree() for g in self.minimal_generators()]
+            + [sum(monomial_lcm(a, b)) for i, a in enumerate(leads) for b in leads[i + 1 :]],
+            default=0,
+        )
+
     def generator_syzygies(self, degree_bound: int) -> "ModulePresentation":
-        """Z_1: the syzygies over R of :meth:`minimal_generators`, complete
-        up to the degree bound.  Koszul H1 is Z_1 modulo the Koszul
-        boundaries and I/I^2 is Z_1 (x) S, so both read this one module."""
+        """Z_1: the syzygies over R of :meth:`minimal_generators`, computed
+        to Schreyer's bound :meth:`generator_syzygy_bound` with the degree
+        bound as a cap, so complete unless the cap is below Schreyer's.
+        Koszul H1 is Z_1 modulo the Koszul boundaries and I/I^2 is Z_1 (x) S,
+        so both read this one module."""
+        bound = min(self.generator_syzygy_bound(), degree_bound)
 
         def compute():
             gens = [(g,) for g in self.minimal_generators()]
-            return syzygies(ModulePresentation(self.ring, None, [0], gens), degree_bound)
+            return syzygies(ModulePresentation(self.ring, None, [0], gens), bound)
 
-        return self.memo(("generator_syzygies", degree_bound), compute)
+        return self.memo(("generator_syzygies", bound), compute)
 
     def contains(self, f: Polynomial) -> bool:
         return self.groebner().contains(f)

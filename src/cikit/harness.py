@@ -31,7 +31,7 @@ from .resolution import projdim_probe, verify_composites, verify_resolution
 SCHEMA = "cikit-report/3"
 # Part of every cache key: bump whenever a fix can change a computed result,
 # so that results cached before the fix are never served after it.
-RESULTS_VERSION = 3
+RESULTS_VERSION = 4
 
 
 class CriteriaDisagree(RuntimeError):
@@ -53,13 +53,18 @@ class CorpusError(ValueError):
 class Bounds:
     """Truncation bounds of one entry.
 
-    ``hdeg`` bounds the model's homological degree; ``intdeg`` is the one
-    internal degree bound, of the model, the compared graded slices, the
-    H1 and conormal presentations and the probes that resolve them.
-    ``reslen`` is only a cap on resolution length: a probe
-    stops at dim S + 1 steps anyway, where Auslander-Buchsbaum decides, and
-    a cap below that leaves the verdict inconclusive.  The Ext cross-check
-    reads none of these: it resolves k to Backelin's degree bound.
+    ``hdeg`` bounds the model's homological degree.  ``intdeg`` is a cap on
+    internal degrees, not a verdict: Z_1 runs to Schreyer's bound
+    (:meth:`Ideal.generator_syzygy_bound`) and the model to Backelin's
+    (:func:`ext_degree_bound` at hdeg + 1), each capped by ``intdeg``.
+    Those two are complete unless the cap is below their bound; then a
+    comparison against them that fails is ``inconclusive`` with the cap.
+    H1's own relations, the probes' syzygy steps and the compared Hilbert
+    lists run to ``intdeg`` itself.  ``reslen`` is only a cap on resolution
+    length: a probe stops at dim S + 1 steps anyway, where
+    Auslander-Buchsbaum decides, and a cap below that leaves the verdict
+    inconclusive.  The Ext cross-check resolves k to Backelin's degree
+    bound and reads none of these.
     """
 
     __slots__ = ("hdeg", "intdeg", "reslen")
@@ -100,105 +105,107 @@ DEFAULT_BOUNDS = Bounds()
 
 
 def ci_certificate(ideal: Ideal, degree_bound: int = 12) -> dict:
-    """CI iff the first Koszul homology vanishes; independently iff
-    mu(I) = height(I).  The two criteria must agree or the run aborts."""
+    """CI iff mu(I) = height(I), which is exact; independently iff the
+    first Koszul homology vanishes, which is certified when Z_1 is complete
+    (its Schreyer bound is within the degree bound, a cap).  Certified
+    criteria must agree or the run aborts; below the Schreyer bound,
+    ``h1_mu == 0`` against ``is_ci`` says whether they agreed."""
     h1 = koszul_h1(ideal, degree_bound)
-    via_h1 = h1.is_zero()
     mu = len(ideal.minimal_generators())
     ht = height(ideal)
-    via_height = mu == ht
-    if via_h1 != via_height:
+    is_ci = mu == ht
+    if h1.is_zero() != is_ci and ideal.generator_syzygy_bound() <= degree_bound:
         raise CriteriaDisagree(
-            f"H1 says CI={via_h1} but mu={mu}, height={ht} says CI={via_height}"
+            f"H1 says CI={h1.is_zero()} but mu={mu}, height={ht} says CI={is_ci}"
         )
-    return {"is_ci": via_h1, "mu": mu, "height": ht, "h1_mu": h1.minimal_generator_count()}
+    return {"is_ci": is_ci, "mu": mu, "height": ht, "h1_mu": h1.minimal_generator_count()}
 
 
 # ---------------------------------------------------------------------------
 # theorem verifiers
 
 
-def _evidence(probe):
-    """How far a theorem check's probe evidence reaches: ``inconclusive``
-    (with the length cap) when the cap cut the probe short, else ``pass``
-    with the internal degree bound of a finite verdict, or no bound for a
-    certified infinite one."""
+def _evidence(probe, complete: bool) -> dict:
+    """How far a theorem check's probe evidence reaches: ``pass`` with no
+    bound for a certified verdict (``probe.certified``; a finite one also
+    needs a presentation that is ``complete`` in every degree),
+    ``inconclusive`` with the length cap when ``reslen`` cut the probe
+    short, and ``inconclusive`` with the degree cap otherwise."""
     if probe.verdict == "inconclusive":
         return {"status": "inconclusive", "bound": probe.value}
-    return {"status": "pass", "bound": probe.degree_bound if probe.is_finite() else None}
+    if probe.is_infinite() or (complete and probe.certified):
+        return {"status": "pass", "bound": None}
+    return {"status": "inconclusive", "bound": probe.degree_bound}
 
 
 def verify_conormal_rigidity(ideal: Ideal, bounds: Bounds):
-    """Conormal-module side: if S has finite projdim over R and I/I^2 has
-    finite projdim over S then I must be a complete intersection.  On
-    non-CI entries the conormal probe must not come back finite, and comes
-    back certified infinite unless ``reslen`` < dim S + 1 cut it short
-    (``status`` inconclusive).
+    """Conormal-module side: S has finite projdim over R (Hilbert's
+    syzygy theorem), so if I/I^2 has finite projdim over S then I must be
+    a complete intersection, whose I/I^2 is free.  The probe of route A
+    raises when a certified verdict (``status`` pass) contradicts the CI
+    certificate.  Route A is complete when Z_1 is; a verdict the degree
+    cap or ``reslen`` bounds is ``inconclusive`` with that bound.
 
     Returns (report, probe resolutions)."""
-    cert = ci_certificate(ideal, bounds.intdeg)
-    s_probe = projdim_probe(ideal_as_module(ideal), bounds.reslen, bounds.intdeg)
-    con_pres = conormal_mod.conormal_route_a(ideal, bounds.intdeg)
-    con_probe = projdim_probe(con_pres, bounds.reslen, bounds.intdeg)
+    cap = bounds.intdeg
+    cert = ci_certificate(ideal, cap)
+    s_probe = projdim_probe(ideal_as_module(ideal), bounds.reslen, cap)
+    con_probe = projdim_probe(conormal_mod.conormal_route_a(ideal, cap), bounds.reslen, cap)
     report = {
         "is_ci": cert["is_ci"],
         "s_over_r": repr(s_probe),
         "conormal_over_s": repr(con_probe),
         "conormal_free": con_probe.is_finite() and con_probe.value == 0,
         "betti_conormal": con_probe.resolution.betti_totals(),
-        **_evidence(con_probe),
+        **_evidence(con_probe, ideal.generator_syzygy_bound() <= cap),
     }
     resolutions = {"s_over_r": s_probe.resolution, "conormal": con_probe.resolution}
-    if s_probe.is_finite() and con_probe.is_finite():
-        if not cert["is_ci"]:
-            raise TheoremViolationSignal(
-                "both projective dimensions finite but the CI certificate failed"
-            )
-    if not cert["is_ci"]:
-        if con_probe.is_finite():
-            raise TheoremViolationSignal(
-                "non-CI entry with finite conormal projective dimension"
-            )
-        totals = con_probe.resolution.betti_totals()
-        if any(b <= 0 for b in totals):
-            raise TheoremViolationSignal(
-                f"non-CI conormal resolution has a zero Betti number: {totals}"
-            )
-    else:
-        if not con_probe.is_finite():
-            raise TheoremViolationSignal("CI entry with non-free-looking conormal")
+    if report["status"] != "pass":
+        return report, resolutions
+    if con_probe.is_finite() != cert["is_ci"]:
+        raise TheoremViolationSignal(
+            "non-CI entry with finite conormal projective dimension" if con_probe.is_finite()
+            else "CI entry with infinite conormal projective dimension"
+        )
+    if not cert["is_ci"] and any(b <= 0 for b in report["betti_conormal"]):
+        raise TheoremViolationSignal(
+            f"non-CI conormal resolution has a zero Betti number: {report['betti_conormal']}"
+        )
     return report, resolutions
 
 
 def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
-    """First-Koszul-homology side, plus the free-summand probe: a free
-    summand of H1 would force a complete intersection.  On non-CI entries
-    the H1 probe comes back certified infinite unless ``reslen`` <
-    dim S + 1 cut it short (``status`` inconclusive).
+    """First-Koszul-homology side, plus the free-summand probe: H1 of
+    finite projdim, or with a free summand, forces a complete intersection,
+    whose H1 is zero.  A nonzero H1 is certified (its generators come from
+    Z_1 below the cap), H1 = 0 when Z_1 is complete.  H1's own relations
+    stay cap-bounded, so only an infinite probe verdict is certified; a
+    finite one, or a free summand found on a non-CI entry, is
+    ``inconclusive`` with the cap and never raises.
 
     Returns (report, probe resolutions)."""
-    cert = ci_certificate(ideal, bounds.intdeg)
-    h1 = koszul_h1(ideal, bounds.intdeg)
+    cap = bounds.intdeg
+    cert = ci_certificate(ideal, cap)
+    h1 = koszul_h1(ideal, cap)
     report = {"is_ci": cert["is_ci"], "h1_mu": h1.minimal_generator_count()}
     if cert["is_ci"]:
         if not h1.is_zero():
             raise TheoremViolationSignal("CI entry with nonzero first Koszul homology")
         report["h1_over_s"] = "Finite(0)"
         report["gulliksen"] = h1_free_summand_probe(h1)
-        report.update(status="pass", bound=None)
+        complete = ideal.generator_syzygy_bound() <= cap
+        report.update(status="pass" if complete else "inconclusive",
+                      bound=None if complete else cap)
         return report, {}
-    probe = projdim_probe(h1.presentation, bounds.reslen, bounds.intdeg)
+    probe = projdim_probe(h1.presentation, bounds.reslen, cap)
     report["h1_over_s"] = repr(probe)
     report["betti_h1"] = probe.resolution.betti_totals()
-    report.update(_evidence(probe))
-    if probe.is_finite():
-        raise TheoremViolationSignal("non-CI entry with finite H1 projective dimension")
-    if any(b <= 0 for b in probe.resolution.betti_totals()):
+    report.update(_evidence(probe, complete=False))
+    if report["status"] == "pass" and any(b <= 0 for b in report["betti_h1"]):
         raise TheoremViolationSignal("non-CI H1 resolution has a zero Betti number")
-    summand = h1_free_summand_probe(h1)
-    report["gulliksen"] = summand
-    if summand == "FreeSummand":
-        raise TheoremViolationSignal("free H1 summand found on a non-CI entry")
+    report["gulliksen"] = h1_free_summand_probe(h1)
+    if report["gulliksen"] == "FreeSummand":
+        report.update(status="inconclusive", bound=cap)
     return report, {"h1": probe.resolution}
 
 
@@ -317,6 +324,14 @@ def _check(checks, name, ok, detail=None, bound=None, inconclusive=False):
     checks.append(entry)
 
 
+def _compare(checks, name, ok, complete, cap, detail=None):
+    """A comparison against Z_1 or the model: when the degree cap stopped
+    that evidence below its derived bound (``complete`` false), a mismatch
+    is ``inconclusive`` with the cap, not a failure."""
+    _check(checks, name, ok, detail=detail, bound=None if ok or complete else cap,
+           inconclusive=not complete)
+
+
 def _crashed(checks, exc):
     _check(checks, "crashed", False, detail=f"{type(exc).__name__}: {exc}")
 
@@ -344,6 +359,7 @@ def evaluate_entry(entry: CorpusEntry) -> dict:
 
 def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     bounds = entry.bounds
+    cap = bounds.intdeg
     try:
         ring, ideal = entry.build()
     except Exception as exc:
@@ -351,19 +367,21 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         return
 
     is_char0 = ring.field.is_rationals
+    z1_complete = ideal.generator_syzygy_bound() <= cap
     try:
-        model = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
+        model = build_minimal_model(ideal, bounds.hdeg, cap)
         data["deviations"] = model.deviations()
         data["model_warnings"] = list(model.warnings)
         _check(checks, "model_built", True)
     except Exception as exc:
         _check(checks, "model_built", False, detail=str(exc))
         return
+    model_complete = not model.warnings  # its one notice: the cap cut it short
 
     fails = verify_model_differential(model)
     _check(checks, "model_d2_and_minimality", not fails, detail=fails)
     fails = verify_model_acyclicity(model)
-    _check(checks, "model_acyclicity", not fails, detail=fails, bound=bounds.intdeg)
+    _check(checks, "model_acyclicity", not fails, detail=fails, bound=model.intdeg_bound)
 
     cx = koszul_complex(ideal)
     _check(checks, "koszul_d2", cx.verify_d_squared())
@@ -388,41 +406,47 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     except Exception as exc:
         _check(checks, "theta_induces_minus_ad", False, detail=str(exc))
 
+    both_complete = z1_complete and model_complete
     try:
-        con = conormal_mod.conormal(ideal, bounds.intdeg, model)
+        con = conormal_mod.conormal(ideal, cap, model)
         data["conormal_mu"] = con.mu
         data["conormal_hilbert"] = con.hilbert
         _check(checks, "conormal_routes_agree", True)
+    except conormal_mod.RouteDisagreement as exc:
+        _compare(checks, "conormal_routes_agree", False, both_complete, cap, detail=str(exc))
     except Exception as exc:
         _check(checks, "conormal_routes_agree", False, detail=str(exc))
 
-    _check(checks, "mu_conormal_equals_mu_ideal",
-           conormal_mod.mu_invariant_check(ideal, bounds.intdeg))
+    _check(checks, "mu_conormal_equals_mu_ideal", conormal_mod.mu_invariant_check(ideal, cap))
 
-    h1 = koszul_h1(ideal, bounds.intdeg)
+    h1 = koszul_h1(ideal, cap)
     data["h1_mu"] = h1.minimal_generator_count()
     eps = model.deviations()
     x2 = eps[1] if len(eps) > 1 else 0
-    _check(checks, "x2_matches_koszul_h1_mu", x2 == data["h1_mu"],
-           detail=f"|X_2|={x2}, mu(H1)={data['h1_mu']}")
+    _compare(checks, "x2_matches_koszul_h1_mu", x2 == data["h1_mu"], both_complete, cap,
+             detail=f"|X_2|={x2}, mu(H1)={data['h1_mu']}")
     _check(checks, "h1_hilbert_two_routes",
-           h1.hilbert_function(bounds.intdeg) == h1.direct_hilbert_function(bounds.intdeg))
+           h1.hilbert_function(cap) == h1.direct_hilbert_function(cap))
 
-    ok, info = conormal_mod.koszul_strand_crosscheck(ideal, bounds.intdeg, model)
-    _check(checks, "kahler_strand_matches_h1", ok,
-           detail=None if ok else json.dumps(info))
+    ok, info = conormal_mod.koszul_strand_crosscheck(ideal, cap, model)
+    _compare(checks, "kahler_strand_matches_h1", ok, both_complete, cap,
+             detail=None if ok else json.dumps(info))
 
     try:
         ext = homlie_mod.ext_crosscheck(model, 5)
         data["ext_dims"] = ext
         _check(checks, "ext_crosscheck", True)
+    except homlie_mod.DimensionMismatch as exc:
+        _compare(checks, "ext_crosscheck", False, model_complete, cap, detail=str(exc))
     except Exception as exc:
         _check(checks, "ext_crosscheck", False, detail=str(exc))
 
     try:
-        cert = ci_certificate(ideal, bounds.intdeg)
+        cert = ci_certificate(ideal, cap)
         data.update(cert)
-        _check(checks, "ci_criteria_agree", True)
+        agree = (cert["h1_mu"] == 0) == cert["is_ci"]
+        _compare(checks, "ci_criteria_agree", agree, z1_complete, cap,
+                 detail=None if agree else f"H1 zero={cert['h1_mu'] == 0} within the cap")
         if "ci" in entry.expect:
             _check(checks, "expected_ci_flag", cert["is_ci"] == entry.expect["ci"],
                    detail=f"computed {cert['is_ci']}, expected {entry.expect['ci']}")
@@ -467,10 +491,11 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         _check(checks, "resolution_exactness_s_over_r", not fails, detail=fails)
 
     if "h1zero" in entry.expect:
-        _check(checks, "expected_h1zero", h1.is_zero() == entry.expect["h1zero"])
+        _compare(checks, "expected_h1zero", h1.is_zero() == entry.expect["h1zero"],
+                 z1_complete, cap)
     if "conormal_free" in entry.expect and conormal_free is not None:
-        _check(checks, "expected_conormal_free",
-               conormal_free == entry.expect["conormal_free"])
+        _compare(checks, "expected_conormal_free",
+                 conormal_free == entry.expect["conormal_free"], z1_complete, cap)
 
     verdicts = []
     for z in pi.by_degree.get(2, []):
@@ -487,9 +512,8 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         _check(checks, "ci_pi_structure", brackets_zero and pi_above_2_empty)
 
     if is_char0:
-        jz = conormal_mod.jacobi_zariski_check(ideal, bounds.intdeg)
-        _check(checks, "jacobi_zariski_exact", jz.exact, detail=jz.failures,
-               bound=bounds.intdeg)
+        jz = conormal_mod.jacobi_zariski_check(ideal, cap)
+        _check(checks, "jacobi_zariski_exact", jz.exact, detail=jz.failures, bound=cap)
         data["jz_table"] = jz.rows()
         verdict = conormal_mod.lenstra_evolution_check(ideal)
         data["lenstra"] = "trivial" if verdict.kind == "trivial_only" else "nontrivial"
@@ -504,8 +528,8 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         alpha = [[jac[j][i] for j in range(len(gens))] for i in range(ring.nvars)]
         target = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
         rep = conormal_mod.sharpvc_hypothesis_check(
-            ideal, alpha, target, bounds.reslen, bounds.intdeg,
-            ci_predicate=lambda I: ci_certificate(I, bounds.intdeg)["is_ci"])
+            ideal, alpha, target, bounds.reslen, cap,
+            ci_predicate=lambda I: ci_certificate(I, cap)["is_ci"])
         data["sharp_jacobian_injective"] = rep.alpha_mod_k_injective
         _check(checks, "sharp_hypothesis_consistency", True)
     except Exception as exc:
@@ -514,14 +538,17 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     if "deviations" in entry.expect:
         want = entry.expect["deviations"]
         got = data["deviations"][: len(want)]
-        _check(checks, "frozen_deviations", got == want, detail=f"computed {got}")
+        _compare(checks, "frozen_deviations", got == want, model_complete, cap,
+                 detail=f"computed {got}")
     if "ext" in entry.expect:
+        # exact, but recorded only when the model reproduces them
         want = entry.expect["ext"]
         got = data.get("ext_dims", [])[: len(want)]
-        _check(checks, "frozen_ext", got == want, detail=f"computed {got}")
+        _compare(checks, "frozen_ext", got == want, model_complete, cap,
+                 detail=f"computed {got}")
     if "h1mu" in entry.expect:
-        _check(checks, "frozen_h1mu", data["h1_mu"] == entry.expect["h1mu"],
-               detail=f"computed {data['h1_mu']}")
+        _compare(checks, "frozen_h1mu", data["h1_mu"] == entry.expect["h1mu"], z1_complete,
+                 cap, detail=f"computed {data['h1_mu']}")
 
 
 def _evaluate_entry_dict(entry_dict: dict) -> dict:

@@ -134,8 +134,15 @@ class KoszulH1:
 
 
 def koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
-    """H1 of the ideal's Koszul complex, relations complete up to the
-    degree bound; computed once per ideal and bound (the ideal's memo)."""
+    """H1 of the ideal's Koszul complex; computed once per ideal and bound
+    (the ideal's memo).
+
+    The generators come from Z_1, which runs to Schreyer's bound
+    (:meth:`Ideal.generator_syzygies`) with ``degree_bound`` as a cap, so
+    they, ``is_zero()`` and the minimal generator count are complete
+    unless the cap is below that bound.  H1's own relations, the syzygies
+    over R of [reps | boundaries], have no such bound: they stay complete
+    only up to ``degree_bound``."""
     return ideal.memo(("koszul_h1", degree_bound), lambda: _koszul_h1(ideal, degree_bound))
 
 

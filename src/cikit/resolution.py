@@ -87,11 +87,14 @@ class ProjDimCertificate:
     """Projective dimension verdict of a probe, one of three:
 
     * ``finite``: the resolution terminated at step ``value`` within the
-      recorded internal degree bound (bounded evidence);
+      recorded internal degree bound;
     * ``infinite``: F_value != 0 with value = dim S + 1, which
       Auslander-Buchsbaum certifies (no bound involved);
     * ``inconclusive``: the length cap ``value`` (below dim S + 1) cut the
       resolution off before either of the above.
+
+    ``certified`` tells which verdicts hold for the presented module
+    without a degree bound (see its docstring).
     """
 
     __slots__ = ("verdict", "value", "resolution", "degree_bound")
@@ -107,6 +110,18 @@ class ProjDimCertificate:
 
     def is_infinite(self) -> bool:
         return self.verdict == "infinite"
+
+    @property
+    def certified(self) -> bool:
+        """An infinite verdict (its Betti numbers lie in degrees where any
+        presentation complete to the bound is exact); a finite one over R
+        (Hilbert's syzygy theorem), or at step 0, where no degree-bounded
+        syzygy step ran: the pruned presentation has no relations.  Any
+        other finite verdict is bounded by ``degree_bound``."""
+        if self.is_infinite():
+            return True
+        over_r = self.resolution.modulus is None or self.resolution.modulus.is_zero()
+        return self.is_finite() and (over_r or self.value == 0)
 
     def __repr__(self):
         if self.is_finite():

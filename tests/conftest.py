@@ -44,17 +44,25 @@ FUZZ_FIELDS = (QQ, GF(32003))
 @st.composite
 def homogeneous_ideals(draw, max_vars=4, max_degree=3, fields=FUZZ_FIELDS):
     """Generators and their ring: 2..max_vars variables over one of
-    ``fields`` (Q or GF(32003)), 1-3 monomial, binomial or generic (dense
-    random support) forms."""
+    ``fields`` (Q or GF(32003)), and forms of one shape: monomial, binomial
+    or generic (dense random support).  Half the draws are 1-3 such forms;
+    the other half are 2-3 of them times one common linear form of the same
+    shape, which makes height 1 < mu unless the cofactors collapse to one
+    minimal generator, so most of those are not complete intersections."""
     field = draw(st.sampled_from(fields))
     ring = PolyRing(field, ["x", "y", "z", "w"][: draw(st.integers(2, max_vars))])
     shape = draw(st.sampled_from(("monomial", "binomial", "generic")))
+    size = {"monomial": 1, "binomial": 2, "generic": None}[shape]
     coeffs = st.integers(-5, 5).filter(bool)
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        mons = ring.monomials_of_degree(draw(st.integers(1, max_degree)))
-        size = {"monomial": 1, "binomial": 2, "generic": None}[shape]
+
+    def form(degree):
+        mons = ring.monomials_of_degree(degree)
         support = draw(st.lists(st.sampled_from(mons), min_size=size or 1,
                                 max_size=size or len(mons), unique=True))
-        gens.append(Polynomial(ring, {m: field.of_int(draw(coeffs)) for m in support}))
-    return ring, gens
+        return Polynomial(ring, {m: field.of_int(draw(coeffs)) for m in support})
+
+    if max_degree > 1 and draw(st.booleans()):
+        factor = form(1)
+        return ring, [factor * form(draw(st.integers(1, max_degree - 1)))
+                      for _ in range(draw(st.integers(2, 3)))]
+    return ring, [form(draw(st.integers(1, max_degree))) for _ in range(draw(st.integers(1, 3)))]

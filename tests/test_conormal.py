@@ -171,10 +171,14 @@ def test_koszul_strand_crosscheck(R):
 
 
 def test_route_a_is_memoized_per_ideal_and_bound(R):
+    # keyed by the Z_1 bound min(Schreyer's bound, cap): (x^2, x*y) has
+    # Schreyer's bound 3, so every cap from 3 up shares one presentation
     I = ideal(R, "x^2", "x*y")
+    assert I.generator_syzygy_bound() == 3
     pres = conormal_route_a(I, 6)
     assert conormal_route_a(I, 6) is pres
-    assert conormal_route_a(I, 7) is not pres
+    assert conormal_route_a(I, 7) is pres
+    assert conormal_route_a(I, 2) is not pres
     assert conormal_route_a(ideal(R, "x^2", "x*y"), 6) is not pres
 
 

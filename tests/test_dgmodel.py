@@ -1,7 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import homogeneous_ideals
+
+from cikit import dgmodel
 from cikit import groebner as gr
 from cikit.dgmodel import (
     CharacteristicTooSmall,
@@ -15,6 +20,7 @@ from cikit.dgmodel import (
 )
 from cikit.fields import QQ, GF
 from cikit.poly import PolyRing
+from cikit.resolution import ext_degree_bound
 
 
 @pytest.fixture
@@ -132,8 +138,13 @@ def test_characteristic_guard():
 
 
 def test_degree_bound_warning(R):
-    m = build_minimal_model(ideal(R, "x^3 + y^3"), 5, 12)  # needs 15
-    assert m.warnings
+    # Backelin's bound for a cubic at hdeg 5 is 1 + 2 * 5 = 11: the model
+    # runs to it, and a cap below it leaves one notice
+    I = ideal(R, "x^3 + y^3")
+    m = build_minimal_model(I, 5, 12)
+    assert m.intdeg_bound == 11 and m.warnings == []
+    capped = build_minimal_model(I, 5, 10)
+    assert capped.intdeg_bound == 10 and len(capped.warnings) == 1
 
 
 def test_zero_ideal_has_no_variables(R):
@@ -163,3 +174,21 @@ def test_kahler_ci_conormal_free(R):
     m = model_for(R, "x^2", "y^2", hdeg=5)
     con = kahler_module(m).conormal_presentation()
     assert con.nrows == 2 and con.ncols == 0
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3, max_degree=2))
+def test_model_ends_at_backelin_bound(ring_gens):
+    # the model built to ext_degree_bound(I, hdeg + 1) has the variables,
+    # by (hdeg, intdeg), of one built two degrees further
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    hdeg = 4
+    model = build_minimal_model(I, hdeg, 100)
+    assert model.intdeg_bound == ext_degree_bound(I, hdeg + 1) and not model.warnings
+    wider = lambda ideal, n: ext_degree_bound(ideal, n) + 2
+    with mock.patch.object(dgmodel, "ext_degree_bound", wider):
+        deeper = build_minimal_model(I, hdeg, 100)
+    assert deeper.intdeg_bound == model.intdeg_bound + 2
+    assert ([(v.hdeg, v.intdeg) for v in deeper.variables]
+            == [(v.hdeg, v.intdeg) for v in model.variables])

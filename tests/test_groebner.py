@@ -256,9 +256,36 @@ def test_groebner_basis_is_reduced_and_canonical(ring_gens, rng):
     # the standard-monomial and slice-rank Hilbert routes agree
     assert gr.quotient_hilbert_by_monomials(I, 6) == gr.ideal_as_module(I).hilbert_function(6)
     # the two complete-intersection criteria agree (raises CriteriaDisagree).
-    # A degree bound too low for H1 can only raise, never hide a disagreement;
-    # sum(degrees) + 2 sees H1 here and is ~10x cheaper than the default 12.
-    ci_certificate(I, sum(g.homogeneous_degree() for g in I.generators) + 2)
+    # A cap at Schreyer's bound makes Z_1, and so the H1 criterion, complete.
+    ci_certificate(I, I.generator_syzygy_bound())
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_generator_syzygies_end_at_schreyer_bound(ring_gens):
+    # Z_1 computed three degrees past Schreyer's bound B finds no minimal
+    # generator above B, and generator_syzygies stops at B with the same
+    # ones (3 variables: in 4, B reaches 9 and B + 3 takes minutes)
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = I.generator_syzygy_bound()
+    columns = [(g,) for g in I.minimal_generators()]
+    wide = gr.syzygies(gr.ModulePresentation(ring, None, [0], columns), bound + 3)
+    assert all(d <= bound for d in wide.col_degrees), (bound, wide.col_degrees)
+    assert I.generator_syzygies(bound + 3).col_degrees == wide.col_degrees
+
+
+def test_schreyer_bound_examples(R, R3):
+    # generators only: a principal ideal has no pairs
+    assert ideal(R, "x^3 + y^3").generator_syzygy_bound() == 3
+    # lcm(x^2, x*y) = x^2*y; the syzygy y*e1 - x*e2 sits in degree 3
+    I = ideal(R, "x^2", "x*y")
+    assert I.generator_syzygy_bound() == 3
+    assert I.generator_syzygies(12).col_degrees == [3]
+    # coprime leads: the Koszul syzygy of x^2, y^3 in degree 5
+    assert ideal(R, "x^2", "y^3").generator_syzygy_bound() == 5
+    assert ideal(R3, "x*y", "x*z", "y*z").generator_syzygy_bound() == 3
+    assert gr.Ideal(R, []).generator_syzygy_bound() == 0
 
 
 def test_equal_leads_do_not_cancel(R3):

@@ -2,6 +2,9 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import homogeneous_ideals
 
 from cikit import harness
 from cikit.cli import main as cli_main
@@ -252,8 +255,9 @@ def test_unreadable_cache_file_is_a_miss_and_is_replaced(tmp_path, damage):
 def test_evaluate_entry_builds_route_a_and_h1_once_per_bound(corpus_entries, monkeypatch):
     # Every memoized computation of an entry is recorded with the syzygy
     # computations it runs itself (not inside a nested memoized one).  Each
-    # entry must build Z_1, H1 and route A once, at one degree bound, and
-    # route A must take its relations from Z_1, not run syzygies of its own.
+    # entry must build Z_1, H1 and route A once: Z_1 and route A at Z_1's
+    # bound, min(Schreyer's bound, intdeg), and H1 at intdeg.  Route A must
+    # take its relations from Z_1, not run syzygies of its own.
     from cikit import groebner as gr
 
     shared = ("generator_syzygies", "koszul_h1", "conormal_route_a")
@@ -281,7 +285,10 @@ def test_evaluate_entry_builds_route_a_and_h1_once_per_bound(corpus_entries, mon
         syzygy_owners.clear()
         assert harness.evaluate_entry(entry)["ok"], entry.name
         built = sorted(key for key in builds if key[0] in shared)
-        assert built == sorted((name, entry.bounds.intdeg) for name in shared), entry.name
+        cap = entry.bounds.intdeg
+        z1_bound = min(entry.build()[1].generator_syzygy_bound(), cap)
+        assert built == [("conormal_route_a", z1_bound), ("generator_syzygies", z1_bound),
+                         ("koszul_h1", cap)], entry.name
         assert "generator_syzygies" in syzygy_owners, entry.name
         assert "conormal_route_a" not in syzygy_owners, entry.name
 
@@ -317,3 +324,43 @@ def test_a_crash_fails_only_its_entry(monkeypatch, parallelism):
     crashed = [c for c in bad["checks"] if c["name"] == "crashed"]
     assert crashed == [{"name": "crashed", "status": "fail", "detail": "RuntimeError: boom"}]
     assert report["summary"] == {"total": 2, "ok": 1, "failed": 1}
+
+
+# -- intdeg is a cap, not a verdict ---------------------------------------------
+
+
+THEOREM_CHECKS = ("ci_criteria_agree", "theorem_conormal_consistency",
+                  "theorem_koszul_consistency", "sharp_hypothesis_consistency")
+
+
+@pytest.mark.parametrize("cap", range(1, 12))
+@pytest.mark.parametrize("name", ["plane_line", "aci_x2_xy", "m2_2vars", "three_lines"])
+def test_a_low_cap_leaves_checks_inconclusive_not_failed(corpus_entries, name, cap):
+    # caps below the model's Backelin bound (6 on these entries) and Z_1's
+    # Schreyer bound (3 or 4): at 2, 3 and 4 on plane_line and aci_x2_xy
+    # the truncation used to raise the theorem tripwires or make the two CI
+    # criteria disagree
+    entry = next(e for e in corpus_entries if e.name == name)
+    capped = harness.CorpusEntry(entry.name, entry.field_spec, entry.ring_vars,
+                                 entry.ideal_strs, Bounds(intdeg=cap), entry.expect)
+    checks = {c["name"]: c for c in harness.evaluate_entry(capped)["checks"]}
+    for check in THEOREM_CHECKS:
+        assert checks[check]["status"] in ("pass", "inconclusive"), checks[check]
+        if checks[check]["status"] == "inconclusive":
+            assert checks[check]["bound"] == cap, checks[check]
+    failed = [c for c in checks.values() if c["status"] == "fail"]
+    assert not failed, failed
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3), st.integers(1, 12))
+def test_no_cap_raises_a_tripwire(ring_gens, cap):
+    # raises TheoremViolationSignal or CriteriaDisagree on a bug; a verdict
+    # is certified or labelled with the cap (dim S + 1 <= 4 steps, below reslen)
+    ring, gens = ring_gens
+    I = Ideal(ring, gens)
+    bounds = Bounds(intdeg=cap)
+    ci_certificate(I, cap)
+    for rep in (harness.verify_conormal_rigidity(I, bounds)[0],
+                harness.verify_koszul_rigidity(I, bounds)[0]):
+        assert (rep["status"], rep["bound"]) in (("pass", None), ("inconclusive", cap)), rep
