@@ -1,8 +1,10 @@
 """Pure-Python row-reduction kernels.
 
-The compiled twin lives in ``_rowred.pyx``; both expose the same four
-functions with bit-identical outputs (reduced row echelon form is canonical,
-so the two implementations are interchangeable and cross-checkable).
+The compiled twin lives in ``_rowred.pyx``; both expose the same five
+functions, ``rref_int``, ``indep_int``, ``rref_fp``, ``reduce_fp`` and
+``indep_fp``, with bit-identical outputs (reduced row echelon form is
+canonical, so the two implementations are interchangeable and
+cross-checkable).
 
 Rational matrices are handled fraction-free: callers scale each row to
 integers, the kernel keeps rows as integer vectors with content 1 and

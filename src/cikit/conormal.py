@@ -16,13 +16,13 @@ import warnings
 from . import linalg
 from .dgmodel import DgAlgebraModel, build_minimal_model, kahler_module
 from .groebner import (
+    FreeSlices,
     Ideal,
     ModulePresentation,
     minimalize_presentation,
     quotient_hilbert_by_monomials,
 )
 from .koszul import koszul_h1
-from .poly import Polynomial
 from .resolution import projdim_probe
 
 
@@ -134,23 +134,6 @@ def _square(ideal: Ideal) -> Ideal:
         ideal.ring, [g * h for i, g in enumerate(gens) for h in gens[i:]]))
 
 
-def _coords_to_poly(ring, coords, d: int) -> Polynomial:
-    mons = ring.monomials_of_degree(d)
-    F = ring.field
-    return Polynomial(
-        ring, {m: c for m, c in zip(mons, coords) if not F.is_zero(c)}
-    )
-
-
-def _poly_coords(ring, p: Polynomial, d: int):
-    mons = ring.monomials_of_degree(d)
-    pos = {m: i for i, m in enumerate(mons)}
-    row = [ring.field.zero()] * len(mons)
-    for m, c in p.terms.items():
-        row[pos[m]] = c
-    return row
-
-
 def differential_kernel_slice(ideal: Ideal, d: int):
     """Basis of {v in I_d : all partials of v lie in I_{d-1}}, i.e. the
     degree-d slice of the kernel of d: I/I^2 -> S^n before dividing by I^2.
@@ -162,29 +145,20 @@ def differential_kernel_slice(ideal: Ideal, d: int):
     basis = ideal.slice_rref(d)[0]
     if not basis:
         return []
-    lower = ideal.slice_rref(d - 1)[0]
-    lower_dim = len(ring.monomials_of_degree(d - 1))
-    # map: candidate coefficients -> n stacked quotient coordinates
-    cols = []
-    for vec in basis:
-        v = _coords_to_poly(ring, vec, d)
-        stacked = []
-        for i in range(ring.nvars):
-            stacked.extend(_poly_coords(ring, v.partial_derivative(i), d - 1))
-        cols.append(stacked)
-    subspace = []
-    for w in lower:
-        for i in range(ring.nvars):
-            row = [field.zero()] * (ring.nvars * lower_dim)
-            row[i * lower_dim : (i + 1) * lower_dim] = w
-            subspace.append(row)
-    coeffs = linalg.kernel_modulo(cols, ring.nvars * lower_dim, subspace, field)
+    candidates = [FreeSlices(ring, [0]).from_coords(vec, d)[0] for vec in basis]
+    # the gradient lands in R^n(-1), read modulo I * R^n(-1)
+    gradient = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
+    target = gradient.slices()
+    cols = [target.coords(tuple(v.partial_derivative(i) for i in range(ring.nvars)), d)
+            for v in candidates]
+    ech, pivots = gradient.ideal_echelon(d)
+    coeffs = linalg.kernel_modulo(cols, target.dim(d), ech, field, subspace_pivots=pivots)
     out = []
     for cvec in coeffs:
         p = ring.zero()
-        for c, bvec in zip(cvec, basis):
+        for c, v in zip(cvec, candidates):
             if not field.is_zero(c):
-                p = p + _coords_to_poly(ring, bvec, d).scale(c)
+                p = p + v.scale(c)
         out.append(p)
     return out
 
@@ -269,6 +243,7 @@ def lenstra_evolution_check(ideal: Ideal) -> EvolutionVerdict:
     field = ring.field
     gen_degrees = sorted({g.homogeneous_degree() for g in ideal.minimal_generators()})
     sq = _square(ideal)
+    ring_slices = FreeSlices(ring, [0])
     for d in gen_degrees:
         kernel_vectors = differential_kernel_slice(ideal, d)
         if not kernel_vectors:
@@ -276,20 +251,13 @@ def lenstra_evolution_check(ideal: Ideal) -> EvolutionVerdict:
         # m*(I/I^2) + I^2 at degree d: x_i * I_{d-1} plus I^2_d
         denom = list(sq.slice_rows(d))
         for w in ideal.slice_rref(d - 1)[0]:
-            p = _coords_to_poly(ring, w, d - 1)
             for i in range(ring.nvars):
-                denom.append(_poly_coords(ring, p.mul_monomial(_unit(ring.nvars, i)), d))
-        kern_rows = [_poly_coords(ring, v, d) for v in kernel_vectors]
+                denom.append(ring_slices.multiply_coords_by_var(w, d - 1, i))
+        kern_rows = [ring_slices.coords((v,), d) for v in kernel_vectors]
         stray = linalg.independent_subset(denom, kern_rows, field)
         if stray:
             return EvolutionVerdict("nontrivial_possible", kernel_vectors[stray[0]])
     return EvolutionVerdict("trivial_only")
-
-
-def _unit(nvars, i):
-    e = [0] * nvars
-    e[i] = 1
-    return tuple(e)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ from bisect import bisect_right
 from . import linalg
 from .fields import Field
 from .groebner import (
+    FreeSlices,
     Ideal,
     ModulePresentation,
+    compose_is_zero,
     quotient_hilbert_by_monomials,
 )
 from .poly import PolyRing, Polynomial, monomial_mul
@@ -200,7 +202,9 @@ class DgDerivation:
         self.values = values  # var index -> DgElement
 
     def apply(self, elem: DgElement) -> DgElement:
-        return self.model.apply_derivation(self, elem)
+        odd = self.degree % 2 == 1
+        return self.model._extend(
+            lambda w: self.model._leibniz(self.values.get, odd, w), elem)
 
     def is_chain(self) -> bool:
         """Commutes with the differential (checked on generators, which
@@ -323,40 +327,34 @@ class DgAlgebraModel:
 
     # -- derivations ---------------------------------------------------------
 
-    def apply_derivation(self, theta: DgDerivation, elem: DgElement) -> DgElement:
+    def _leibniz(self, value_of, odd: bool, w) -> DgElement:
+        """The derivation with value ``value_of(v)`` (None for zero) on each
+        variable v, applied to the dg monomial w by the graded Leibniz rule:
+        passing a prefix of homological degree j costs (-1)^j when the
+        derivation is ``odd``."""
         F = self.field
-        result = self.zero()
-        flip = theta.degree % 2 == 1
-        for (m, w), c in elem.terms.items():
-            word = self._expand_word(w)
-            prefix_deg = 0
-            for pos, v in enumerate(word):
-                val = theta.values.get(v)
-                if val is not None and val.terms:
-                    coeff = F.neg(c) if (flip and prefix_deg % 2) else c
-                    head = DgElement(
-                        self, {(m, self._collapse_word(word[:pos])): coeff}
-                    )
-                    tail = DgElement(
-                        self,
-                        {((0,) * self.ring.nvars, self._collapse_word(word[pos + 1 :])): F.one()},
-                    )
-                    result = result + head * val * tail
-                prefix_deg += self.variables[v].hdeg
-        return result
+        out = self.zero()
+        word = self._expand_word(w)
+        unit = (0,) * self.ring.nvars
+        prefix_deg = 0
+        for pos, v in enumerate(word):
+            val = value_of(v)
+            if val is not None and val.terms:
+                coeff = F.neg(F.one()) if (odd and prefix_deg % 2) else F.one()
+                head = DgElement(self, {(unit, self._collapse_word(word[:pos])): coeff})
+                tail = DgElement(self, {(unit, self._collapse_word(word[pos + 1 :])): F.one()})
+                out = out + head * val * tail
+            prefix_deg += self.variables[v].hdeg
+        return out
 
-    def differential(self, elem: DgElement) -> DgElement:
-        """d extended from the variables by the graded Leibniz rule."""
+    def _extend(self, image_of, elem: DgElement) -> DgElement:
+        """The R-linear map sending c*x^m*w to c*x^m*image_of(w)."""
         F = self.field
         result = self.zero()
         for (m, w), c in elem.terms.items():
             if not w:
                 continue
-            dw = self._dw_cache.get(w)
-            if dw is None:
-                dw = self._differential_of_monomial(w)
-                self._dw_cache[w] = dw
-            for (dm, dww), dc in dw.terms.items():
+            for (dm, dww), dc in image_of(w).terms.items():
                 key = (monomial_mul(m, dm), dww)
                 s = F.add(result.terms.get(key, F.zero()), F.mul(c, dc))
                 if F.is_zero(s):
@@ -365,25 +363,16 @@ class DgAlgebraModel:
                     result.terms[key] = s
         return result
 
-    def _differential_of_monomial(self, w) -> DgElement:
-        F = self.field
-        out = self.zero()
-        word = self._expand_word(w)
-        prefix_deg = 0
-        for pos, v in enumerate(word):
-            dval = self.differentials[v]
-            if dval.terms:
-                coeff = F.neg(F.one()) if prefix_deg % 2 else F.one()
-                head = DgElement(
-                    self, {((0,) * self.ring.nvars, self._collapse_word(word[:pos])): coeff}
-                )
-                tail = DgElement(
-                    self,
-                    {((0,) * self.ring.nvars, self._collapse_word(word[pos + 1 :])): F.one()},
-                )
-                out = out + head * dval * tail
-            prefix_deg += self.variables[v].hdeg
-        return out
+    def _dw(self, w) -> DgElement:
+        """d of the dg monomial w, cached per model."""
+        dw = self._dw_cache.get(w)
+        if dw is None:
+            dw = self._dw_cache[w] = self._leibniz(self.differentials.__getitem__, True, w)
+        return dw
+
+    def differential(self, elem: DgElement) -> DgElement:
+        """d extended from the variables by the graded Leibniz rule."""
+        return self._extend(self._dw, elem)
 
     # -- graded slices ---------------------------------------------------------
 
@@ -458,13 +447,9 @@ class DgAlgebraModel:
         basis, _ = self.slice_basis(hdeg, d)
         rows = []
         for m, w in basis:
-            dw = self._dw_cache.get(w)
-            if dw is None:
-                dw = self._differential_of_monomial(w)
-                self._dw_cache[w] = dw
             shifted = DgElement(
                 self,
-                {(monomial_mul(m, dm), dww): dc for (dm, dww), dc in dw.terms.items()},
+                {(monomial_mul(m, dm), dww): dc for (dm, dww), dc in self._dw(w).terms.items()},
             )
             rows.append(self.element_coords(shifted, hdeg - 1, d))
         self._diff_cache[key] = rows
@@ -580,6 +565,9 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
     h = n - 1
     cycle_slices: dict[int, list] = {}
     new_vars = []  # (intdeg, cycle element)
+    # the (h, d) slices in the order of slice_basis: one free row per dg
+    # monomial, in its internal degree
+    h_slices = FreeSlices(model.ring, [model.dgmon_intdeg(w) for w in model.dg_monomials(h)])
 
     # positions of bare-variable monomials (unit coefficient on one variable):
     # a minimal model never produces cycles through them, which we assert
@@ -606,28 +594,14 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
         denom = list(model.boundary_rows(h, d))
         prev = cycle_slices.get(d - 1, [])
         for zvec in prev:
-            elem = model.element_from_coords(zvec, h, d - 1)
             for var in range(nvars):
-                shifted = DgElement(
-                    model,
-                    {
-                        (monomial_mul(m, _unit_exp(nvars, var)), w): c
-                        for (m, w), c in elem.terms.items()
-                    },
-                )
-                denom.append(model.element_coords(shifted, h, d))
+                denom.append(h_slices.multiply_coords_by_var(zvec, d - 1, var))
         chosen = linalg.independent_subset(denom, cycles, field)
         for c in chosen:
             new_vars.append((d, model.element_from_coords(cycles[c], h, d)))
 
     for intdeg, cycle in new_vars:
         model.add_variable(n, intdeg, cycle)
-
-
-def _unit_exp(nvars: int, var: int):
-    e = [0] * nvars
-    e[var] = 1
-    return tuple(e)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +745,6 @@ class KahlerDgModule:
         """d^2 = 0 on the reduced complex and minimality of its entries."""
         failures = []
         model = self.model
-        from .groebner import compose_is_zero
-
         for i in range(2, model.hdeg_bound + 1):
             upper = self.reduced_matrix(i)
             for col in upper.columns:

@@ -256,18 +256,10 @@ class Ideal:
 
     def slice_rows(self, d: int):
         """k-spanning rows of the degree-d slice, in ring monomial coordinates."""
-        ring = self.ring
-        basis = ring.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(basis)}
+        ring_slices = FreeSlices(self.ring, [0])
         rows = []
-        zero = ring.field.zero()
         for g in self.generators:
-            gd = g.homogeneous_degree()
-            for m in ring.monomials_of_degree(d - gd):
-                row = [zero] * len(basis)
-                for gm, gc in g.terms.items():
-                    row[index[monomial_mul(gm, m)]] = gc
-                rows.append(row)
+            rows.extend(scatter_multiples(ring_slices, (g,), g.homogeneous_degree(), d))
         return rows
 
     def slice_rref(self, d: int):
@@ -479,15 +471,14 @@ class ModulePresentation:
             if self.ring.slice_dim(d - rd)
         )
 
-    def span_slice_rows(self, d: int, proper_only=False, include_ideal=True):
-        """Rows spanning the degree-d slice of the column span (plus I*F)."""
+    def span_slice_rows(self, d: int, proper_only=False):
+        """Rows spanning the degree-d slice of the column span plus I*F."""
         rows = []
         for col, cd in zip(self.columns, self.col_degrees):
             if cd > d:
                 continue
             rows.extend(scatter_multiples(self._slices, col, cd, d, proper_only))
-        if include_ideal:
-            rows.extend(self.ideal_slice_rows(d))
+        rows.extend(self.ideal_slice_rows(d))
         return rows
 
     # -- module data -------------------------------------------------------
@@ -504,10 +495,6 @@ class ModulePresentation:
     def hilbert_function(self, bound: int):
         """dim_k of the cokernel in degrees 0..bound."""
         return [self.cokernel_slice_dim(d) for d in range(bound + 1)]
-
-
-def free_presentation(ring: PolyRing, modulus, row_degrees) -> ModulePresentation:
-    return ModulePresentation(ring, modulus, row_degrees, [])
 
 
 def ideal_as_module(ideal: Ideal) -> ModulePresentation:
@@ -559,7 +546,7 @@ def syzygies(pres: ModulePresentation, degree_bound: int) -> ModulePresentation:
     Generators are complete up to the degree bound; together with the input
     matrix they compose to zero (exactly over R, modulo I over S).
     """
-    gens, _ = syzygy_generators(pres, degree_bound)
+    gens = syzygy_generators(pres, degree_bound)
     return ModulePresentation(pres.ring, pres.modulus, pres.col_degrees, gens)
 
 
@@ -587,82 +574,72 @@ def _syzygy_slice(pres: ModulePresentation, domain: FreeSlices, d: int):
     return linalg.kernel_modulo(cols, tdim, ech, field, subspace_pivots=pivots)
 
 
-def syzygy_generators(pres: ModulePresentation, degree_bound: int):
-    """Minimal syzygy generators plus per-degree slice bases.
+def _minimal_syzygies_by_degree(pres: ModulePresentation, degree_bound: int):
+    """Yield (d, minimal syzygy generators of degree d) for each degree up
+    to the bound with a nonzero syzygy slice, in increasing degree.
 
-    Returns (columns, slices_by_degree) where slices_by_degree maps d to the
-    canonical basis of the degree-d syzygy slice in domain coordinates.
-    """
+    Graded Nakayama on each slice: a vector is a new generator iff it leaves
+    m * (the degree d-1 slice) plus the I-multiples of the domain basis.
+    :func:`syzygy_generators` and :func:`first_syzygy_degree` both read
+    this one loop."""
+    if not pres.columns:
+        return
     ring = pres.ring
     field = ring.field
     domain = FreeSlices(ring, pres.col_degrees)
-    nvars = ring.nvars
-
-    gens: list[tuple] = []
-    slice_basis: dict[int, list] = {}
-    if not pres.columns:
-        return gens, slice_basis
-
-    dom_pres = None
-    if pres.over_quotient():
-        dom_pres = free_presentation(ring, pres.modulus, pres.col_degrees)
-
-    start = min(pres.col_degrees)
-    for d in range(start, degree_bound + 1):
+    dom_pres = ModulePresentation(ring, pres.modulus, pres.col_degrees, [])
+    prev: list = []
+    for d in range(min(pres.col_degrees), degree_bound + 1):
         basis_rows = _syzygy_slice(pres, domain, d)
-        slice_basis[d] = basis_rows
-        if not basis_rows:
-            continue
-        # Nakayama denominator: m * (lower syzygy slices) + I-coordinate vectors
-        denom = []
-        prev = slice_basis.get(d - 1, [])
-        for v in prev:
-            for var in range(nvars):
-                denom.append(domain.multiply_coords_by_var(v, d - 1, var))
-        if dom_pres is not None:
+        if basis_rows:
+            denom = [domain.multiply_coords_by_var(v, d - 1, var)
+                     for v in prev for var in range(ring.nvars)]
             denom.extend(dom_pres.ideal_slice_rows(d))
-        chosen = linalg.independent_subset(denom, basis_rows, field)
-        for c in chosen:
-            gens.append(domain.from_coords(basis_rows[c], d))
-    return gens, slice_basis
+            chosen = linalg.independent_subset(denom, basis_rows, field)
+            yield d, [domain.from_coords(basis_rows[c], d) for c in chosen]
+        prev = basis_rows
+
+
+def syzygy_generators(pres: ModulePresentation, degree_bound: int):
+    """The columns of the minimal syzygy generators of the columns, complete
+    up to the degree bound, in increasing degree."""
+    return [gen for _, gens in _minimal_syzygies_by_degree(pres, degree_bound) for gen in gens]
 
 
 def first_syzygy_degree(pres: ModulePresentation, degree_bound: int):
-    """Smallest degree <= bound carrying a nontrivial syzygy of the
-    columns, or None.  Early-exits: used to decide (non-)termination of a
+    """Smallest degree <= bound carrying a minimal syzygy generator of the
+    columns, or None.  Stops there: used to decide (non-)termination of a
     resolution without materialising the next syzygy module."""
-    if not pres.columns:
-        return None
-    ring = pres.ring
-    field = ring.field
-    domain = FreeSlices(ring, pres.col_degrees)
-    dom_pres = None
-    if pres.over_quotient():
-        dom_pres = free_presentation(ring, pres.modulus, pres.col_degrees)
-    for d in range(min(pres.col_degrees), degree_bound + 1):
-        basis_rows = _syzygy_slice(pres, domain, d)
-        if not basis_rows:
-            continue
-        if dom_pres is None:
-            return d
-        ideal_rows = dom_pres.ideal_slice_rows(d)
-        if linalg.independent_subset(ideal_rows, basis_rows, field):
+    for d, gens in _minimal_syzygies_by_degree(pres, degree_bound):
+        if gens:
             return d
     return None
 
 
-def compose_is_zero(pres: ModulePresentation, syz: ModulePresentation) -> bool:
-    """matrix(pres) . matrix(syz) == 0 (mod I over a quotient)."""
-    gb = pres.modulus.groebner() if pres.over_quotient() else None
-    for col in syz.columns:
-        for i in range(pres.nrows):
-            acc = pres.ring.zero()
-            for j in range(pres.ncols):
-                acc = acc + pres.columns[j][i] * col[j]
-            if gb is not None:
-                acc = gb.normal_form(acc)
-            if not acc.is_zero():
-                return False
+def compose_is_zero(upper: ModulePresentation, lower: ModulePresentation) -> bool:
+    """matrix(upper) . matrix(lower) == 0 (mod I over a quotient), the
+    d^2 = 0 check.  Each column of ``lower`` is mapped through ``upper`` in
+    slice coordinates, and the images of one degree must lie in (I*F) (be
+    zero over R); by linearity this is the full matrix identity."""
+    field = upper.ring.field
+    target = upper.slices()
+    by_degree: dict[int, list] = {}
+    for col, cd in zip(lower.columns, lower.col_degrees):
+        by_degree.setdefault(cd, []).append(col)
+    for d, cols in sorted(by_degree.items()):
+        idx = target.index(d)
+        images = []
+        for col in cols:
+            w = [field.zero()] * target.dim(d)
+            for p, ucol in zip(col, upper.columns):
+                for pm, pc in p.terms.items():
+                    for i, q in enumerate(ucol):
+                        for qm, qc in q.terms.items():
+                            pos = idx[(i, monomial_mul(qm, pm))]
+                            w[pos] = field.add(w[pos], field.mul(pc, qc))
+            images.append(w)
+        if not linalg.span_contains_all(upper.ideal_echelon(d)[0], images, field):
+            return False
     return True
 
 
@@ -715,19 +692,18 @@ def minimalize_presentation(pres: ModulePresentation) -> ModulePresentation:
 # Hilbert series and height via lead-term data
 
 
-def quotient_hilbert_by_monomials(ideal: Ideal, degree_bound: int, order=DEGREVLEX):
+def standard_monomials(ideal: Ideal, d: int):
+    """The degree-d monomials outside the lead ideal in(I): a k-basis of
+    (R/I)_d, in ring monomial order."""
+    leads = ideal.groebner().lead_monomials()
+    return [m for m in ideal.ring.monomials_of_degree(d)
+            if not any(monomial_divides(lm, m) for lm in leads)]
+
+
+def quotient_hilbert_by_monomials(ideal: Ideal, degree_bound: int):
     """Hilbert function of R/I by counting standard monomials (Groebner
     route; independent of the slice-rank route)."""
-    leads = ideal.groebner(order).lead_monomials()
-    ring = ideal.ring
-    out = []
-    for d in range(degree_bound + 1):
-        count = 0
-        for m in ring.monomials_of_degree(d):
-            if not any(monomial_divides(lm, m) for lm in leads):
-                count += 1
-        out.append(count)
-    return out
+    return [len(standard_monomials(ideal, d)) for d in range(degree_bound + 1)]
 
 
 def _minimalize_monomials(mons):
@@ -765,7 +741,7 @@ def _hilbert_numerator(mons, nvars, cache):
     return result
 
 
-def height(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> int:
+def height(ideal: Ideal) -> int:
     """Codimension of a proper homogeneous ideal.
 
     Computed exactly as the multiplicity of (1-t) in the Hilbert numerator
@@ -773,7 +749,7 @@ def height(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> int:
     """
     if ideal.is_zero():
         return 0
-    gb = ideal.groebner(order)
+    gb = ideal.groebner()
     for g in gb:
         if g.homogeneous_degree() == 0:
             raise UnitIdeal("ideal contains a unit")

@@ -15,9 +15,10 @@ from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
-    scatter_multiples,
-    syzygies,
     compose_is_zero,
+    minimal_generators,
+    standard_monomials,
+    syzygies,
 )
 
 
@@ -149,7 +150,6 @@ def koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
 def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     cx = koszul_complex(ideal)
     ring = ideal.ring
-    field = ring.field
     gens = cx.generators
     c = len(gens)
     if c == 0:
@@ -169,26 +169,14 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
             col[j] = -gens[i]
             boundary_cols.append(tuple(col))
 
-    # minimal generators of Z/B over S: candidates are the cycle generators,
-    # denominator = boundaries + m * Z
-    dom = FreeSlices(ring, cx.gen_degrees)
-    chosen: list[int] = []
-    for d in sorted(set(cycle_degs)):
-        denom = []
-        for b in boundary_cols:
-            bd = _vec_degree(b, cx.gen_degrees)
-            if bd is not None and bd <= d:
-                denom.extend(scatter_multiples(dom, b, bd, d))
-        for col, cd in zip(cycle_cols, cycle_degs):
-            if cd <= d:
-                denom.extend(scatter_multiples(dom, col, cd, d, proper_only=True))
-        cands = [dom.coords(cycle_cols[j], d) for j in range(len(cycle_cols)) if cycle_degs[j] == d]
-        cand_idx = [j for j in range(len(cycle_cols)) if cycle_degs[j] == d]
-        for c_i in linalg.independent_subset(denom, cands, field):
-            chosen.append(cand_idx[c_i])
-    chosen.sort()
-    reps = [cycle_cols[j] for j in chosen]
-    rep_degs = [cycle_degs[j] for j in chosen]
+    # minimal generators of Z/B over S: graded Nakayama on [boundaries | Z_1]
+    # keeps the cycles outside boundaries + m * Z, since within a degree the
+    # boundaries, listed first, join the span ahead of the cycles
+    nb = len(boundary_cols)
+    _, selected = minimal_generators(
+        ModulePresentation(ring, None, cx.gen_degrees, boundary_cols + cycle_cols))
+    reps = [cycle_cols[j - nb] for j in selected if j >= nb]
+    rep_degs = [cycle_degs[j - nb] for j in selected if j >= nb]
 
     # relations among the chosen classes: syzygies over R of [reps | boundaries],
     # first block of coordinates, reduced mod I
@@ -205,13 +193,6 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     return KoszulH1(cx, reps, rep_degs, presentation, degree_bound)
 
 
-def _vec_degree(vec, row_degrees):
-    for p, rd in zip(vec, row_degrees):
-        if not p.is_zero():
-            return p.homogeneous_degree() + rd
-    return None
-
-
 def h1_free_summand_probe(h1: KoszulH1) -> str:
     """Detect a free S-summand of H1 within the computed degree range.
 
@@ -226,16 +207,6 @@ def h1_free_summand_probe(h1: KoszulH1) -> str:
     field = ring.field
     ideal = pres.modulus
     gb = ideal.groebner()
-    leads = gb.lead_monomials()
-
-    from .poly import monomial_divides
-
-    def standard_monomials(d):
-        return [
-            m
-            for m in ring.monomials_of_degree(d)
-            if not any(monomial_divides(lm, m) for lm in leads)
-        ]
 
     t = len(h1.cycle_degrees)
     for i in range(t):
@@ -244,7 +215,7 @@ def h1_free_summand_probe(h1: KoszulH1) -> str:
         # degree a_j - a_i
         unknowns = []  # (j, monomial)
         for j, a_j in enumerate(h1.cycle_degrees):
-            for m in standard_monomials(a_j - a_i) if a_j >= a_i else []:
+            for m in standard_monomials(ideal, a_j - a_i):
                 unknowns.append((j, m))
         upos = {u: p for p, u in enumerate(unknowns)}
         rows = []
@@ -260,7 +231,7 @@ def h1_free_summand_probe(h1: KoszulH1) -> str:
         # each relation column r: sum_j r_j s_j = 0 in S
         for col, cdeg in zip(pres.columns, pres.col_degrees):
             out_deg = cdeg - a_i
-            mons = standard_monomials(out_deg) if out_deg >= 0 else []
+            mons = standard_monomials(ideal, out_deg)
             pos_of = {m: p for p, m in enumerate(mons)}
             block = [[field.zero()] * len(unknowns) for _ in mons]
             for (j, m), p in upos.items():

@@ -120,37 +120,19 @@ def kernel_modulo(cols, target_dim: int, subspace_rows, field: Field,
     """Canonical basis of {x : sum_i x_i * cols[i] in span(subspace_rows)}.
 
     ``cols`` are target-coordinate vectors; the subspace acts as a quotient
-    of the target.  Over a prime field the subspace is echelonized (or
-    taken as the given echelon when ``subspace_pivots`` is passed) and the
-    columns reduced against it, which keeps the elimination square in the
-    quotient dimensions; over Q the subspace rides along as extra columns.
+    of the target.  The subspace is echelonized (or taken as the given
+    echelon when ``subspace_pivots`` is passed) and the columns reduced
+    against it, which keeps the elimination square in the quotient
+    dimensions.
     """
     if not cols:
         return []
-    if not field.is_rationals and subspace_rows:
+    if subspace_rows:
         if subspace_pivots is None:
-            ech, pivots = rref(subspace_rows, field)
-        else:
-            ech, pivots = subspace_rows, subspace_pivots
-        reduced = reduce_mod_echelon(ech, pivots, cols, field)
-        rows = transpose(reduced, target_dim, field)
-        rows = [r for r in rows if any(r)]
-        kernel = nullspace(rows, len(cols), field)
-        basis, _ = rref(kernel, field)
-        return basis
-    ncols = len(cols) + len(subspace_rows)
-    rows = [[field.zero()] * ncols for _ in range(target_dim)]
-    for j, col in enumerate(cols):
-        for t, v in enumerate(col):
-            if v:
-                rows[t][j] = v
-    for j, srow in enumerate(subspace_rows):
-        for t, v in enumerate(srow):
-            if v:
-                rows[t][len(cols) + j] = v
-    kernel = nullspace(rows, ncols, field)
-    projected = [v[: len(cols)] for v in kernel]
-    basis, _ = rref(projected, field)
+            subspace_rows, subspace_pivots = rref(subspace_rows, field)
+        cols = reduce_mod_echelon(subspace_rows, subspace_pivots, cols, field)
+    rows = [r for r in transpose(cols, target_dim, field) if any(r)]
+    basis, _ = rref(nullspace(rows, len(cols), field), field)
     return basis
 
 

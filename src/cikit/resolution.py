@@ -20,23 +20,16 @@ Two resolutions stop where a theorem says they may, not at a user bound:
 
 from __future__ import annotations
 
-from . import linalg
 from .groebner import (
-    FreeSlices,
     ModulePresentation,
+    compose_is_zero,
     first_syzygy_degree,
     krull_dimension,
     minimal_generators,
     minimalize_presentation,
     residue_field_presentation,
     syzygies,
-    compose_is_zero,
 )
-from .poly import monomial_mul
-
-
-class ResolutionError(RuntimeError):
-    pass
 
 
 class FreeResolution:
@@ -207,48 +200,14 @@ def ext_betti(ring, modulus, n: int):
 # invariant checks
 
 
-def composite_zero_on_generators(upper: ModulePresentation, lower: ModulePresentation):
-    """Exact d.d = 0 check in slice coordinates, one vector per generator.
-
-    Each column of ``lower`` is mapped through ``upper`` by direct monomial
-    scatter and the image must fall into (I*F) (zero over R); by linearity
-    this certifies the full matrix identity.
-    """
-    ring = upper.ring
-    field = ring.field
-    target = upper.slices()
-    by_degree: dict[int, list] = {}
-    for col, cd in zip(lower.columns, lower.col_degrees):
-        by_degree.setdefault(cd, []).append(col)
-    for d in sorted(by_degree):
-        idx = target.index(d)
-        tdim = target.dim(d)
-        images = []
-        for col in by_degree[d]:
-            w = [field.zero()] * tdim
-            for j, p in enumerate(col):
-                if p.is_zero():
-                    continue
-                ucol = upper.columns[j]
-                for pm, pc in p.terms.items():
-                    for i2, q in enumerate(ucol):
-                        for qm, qc in q.terms.items():
-                            pos = idx[(i2, monomial_mul(qm, pm))]
-                            w[pos] = field.add(w[pos], field.mul(pc, qc))
-            images.append(w)
-        ech, _ = upper.ideal_echelon(d)
-        if not linalg.span_contains_all(ech, images, field):
-            return False
-    return True
-
-
 def verify_composites(res: FreeResolution):
-    """d^2 = 0 across every consecutive pair of resolution maps."""
-    failures = []
-    for i in range(len(res.maps) - 1):
-        if not composite_zero_on_generators(res.maps[i], res.maps[i + 1]):
-            failures.append(f"d2 != 0 between steps {i + 1} and {i + 2}")
-    return failures
+    """d^2 = 0 across every consecutive pair of resolution maps, by
+    :func:`compose_is_zero`; returns failure strings."""
+    return [
+        f"d2 != 0 between steps {i + 1} and {i + 2}"
+        for i in range(len(res.maps) - 1)
+        if not compose_is_zero(res.maps[i], res.maps[i + 1])
+    ]
 
 
 def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | None = None):
@@ -258,13 +217,8 @@ def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | Non
     minimality of every entry, slice-wise exactness by rank counts, and the
     Euler/Hilbert comparison against the resolved module when given.
     """
-    failures = []
+    failures = verify_composites(res)
     bound = res.degree_bound
-    field = res.ring.field
-
-    for i in range(len(res.maps) - 1):
-        if not compose_is_zero(res.maps[i], res.maps[i + 1]):
-            failures.append(f"d2 != 0 between steps {i + 1} and {i + 2}")
 
     for i, m in enumerate(res.maps, start=1):
         for col in m.columns:
@@ -272,25 +226,17 @@ def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | Non
                 if not p.is_zero() and p.homogeneous_degree() == 0:
                     failures.append(f"non-minimal entry in step {i}")
 
-    def s_dim(pres_rows_pres, d):
-        ideal_rows = pres_rows_pres.ideal_slice_rows(d)
-        return pres_rows_pres.slices().dim(d) - linalg.rank(ideal_rows, field)
-
-    def s_image_rank(mp, d):
-        full = linalg.rank(mp.span_slice_rows(d), field)
-        return full - linalg.rank(mp.ideal_slice_rows(d), field)
-
     # exactness between consecutive maps: ker(d_i) slice = im(d_{i+1}) slice
     for i in range(len(res.maps) - 1):
         upper = res.maps[i]      # d_{i+1}: F_{i+1} -> F_i
         lower = res.maps[i + 1]  # d_{i+2}: F_{i+2} -> F_{i+1}
         dom = ModulePresentation(res.ring, res.modulus, upper.col_degrees, [])
         for d in range(bound + 1):
-            dom_dim = s_dim(dom, d)
+            dom_dim = dom.cokernel_slice_dim(d)
             if dom_dim == 0:
                 continue
-            ker_dim = dom_dim - s_image_rank(upper, d)
-            im_dim = s_image_rank(lower, d)
+            ker_dim = dom_dim - upper.image_slice_dim(d)
+            im_dim = lower.image_slice_dim(d)
             if ker_dim != im_dim:
                 failures.append(
                     f"exactness fails at step {i + 1}, degree {d}: ker {ker_dim} vs im {im_dim}"
@@ -300,8 +246,8 @@ def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | Non
         last = res.maps[-1]
         dom = ModulePresentation(res.ring, res.modulus, last.col_degrees, [])
         for d in range(bound + 1):
-            dom_dim = s_dim(dom, d)
-            if dom_dim and dom_dim != s_image_rank(last, d):
+            dom_dim = dom.cokernel_slice_dim(d)
+            if dom_dim and dom_dim != last.image_slice_dim(d):
                 failures.append(f"terminated resolution not injective at degree {d}")
 
     if module_pres is not None:

@@ -5,8 +5,10 @@ full report once and the criteria interrogate it.  Criterion 1 re-runs the
 structural invariant phase on its own clock.
 """
 
+import itertools
 import json
 import os
+import pathlib
 import time
 
 import pytest
@@ -17,6 +19,8 @@ from cikit.groebner import krull_dimension
 from cikit.koszul import koszul_complex
 
 from conftest import check_status, entry_by_name
+
+FROZEN_REPORT = pathlib.Path(__file__).resolve().parent / "data" / "standard.report.json"
 
 
 def _require(name, condition, detail=""):
@@ -157,3 +161,23 @@ def test_all_entries_pass(corpus_report):
     failed = [e["name"] for e in corpus_report["entries"] if not e["ok"]]
     _require("entries-all-ok", not failed, f"failing entries: {failed}" if failed else
              f"({corpus_report['summary']['total']} entries)")
+
+
+def test_report_bytes_match_the_frozen_report(corpus_report):
+    # The full-corpus report without timings, byte for byte.  A change that
+    # alters results on purpose regenerates the file with
+    # report_json(strip_timings(run_corpus_file("corpus/standard.corpus"))).
+    frozen = FROZEN_REPORT.read_text()
+    ours = harness.report_json(harness.strip_timings(corpus_report))
+    if ours == frozen:
+        return
+    old, new = json.loads(frozen), json.loads(ours)
+    differing = [
+        (a or b)["name"]
+        for a, b in itertools.zip_longest(old["entries"], new["entries"])
+        if a != b
+    ]
+    rest = sorted(key for key in old.keys() | new.keys()
+                  if key != "entries" and old.get(key) != new.get(key))
+    pytest.fail(f"report differs from {FROZEN_REPORT.name}: entries {differing}, "
+                f"other fields {rest}")

@@ -9,6 +9,7 @@ from cikit.conormal import (
     IllFormedMap,
     conormal,
     conormal_route_a,
+    differential_kernel_slice,
     jacobi_zariski_check,
     jacobian_columns,
     kahler_s_over_k,
@@ -20,7 +21,7 @@ from cikit.conormal import (
 from cikit.dgmodel import build_minimal_model
 from cikit.fields import QQ, GF
 from cikit.groebner import ModulePresentation
-from cikit.poly import PolyRing
+from cikit.poly import PolyRing, Polynomial
 from cikit.resolution import projdim_probe
 
 
@@ -224,3 +225,60 @@ def test_route_a_spans_the_products_construction(ring_gens):
         ours, theirs = route_a.span_slice_rows(d), reference.span_slice_rows(d)
         assert linalg.span_contains_all(ours, theirs, ring.field), d
         assert linalg.span_contains_all(theirs, ours, ring.field), d
+
+
+def _differential_kernel_slice_stacked(ideal, d):
+    """Reference: the former differential_kernel_slice, which stacks the n
+    partials in ring monomial coordinates and builds the quotient I_{d-1}
+    in each block by hand."""
+    ring = ideal.ring
+    field = ring.field
+
+    def to_poly(coords, e):
+        mons = ring.monomials_of_degree(e)
+        return Polynomial(ring, {m: c for m, c in zip(mons, coords) if not field.is_zero(c)})
+
+    def to_coords(p, e):
+        pos = {m: i for i, m in enumerate(ring.monomials_of_degree(e))}
+        row = [field.zero()] * len(pos)
+        for m, c in p.terms.items():
+            row[pos[m]] = c
+        return row
+
+    basis = ideal.slice_rref(d)[0]
+    if not basis:
+        return []
+    lower = ideal.slice_rref(d - 1)[0]
+    lower_dim = len(ring.monomials_of_degree(d - 1))
+    cols = []
+    for vec in basis:
+        v = to_poly(vec, d)
+        stacked = []
+        for i in range(ring.nvars):
+            stacked.extend(to_coords(v.partial_derivative(i), d - 1))
+        cols.append(stacked)
+    subspace = []
+    for w in lower:
+        for i in range(ring.nvars):
+            row = [field.zero()] * (ring.nvars * lower_dim)
+            row[i * lower_dim : (i + 1) * lower_dim] = w
+            subspace.append(row)
+    out = []
+    for cvec in linalg.kernel_modulo(cols, ring.nvars * lower_dim, subspace, field):
+        p = ring.zero()
+        for c, bvec in zip(cvec, basis):
+            if not field.is_zero(c):
+                p = p + to_poly(bvec, d).scale(c)
+        out.append(p)
+    return out
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_differential_kernel_slice_matches_the_stacked_construction(ring_gens):
+    # the gradient read in the slices of R^n(-1) modulo I * R^n(-1) gives
+    # the same polynomials as the hand-stacked blocks
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    for d in range(max(g.homogeneous_degree() for g in I.generators) + 3):
+        assert differential_kernel_slice(I, d) == _differential_kernel_slice_stacked(I, d), d

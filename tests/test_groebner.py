@@ -294,3 +294,80 @@ def test_equal_leads_do_not_cancel(R3):
     gb = ideal(R3, "x*z + y^2", "y^2").groebner()
     assert [str(g) for g in gb] == ["x*z", "y^2"]
     assert gr.height(ideal(R3, "x*z + y^2", "y^2")) == 2
+
+
+# -- d^2 = 0 against the polynomial-product construction ----------------------
+
+
+def _compose_is_zero_by_products(pres, syz):
+    """Reference: the former compose_is_zero, which multiplies the matrices
+    as polynomials and normalises every entry mod I."""
+    gb = pres.modulus.groebner() if pres.over_quotient() else None
+    for col in syz.columns:
+        for i in range(pres.nrows):
+            acc = pres.ring.zero()
+            for j in range(pres.ncols):
+                acc = acc + pres.columns[j][i] * col[j]
+            if gb is not None:
+                acc = gb.normal_form(acc)
+            if not acc.is_zero():
+                return False
+    return True
+
+
+def _presentations(I):
+    """Presentations over R and over S = R/I.  The last is S as the span of
+    1 in S: its syzygy slices are I*S, so it has no syzygies."""
+    ring = I.ring
+    gb = I.groebner()
+    z1 = I.generator_syzygies(I.generator_syzygy_bound())
+    conormal = gr.ModulePresentation(
+        ring, I, z1.row_degrees, [tuple(gb.normal_form(p) for p in c) for c in z1.columns])
+    return [gr.ideal_as_module(I), z1, gr.residue_field_presentation(ring, I), conormal,
+            gr.ModulePresentation(ring, I, [0], [(ring.one(),)])]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3), st.data())
+def test_compose_is_zero_matches_the_product_reference(ring_gens, data):
+    # a presentation and its syzygies compose to zero; a syzygy column with
+    # one entry perturbed by a monomial mostly does not, over R and over S
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = max(g.homogeneous_degree() for g in I.generators) + 2
+    for pres in _presentations(I):
+        syz = gr.syzygies(pres, bound)
+        assert gr.compose_is_zero(pres, syz) and _compose_is_zero_by_products(pres, syz)
+        if not syz.ncols:
+            continue
+        k = data.draw(st.integers(0, syz.ncols - 1))
+        col = list(syz.columns[k])
+        j = data.draw(st.sampled_from([j for j, p in enumerate(col) if not p.is_zero()]))
+        m = data.draw(st.sampled_from(ring.monomials_of_degree(col[j].homogeneous_degree())))
+        col[j] = col[j] + ring.monomial(m)
+        perturbed = gr.ModulePresentation(ring, syz.modulus, syz.row_degrees,
+                                          syz.columns[:k] + [tuple(col)] + syz.columns[k + 1:])
+        assert gr.compose_is_zero(pres, perturbed) == _compose_is_zero_by_products(pres, perturbed)
+
+
+def test_compose_is_zero_detects_a_nonzero_composite(R):
+    pres = gr.ideal_as_module(ideal(R, "x", "y"))
+    x, y = R.gens()
+    assert not gr.compose_is_zero(pres, gr.ModulePresentation(R, None, [1, 1], [(x + y, -x)]))
+    # over S = R/(x^2) the same columns present the maximal ideal: x.x lies
+    # in I, x.y does not
+    over_s = gr.residue_field_presentation(R, ideal(R, "x^2"))
+    column = lambda p: gr.ModulePresentation(R, over_s.modulus, [1, 1], [(p, R.zero())])
+    assert gr.compose_is_zero(over_s, column(x))
+    assert not gr.compose_is_zero(over_s, column(y))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_first_syzygy_degree_is_the_first_syzygy_column(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = max(g.homogeneous_degree() for g in I.generators) + 2
+    for pres in _presentations(I):
+        degrees = gr.syzygies(pres, bound).col_degrees
+        assert gr.first_syzygy_degree(pres, bound) == (degrees[0] if degrees else None)

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+
+from conftest import homogeneous_ideals
 
 from cikit import groebner as gr
+from cikit import linalg
 from cikit.fields import QQ
 from cikit.koszul import KoszulH1, h1_free_summand_probe, koszul_complex, koszul_h1
 from cikit.groebner import ModulePresentation
@@ -103,3 +107,42 @@ def test_h1_is_memoized_per_ideal_and_bound(R):
     assert koszul_h1(I, degree_bound=6) is h1
     assert koszul_h1(I, 7) is not h1
     assert koszul_h1(ideal(R, "x^2", "x*y"), 6) is not h1
+
+
+def _h1_cycle_reps_by_hand(ideal, degree_bound):
+    """Reference: the former generator selection of H1, a Nakayama loop over
+    the cycle degrees with denominator boundaries + m * Z_1."""
+    cx = koszul_complex(ideal)
+    ring, field, gens = ideal.ring, ideal.ring.field, cx.generators
+    cycles = ideal.generator_syzygies(degree_bound)
+    boundaries = []
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            col = [ring.zero()] * len(gens)
+            col[i], col[j] = gens[j], -gens[i]
+            boundaries.append(tuple(col))
+    dom = gr.FreeSlices(ring, cx.gen_degrees)
+    chosen = []
+    for d in sorted(set(cycles.col_degrees)):
+        denom = []
+        for b in boundaries:
+            bd = next(p.homogeneous_degree() + rd
+                      for p, rd in zip(b, cx.gen_degrees) if not p.is_zero())
+            if bd <= d:
+                denom.extend(gr.scatter_multiples(dom, b, bd, d))
+        for col, cd in zip(cycles.columns, cycles.col_degrees):
+            if cd <= d:
+                denom.extend(gr.scatter_multiples(dom, col, cd, d, proper_only=True))
+        cand_idx = [j for j, cd in enumerate(cycles.col_degrees) if cd == d]
+        cands = [dom.coords(cycles.columns[j], d) for j in cand_idx]
+        chosen.extend(cand_idx[c] for c in linalg.independent_subset(denom, cands, field))
+    return [cycles.columns[j] for j in sorted(chosen)]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_h1_generators_match_the_hand_rolled_selection(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = max(g.homogeneous_degree() for g in I.generators) + 2
+    assert koszul_h1(I, bound).cycle_reps == _h1_cycle_reps_by_hand(I, bound)
