@@ -3,8 +3,10 @@
 Thin field-aware wrappers around the row-reduction kernels.  The compiled
 kernel (`_rowred`, Cython) is preferred; the pure-Python twin (`_rowred_py`)
 is selected when the extension is unavailable or ``CIKIT_PURE_PYTHON`` is
-set.  Both produce identical output, which `benchmarks/bench_rowred.py`
-exercises directly.
+set.  The extension exists only after a build step, so any install without
+one runs the pure kernel, and so does the benchmark (`cibench`), which
+imports the source tree as it is.  Both produce identical output, which
+`benchmarks/bench_rowred.py` exercises directly.
 
 Over Q a row holds `int` entries where they are integral and `Fraction`
 entries elsewhere (see `fields`).  Integral rows reach the integer kernel

@@ -1,6 +1,7 @@
+import copy
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,241 @@ def test_compiled_reduce_matches_pure():
         vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
         assert compiled.reduce_fp(ech, pivots, [list(v) for v in vecs], p) == \
             _rowred_py.reduce_fp(ech, pivots, [list(v) for v in vecs], p)
+
+
+# -- the dense kernel, kept as the reference ----------------------------------
+# The bodies of the dense row-reduction kernel that the sparse `_rowred_py`
+# replaced, verbatim apart from the names.  Every output is canonical, so the
+# sparse kernel (and the compiled twin) must match these exactly.
+
+
+def ref_first_nonzero(row):
+    for j, v in enumerate(row):
+        if v:
+            return j
+    return None
+
+
+def ref_strip_row_int(row):
+    """Divide by the content and make the leading entry positive."""
+    g = 0
+    for v in row:
+        if v:
+            g = gcd(g, v)
+    if g > 1:
+        for j, v in enumerate(row):
+            row[j] = v // g
+    piv = ref_first_nonzero(row)
+    if piv is not None and row[piv] < 0:
+        for j, v in enumerate(row):
+            row[j] = -v
+    return piv
+
+
+def ref_combine_int(row, prow, pc):
+    """row := (a/g)*row - (b/g)*prow so that row[pc] becomes 0."""
+    a = prow[pc]
+    b = row[pc]
+    g = gcd(a, b)
+    ca = a // g
+    cb = b // g
+    for j in range(len(row)):
+        row[j] = ca * row[j] - cb * prow[j]
+
+
+def ref_rref_int(rows):
+    echelon = []  # (pivot col, row), kept sorted by pivot col
+    for src in rows:
+        row = list(src)
+        for pc, prow in echelon:
+            if row[pc]:
+                ref_combine_int(row, prow, pc)
+        piv = ref_strip_row_int(row)
+        if piv is None:
+            continue
+        echelon.append((piv, row))
+        echelon.sort(key=lambda t: t[0])
+    # backward (Jordan) pass
+    for i in range(len(echelon) - 1, -1, -1):
+        pc, row = echelon[i]
+        for j in range(i + 1, len(echelon)):
+            qc, qrow = echelon[j]
+            if row[qc]:
+                ref_combine_int(row, qrow, qc)
+        ref_strip_row_int(row)
+    return [row for _, row in echelon], [pc for pc, _ in echelon]
+
+
+def ref_indep_int(d_rows, c_rows):
+    echelon = []
+    for src in d_rows:
+        ref_indep_add_int(echelon, list(src))
+    selected = []
+    for idx, src in enumerate(c_rows):
+        if ref_indep_add_int(echelon, list(src)):
+            selected.append(idx)
+    return selected
+
+
+def ref_indep_add_int(echelon, row):
+    for pc, prow in echelon:
+        if row[pc]:
+            ref_combine_int(row, prow, pc)
+    piv = ref_strip_row_int(row)
+    if piv is None:
+        return False
+    echelon.append((piv, row))
+    echelon.sort(key=lambda t: t[0])
+    return True
+
+
+def ref_rref_fp(rows, p):
+    echelon = []
+    for src in rows:
+        row = [v % p for v in src]
+        piv = ref_fp_reduce(echelon, row, p)
+        if piv is None:
+            continue
+        echelon.append((piv, row))
+        echelon.sort(key=lambda t: t[0])
+    for i in range(len(echelon) - 1, -1, -1):
+        pc, row = echelon[i]
+        for j in range(i + 1, len(echelon)):
+            qc, qrow = echelon[j]
+            b = row[qc]
+            if b:
+                for k in range(qc, len(row)):
+                    row[k] = (row[k] - b * qrow[k]) % p
+    return [row for _, row in echelon], [pc for pc, _ in echelon]
+
+
+def ref_fp_reduce(echelon, row, p):
+    """Reduce row against normalized echelon rows; normalize if nonzero."""
+    for pc, prow in echelon:
+        b = row[pc]
+        if b:
+            for k in range(pc, len(row)):
+                row[k] = (row[k] - b * prow[k]) % p
+    piv = ref_first_nonzero(row)
+    if piv is None:
+        return None
+    inv = pow(row[piv], p - 2, p)
+    for k in range(piv, len(row)):
+        row[k] = (row[k] * inv) % p
+    return piv
+
+
+def ref_reduce_fp(ech_rows, pivots, vecs, p):
+    out = []
+    for src in vecs:
+        row = [v % p for v in src]
+        for prow, pc in zip(ech_rows, pivots):
+            b = row[pc]
+            if b:
+                for k in range(pc, len(row)):
+                    row[k] = (row[k] - b * prow[k]) % p
+        out.append(row)
+    return out
+
+
+def ref_indep_fp(d_rows, c_rows, p):
+    echelon = []
+    for src in d_rows:
+        row = [v % p for v in src]
+        piv = ref_fp_reduce(echelon, row, p)
+        if piv is not None:
+            echelon.append((piv, row))
+            echelon.sort(key=lambda t: t[0])
+    selected = []
+    for idx, src in enumerate(c_rows):
+        row = [v % p for v in src]
+        piv = ref_fp_reduce(echelon, row, p)
+        if piv is not None:
+            echelon.append((piv, row))
+            echelon.sort(key=lambda t: t[0])
+            selected.append(idx)
+    return selected
+
+
+KERNELS = [_rowred_py] + ([compiled] if compiled is not None else [])
+
+
+@st.composite
+def kernel_rows(draw, lo, hi):
+    """Rows shaped like the kernel's inputs: small or wide (3 x 80), of a
+    density from 0 to 1 (the corpus runs at about 3%), with all-zero rows and
+    integer combinations of earlier rows mixed in, so that elimination
+    cancels exactly and, over GF(p), leaves multiples of p."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(0, 3)), 80
+    else:
+        m, n = draw(st.integers(0, 7)), draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.6, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random", "random", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combination" and rows:
+            a, b = rnd.choice(rows), rnd.choice(rows)
+            ca, cb = rnd.randint(lo, hi), rnd.randint(lo, hi)
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+        else:
+            rows.append([rnd.randint(lo, hi) if rnd.random() < density else 0 for _ in range(n)])
+    return rows
+
+
+def assert_kernel_matches(kernel, name, args, reference):
+    before = copy.deepcopy(args)
+    got = getattr(kernel, name)(*args)
+    assert got == reference(*copy.deepcopy(args)), (kernel.__name__, name, args)
+    assert args == before, f"{kernel.__name__}.{name} mutated its input"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_dense_reference(data):
+    bound = data.draw(st.sampled_from([30, 10**12]))
+    rows = data.draw(kernel_rows(-bound, bound))
+    split = data.draw(st.integers(0, len(rows)))
+    for kernel in KERNELS:
+        assert_kernel_matches(kernel, "rref_int", (rows,), ref_rref_int)
+        assert_kernel_matches(kernel, "indep_int", (rows[:split], rows[split:]), ref_indep_int)
+
+    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]))
+    rows = data.draw(kernel_rows(-2 * p - 3, 2 * p + 3))
+    split = data.draw(st.integers(0, len(rows)))
+    d_rows, c_rows = rows[:split], rows[split:]
+    ech, pivots = ref_rref_fp(d_rows, p)
+    for kernel in KERNELS:
+        # the compiled kernel takes entries in [0, p)
+        if kernel is not _rowred_py:
+            d_rows, c_rows = [[v % p for v in r] for r in d_rows], [[v % p for v in r] for r in c_rows]
+        assert_kernel_matches(kernel, "rref_fp", (d_rows + c_rows, p), ref_rref_fp)
+        assert_kernel_matches(kernel, "indep_fp", (d_rows, c_rows, p), ref_indep_fp)
+        assert_kernel_matches(kernel, "reduce_fp", (ech, pivots, c_rows, p), ref_reduce_fp)
+
+
+def test_linalg_above_the_compiled_prime_limit_matches_reference():
+    """Over GF(p) with p above 2^31 `linalg` runs the pure kernel whatever
+    the build (`_fp_impl`)."""
+    F = GF(2147483659)
+    p = F.p
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        rows = [[rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(n)]
+                for _ in range(rng.randrange(0, 6))]
+        rows += [[(a + 3 * b) % p for a, b in zip(rows[0], rows[-1])]] if rows else []
+        red, pivots = linalg.rref(rows, F)
+        assert (red, pivots) == ref_rref_fp(rows, p)
+        assert linalg.rank(rows, F) == len(pivots)
+        assert linalg.independent_subset(rows[:2], rows[2:], F) == \
+            ref_indep_fp(rows[:2], rows[2:], p)
+        vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+        assert linalg.reduce_mod_echelon(red, pivots, vecs, F) == \
+            ref_reduce_fp(red, pivots, vecs, p)
 
 
 def fraction_rref(rows):
