@@ -50,9 +50,10 @@ common_options = [
                  help="Q or Fp <p> (e.g. F7)"),
     click.option("--bounds", "bounds_opt", default="",
                  help="e.g. 'hdeg=5 intdeg=12 reslen=8'; intdeg caps internal "
-                      "degrees (Z_1 runs to Schreyer's bound and the model to "
-                      "Backelin's, each at most intdeg; H1 relations, probes "
-                      "and Hilbert lists run to intdeg); reslen caps "
+                      "degrees (Z_1 runs to Schreyer's bound, the model to "
+                      "Backelin's and R/I over R to the Taylor bound of in(I), "
+                      "each at most intdeg; H1 relations, probes over S and "
+                      "Hilbert lists run to intdeg); reslen caps "
                       "resolution length (projective-dimension probes stop at "
                       "dim S + 1 steps anyway); the Ext cross-check resolves k "
                       "to Backelin's degree bound, not to intdeg"),

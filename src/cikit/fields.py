@@ -24,16 +24,35 @@ class FieldError(ValueError):
 _PRIME_FIELD_SPEC = re.compile(r"(?:Fp\s*|F|GF)([0-9]+)|GF\(([0-9]+)\)")
 
 
+# Miller-Rabin on the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises :class:`FieldError` for
+    n >= ``PRIMALITY_LIMIT``, where the fixed bases no longer decide."""
+    if n >= PRIMALITY_LIMIT:
+        raise FieldError(f"cannot certify primality of moduli >= {PRIMALITY_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

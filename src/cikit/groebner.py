@@ -234,6 +234,27 @@ class Ideal:
             default=0,
         )
 
+    def taylor_degree_bounds(self) -> tuple:
+        """(T_0, ..., T_r) for the r leads of the reduced Groebner basis:
+        in the minimal free resolution of R/I over R, F_i is generated in
+        degrees <= T_i, and F_i = 0 for i > r.
+
+        Graded Betti numbers are upper semicontinuous under Groebner
+        degeneration, beta_ij(R/I) <= beta_ij(R/in(I)) (Peeva, "Consecutive
+        cancellations in Betti numbers", 2004), and the Taylor resolution of
+        in(I) has length r, with F_i in the lcm degrees of i-subsets of the
+        leads.  Such an lcm divides the lcm of all leads and has degree at
+        most the sum of its leads' degrees, so T_i = min(deg lcm(all
+        leads), sum of the i largest lead degrees)."""
+
+        def compute():
+            leads = self.groebner().lead_monomials()
+            top = sum(max(exps) for exps in zip(*leads))
+            degrees = sorted((sum(m) for m in leads), reverse=True)
+            return tuple(min(top, sum(degrees[:i])) for i in range(len(degrees) + 1))
+
+        return self.memo(("taylor_degree_bounds",), compute)
+
     def generator_syzygies(self, degree_bound: int) -> "ModulePresentation":
         """Z_1: the syzygies over R of :meth:`minimal_generators`, computed
         to Schreyer's bound :meth:`generator_syzygy_bound` with the degree

@@ -59,9 +59,11 @@ class Bounds:
     (:func:`ext_degree_bound` at hdeg + 1), each capped by ``intdeg``.
     Those two are complete unless the cap is below their bound; then a
     comparison against them that fails is ``inconclusive`` with the cap.
-    H1's own relations, the probes' syzygy steps and the compared Hilbert
-    lists run to ``intdeg`` itself.  ``reslen`` is only a cap on resolution
-    length: a probe stops at dim S + 1 steps anyway, where
+    The probe of R/I over R runs each syzygy step to the Taylor bound of
+    in(I) (:meth:`Ideal.taylor_degree_bounds`), capped by ``intdeg``.  H1's
+    own relations, the syzygy steps of the probes over S and the compared
+    Hilbert lists run to ``intdeg`` itself.  ``reslen`` is only a cap on
+    resolution length: a probe stops at dim S + 1 steps anyway, where
     Auslander-Buchsbaum decides, and a cap below that leaves the verdict
     inconclusive.  The Ext cross-check resolves k to Backelin's degree
     bound and reads none of these.
@@ -615,19 +617,23 @@ def run_corpus(
     cache_dir: str | None = None,
 ) -> dict:
     """Evaluate all entries; returns the aggregate report, with results and
-    timings (ms, 0.0 for a cache hit) in entry order.  Entries are
-    independent; with parallelism > 1 they run in separate processes.
-    Cached and uncached runs produce identical reports.  A crashed entry
-    (see :func:`evaluate_entry`, or a pool worker that died) is reported,
-    not cached."""
+    timings (ms, 0.0 for a cache hit or a repeat) in entry order.  Entries
+    are independent; with parallelism > 1 they run in separate processes.
+    Entries with one cache key are evaluated once, and every copy gets that
+    result.  Cached and uncached runs produce identical reports.  A crashed
+    entry (see :func:`evaluate_entry`, or a pool worker that died) is
+    reported, not cached."""
     if cache_dir is None:
         cache_dir = os.environ.get("CIKIT_CACHE_DIR") or None
     entries = list(entries)
+    keys = [cache_key(entry) for entry in entries]
+    first: dict = {}  # cache key -> position of its first entry
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
     ordered: list = [None] * len(entries)
     timings = [0.0] * len(entries)
     to_compute = []
-    for i, entry in enumerate(entries):
-        key = cache_key(entry)
+    for key, i in first.items():
         hit = cache_lookup(cache_dir, key)
         if hit is not None:
             ordered[i] = hit
@@ -661,6 +667,7 @@ def run_corpus(
             t0 = time.monotonic()
             finish(i, key, t0, evaluate_entry(entries[i]))
 
+    ordered = [ordered[first[key]] for key in keys]
     ok_count = sum(1 for r in ordered if r["ok"])
     return {
         "schema": SCHEMA,

@@ -6,7 +6,7 @@ maximal ideal); pruning of the input presentation happens first.  All
 statements above the internal degree bound are reported as truncation, never
 extrapolated.
 
-Two resolutions stop where a theorem says they may, not at a user bound:
+Three resolutions stop where a theorem says they may, not at a user bound:
 
 * ``ext_betti`` resolves k over S = R/I to internal degree 1 + r(n-1) with
   r = max(1, m-1), m the top degree of the reduced Groebner basis of I.
@@ -16,11 +16,18 @@ Two resolutions stop where a theorem says they may, not at a user bound:
 * ``projdim_probe`` runs at most dim S + 1 steps: by Auslander-Buchsbaum
   (Bruns-Herzog, Thm 1.3.3) a finite pd_S M is at most depth S <= dim S, so
   a nonzero F_{dim S + 1} certifies infinite projective dimension.
+* ``minimal_free_resolution`` of R/I over R runs step i only to the Taylor
+  bound T_i of in(I), and no step past F_r, r the number of leads of the
+  reduced Groebner basis: graded Betti numbers only grow under Groebner
+  degeneration (Peeva 2004), and the Taylor resolution of in(I) has length r
+  with F_i in the lcm degrees of i-subsets of the leads
+  (:meth:`Ideal.taylor_degree_bounds`).
 """
 
 from __future__ import annotations
 
 from .groebner import (
+    Ideal,
     ModulePresentation,
     compose_is_zero,
     first_syzygy_degree,
@@ -124,10 +131,28 @@ class ProjDimCertificate:
         return f"NotTerminatedWithin({self.value})"
 
 
+def _generator_degree_caps(first: ModulePresentation, length_bound: int, degree_bound: int):
+    """caps[i] bounds the generator degrees of F_i in the resolution of
+    coker(first), and F_i = 0 for i >= len(caps).  Over R with one row the
+    cokernel is R/I up to a shift, and :meth:`Ideal.taylor_degree_bounds`,
+    capped, gives both; otherwise every step runs to the cap."""
+    if first.nrows == 1 and not first.over_quotient():
+        shift = first.row_degrees[0]
+        taylor = Ideal(first.ring, [col[0] for col in first.columns]).taylor_degree_bounds()
+        return [min(degree_bound, t + shift) for t in taylor]
+    return [degree_bound] * (length_bound + 2)
+
+
 def minimal_free_resolution(
     pres: ModulePresentation, length_bound: int, degree_bound: int
 ) -> FreeResolution:
-    """Minimal resolution of coker(pres) up to the given bounds."""
+    """Minimal resolution of coker(pres) up to the given bounds.
+
+    A syzygy step runs to ``degree_bound``, except for R/I over R (one row,
+    no modulus): step i then stops at the Taylor bound T_i of in(I), and no
+    step runs past F_r (see :meth:`Ideal.taylor_degree_bounds`).  Either way
+    the result is the one the cap gives, and ``degree_bound`` records the
+    cap."""
     pruned = minimalize_presentation(pres)
     if pruned.nrows == 0:
         return FreeResolution(pres.ring, pres.modulus, [], [], ("terminated", 0), degree_bound)
@@ -139,31 +164,32 @@ def minimal_free_resolution(
         return FreeResolution(
             pres.ring, pres.modulus, pruned.row_degrees, [], ("terminated", 0), degree_bound
         )
+    caps = _generator_degree_caps(first, length_bound, degree_bound)
     maps = [first]
-    while len(maps) < length_bound:
-        nxt = syzygies(maps[-1], degree_bound)
+    while len(maps) < length_bound and len(maps) + 1 < len(caps):
+        nxt = syzygies(maps[-1], caps[len(maps) + 1])
         if nxt.ncols == 0:
-            return FreeResolution(
-                pres.ring,
-                pres.modulus,
-                pruned.row_degrees,
-                maps,
-                ("terminated", len(maps)),
-                degree_bound,
-            )
+            break
         maps.append(nxt)
-    # a single early-exit scan decides termination at the last stage
-    if first_syzygy_degree(maps[-1], degree_bound) is None:
-        status = ("terminated", len(maps))
-    else:
+    # at the length bound a single early-exit scan decides termination
+    n = len(maps)
+    if (
+        n >= length_bound
+        and n + 1 < len(caps)
+        and first_syzygy_degree(maps[-1], caps[n + 1]) is not None
+    ):
         status = ("truncated", length_bound)
+    else:
+        status = ("terminated", n)
     return FreeResolution(pres.ring, pres.modulus, pruned.row_degrees, maps, status, degree_bound)
 
 
 def projdim_probe(
     pres: ModulePresentation, length_bound: int, degree_bound: int
 ) -> ProjDimCertificate:
-    """Resolve coker(pres) for at most min(length_bound, dim S + 1) steps."""
+    """Resolve coker(pres) for at most min(length_bound, dim S + 1) steps,
+    each to the degree bound, or, for R/I over R, to the Taylor bound below
+    it (see :func:`minimal_free_resolution`)."""
     dim = krull_dimension(pres.modulus) if pres.modulus is not None else pres.ring.nvars
     res = minimal_free_resolution(pres, min(length_bound, dim + 1), degree_bound)
     # F_{dim+1} != 0 outranks the final termination scan, which can only

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cikit.fields import QQ, GF, Field, FieldError
+from cikit.fields import PRIMALITY_LIMIT, QQ, GF, Field, FieldError, is_prime
 
 
 def test_rationals_arithmetic():
@@ -34,6 +34,31 @@ def test_non_prime_rejected():
         GF(9)
     with pytest.raises(FieldError):
         GF(1)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if by_trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, and strong pseudoprimes to the bases 2, 3, 5, 7
+    for n in (561, 1105, 1729, 41041, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    with pytest.raises(FieldError):
+        GF(561)
+
+
+def test_large_prime_fields():
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert Field.parse(f"Fp {2**61 - 1}").characteristic == 2**61 - 1
+    assert not is_prime(2**61 + 1)
+    with pytest.raises(FieldError, match=str(PRIMALITY_LIMIT)):
+        GF(2**127 - 1)
 
 
 def test_parse():

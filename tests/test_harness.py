@@ -304,6 +304,47 @@ def test_results_keyed_by_position_not_name():
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
+def test_each_distinct_entry_is_computed_once_per_call(monkeypatch, tmp_path, parallelism):
+    # pool workers are forked, so they count into a file, not a variable
+    log = tmp_path / "evaluated"
+    original = harness.evaluate_entry
+
+    def counting(entry):
+        with open(log, "a") as fh:
+            fh.write(entry.name + "\n")
+        return original(entry)
+
+    monkeypatch.setattr(harness, "evaluate_entry", counting)
+    entries = parse_corpus(
+        "entry a / field Q / ring x, y / ideal x^2\n"
+        "entry b / field Q / ring x, y / ideal x^2, x*y\n"
+        "entry a / field Q / ring x, y / ideal x^2\n"
+        "entry a / field Q / ring x, y / ideal x^2, y^2\n"
+        "entry b / field Q / ring x, y / ideal x^2, x*y\n"
+    )
+    cache_dir = tmp_path / "cache"
+    report = run_corpus(entries, parallelism=parallelism, cache_dir=str(cache_dir))
+    assert sorted(log.read_text().split()) == ["a", "a", "b"]
+    results = report["entries"]
+    assert [r["name"] for r in results] == ["a", "b", "a", "a", "b"]
+    assert [r["data"]["is_ci"] for r in results] == [True, False, True, True, False]
+    assert results[2] == results[0] and results[4] == results[1]
+    assert report["timings"][2] == report["timings"][4] == 0.0
+    assert len(list(cache_dir.iterdir())) == 3
+
+
+def test_a_crashed_entry_and_its_copies_are_not_cached(monkeypatch, tmp_path):
+    def crashing(ideal):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "koszul_complex", crashing)
+    entries = parse_corpus("entry a / field Q / ring x / ideal x^2\n" * 2)
+    report = run_corpus(entries, cache_dir=str(tmp_path))
+    assert [r["ok"] for r in report["entries"]] == [False, False]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
 def test_a_crash_fails_only_its_entry(monkeypatch, parallelism):
     original = harness.koszul_complex
 

@@ -102,6 +102,75 @@ def test_backelin_bound_leaves_nothing_above_it(ring_gens):
     assert ext_betti(ring, I, n) == totals[: n + 1]
 
 
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=4))
+def test_taylor_bound_leaves_nothing_above_it(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    cap, length = 9, ring.nvars + 1
+    res = minimal_free_resolution(gr.ideal_as_module(I), length, cap)
+    # reference: every step, and the final scan, run to the cap
+    maps = res.maps[:1]
+    status = ("terminated", len(maps))
+    while maps:
+        if len(maps) == length:
+            if gr.first_syzygy_degree(maps[-1], cap) is not None:
+                status = ("truncated", length)
+            break
+        nxt = gr.syzygies(maps[-1], cap)
+        if nxt.ncols == 0:
+            break
+        maps.append(nxt)
+        status = ("terminated", len(maps))
+    assert res.status == status
+    assert [m.columns for m in res.maps] == [m.columns for m in maps]
+    assert res.degree_bound == cap
+    taylor = I.taylor_degree_bounds()
+    assert res.length < len(taylor)
+    for i, m in enumerate(res.maps, start=1):
+        assert all(d <= taylor[i] for d in m.col_degrees), (i, m.col_degrees, taylor)
+
+
+@pytest.mark.parametrize(
+    "vars_, gens, taylor, betti",
+    [
+        (["x", "y"], ["x^2", "y^3"], (0, 3, 5), {(0, 0): 1, (1, 2): 1, (1, 3): 1, (2, 5): 1}),
+        (["x", "y", "z"], ["x*y", "x*z", "y*z"], (0, 2, 3, 3),
+         {(0, 0): 1, (1, 2): 3, (2, 3): 2}),
+        (["x", "y"], ["x^2*y + y^3"], (0, 3), {(0, 0): 1, (1, 3): 1}),
+    ],
+)
+def test_taylor_degree_bounds_examples(vars_, gens, taylor, betti):
+    ring = PolyRing(QQ, vars_)
+    I = ideal(ring, *gens)
+    assert I.taylor_degree_bounds() == taylor
+    res = minimal_free_resolution(gr.ideal_as_module(I), 6, 12)
+    assert res.betti_bigraded() == betti
+    assert res.status == ("terminated", max(i for i, _ in betti))
+    assert res.degree_bound == 12
+    assert verify_resolution(res, gr.ideal_as_module(I)) == []
+
+
+def test_only_r_mod_i_over_r_stops_below_the_cap(R, monkeypatch):
+    from cikit import resolution
+
+    bounds = []
+    for name in ("syzygies", "first_syzygy_degree"):
+        real = getattr(resolution, name)
+        monkeypatch.setattr(resolution, name,
+                            lambda pres, bound, real=real: bounds.append(bound) or real(pres, bound))
+    I = ideal(R, "x^2", "y^3")
+    minimal_free_resolution(gr.ideal_as_module(I), 6, 12)
+    assert bounds == [5]  # F_2 to T_2; F_3 = 0 needs no scan
+    for pres in (
+        gr.residue_field_presentation(R, I),  # one row, over S
+        gr.ModulePresentation(R, None, [0, 0], [(R.gen(0), R.gen(1))]),  # two rows, over R
+    ):
+        bounds.clear()
+        minimal_free_resolution(pres, 6, 12)
+        assert bounds and set(bounds) == {12}
+
+
 def test_conormal_probes(R):
     from cikit.conormal import conormal_route_a
 
