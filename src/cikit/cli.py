@@ -37,6 +37,13 @@ def _ideal(ring: PolyRing, ideal_arg: str) -> Ideal:
     return Ideal(ring, parse_poly_list(ring, ideal_arg))
 
 
+def _bounds(ctx, param, value: str) -> Bounds:
+    try:
+        return Bounds.parse(value)
+    except harness.CorpusError as exc:
+        raise click.ClickException(f"--bounds: {exc}") from None
+
+
 def _emit(data, as_json: bool, text_fn):
     if as_json:
         click.echo(json.dumps({"schema": harness.SCHEMA, "result": data}, sort_keys=True, indent=2))
@@ -48,7 +55,7 @@ common_options = [
     click.option("--ring", "ring_opt", required=True, help="comma-separated variable names"),
     click.option("--field", "field_opt", default="Q", show_default=True,
                  help="Q or Fp <p> (e.g. F7)"),
-    click.option("--bounds", "bounds_opt", default="",
+    click.option("--bounds", default="", callback=_bounds,
                  help="e.g. 'hdeg=5 intdeg=12 reslen=8'; intdeg caps internal "
                       "degrees (Z_1 runs to Schreyer's bound, the model to "
                       "Backelin's and R/I over R to the Taylor bound of in(I), "
@@ -77,7 +84,7 @@ def main():
 @click.argument("ideal_arg")
 @with_common
 @click.option("--order", "order_opt", default="degrevlex", show_default=True)
-def gb(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, order_opt):
+def gb(ideal_arg, ring_opt, field_opt, bounds, as_json, order_opt):
     """Reduced Groebner basis of the ideal."""
     ring = _ring(ring_opt, field_opt)
     basis = _ideal(ring, ideal_arg).groebner(MonomialOrder.parse(order_opt))
@@ -89,18 +96,18 @@ def gb(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, order_opt):
 @with_common
 @click.option("--module", "module_opt", default="k", show_default=True,
               type=click.Choice(["k", "s", "ideal", "conormal", "h1"]),
-              help="which module to resolve (k/s over R, or conormal/h1 over S)")
-def resolve(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, module_opt):
+              help="which module to resolve: k, conormal or h1 over S = R/I, "
+                   "or s (R/I) or ideal (I) over R")
+def resolve(ideal_arg, ring_opt, field_opt, bounds, as_json, module_opt):
     """Minimal free resolution with bigraded and total Betti numbers."""
     ring = _ring(ring_opt, field_opt)
     ideal = _ideal(ring, ideal_arg)
-    bounds = Bounds.parse(bounds_opt)
     if module_opt == "k":
         pres = residue_field_presentation(ring, ideal if ideal.generators else None)
     elif module_opt == "s":
         pres = ideal_as_module(ideal)
     elif module_opt == "ideal":
-        pres = ideal_as_module(ideal)
+        pres = ideal.generator_syzygies(bounds.intdeg)
     elif module_opt == "conormal":
         pres = conormal_mod.conormal_route_a(ideal, bounds.intdeg)
     else:
@@ -127,11 +134,10 @@ def resolve(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, module_opt):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def koszul(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def koszul(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Koszul complex ranks and the first homology module."""
     ring = _ring(ring_opt, field_opt)
     ideal = _ideal(ring, ideal_arg)
-    bounds = Bounds.parse(bounds_opt)
     cx = koszul_complex(ideal)
     h1 = koszul_h1(ideal, bounds.intdeg)
     payload = {
@@ -157,11 +163,10 @@ def koszul(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def conormal(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def conormal(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """I/I^2 by both routes with the agreement certificate."""
     ring = _ring(ring_opt, field_opt)
     ideal = _ideal(ring, ideal_arg)
-    bounds = Bounds.parse(bounds_opt)
     con = conormal_mod.conormal(ideal, bounds.intdeg)
     payload = {
         "mu": con.mu,
@@ -184,10 +189,9 @@ def conormal(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def model(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def model(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Minimal model dump: `name : hdeg intdeg : differential` per line."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
     payload = {"dump": m.dump().splitlines(), "deviations": m.deviations(),
                "warnings": m.warnings}
@@ -197,10 +201,9 @@ def model(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def pi(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def pi(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Dimensions and basis of the homotopy Lie algebra truncation."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     payload = {
@@ -221,10 +224,9 @@ def pi(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def bracket(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def bracket(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Full bracket table in canonical order."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     dump = p.bracket_table_dump()
@@ -235,10 +237,9 @@ def bracket(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @click.argument("ideal_arg")
 @with_common
 @click.option("--z", "z_name", required=True, help="pi^2 basis element, e.g. p2_1")
-def theta(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, z_name):
+def theta(ideal_arg, ring_opt, field_opt, bounds, as_json, z_name):
     """The commutator derivation theta_z: values on every model variable."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     z = p.element_by_name(z_name)
@@ -262,10 +263,9 @@ def theta(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, z_name):
 @click.argument("ideal_arg")
 @with_common
 @click.option("--z", "z_name", default="", help="pi^2 basis element; default all")
-def radical(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, z_name):
+def radical(ideal_arg, ring_opt, field_opt, bounds, as_json, z_name):
     """Bounded radical probes for degree-2 elements."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     targets = (
@@ -279,10 +279,9 @@ def radical(ideal_arg, ring_opt, field_opt, bounds_opt, as_json, z_name):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def ci(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def ci(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Complete-intersection certificate (Koszul H1 and mu = height)."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     cert = harness.ci_certificate(_ideal(ring, ideal_arg), bounds.intdeg)
     _emit(cert, as_json,
           lambda c: (f"complete intersection: {c['is_ci']}  "
@@ -292,10 +291,9 @@ def ci(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command(name="verify-a")
 @click.argument("ideal_arg")
 @with_common
-def verify_a(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def verify_a(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Conormal rigidity consistency report for one ideal."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     rep, _ = harness.verify_conormal_rigidity(_ideal(ring, ideal_arg), bounds)
     _emit(rep, as_json, lambda r: json.dumps(r, indent=2, sort_keys=True))
 
@@ -303,10 +301,9 @@ def verify_a(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command(name="verify-b")
 @click.argument("ideal_arg")
 @with_common
-def verify_b(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def verify_b(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Koszul-homology rigidity consistency report for one ideal."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     rep, _ = harness.verify_koszul_rigidity(_ideal(ring, ideal_arg), bounds)
     _emit(rep, as_json, lambda r: json.dumps(r, indent=2, sort_keys=True))
 
@@ -314,10 +311,9 @@ def verify_b(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def jz(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def jz(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Jacobi-Zariski four-term slice-exactness table."""
     ring = _ring(ring_opt, field_opt)
-    bounds = Bounds.parse(bounds_opt)
     rep = conormal_mod.jacobi_zariski_check(_ideal(ring, ideal_arg), bounds.intdeg)
     payload = {"exact": rep.exact, "rows": rep.rows(), "failures": rep.failures}
 
@@ -334,7 +330,7 @@ def jz(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
 @main.command()
 @click.argument("ideal_arg")
 @with_common
-def lenstra(ideal_arg, ring_opt, field_opt, bounds_opt, as_json):
+def lenstra(ideal_arg, ring_opt, field_opt, bounds, as_json):
     """Evolution criterion: no minimal conormal generator in ker(d)."""
     ring = _ring(ring_opt, field_opt)
     verdict = conormal_mod.lenstra_evolution_check(_ideal(ring, ideal_arg))
@@ -351,11 +347,13 @@ def corpus():
 @click.option("--parallel", default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--cache-dir", default=None, help="result cache directory (insert-only)")
-@click.option("--bounds", "bounds_opt", default="", help="override default bounds")
-def corpus_run(path, parallel, as_json, cache_dir, bounds_opt):
+@click.option("--bounds", default="", callback=_bounds, help="override default bounds")
+def corpus_run(path, parallel, as_json, cache_dir, bounds):
     """Run the full invariant and theorem suite over a corpus file."""
-    base = Bounds.parse(bounds_opt) if bounds_opt else None
-    report = harness.run_corpus_file(path, parallel, cache_dir, base)
+    try:
+        report = harness.run_corpus_file(path, parallel, cache_dir, bounds)
+    except harness.CorpusError as exc:
+        raise click.ClickException(str(exc)) from None
     if as_json:
         click.echo(harness.report_json(report))
     else:

@@ -95,6 +95,8 @@ class Bounds:
             key = key.strip()
             if key not in ("hdeg", "intdeg", "reslen"):
                 raise CorpusError(f"unknown bound {key!r}")
+            if not (val.isascii() and val.isdigit()):
+                raise CorpusError(f"bound {key} must be a non-negative integer, got {val!r}")
             setattr(out, key, int(val))
         return out
 
@@ -289,7 +291,10 @@ def parse_corpus(text: str, base_bounds: Bounds | None = None):
             elif key == "ideal":
                 ideal_strs = [f.strip() for f in rest.split(",") if f.strip()]
             elif key == "bounds":
-                bounds = Bounds.parse(rest, bounds)
+                try:
+                    bounds = Bounds.parse(rest, bounds)
+                except CorpusError as exc:
+                    raise CorpusError(f"line {lineno}: {exc}") from None
             elif key == "expect":
                 for pair in rest.split():
                     k, _, v = pair.partition("=")

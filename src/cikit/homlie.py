@@ -100,25 +100,21 @@ class HomotopyLieTruncation:
         return "\n".join(lines)
 
 
-def compute_pi(model: DgAlgebraModel, N: int | None = None) -> HomotopyLieTruncation:
-    """Basis of pi^i for 2 <= i <= N with the full bracket table.
+def compute_pi(model: DgAlgebraModel) -> HomotopyLieTruncation:
+    """Basis of pi^i for 2 <= i <= N = hdeg_bound + 1 with the full bracket
+    table.
 
     The bracket pairs basis duals against the quadratic part of the
     differential on the derived fiber: terms of d(x) with coefficient
     outside m_R and monomial length exactly two.
     """
-    if N is None:
-        N = model.hdeg_bound + 1
-    if N > model.hdeg_bound + 1:
-        raise ModelError(f"pi truncation {N} needs model variables up to degree {N - 1}")
+    N = model.hdeg_bound + 1
     F = model.field
 
     basis = {}
     by_degree: dict[int, list] = {}
     for v in model.variables:
         i = v.hdeg + 1
-        if i > N:
-            continue
         e = PiBasisElement(v.index, f"p{i}_{len(by_degree.get(i, [])) + 1}", i)
         basis[v.index] = e
         by_degree.setdefault(i, []).append(e)

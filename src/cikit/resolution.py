@@ -239,12 +239,17 @@ def verify_composites(res: FreeResolution):
 def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | None = None):
     """Exact invariant suite for a computed resolution.
 
-    Returns a list of failure strings (empty = all good): d^2 = 0,
-    minimality of every entry, slice-wise exactness by rank counts, and the
-    Euler/Hilbert comparison against the resolved module when given.
+    Returns a list of failure strings (empty = all good): d^2 = 0 and
+    minimality of every entry, then rank counts in degrees 0..degree_bound,
+    read off two tables.  free[i][d] is dim_k (F_i)_d over S, summed from
+    dim S_e = dim R_e - dim I_e with no elimination; images[i][d] is the
+    rank of d_{i+1}: F_{i+1} -> F_i in degree d, each ranked once, with an
+    all-zero row after the last map.  They give exactness at F_1..F_{n-1},
+    injectivity of the last map when the resolution terminated, and the
+    Hilbert function of coker(d_1) against the resolved module's when given.
     """
     failures = verify_composites(res)
-    bound = res.degree_bound
+    degrees = range(res.degree_bound + 1)
 
     for i, m in enumerate(res.maps, start=1):
         for col in m.columns:
@@ -252,42 +257,33 @@ def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | Non
                 if not p.is_zero() and p.homogeneous_degree() == 0:
                     failures.append(f"non-minimal entry in step {i}")
 
-    # exactness between consecutive maps: ker(d_i) slice = im(d_{i+1}) slice
-    for i in range(len(res.maps) - 1):
-        upper = res.maps[i]      # d_{i+1}: F_{i+1} -> F_i
-        lower = res.maps[i + 1]  # d_{i+2}: F_{i+2} -> F_{i+1}
-        dom = ModulePresentation(res.ring, res.modulus, upper.col_degrees, [])
-        for d in range(bound + 1):
-            dom_dim = dom.cokernel_slice_dim(d)
-            if dom_dim == 0:
+    n = len(res.maps)
+    ideal_dim = res.modulus.slice_dim if res.modulus is not None else lambda e: 0
+    free = [
+        [sum(res.ring.slice_dim(d - r) - ideal_dim(d - r) for r in res.free_module(i))
+         for d in degrees]
+        for i in range(n + 1)
+    ]
+    images = [
+        [m.image_slice_dim(d) if free[i + 1][d] else 0 for d in degrees]
+        for i, m in enumerate(res.maps)
+    ] + [[0] * len(degrees)]
+    # exactness at F_i for i < n; at F_n, where im = 0, it is injectivity
+    for i in range(1, n + res.is_terminated()):
+        for d in degrees:
+            ker_dim = free[i][d] - images[i - 1][d]
+            if not free[i][d] or ker_dim == images[i][d]:
                 continue
-            ker_dim = dom_dim - upper.image_slice_dim(d)
-            im_dim = lower.image_slice_dim(d)
-            if ker_dim != im_dim:
+            if i < n:
                 failures.append(
-                    f"exactness fails at step {i + 1}, degree {d}: ker {ker_dim} vs im {im_dim}"
+                    f"exactness fails at step {i}, degree {d}: ker {ker_dim} vs im {images[i][d]}"
                 )
-    # terminated resolutions: last map slice-injective
-    if res.is_terminated() and res.maps:
-        last = res.maps[-1]
-        dom = ModulePresentation(res.ring, res.modulus, last.col_degrees, [])
-        for d in range(bound + 1):
-            dom_dim = dom.cokernel_slice_dim(d)
-            if dom_dim and dom_dim != last.image_slice_dim(d):
+            else:
                 failures.append(f"terminated resolution not injective at degree {d}")
 
     if module_pres is not None:
-        target = module_pres.hilbert_function(bound)
-        if res.maps:
-            got = [
-                ModulePresentation(
-                    res.ring, res.modulus, res.row_degrees, res.maps[0].columns
-                ).cokernel_slice_dim(d)
-                for d in range(bound + 1)
-            ]
-        else:
-            free = ModulePresentation(res.ring, res.modulus, res.row_degrees, [])
-            got = free.hilbert_function(bound)
+        target = module_pres.hilbert_function(res.degree_bound)
+        got = [free[0][d] - images[0][d] for d in degrees]
         if got != target:
             failures.append(f"module Hilbert mismatch: {got} vs {target}")
     return failures

@@ -17,7 +17,9 @@ from cikit.dgmodel import (
     kahler_module,
     stage_and_fiber,
     verify_model,
+    verify_model_acyclicity,
 )
+from cikit import linalg
 from cikit.fields import QQ, GF
 from cikit.poly import PolyRing
 from cikit.resolution import ext_degree_bound
@@ -192,3 +194,66 @@ def test_model_ends_at_backelin_bound(ring_gens):
     assert deeper.intdeg_bound == model.intdeg_bound + 2
     assert ([(v.hdeg, v.intdeg) for v in deeper.variables]
             == [(v.hdeg, v.intdeg) for v in model.variables])
+
+
+# -- the rank-table acyclicity check against the body it replaced -------------
+
+
+def reference_model_acyclicity(model):
+    """verify_model_acyclicity as it was, with each d ranked once as the map
+    out of a slice and again as the boundaries into the slice below."""
+    field = model.field
+
+    def homology_dim(hdeg, d):
+        dim_here = model.slice_dim(hdeg, d)
+        if dim_here == 0:
+            return 0
+        if model.slice_dim(hdeg - 1, d) == 0:
+            cycle_dim = dim_here
+        else:
+            cycle_dim = dim_here - linalg.rank(model.differential_rows(hdeg, d), field)
+        return cycle_dim - linalg.rank(model.boundary_rows(hdeg, d), field)
+
+    failures = []
+    target_hf = gr.quotient_hilbert_by_monomials(model.ideal, model.intdeg_bound)
+    for d in range(model.intdeg_bound + 1):
+        h0 = model.ring.slice_dim(d) - linalg.rank(model.boundary_rows(0, d), field)
+        if h0 != target_hf[d]:
+            failures.append(f"H_0 mismatch at degree {d}: {h0} vs {target_hf[d]}")
+    for i in range(1, model.hdeg_bound):
+        for d in range(model.intdeg_bound + 1):
+            hd = homology_dim(i, d)
+            if hd != 0:
+                failures.append(f"H_{i} nonzero at degree {d}: dim {hd}")
+    return failures
+
+
+def without_variable(model, index):
+    """A copy of the model without one variable: the terms through it are
+    dropped from every differential and later indices shift down."""
+    copy = dgmodel.DgAlgebraModel(model.ring, model.ideal, model.hdeg_bound,
+                                  model.intdeg_bound)
+
+    def shift(w):
+        return tuple((v - (v > index), e) for v, e in w)
+
+    for v in model.variables:
+        if v.index != index:
+            terms = {(m, shift(w)): c for (m, w), c in model.differentials[v.index].terms.items()
+                     if all(u != index for u, _ in w)}
+            copy.add_variable(v.hdeg, v.intdeg, dgmodel.DgElement(copy, terms))
+    return copy
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_model_acyclicity_matches_reference(ring_gens):
+    ring, gens = ring_gens
+    model = build_minimal_model(gr.Ideal(ring, gens), 3, 6)
+    assert verify_model_acyclicity(model) == reference_model_acyclicity(model) == []
+    # one stage-2 variable removed leaves a class of H_1 alive
+    stage2 = model.variables_of_hdeg(2)
+    if stage2:
+        broken = without_variable(model, stage2[-1].index)
+        ref = reference_model_acyclicity(broken)
+        assert ref and verify_model_acyclicity(broken) == ref

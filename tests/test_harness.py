@@ -59,6 +59,20 @@ def test_bounds_parse():
             Bounds.parse(text)
 
 
+def test_bounds_parse_rejects_anything_but_non_negative_integers():
+    for text, key, val in (("intdeg=-1", "intdeg", "-1"), ("hdeg=abc", "hdeg", "abc"),
+                           ("reslen=1.5", "reslen", "1.5"), ("intdeg=", "intdeg", "")):
+        with pytest.raises(CorpusError, match=f"bound {key} .*{val!r}"):
+            Bounds.parse(text)
+    assert Bounds.parse("hdeg=0 reslen=0").to_dict() == {"hdeg": 0, "intdeg": 12, "reslen": 0}
+
+
+def test_corpus_bound_error_names_the_line():
+    text = "entry a / ring x / ideal x^2\nentry b / ring x / ideal x / bounds intdeg=abc\n"
+    with pytest.raises(CorpusError, match="line 2: bound intdeg .*'abc'"):
+        parse_corpus(text)
+
+
 def test_corpus_parse():
     entries = parse_corpus(MINI_CORPUS)
     assert [e.name for e in entries] == ["ci", "aci"]
@@ -192,6 +206,36 @@ def test_cli_corpus_run(tmp_path):
     res = runner.invoke(cli_main, ["corpus", "run", str(bad)])
     assert res.exit_code == 1
     assert "liar" in res.output
+
+
+def test_cli_bound_errors_are_one_line(tmp_path):
+    bad = tmp_path / "bad.corpus"
+    bad.write_text("entry a / ring x, y / ideal x^2 / bounds intdeg=abc\n")
+    for args, message in (
+        (["ci", "--bounds", "intdeg=-1", "--ring", "x,y", "x^2, x*y"],
+         "Error: --bounds: bound intdeg must be a non-negative integer, got '-1'"),
+        (["resolve", "--bounds", "intdeg=abc", "--ring", "x,y", "x^2"],
+         "Error: --bounds: bound intdeg must be a non-negative integer, got 'abc'"),
+        (["corpus", "run", str(bad)],
+         "Error: line 1: bound intdeg must be a non-negative integer, got 'abc'"),
+    ):
+        out = run_cli(*args)
+        assert out.exit_code != 0 and out.output == message + "\n", out.output
+
+
+@pytest.mark.parametrize("vars_, gens", [
+    ("x,y", "x^2, x*y"), ("x,y", "x^2, y^2"), ("x,y", "x^2, x*y, y^2"),
+    ("x,y,z", "x*y, x*z, y*z"),
+])
+def test_cli_resolves_the_ideal_one_step_after_r_mod_i(vars_, gens):
+    def resolve(module):
+        out = run_cli("resolve", "--ring", vars_, "--module", module, "--json", gens)
+        return json.loads(out.output)["result"]
+
+    s, i = resolve("s"), resolve("ideal")
+    assert i["betti_total"] == s["betti_total"][1:]
+    assert i["betti_bigraded"] == [[k - 1, j, b] for k, j, b in s["betti_bigraded"] if k]
+    assert i["status"]["at"] == s["status"]["at"] - 1
 
 
 # -- probe verdicts in the theorem checks ------------------------------------

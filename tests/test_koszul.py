@@ -146,3 +146,43 @@ def test_h1_generators_match_the_hand_rolled_selection(ring_gens):
     I = gr.Ideal(ring, gens)
     bound = max(g.homogeneous_degree() for g in I.generators) + 2
     assert koszul_h1(I, bound).cycle_reps == _h1_cycle_reps_by_hand(I, bound)
+
+
+# -- the Koszul-map route to the H1 Hilbert function ------------------------
+
+
+def reference_direct_hilbert_function(h1, bound):
+    """direct_hilbert_function as it was: the rows of d_1 built by hand."""
+    cx = h1.complex
+    ring = cx.ideal.ring
+    if not cx.generators:
+        return [0] * (bound + 1)
+    d1 = cx.maps[0]
+    dom = gr.FreeSlices(ring, cx.gen_degrees)
+    tgt = d1.slices()
+    out = []
+    for d in range(bound + 1):
+        dim_dom = dom.dim(d)
+        if dim_dom == 0:
+            out.append(0)
+            continue
+        rows = []
+        for j, m in dom.basis(d):
+            vec = tuple(p.mul_monomial(m) for p in d1.columns[j])
+            rows.append(tgt.coords(vec, d))
+        cycle_dim = dim_dom - linalg.rank(rows, ring.field)
+        boundary_dim = cx.maps[1].image_slice_dim(d) if len(cx.maps) > 1 else 0
+        out.append(cycle_dim - boundary_dim)
+    return out
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_h1_hilbert_routes_agree(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = max(g.homogeneous_degree() for g in gens) + 2
+    h1 = koszul_h1(I, bound)
+    direct = h1.direct_hilbert_function(bound)
+    assert direct == reference_direct_hilbert_function(h1, bound)
+    assert h1.hilbert_function(bound) == direct

@@ -9,6 +9,7 @@ from cikit import groebner as gr
 from cikit.fields import QQ
 from cikit.poly import PolyRing
 from cikit.resolution import (
+    FreeResolution,
     ext_betti,
     ext_degree_bound,
     minimal_free_resolution,
@@ -210,3 +211,99 @@ def test_euler_characteristic_slicewise(R):
             total += sign * FreeSlices(R, res.free_module(i)).dim(d)
             sign = -sign
         assert total == hf[d]
+
+
+# -- the rank-table check against the body it replaced ------------------------
+
+
+def reference_verify_resolution(res, module_pres=None):
+    """verify_resolution as it was: each map ranked as the upper and again as
+    the lower map of a pair, free dimensions from column-less presentations
+    and the cokernel of maps[0] built anew."""
+    failures = verify_composites(res)
+    bound = res.degree_bound
+    for i, m in enumerate(res.maps, start=1):
+        for col in m.columns:
+            for p in col:
+                if not p.is_zero() and p.homogeneous_degree() == 0:
+                    failures.append(f"non-minimal entry in step {i}")
+    for i in range(len(res.maps) - 1):
+        upper, lower = res.maps[i], res.maps[i + 1]
+        dom = gr.ModulePresentation(res.ring, res.modulus, upper.col_degrees, [])
+        for d in range(bound + 1):
+            dom_dim = dom.cokernel_slice_dim(d)
+            if dom_dim == 0:
+                continue
+            ker_dim = dom_dim - upper.image_slice_dim(d)
+            im_dim = lower.image_slice_dim(d)
+            if ker_dim != im_dim:
+                failures.append(
+                    f"exactness fails at step {i + 1}, degree {d}: ker {ker_dim} vs im {im_dim}"
+                )
+    if res.is_terminated() and res.maps:
+        last = res.maps[-1]
+        dom = gr.ModulePresentation(res.ring, res.modulus, last.col_degrees, [])
+        for d in range(bound + 1):
+            dom_dim = dom.cokernel_slice_dim(d)
+            if dom_dim and dom_dim != last.image_slice_dim(d):
+                failures.append(f"terminated resolution not injective at degree {d}")
+    if module_pres is not None:
+        target = module_pres.hilbert_function(bound)
+        if res.maps:
+            got = [
+                gr.ModulePresentation(
+                    res.ring, res.modulus, res.row_degrees, res.maps[0].columns
+                ).cokernel_slice_dim(d)
+                for d in range(bound + 1)
+            ]
+        else:
+            got = gr.ModulePresentation(
+                res.ring, res.modulus, res.row_degrees, []).hilbert_function(bound)
+        if got != target:
+            failures.append(f"module Hilbert mismatch: {got} vs {target}")
+    return failures
+
+
+def broken_resolutions(res, pres, other):
+    """(resolution, module presentation) pairs that each break one thing:
+    the last column dropped from maps[1], the last map dropped with the
+    status still terminated, another module's presentation, a unit entry."""
+    def like(maps, status=res.status):
+        return FreeResolution(res.ring, res.modulus, res.row_degrees, maps, status,
+                              res.degree_bound)
+
+    def with_columns(m, columns):
+        return gr.ModulePresentation(m.ring, m.modulus, m.row_degrees, columns)
+
+    out = [(res, other)]
+    if res.length >= 2:
+        out.append((like(res.maps[:1] + [with_columns(res.maps[1], res.maps[1].columns[:-1])]
+                         + res.maps[2:]), pres))
+    if res.maps:
+        out.append((like(res.maps[:-1], ("terminated", res.length - 1)), pres))
+        first = res.maps[0]
+        unit = tuple(res.ring.one() if r == 0 else res.ring.zero() for r in range(first.nrows))
+        out.append((like([with_columns(first, first.columns + [unit])] + res.maps[1:]), pres))
+    return out
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_verify_resolution_matches_reference(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    # R/I over R terminates (Taylor bounds); k over S has I*F rows and mostly truncates
+    r_mod_i = gr.ideal_as_module(I)
+    k_over_s = gr.residue_field_presentation(ring, I)
+    for pres, other in (
+        (r_mod_i, gr.ModulePresentation(ring, None, [0], [])),
+        (k_over_s, gr.ModulePresentation(ring, I, [0], [])),
+    ):
+        res = minimal_free_resolution(pres, ring.nvars + 1, 6)
+        assert verify_resolution(res, pres) == reference_verify_resolution(res, pres) == []
+        assert verify_resolution(res) == []
+        for broken, module in broken_resolutions(res, pres, other):
+            ref = reference_verify_resolution(broken, module)
+            assert verify_resolution(broken, module) == ref
+            if pres is r_mod_i:
+                assert ref, broken.maps  # every breakage of R/I shows
