@@ -15,15 +15,23 @@ import click
 from . import conormal as conormal_mod
 from . import harness
 from . import homlie as homlie_mod
-from .dgmodel import build_minimal_model
-from .fields import Field
+from .dgmodel import ModelError, build_minimal_model
+from .fields import Field, FieldError
 from .groebner import (
     Ideal,
+    UnitIdeal,
     ideal_as_module,
     residue_field_presentation,
 )
 from .koszul import koszul_complex, koszul_h1
-from .poly import MonomialOrder, PolyRing, parse_poly_list
+from .poly import (
+    AmbientMismatch,
+    InhomogeneousError,
+    MonomialOrder,
+    ParseError,
+    PolyRing,
+    parse_poly_list,
+)
 from .resolution import minimal_free_resolution
 from .harness import Bounds
 
@@ -74,7 +82,22 @@ def with_common(fn):
     return fn
 
 
-@click.group()
+# errors the math layers raise on input they cannot take, reported in one
+# line like a bad --bounds value; the theorem tripwires, which mean a bug,
+# keep their traceback
+_MATH_ERRORS = (ParseError, FieldError, AmbientMismatch, InhomogeneousError, UnitIdeal,
+                ModelError, conormal_mod.IllFormedMap)
+
+
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _MATH_ERRORS as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Exact commutative algebra: Groebner bases, resolutions, Koszul
     homology, minimal models, homotopy Lie brackets, conormal modules."""

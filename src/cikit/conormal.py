@@ -146,13 +146,11 @@ def differential_kernel_slice(ideal: Ideal, d: int):
     if not basis:
         return []
     candidates = [FreeSlices(ring, [0]).from_coords(vec, d)[0] for vec in basis]
-    # the gradient lands in R^n(-1), read modulo I * R^n(-1)
-    gradient = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
-    target = gradient.slices()
+    # the gradient lands in S^n(-1), in quotient coordinates
+    target = FreeSlices(ring, [1] * ring.nvars, ideal)
     cols = [target.coords(tuple(v.partial_derivative(i) for i in range(ring.nvars)), d)
             for v in candidates]
-    ech, pivots = gradient.ideal_echelon(d)
-    coeffs = linalg.kernel_modulo(cols, target.dim(d), ech, field, subspace_pivots=pivots)
+    coeffs = linalg.kernel_modulo(cols, target.dim(d), [], field)
     out = []
     for cvec in coeffs:
         p = ring.zero()

@@ -5,14 +5,18 @@ normal forms, membership, and lead-term data (Hilbert numerators, height).
 Module-level work (syzygies, minimal generators, Hilbert functions of
 presented modules) runs degree by degree through exact linear algebra on
 finite-dimensional graded slices, which keeps one code path for modules
-over R and over quotients S = R/I: quotient computations simply enlarge
-every slice by the I-multiples of the ambient free basis.
+over R and over quotients S = R/I: a slice is taken in quotient
+coordinates, on a k-basis of S_e read off the RREF of I_e
+(:meth:`Ideal.quotient_slice`), so slice sizes follow HF_S.  Over R the
+ideal is zero and the coordinates are the monomial ones.
 
 Degree bounds are explicit everywhere a module is only knowable up to a
 slice: results above the bound are reported as unknown, never guessed.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import linalg
 from .poly import (
@@ -292,6 +296,31 @@ class Ideal:
     def slice_dim(self, d: int) -> int:
         return len(self.slice_rref(d)[0])
 
+    def quotient_slice(self, e: int):
+        """(basis, table) of S_e for S = R/I, read off :meth:`slice_rref`.
+
+        The degree-e monomials at the non-pivot columns form a k-basis of
+        S_e.  ``table`` maps every degree-e monomial to its coordinates on
+        that basis, a tuple of (position, coefficient) pairs: a free
+        monomial is itself, and a pivot monomial is minus the rest of its
+        RREF row, since the row lies in I_e.  No Groebner basis is used, so
+        this stays apart from :func:`standard_monomials`."""
+
+        def compute():
+            field = self.ring.field
+            mons = self.ring.monomials_of_degree(e)
+            rows, pivots = self.slice_rref(e)
+            pivot_set = set(pivots)
+            free = [j for j in range(len(mons)) if j not in pivot_set]
+            position = {j: pos for pos, j in enumerate(free)}
+            table = {mons[j]: ((pos, field.one()),) for j, pos in position.items()}
+            for row, j in zip(rows, pivots):
+                table[mons[j]] = tuple(
+                    (position[k], field.neg(v)) for k, v in enumerate(row) if v and k != j)
+            return tuple(mons[j] for j in free), table
+
+        return self.memo(("quotient_slice", e), compute)
+
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
@@ -300,47 +329,84 @@ class Ideal:
 # graded slices of free modules
 
 
+@lru_cache(maxsize=None)
+def _zero_ideal(ring: PolyRing) -> Ideal:
+    """The zero ideal of the ring, whose quotient slices are the identity."""
+    return Ideal(ring, [])
+
+
+def _add_multiple(row, blocks, vec, m, c, p):
+    """row += c * m * vec in quotient coordinates (``blocks`` as in
+    :meth:`FreeSlices._slice`): every product monomial goes through its
+    row's quotient table.  Entries stay reduced mod p over GF(p); p is None
+    over Q."""
+    for (offset, table), poly in zip(blocks, vec):
+        for pm, pc in poly.terms.items():
+            pc *= c
+            for pos, a in table[monomial_mul(pm, m)]:
+                k = offset + pos
+                row[k] = (row[k] + pc * a) % p if p else row[k] + pc * a
+
+
 class FreeSlices:
-    """Cached graded slices of a free module with given row degrees."""
+    """Cached graded slices of a free module F with given row degrees over
+    S = R/modulus (over R when the modulus is None).
 
-    __slots__ = ("ring", "row_degrees", "_basis", "_index")
+    Slices are taken in quotient coordinates.  The degree-d basis is (i, m)
+    for m in the quotient basis of S_{d - row_degrees[i]}
+    (:meth:`Ideal.quotient_slice`), row by row, and a vector's coordinates
+    are those of its class in F/IF: each monomial goes through the ideal's
+    table.  So I*F is zero in these coordinates, and slice sizes follow
+    HF_S, not HF_R.  Over R the table is the identity and the basis is
+    every monomial, in ring monomial order."""
 
-    def __init__(self, ring: PolyRing, row_degrees):
+    __slots__ = ("ring", "modulus", "row_degrees", "_slices")
+
+    def __init__(self, ring: PolyRing, row_degrees, modulus=None):
         self.ring = ring
+        self.modulus = _zero_ideal(ring) if modulus is None else modulus
         self.row_degrees = list(row_degrees)
-        self._basis: dict = {}
-        self._index: dict = {}
+        self._slices: dict = {}
+
+    def _slice(self, d: int):
+        """(basis, blocks) at internal degree d; blocks[i] is (offset of row
+        i in the basis, the table of S_{d - row_degrees[i]})."""
+        if d not in self._slices:
+            basis, blocks = [], []
+            for i, rd in enumerate(self.row_degrees):
+                mons, table = self.modulus.quotient_slice(d - rd)
+                blocks.append((len(basis), table))
+                basis.extend((i, m) for m in mons)
+            self._slices[d] = (basis, blocks)
+        return self._slices[d]
 
     def basis(self, d: int):
         """Slice basis [(row, expts)] at internal degree d, canonical order."""
-        if d not in self._basis:
-            out = []
-            for i, rd in enumerate(self.row_degrees):
-                for m in self.ring.monomials_of_degree(d - rd):
-                    out.append((i, m))
-            self._basis[d] = out
-            self._index[d] = {bm: pos for pos, bm in enumerate(out)}
-        return self._basis[d]
-
-    def index(self, d: int):
-        self.basis(d)
-        return self._index[d]
+        return self._slice(d)[0]
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
+    def multiples(self, vec, monomials, d: int):
+        """Coordinate rows of m*vec, one per monomial m, for a homogeneous
+        vector (tuple of polynomials) with m*vec of internal degree d."""
+        basis, blocks = self._slice(d)
+        p = self.ring.field.p
+        rows = []
+        for m in monomials:
+            row = [0] * len(basis)
+            _add_multiple(row, blocks, vec, m, 1, p)
+            rows.append(row)
+        return rows
+
     def coords(self, vec, d: int):
         """Coordinates of a homogeneous vector (tuple of polynomials) of
         internal degree d."""
-        idx = self.index(d)
-        row = [self.ring.field.zero()] * len(self.basis(d))
-        for i, p in enumerate(vec):
-            for m, c in p.terms.items():
-                row[idx[(i, m)]] = c
-        return row
+        return self.multiples(vec, [(0,) * self.ring.nvars], d)[0]
 
     def from_coords(self, coords, d: int):
-        """Inverse of :meth:`coords`."""
+        """The vector with these coordinates, written on the basis monomials
+        (so in the normal form the quotient basis defines)."""
         F = self.ring.field
         polys = [dict() for _ in self.row_degrees]
         for pos, c in enumerate(coords):
@@ -353,34 +419,31 @@ class FreeSlices:
     def multiply_coords_by_var(self, coords, d: int, var: int):
         """Coordinates of x_var * v for v given in degree-d coordinates."""
         src = self.basis(d)
-        idx = self.index(d + 1)
-        F = self.ring.field
-        out = [F.zero()] * self.dim(d + 1)
+        basis, blocks = self._slice(d + 1)
+        p = self.ring.field.p
+        out = [0] * len(basis)
         for pos, c in enumerate(coords):
-            if F.is_zero(c):
+            if not c:
                 continue
             i, m = src[pos]
             mm = list(m)
             mm[var] += 1
-            out[idx[(i, tuple(mm))]] = c
+            offset, table = blocks[i]
+            for q, a in table[tuple(mm)]:
+                k = offset + q
+                out[k] = (out[k] + c * a) % p if p else out[k] + c * a
         return out
 
 
 def scatter_multiples(slices: FreeSlices, vec, vec_degree: int, d: int, proper_only=False):
-    """Coordinate rows of all monomial multiples m*vec landing in degree d."""
-    ring = slices.ring
-    idx = slices.index(d)
-    F = ring.field
-    rows = []
-    for m in ring.monomials_of_degree(d - vec_degree):
-        if proper_only and not any(m):
-            continue
-        row = [F.zero()] * slices.dim(d)
-        for i, p in enumerate(vec):
-            for pm, pc in p.terms.items():
-                row[idx[(i, monomial_mul(pm, m))]] = pc
-        rows.append(row)
-    return rows
+    """Coordinate rows of the multiples m*vec landing in degree d, m over
+    the quotient basis of S_{d - vec_degree} (of positive degree when
+    ``proper_only``): every other monomial is a combination of those
+    modulo I, so the rows span the degree-d slice of S*vec (of m_S*vec)."""
+    if proper_only and d == vec_degree:
+        return []
+    monomials, _ = slices.modulus.quotient_slice(d - vec_degree)
+    return slices.multiples(vec, monomials, d)
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +456,13 @@ class ModulePresentation:
     The matrix columns are vectors in the free module with the given row
     degrees.  Operations state which view they take: `syzygies` and
     `minimal_generators` treat the columns as generators of the submodule
-    they span; Hilbert data refers to the cokernel unless noted.
+    they span; Hilbert data refers to the cokernel unless noted.  Over S
+    every slice is taken in the quotient coordinates of :class:`FreeSlices`,
+    where I*F is zero, so no operation adds the I-multiples back in.
     """
 
-    __slots__ = (
-        "ring",
-        "modulus",
-        "row_degrees",
-        "columns",
-        "col_degrees",
-        "_slices",
-        "_ideal_ech",
-    )
+    __slots__ = ("ring", "modulus", "row_degrees", "columns", "col_degrees", "_slices",
+                 "column_ideal")
 
     def __init__(self, ring: PolyRing, modulus, row_degrees, columns):
         self.ring = ring
@@ -431,8 +489,10 @@ class ModulePresentation:
             degs.append(d)
         self.columns = cols
         self.col_degrees = degs
-        self._slices = FreeSlices(ring, self.row_degrees)
-        self._ideal_ech: dict = {}
+        self._slices = FreeSlices(ring, self.row_degrees, modulus)
+        # the Ideal whose generators are the columns, when built from one
+        # (:func:`ideal_as_module`), so its memo serves the resolution
+        self.column_ideal = None
 
     # -- basic views -----------------------------------------------------
 
@@ -453,65 +513,24 @@ class ModulePresentation:
     def slices(self) -> FreeSlices:
         return self._slices
 
-    def ideal_echelon(self, d: int):
-        """Canonical RREF of (I*F)_d, assembled block-by-block from the
-        cached ideal slice echelons (returns (rows, pivot columns))."""
-        if not self.over_quotient():
-            return [], []
-        if d in self._ideal_ech:
-            return self._ideal_ech[d]
-        zero = self.ring.field.zero()
-        total = self._slices.dim(d)
-        out_rows: list = []
-        out_pivs: list = []
-        offset = 0
-        for rd in self.row_degrees:
-            e = d - rd
-            width = self.ring.slice_dim(e)
-            if width:
-                local_rows, local_pivs = self.modulus.slice_rref(e)
-                for lr, lp in zip(local_rows, local_pivs):
-                    row = [zero] * total
-                    row[offset : offset + width] = lr
-                    out_rows.append(row)
-                    out_pivs.append(offset + lp)
-            offset += width
-        self._ideal_ech[d] = (out_rows, out_pivs)
-        return self._ideal_ech[d]
-
-    def ideal_slice_rows(self, d: int):
-        """Rows spanning (I*F)_d when working over S = R/I (echelonized)."""
-        return self.ideal_echelon(d)[0]
-
-    def ideal_slice_rank(self, d: int) -> int:
-        if not self.over_quotient():
-            return 0
-        return sum(
-            len(self.modulus.slice_rref(d - rd)[0])
-            for rd in self.row_degrees
-            if self.ring.slice_dim(d - rd)
-        )
-
     def span_slice_rows(self, d: int, proper_only=False):
-        """Rows spanning the degree-d slice of the column span plus I*F."""
+        """Rows spanning the degree-d slice of the column span, in the
+        slices' quotient coordinates; row k is the k-th basis element of
+        the free module on the columns mapped through the matrix."""
         rows = []
         for col, cd in zip(self.columns, self.col_degrees):
             if cd > d:
                 continue
             rows.extend(scatter_multiples(self._slices, col, cd, d, proper_only))
-        rows.extend(self.ideal_slice_rows(d))
         return rows
 
     # -- module data -------------------------------------------------------
 
     def cokernel_slice_dim(self, d: int) -> int:
-        field = self.ring.field
-        return self._slices.dim(d) - linalg.rank(self.span_slice_rows(d), field)
+        return self._slices.dim(d) - self.image_slice_dim(d)
 
     def image_slice_dim(self, d: int) -> int:
-        field = self.ring.field
-        full = linalg.rank(self.span_slice_rows(d), field)
-        return full - self.ideal_slice_rank(d)
+        return linalg.rank(self.span_slice_rows(d), self.ring.field)
 
     def hilbert_function(self, bound: int):
         """dim_k of the cokernel in degrees 0..bound."""
@@ -520,7 +539,9 @@ class ModulePresentation:
 
 def ideal_as_module(ideal: Ideal) -> ModulePresentation:
     """The ideal's generators as columns of a rank-one free module over R."""
-    return ModulePresentation(ideal.ring, None, [0], [(g,) for g in ideal.generators])
+    pres = ModulePresentation(ideal.ring, None, [0], [(g,) for g in ideal.generators])
+    pres.column_ideal = ideal
+    return pres
 
 
 def residue_field_presentation(ring: PolyRing, modulus) -> ModulePresentation:
@@ -571,28 +592,12 @@ def syzygies(pres: ModulePresentation, degree_bound: int) -> ModulePresentation:
     return ModulePresentation(pres.ring, pres.modulus, pres.col_degrees, gens)
 
 
-def _syzygy_slice(pres: ModulePresentation, domain: FreeSlices, d: int):
-    """Canonical basis of the degree-d syzygy slice in domain coordinates
-    (vectors x with sum x_j c_j = 0, modulo I*F over a quotient)."""
-    ring = pres.ring
-    field = ring.field
-    target = pres._slices
-    dom_basis = domain.basis(d)
-    if not dom_basis:
-        return []
-    cols = []
-    idx = target.index(d)
-    tdim = target.dim(d)
-    for j, m in dom_basis:
-        vec = pres.columns[j]
-        row = [field.zero()] * tdim
-        for i, p in enumerate(vec):
-            for pm, pc in p.terms.items():
-                pos = idx[(i, monomial_mul(pm, m))]
-                row[pos] = field.add(row[pos], pc)
-        cols.append(row)
-    ech, pivots = pres.ideal_echelon(d)
-    return linalg.kernel_modulo(cols, tdim, ech, field, subspace_pivots=pivots)
+def _syzygy_slice(pres: ModulePresentation, d: int):
+    """Canonical basis of the degree-d syzygy slice, in the quotient
+    coordinates of the free module on the columns: vectors x with
+    sum x_j c_j = 0 in F/IF (in F over R)."""
+    rows = pres.span_slice_rows(d)
+    return linalg.kernel_modulo(rows, pres.slices().dim(d), [], pres.ring.field)
 
 
 def _minimal_syzygies_by_degree(pres: ModulePresentation, degree_bound: int):
@@ -600,22 +605,20 @@ def _minimal_syzygies_by_degree(pres: ModulePresentation, degree_bound: int):
     to the bound with a nonzero syzygy slice, in increasing degree.
 
     Graded Nakayama on each slice: a vector is a new generator iff it leaves
-    m * (the degree d-1 slice) plus the I-multiples of the domain basis.
-    :func:`syzygy_generators` and :func:`first_syzygy_degree` both read
-    this one loop."""
+    m * (the degree d-1 slice); over S the I-multiples of the domain are
+    already zero in quotient coordinates.  :func:`syzygy_generators` and
+    :func:`first_syzygy_degree` both read this one loop."""
     if not pres.columns:
         return
     ring = pres.ring
     field = ring.field
-    domain = FreeSlices(ring, pres.col_degrees)
-    dom_pres = ModulePresentation(ring, pres.modulus, pres.col_degrees, [])
+    domain = FreeSlices(ring, pres.col_degrees, pres.modulus)
     prev: list = []
     for d in range(min(pres.col_degrees), degree_bound + 1):
-        basis_rows = _syzygy_slice(pres, domain, d)
+        basis_rows = _syzygy_slice(pres, d)
         if basis_rows:
             denom = [domain.multiply_coords_by_var(v, d - 1, var)
                      for v in prev for var in range(ring.nvars)]
-            denom.extend(dom_pres.ideal_slice_rows(d))
             chosen = linalg.independent_subset(denom, basis_rows, field)
             yield d, [domain.from_coords(basis_rows[c], d) for c in chosen]
         prev = basis_rows
@@ -639,27 +642,19 @@ def first_syzygy_degree(pres: ModulePresentation, degree_bound: int):
 
 def compose_is_zero(upper: ModulePresentation, lower: ModulePresentation) -> bool:
     """matrix(upper) . matrix(lower) == 0 (mod I over a quotient), the
-    d^2 = 0 check.  Each column of ``lower`` is mapped through ``upper`` in
-    slice coordinates, and the images of one degree must lie in (I*F) (be
-    zero over R); by linearity this is the full matrix identity."""
-    field = upper.ring.field
+    d^2 = 0 check.  Each column of ``lower`` is mapped through ``upper``,
+    every product monomial sent through the quotient table, and the image
+    must be zero in quotient coordinates, i.e. lie in I*F (be zero over R);
+    by linearity this is the full matrix identity."""
+    p = upper.ring.field.p
     target = upper.slices()
-    by_degree: dict[int, list] = {}
     for col, cd in zip(lower.columns, lower.col_degrees):
-        by_degree.setdefault(cd, []).append(col)
-    for d, cols in sorted(by_degree.items()):
-        idx = target.index(d)
-        images = []
-        for col in cols:
-            w = [field.zero()] * target.dim(d)
-            for p, ucol in zip(col, upper.columns):
-                for pm, pc in p.terms.items():
-                    for i, q in enumerate(ucol):
-                        for qm, qc in q.terms.items():
-                            pos = idx[(i, monomial_mul(qm, pm))]
-                            w[pos] = field.add(w[pos], field.mul(pc, qc))
-            images.append(w)
-        if not linalg.span_contains_all(upper.ideal_echelon(d)[0], images, field):
+        basis, blocks = target._slice(cd)
+        image = [0] * len(basis)
+        for entry, ucol in zip(col, upper.columns):
+            for m, c in entry.terms.items():
+                _add_multiple(image, blocks, ucol, m, c, p)
+        if any(image):
             return False
     return True
 

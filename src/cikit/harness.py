@@ -250,13 +250,17 @@ def _parse_expect_value(key, val):
         if val not in ("true", "false"):
             raise CorpusError(f"expect {key} must be true/false, got {val!r}")
         return val == "true"
-    if key in ("deviations", "ext"):
-        return [int(x) for x in val.split(",") if x]
-    if key == "h1mu":
-        return int(val)
+    try:
+        if key in ("deviations", "ext"):
+            return [int(x) for x in val.split(",") if x]
+        if key == "h1mu":
+            return int(val)
+    except ValueError:
+        kind = "an integer" if key == "h1mu" else "comma-separated integers"
+        raise CorpusError(f"expect {key} must be {kind}, got {val!r}") from None
     if key == "lenstra":
         if val not in ("trivial", "nontrivial"):
-            raise CorpusError(f"expect lenstra must be trivial/nontrivial")
+            raise CorpusError(f"expect lenstra must be trivial/nontrivial, got {val!r}")
         return val
     raise CorpusError(f"unknown expect key {key!r}")
 
@@ -298,7 +302,10 @@ def parse_corpus(text: str, base_bounds: Bounds | None = None):
             elif key == "expect":
                 for pair in rest.split():
                     k, _, v = pair.partition("=")
-                    expect[k] = _parse_expect_value(k, v)
+                    try:
+                        expect[k] = _parse_expect_value(k, v)
+                    except CorpusError as exc:
+                        raise CorpusError(f"line {lineno}: {exc}") from None
             else:
                 raise CorpusError(f"line {lineno}: unknown clause {key!r}")
         if not name:

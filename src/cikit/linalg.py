@@ -125,7 +125,9 @@ def kernel_modulo(cols, target_dim: int, subspace_rows, field: Field,
     of the target.  The subspace is echelonized (or taken as the given
     echelon when ``subspace_pivots`` is passed) and the columns reduced
     against it, which keeps the elimination square in the quotient
-    dimensions.
+    dimensions.  Slices of modules over S = R/I pass no subspace: their
+    columns are already in the quotient coordinates of
+    :class:`cikit.groebner.FreeSlices`, where I*F is zero.
     """
     if not cols:
         return []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import add
 
 from .fields import Field
 
@@ -77,7 +78,7 @@ LEX = _Lex("lex")
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def monomial_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))

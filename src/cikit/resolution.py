@@ -131,15 +131,19 @@ class ProjDimCertificate:
         return f"NotTerminatedWithin({self.value})"
 
 
-def _generator_degree_caps(first: ModulePresentation, length_bound: int, degree_bound: int):
+def _generator_degree_caps(first: ModulePresentation, ideal, length_bound: int,
+                           degree_bound: int):
     """caps[i] bounds the generator degrees of F_i in the resolution of
     coker(first), and F_i = 0 for i >= len(caps).  Over R with one row the
     cokernel is R/I up to a shift, and :meth:`Ideal.taylor_degree_bounds`,
-    capped, gives both; otherwise every step runs to the cap."""
+    capped, gives both; otherwise every step runs to the cap.  ``ideal`` is
+    the Ideal the columns generate when the caller has it, so that its
+    memoized Groebner basis serves, else None."""
     if first.nrows == 1 and not first.over_quotient():
+        if ideal is None:
+            ideal = Ideal(first.ring, [col[0] for col in first.columns])
         shift = first.row_degrees[0]
-        taylor = Ideal(first.ring, [col[0] for col in first.columns]).taylor_degree_bounds()
-        return [min(degree_bound, t + shift) for t in taylor]
+        return [min(degree_bound, t + shift) for t in ideal.taylor_degree_bounds()]
     return [degree_bound] * (length_bound + 2)
 
 
@@ -164,7 +168,10 @@ def minimal_free_resolution(
         return FreeResolution(
             pres.ring, pres.modulus, pruned.row_degrees, [], ("terminated", 0), degree_bound
         )
-    caps = _generator_degree_caps(first, length_bound, degree_bound)
+    # pruning removes a row with each unit it clears, so with as many rows
+    # the columns are the input's and generate its column ideal
+    ideal = pres.column_ideal if pruned.nrows == pres.nrows else None
+    caps = _generator_degree_caps(first, ideal, length_bound, degree_bound)
     maps = [first]
     while len(maps) < length_bound and len(maps) + 1 < len(caps):
         nxt = syzygies(maps[-1], caps[len(maps) + 1])

@@ -73,6 +73,21 @@ def test_corpus_bound_error_names_the_line():
         parse_corpus(text)
 
 
+def test_corpus_expect_errors_name_the_line():
+    head = "entry a / ring x / ideal x^2\nentry b / ring x / ideal x / expect "
+    for clause, message in (
+        ("h1mu=abc", "expect h1mu must be an integer, got 'abc'"),
+        ("ext=1,x", "expect ext must be comma-separated integers, got '1,x'"),
+        ("deviations=1.5", "expect deviations must be comma-separated integers, got '1.5'"),
+        ("ci=maybe", "expect ci must be true/false, got 'maybe'"),
+        ("lenstra=no", "expect lenstra must be trivial/nontrivial, got 'no'"),
+        ("colour=red", "unknown expect key 'colour'"),
+    ):
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(head + clause + "\n")
+        assert str(info.value) == "line 2: " + message
+
+
 def test_corpus_parse():
     entries = parse_corpus(MINI_CORPUS)
     assert [e.name for e in entries] == ["ci", "aci"]
@@ -221,6 +236,25 @@ def test_cli_bound_errors_are_one_line(tmp_path):
     ):
         out = run_cli(*args)
         assert out.exit_code != 0 and out.output == message + "\n", out.output
+
+
+def test_cli_math_errors_are_one_line(tmp_path):
+    bad = tmp_path / "bad.corpus"
+    bad.write_text("entry a / ring x / ideal x^2 / expect h1mu=abc\n")
+    hdeg = "Error: homological bound must be at least 2"
+    for args, message in (
+        *((["model", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg),
+          (["pi", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg),
+          (["bracket", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg),
+          (["theta", "--bounds", "hdeg=1", "--z", "p2_1", "--ring", "x,y", "x^2"], hdeg),
+          (["radical", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg)),
+        (["resolve", "--ring", "x,y", "x^2 + y"], "Error: mixed degrees [1, 2] in x^2 + y"),
+        (["ci", "--field", "F4", "--ring", "x", "x"], "Error: 4 is not prime"),
+        (["corpus", "run", str(bad)],
+         "Error: line 1: expect h1mu must be an integer, got 'abc'"),
+    ):
+        out = run_cli(*args)
+        assert out.exit_code == 1 and out.output == message + "\n", out.output
 
 
 @pytest.mark.parametrize("vars_, gens", [

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from conftest import homogeneous_ideals
 
 from cikit import groebner as gr
-from cikit.fields import QQ
+from cikit.fields import GF, QQ
 from cikit.poly import PolyRing
 from cikit.resolution import (
     FreeResolution,
@@ -86,6 +86,16 @@ def test_ext_betti_linear_modulus_uses_rate_one():
     R3 = PolyRing(QQ, ["x", "y", "z"])
     assert ext_degree_bound(ideal(R3, "x"), 5) == 5
     assert ext_betti(R3, ideal(R3, "x"), 5) == [1, 2, 1, 0, 0, 0]
+
+
+def test_ext_of_k_past_the_corpus_frontier():
+    # four quadrics in four variables over GF(32003): HF_S is 1, 4, 6, 4, 2,
+    # 2, ... against HF_R 1, 4, 10, 20, 35, ..., and Backelin's bound is 10
+    # at n = 4, so slices in quotient coordinates stay small; in ring
+    # coordinates this took seconds
+    R4 = PolyRing(GF(32003), ["x", "y", "z", "w"])
+    I = ideal(R4, "x^2 + y*z", "y^2 + z*w", "z^2 + x*w", "x*y + z*w")
+    assert ext_betti(R4, I, 4) == [1, 4, 10, 21, 41]
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
