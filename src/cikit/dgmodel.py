@@ -7,6 +7,13 @@ degree through exact linear algebra.  Odd-degree variables square to zero,
 even ones are polynomial; all sign bookkeeping is funnelled through one
 monomial-merge routine so the Koszul sign convention lives in a single spot.
 
+Each A_h is a free R-module on the dg monomials of homological degree h, one
+row each in its internal degree, and is sliced by internal degree through
+:class:`cikit.groebner.FreeSlices` (:meth:`DgAlgebraModel.slices`).  The
+differential's slice rows are the multiples of each d(w), so cycles, the
+Nakayama selection of new variables and the acyclicity ranks are all read in
+those coordinates.
+
 The construction refuses characteristic 2 (globally) and prime fields with
 p <= the homological bound: even-variable p-th powers would create spurious
 homology that a strictly graded-commutative model cannot kill minimally.
@@ -24,6 +31,7 @@ from .groebner import (
     ModulePresentation,
     compose_is_zero,
     quotient_hilbert_by_monomials,
+    scatter_multiples,
 )
 from .poly import PolyRing, Polynomial, monomial_mul
 from .resolution import ext_degree_bound
@@ -252,8 +260,9 @@ class DgAlgebraModel:
         self.differentials: list[DgElement] = []
         self.warnings: list[str] = []
         self._mon_cache: dict = {}
-        self._basis_cache: dict = {}
+        self._slices: dict = {}
         self._dw_cache: dict = {}
+        self._dvec_cache: dict = {}
         self._diff_cache: dict = {}
 
     # -- construction ------------------------------------------------------
@@ -407,69 +416,50 @@ class DgAlgebraModel:
             if e:
                 current.pop()
 
-    def slice_basis(self, hdeg: int, d: int):
-        """Basis [(ring monomial, dg monomial)] of the (hdeg, d) slice."""
-        key = (len(self.variables), hdeg, d)
-        if key not in self._basis_cache:
-            out = []
+    def slices(self, hdeg: int) -> FreeSlices:
+        """A_hdeg as a free R-module on the dg monomials of that degree, one
+        row each in its internal degree, sliced by internal degree (cached
+        per stage)."""
+        key = (len(self.variables), hdeg)
+        if key not in self._slices:
+            self._slices[key] = FreeSlices(
+                self.ring, [self.dgmon_intdeg(w) for w in self.dg_monomials(hdeg)])
+        return self._slices[key]
+
+    def element_from_coords(self, coords, hdeg: int, d: int) -> DgElement:
+        """The element of A_hdeg with these coordinates in the degree-d slice."""
+        vec = self.slices(hdeg).from_coords(coords, d)
+        return DgElement(self, {(m, w): c for w, p in zip(self.dg_monomials(hdeg), vec)
+                                for m, c in p.terms.items()})
+
+    def _differential_vectors(self, hdeg: int):
+        """d(w) for each dg monomial w of degree hdeg, as a vector over the
+        dg monomials of degree hdeg - 1 (cached per stage)."""
+        key = (len(self.variables), hdeg)
+        if key not in self._dvec_cache:
+            position = {w: i for i, w in enumerate(self.dg_monomials(hdeg - 1))}
+            vecs = []
             for w in self.dg_monomials(hdeg):
-                wd = self.dgmon_intdeg(w)
-                for m in self.ring.monomials_of_degree(d - wd):
-                    out.append((m, w))
-            index = {b: p for p, b in enumerate(out)}
-            self._basis_cache[key] = (out, index)
-        return self._basis_cache[key]
-
-    def slice_dim(self, hdeg: int, d: int) -> int:
-        return len(self.slice_basis(hdeg, d)[0])
-
-    def element_coords(self, elem: DgElement, hdeg: int, d: int):
-        _, index = self.slice_basis(hdeg, d)
-        row = [self.field.zero()] * len(index)
-        for key, c in elem.terms.items():
-            row[index[key]] = c
-        return row
-
-    def element_from_coords(self, coords, hdeg: int, d: int):
-        basis, _ = self.slice_basis(hdeg, d)
-        F = self.field
-        return DgElement(
-            self, {basis[p]: c for p, c in enumerate(coords) if not F.is_zero(c)}
-        )
+                polys = [{} for _ in position]
+                for (m, ww), c in self._dw(w).terms.items():
+                    polys[position[ww]][m] = c
+                vecs.append(tuple(Polynomial(self.ring, t) for t in polys))
+            self._dvec_cache[key] = vecs
+        return self._dvec_cache[key]
 
     def differential_rows(self, hdeg: int, d: int):
-        """Images of the (hdeg, d) basis under d, as coordinate rows in the
-        (hdeg-1, d) slice (cached per stage)."""
+        """Images of the (hdeg, d) slice basis under d, as coordinate rows in
+        the (hdeg-1, d) slice (cached per stage)."""
         key = (len(self.variables), hdeg, d)
-        cached = self._diff_cache.get(key)
-        if cached is not None:
-            return cached
-        basis, _ = self.slice_basis(hdeg, d)
-        rows = []
-        for m, w in basis:
-            shifted = DgElement(
-                self,
-                {(monomial_mul(m, dm), dww): dc for (dm, dww), dc in self._dw(w).terms.items()},
-            )
-            rows.append(self.element_coords(shifted, hdeg - 1, d))
-        self._diff_cache[key] = rows
-        return rows
-
-    def cycle_slice(self, hdeg: int, d: int):
-        """Canonical basis of the degree-(hdeg, d) cycles."""
-        basis, _ = self.slice_basis(hdeg, d)
-        if not basis:
-            return []
-        rows = self.differential_rows(hdeg, d)
-        matrix = linalg.transpose(rows, self.slice_dim(hdeg - 1, d), self.field)
-        return linalg.nullspace(matrix, len(basis), self.field)
-
-    def boundary_rows(self, hdeg: int, d: int):
-        """Coordinate rows spanning the boundaries inside the (hdeg, d) slice."""
-        if self.slice_dim(hdeg + 1, d) == 0:
-            return []
-        rows = self.differential_rows(hdeg + 1, d)
-        return [r for r in rows if any(not self.field.is_zero(v) for v in r)]
+        if key not in self._diff_cache:
+            target = self.slices(hdeg - 1)
+            rows = []
+            for w, vec in zip(self.dg_monomials(hdeg), self._differential_vectors(hdeg)):
+                wd = self.dgmon_intdeg(w)
+                if wd <= d:
+                    rows.extend(scatter_multiples(target, vec, wd, d))
+            self._diff_cache[key] = rows
+        return self._diff_cache[key]
 
     # -- variable bookkeeping ------------------------------------------------
 
@@ -541,27 +531,23 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
     field = model.field
     nvars = model.ring.nvars
     h = n - 1
+    h_slices = model.slices(h)
+    mons = model.dg_monomials(h)
     cycle_slices: dict[int, list] = {}
     new_vars = []  # (intdeg, cycle element)
-    # the (h, d) slices in the order of slice_basis: one free row per dg
-    # monomial, in its internal degree
-    h_slices = FreeSlices(model.ring, [model.dgmon_intdeg(w) for w in model.dg_monomials(h)])
 
-    # positions of bare-variable monomials (unit coefficient on one variable):
-    # a minimal model never produces cycles through them, which we assert
     for d in range(0, model.intdeg_bound + 1):
-        basis, _ = model.slice_basis(h, d)
-        if not basis:
-            cycle_slices[d] = []
-            continue
-        cycles = linalg.rref(model.cycle_slice(h, d), field)[0]
+        cycles = linalg.kernel_modulo(
+            model.differential_rows(h, d), model.slices(h - 1).dim(d), [], field)
         cycle_slices[d] = cycles
         if not cycles:
             continue
+        # a minimal model never produces cycles through a bare variable (unit
+        # coefficient on one variable), which we assert
         linear_positions = [
             pos
-            for pos, (m, w) in enumerate(basis)
-            if not any(m) and model.dgmon_length(w) == 1
+            for pos, (i, m) in enumerate(h_slices.basis(d))
+            if not any(m) and model.dgmon_length(mons[i]) == 1
         ]
         for z in cycles:
             for pos in linear_positions:
@@ -569,9 +555,8 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
                     raise ModelError(
                         f"cycle with unit linear term at stage {n}, degree {d}"
                     )
-        denom = list(model.boundary_rows(h, d))
-        prev = cycle_slices.get(d - 1, [])
-        for zvec in prev:
+        denom = list(model.differential_rows(n, d))
+        for zvec in cycle_slices.get(d - 1, []):
             for var in range(nvars):
                 denom.append(h_slices.multiply_coords_by_var(zvec, d - 1, var))
         chosen = linalg.independent_subset(denom, cycles, field)
@@ -646,12 +631,12 @@ def verify_model_acyclicity(model: DgAlgebraModel):
     ]
     target_hf = quotient_hilbert_by_monomials(model.ideal, model.intdeg_bound)
     for d in degrees:
-        h0 = model.ring.slice_dim(d) - rank[1][d]
+        h0 = model.slices(0).dim(d) - rank[1][d]
         if h0 != target_hf[d]:
             failures.append(f"H_0 mismatch at degree {d}: {h0} vs {target_hf[d]}")
     for i in range(1, model.hdeg_bound):
         for d in degrees:
-            hd = model.slice_dim(i, d) - rank[i][d] - rank[i + 1][d]
+            hd = model.slices(i).dim(d) - rank[i][d] - rank[i + 1][d]
             if hd != 0:
                 failures.append(f"H_{i} nonzero at degree {d}: dim {hd}")
     return failures

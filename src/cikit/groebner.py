@@ -8,7 +8,11 @@ finite-dimensional graded slices, which keeps one code path for modules
 over R and over quotients S = R/I: a slice is taken in quotient
 coordinates, on a k-basis of S_e read off the RREF of I_e
 (:meth:`Ideal.quotient_slice`), so slice sizes follow HF_S.  Over R the
-ideal is zero and the coordinates are the monomial ones.
+ideal is zero and the coordinates are the monomial ones.  The same
+:class:`FreeSlices` serve the minimal model, whose A_h is a free R-module on
+its dg monomials (:mod:`cikit.dgmodel`), and the free-summand probe of
+Koszul H1, which reads Hom(H1, S) off the syzygy slices of the transposed
+presentation (:mod:`cikit.koszul`).
 
 Degree bounds are explicit everywhere a module is only knowable up to a
 slice: results above the bound are reported as unknown, never guessed.

@@ -59,7 +59,8 @@ class HomotopyLieTruncation:
         for e in self.basis.values():
             if e.name == name:
                 return e
-        raise KeyError(name)
+        names = ", ".join(e.name for e in self.basis.values()) or "none"
+        raise ModelError(f"no element {name} in pi (basis: {names})")
 
     def bracket_of(self, u: PiBasisElement, v: PiBasisElement) -> dict:
         return self.bracket.get((u.var_index, v.var_index), {})
@@ -208,9 +209,9 @@ def check_jacobi(pi: HomotopyLieTruncation):
             for w in elems:
                 if u.degree + v.degree + w.degree > pi.N:
                     continue
-                lhs = _bracket_with_combo(pi, u, pi.bracket_of(v, w))
-                t1 = _combo_bracket_with(pi, pi.bracket_of(u, v), w)
-                t2 = _bracket_with_combo(pi, v, pi.bracket_of(u, w))
+                lhs = _bracket_combos(pi, {u.var_index: F.one()}, pi.bracket_of(v, w))
+                t1 = _bracket_combos(pi, pi.bracket_of(u, v), {w.var_index: F.one()})
+                t2 = _bracket_combos(pi, {v.var_index: F.one()}, pi.bracket_of(u, w))
                 sign = F.of_int(-1 if (u.degree * v.degree) % 2 else 1)
                 total: dict = {}
                 for src, sgn in ((lhs, F.of_int(1)), (t1, F.of_int(-1)),
@@ -228,35 +229,20 @@ def check_jacobi(pi: HomotopyLieTruncation):
     return failures
 
 
-def _bracket_with_combo(pi, u, combo: dict) -> dict:
+def _bracket_combos(pi, left: dict, right: dict) -> dict:
+    """[left, right] for combinations {var index: coeff} of basis elements,
+    extended bilinearly from the table; pairs outside it contribute 0."""
     F = pi.model.field
     out: dict = {}
-    for tv, c in combo.items():
-        inner = pi.bracket.get((u.var_index, tv))
-        if inner is None:
-            continue
-        for t2, c2 in inner.items():
-            s = F.add(out.get(t2, F.zero()), F.mul(c, c2))
-            if F.is_zero(s):
-                out.pop(t2, None)
-            else:
-                out[t2] = s
-    return out
-
-
-def _combo_bracket_with(pi, combo: dict, w) -> dict:
-    F = pi.model.field
-    out: dict = {}
-    for tv, c in combo.items():
-        inner = pi.bracket.get((tv, w.var_index))
-        if inner is None:
-            continue
-        for t2, c2 in inner.items():
-            s = F.add(out.get(t2, F.zero()), F.mul(c, c2))
-            if F.is_zero(s):
-                out.pop(t2, None)
-            else:
-                out[t2] = s
+    for a, ca in left.items():
+        for b, cb in right.items():
+            c = F.mul(ca, cb)
+            for t, ct in pi.bracket.get((a, b), {}).items():
+                s = F.add(out.get(t, F.zero()), F.mul(c, ct))
+                if F.is_zero(s):
+                    out.pop(t, None)
+                else:
+                    out[t] = s
     return out
 
 

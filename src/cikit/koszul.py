@@ -3,21 +3,22 @@
 H1 is the test module for the Koszul-side rigidity theorem: it vanishes
 exactly when the generators form a regular sequence, and its S-module
 presentation here is (syzygies of the generators) modulo the Koszul
-boundaries f_i e_j - f_j e_i.
+boundaries f_i e_j - f_j e_i.  The free-summand probe reads
+Hom(H1, S) = ker P^T for that presentation P, as syzygy slices of the
+transposed presentation.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import linalg
 from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
+    _syzygy_slice,
     compose_is_zero,
     minimal_generators,
-    standard_monomials,
     syzygies,
 )
 
@@ -183,51 +184,32 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
 def h1_free_summand_probe(h1: KoszulH1) -> str:
     """Detect a free S-summand of H1 within the computed degree range.
 
-    Searches for a graded map H1 -> S sending some minimal generator to 1;
-    such a map splits off a free summand.  Returns "FreeSummand" or
-    "NoneFoundWithinBound".
+    Searches for a graded map H1 -> S sending some minimal generator g_i to
+    1; such a map splits off a free summand.  With P the presentation,
+    Hom(H1, S) = ker P^T: the transposed presentation has one column per
+    generator, in degree -a_j, and one row per relation, in degree -c, so
+    Hom(H1, S)_{-a_i} is its degree -a_i syzygy slice, and the map exists
+    iff some basis vector there has a nonzero coordinate at (g_i, 1).
+    Returns "FreeSummand" or "NoneFoundWithinBound".
     """
     if h1.is_zero():
         return "NoneFoundWithinBound"
     pres = h1.presentation
     ring = pres.ring
-    field = ring.field
-    ideal = pres.modulus
-    gb = ideal.groebner()
-
-    t = len(h1.cycle_degrees)
-    for i in range(t):
-        a_i = h1.cycle_degrees[i]
-        # unknowns: coefficients of s_j over standard monomials of S in
-        # degree a_j - a_i
-        unknowns = []  # (j, monomial)
-        for j, a_j in enumerate(h1.cycle_degrees):
-            for m in standard_monomials(ideal, a_j - a_i):
-                unknowns.append((j, m))
-        upos = {u: p for p, u in enumerate(unknowns)}
-        rows = []
-        rhs = []
-        # pin phi(g_i) = 1
-        unit = (i, (0,) * ring.nvars)
-        if unit not in upos:
-            continue
-        row = [field.zero()] * len(unknowns)
-        row[upos[unit]] = field.one()
-        rows.append(row)
-        rhs.append(field.one())
-        # each relation column r: sum_j r_j s_j = 0 in S
-        for col, cdeg in zip(pres.columns, pres.col_degrees):
-            out_deg = cdeg - a_i
-            mons = standard_monomials(ideal, out_deg)
-            pos_of = {m: p for p, m in enumerate(mons)}
-            block = [[field.zero()] * len(unknowns) for _ in mons]
-            for (j, m), p in upos.items():
-                prod = gb.normal_form(col[j].mul_monomial(m))
-                for pm, pc in prod.terms.items():
-                    block[pos_of[pm]][p] = field.add(block[pos_of[pm]][p], pc)
-            for brow in block:
-                rows.append(brow)
-                rhs.append(field.zero())
-        if linalg.solve(rows, len(unknowns), rhs, field) is not None:
+    gens = range(len(h1.cycle_degrees))
+    # a generator in no relation is a summand by itself (and P^T would drop
+    # its zero column)
+    if any(all(col[j].is_zero() for col in pres.columns) for j in gens):
+        return "FreeSummand"
+    transposed = ModulePresentation(
+        ring, pres.modulus, [-c for c in pres.col_degrees],
+        [tuple(col[j] for col in pres.columns) for j in gens])
+    domain = FreeSlices(ring, transposed.col_degrees, pres.modulus)
+    unit = (0,) * ring.nvars
+    for a in sorted(set(h1.cycle_degrees)):
+        homs = _syzygy_slice(transposed, -a)
+        basis = domain.basis(-a)
+        units = [basis.index((i, unit)) for i in gens if h1.cycle_degrees[i] == a]
+        if any(v[p] for v in homs for p in units):
             return "FreeSummand"
     return "NoneFoundWithinBound"

@@ -169,23 +169,3 @@ def transpose(rows, ncols: int, field: Field):
                 out[j][i] = v
     return out
 
-
-def solve(rows, ncols: int, rhs, field: Field):
-    """One solution x of M x = rhs, or None.  Canonical (free vars zero)."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
-    zero = field.zero()
-    x = [zero] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # inconsistent
-        x[pc] = red[i][ncols]
-    # verify (guards against free-variable interactions)
-    for row, b in zip(rows, rhs):
-        acc = zero
-        for a, v in zip(row, x):
-            if a and v:
-                acc = field.add(acc, field.mul(a, v))
-        if acc != b:
-            return None
-    return x

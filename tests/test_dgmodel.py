@@ -21,7 +21,7 @@ from cikit.dgmodel import (
 )
 from cikit import linalg
 from cikit.fields import QQ, GF
-from cikit.poly import PolyRing
+from cikit.poly import PolyRing, monomial_mul
 from cikit.resolution import ext_degree_bound
 
 
@@ -196,6 +196,121 @@ def test_model_ends_at_backelin_bound(ring_gens):
             == [(v.hdeg, v.intdeg) for v in model.variables])
 
 
+# -- the FreeSlices model against the R[X] slice code it replaced -----------
+
+
+def reference_slice_basis(model, hdeg, d):
+    """Basis [(ring monomial, dg monomial)] of the (hdeg, d) slice, with
+    its index."""
+    out = []
+    for w in model.dg_monomials(hdeg):
+        wd = model.dgmon_intdeg(w)
+        for m in model.ring.monomials_of_degree(d - wd):
+            out.append((m, w))
+    return out, {b: p for p, b in enumerate(out)}
+
+
+def reference_slice_dim(model, hdeg, d):
+    return len(reference_slice_basis(model, hdeg, d)[0])
+
+
+def reference_element_coords(model, elem, hdeg, d):
+    _, index = reference_slice_basis(model, hdeg, d)
+    row = [model.field.zero()] * len(index)
+    for key, c in elem.terms.items():
+        row[index[key]] = c
+    return row
+
+
+def reference_element_from_coords(model, coords, hdeg, d):
+    basis, _ = reference_slice_basis(model, hdeg, d)
+    return dgmodel.DgElement(
+        model, {basis[p]: c for p, c in enumerate(coords) if not model.field.is_zero(c)})
+
+
+def reference_differential_rows(model, hdeg, d):
+    basis, _ = reference_slice_basis(model, hdeg, d)
+    rows = []
+    for m, w in basis:
+        shifted = dgmodel.DgElement(
+            model,
+            {(monomial_mul(m, dm), dww): dc for (dm, dww), dc in model._dw(w).terms.items()},
+        )
+        rows.append(reference_element_coords(model, shifted, hdeg - 1, d))
+    return rows
+
+
+def reference_cycle_slice(model, hdeg, d):
+    basis, _ = reference_slice_basis(model, hdeg, d)
+    if not basis:
+        return []
+    rows = reference_differential_rows(model, hdeg, d)
+    matrix = linalg.transpose(rows, reference_slice_dim(model, hdeg - 1, d), model.field)
+    return linalg.nullspace(matrix, len(basis), model.field)
+
+
+def reference_boundary_rows(model, hdeg, d):
+    if reference_slice_dim(model, hdeg + 1, d) == 0:
+        return []
+    rows = reference_differential_rows(model, hdeg + 1, d)
+    return [r for r in rows if any(not model.field.is_zero(v) for v in r)]
+
+
+def reference_adjoin_stage(model, n):
+    """_adjoin_stage as it was, on the slice code above and a second
+    FreeSlices listing its basis in the same order."""
+    field = model.field
+    nvars = model.ring.nvars
+    h = n - 1
+    cycle_slices = {}
+    new_vars = []
+    h_slices = gr.FreeSlices(model.ring, [model.dgmon_intdeg(w) for w in model.dg_monomials(h)])
+    for d in range(0, model.intdeg_bound + 1):
+        basis, _ = reference_slice_basis(model, h, d)
+        if not basis:
+            cycle_slices[d] = []
+            continue
+        cycles = linalg.rref(reference_cycle_slice(model, h, d), field)[0]
+        cycle_slices[d] = cycles
+        if not cycles:
+            continue
+        linear_positions = [
+            pos
+            for pos, (m, w) in enumerate(basis)
+            if not any(m) and model.dgmon_length(w) == 1
+        ]
+        for z in cycles:
+            for pos in linear_positions:
+                if not field.is_zero(z[pos]):
+                    raise dgmodel.ModelError(
+                        f"cycle with unit linear term at stage {n}, degree {d}"
+                    )
+        denom = list(reference_boundary_rows(model, h, d))
+        prev = cycle_slices.get(d - 1, [])
+        for zvec in prev:
+            for var in range(nvars):
+                denom.append(h_slices.multiply_coords_by_var(zvec, d - 1, var))
+        chosen = linalg.independent_subset(denom, cycles, field)
+        for c in chosen:
+            new_vars.append((d, reference_element_from_coords(model, cycles[c], h, d)))
+    for intdeg, cycle in new_vars:
+        model.add_variable(n, intdeg, cycle)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_model_matches_the_r_x_slice_reference(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    model = build_minimal_model(I, 3, 6)
+    with mock.patch.object(dgmodel, "_adjoin_stage", reference_adjoin_stage):
+        reference = build_minimal_model(I, 3, 6)
+    assert model.dump() == reference.dump()
+    for h in range(1, model.hdeg_bound + 2):
+        for d in range(model.intdeg_bound + 1):
+            assert model.differential_rows(h, d) == reference_differential_rows(model, h, d)
+
+
 # -- the rank-table acyclicity check against the body it replaced -------------
 
 
@@ -205,19 +320,19 @@ def reference_model_acyclicity(model):
     field = model.field
 
     def homology_dim(hdeg, d):
-        dim_here = model.slice_dim(hdeg, d)
+        dim_here = reference_slice_dim(model, hdeg, d)
         if dim_here == 0:
             return 0
-        if model.slice_dim(hdeg - 1, d) == 0:
+        if reference_slice_dim(model, hdeg - 1, d) == 0:
             cycle_dim = dim_here
         else:
-            cycle_dim = dim_here - linalg.rank(model.differential_rows(hdeg, d), field)
-        return cycle_dim - linalg.rank(model.boundary_rows(hdeg, d), field)
+            cycle_dim = dim_here - linalg.rank(reference_differential_rows(model, hdeg, d), field)
+        return cycle_dim - linalg.rank(reference_boundary_rows(model, hdeg, d), field)
 
     failures = []
     target_hf = gr.quotient_hilbert_by_monomials(model.ideal, model.intdeg_bound)
     for d in range(model.intdeg_bound + 1):
-        h0 = model.ring.slice_dim(d) - linalg.rank(model.boundary_rows(0, d), field)
+        h0 = model.ring.slice_dim(d) - linalg.rank(reference_boundary_rows(model, 0, d), field)
         if h0 != target_hf[d]:
             failures.append(f"H_0 mismatch at degree {d}: {h0} vs {target_hf[d]}")
     for i in range(1, model.hdeg_bound):

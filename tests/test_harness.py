@@ -242,12 +242,19 @@ def test_cli_math_errors_are_one_line(tmp_path):
     bad = tmp_path / "bad.corpus"
     bad.write_text("entry a / ring x / ideal x^2 / expect h1mu=abc\n")
     hdeg = "Error: homological bound must be at least 2"
+
+    def unknown(name):
+        return (f"Error: no element {name} in pi (basis: p2_1, p2_2, p3_1, p4_1, p5_1, "
+                "p5_2, p6_1, p6_2, p6_3)")
+
     for args, message in (
         *((["model", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg),
           (["pi", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg),
           (["bracket", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg),
           (["theta", "--bounds", "hdeg=1", "--z", "p2_1", "--ring", "x,y", "x^2"], hdeg),
           (["radical", "--bounds", "hdeg=1", "--ring", "x,y", "x^2"], hdeg)),
+        *((["theta", "--z", "p2_9", "--ring", "x,y", "x^2, x*y"], unknown("p2_9")),
+          (["radical", "--z", "nope", "--ring", "x,y", "x^2, x*y"], unknown("nope"))),
         (["resolve", "--ring", "x,y", "x^2 + y"], "Error: mixed degrees [1, 2] in x^2 + y"),
         (["ci", "--field", "F4", "--ring", "x", "x"], "Error: 4 is not prime"),
         (["corpus", "run", str(bad)],

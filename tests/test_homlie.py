@@ -75,6 +75,20 @@ def test_lie_identities(R):
         assert check_jacobi(pi) == []
 
 
+def test_jacobi_failure_names_each_broken_triple(R):
+    # [p2_2, p2_1] = p4_1 on (x^2, xy, y^2), changed to 2 * p4_1
+    _, pi = setup(R, "x^2", "x*y", "y^2")
+    u, v, t = (pi.element_by_name(n) for n in ("p2_2", "p2_1", "p4_1"))
+    pi.bracket[(u.var_index, v.var_index)][t.var_index] = R.field.of_int(2)
+    assert check_jacobi(pi) == [
+        "Jacobi fails on (p2_1,p2_2,p2_1): {14: -1}",
+        "Jacobi fails on (p2_2,p2_1,p2_2): {17: -1}",
+        "Jacobi fails on (p2_2,p2_1,p2_3): {18: -1, 16: 1}",
+        "Jacobi fails on (p2_2,p2_3,p2_1): {18: 1, 16: -1}",
+        "Jacobi fails on (p2_3,p2_2,p2_1): {16: 1, 18: -1}",
+    ]
+
+
 def test_theta_values(R):
     model, pi = setup(R, "x^2", "x*y")
     z1 = pi.by_degree[2][0]

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from conftest import homogeneous_ideals
 
@@ -91,6 +92,17 @@ def test_free_summand_probe(R):
     fake = KoszulH1(h.complex, h.cycle_reps, h.cycle_degrees,
                     ModulePresentation(R, I, [3], []), 10)
     assert h1_free_summand_probe(fake) == "FreeSummand"
+    # both generators in the one relation y*g1 - y^2*g2 = y*(g1 - y*g2), g1 in
+    # degree 3 and g2 in degree 2: g2 splits off (g1 does not), found through
+    # the kernel of the transposed presentation; against y*g1 + x*g2 in
+    # equal degrees neither generator does
+    x, y = R.from_string("x"), R.from_string("y")
+    for degrees, col, verdict in (([3, 2], (y, -y * y), "FreeSummand"),
+                                  ([3, 3], (y, x), "NoneFoundWithinBound")):
+        fake = KoszulH1(h.complex, h.cycle_reps * 2, degrees,
+                        ModulePresentation(R, I, degrees, [col]), 10)
+        assert h1_free_summand_probe(fake) == verdict
+        assert reference_free_summand_probe(fake) == verdict
 
 
 def test_ci_corpus_h1_zero():
@@ -186,3 +198,75 @@ def test_h1_hilbert_routes_agree(ring_gens):
     direct = h1.direct_hilbert_function(bound)
     assert direct == reference_direct_hilbert_function(h1, bound)
     assert h1.hilbert_function(bound) == direct
+
+
+# -- the free-summand probe against the Hom(H1, S) system it replaced ---------
+
+
+def reference_solve(rows, ncols, rhs, field):
+    """One solution x of M x = rhs, or None (free variables zero)."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = linalg.rref(aug, field)
+    zero = field.zero()
+    x = [zero] * ncols
+    for i, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        x[pc] = red[i][ncols]
+    for row, b in zip(rows, rhs):
+        acc = zero
+        for a, v in zip(row, x):
+            if a and v:
+                acc = field.add(acc, field.mul(a, v))
+        if acc != b:
+            return None
+    return x
+
+
+def reference_free_summand_probe(h1):
+    """h1_free_summand_probe as it was: for each generator g_i, unknowns
+    s_j over the standard monomials of S in degree a_j - a_i, the pin
+    s_i = 1, and each relation's sum r_j s_j = 0 in normal form."""
+    if h1.is_zero():
+        return "NoneFoundWithinBound"
+    pres = h1.presentation
+    ring = pres.ring
+    field = ring.field
+    ideal = pres.modulus
+    gb = ideal.groebner()
+    for i in range(len(h1.cycle_degrees)):
+        a_i = h1.cycle_degrees[i]
+        unknowns = [(j, m) for j, a_j in enumerate(h1.cycle_degrees)
+                    for m in gr.standard_monomials(ideal, a_j - a_i)]
+        upos = {u: p for p, u in enumerate(unknowns)}
+        unit = (i, (0,) * ring.nvars)
+        if unit not in upos:
+            continue
+        row = [field.zero()] * len(unknowns)
+        row[upos[unit]] = field.one()
+        rows, rhs = [row], [field.one()]
+        for col, cdeg in zip(pres.columns, pres.col_degrees):
+            mons = gr.standard_monomials(ideal, cdeg - a_i)
+            pos_of = {m: p for p, m in enumerate(mons)}
+            block = [[field.zero()] * len(unknowns) for _ in mons]
+            for (j, m), p in upos.items():
+                prod = gb.normal_form(col[j].mul_monomial(m))
+                for pm, pc in prod.terms.items():
+                    block[pos_of[pm]][p] = field.add(block[pos_of[pm]][p], pc)
+            rows.extend(block)
+            rhs.extend([field.zero()] * len(block))
+        if reference_solve(rows, len(unknowns), rhs, field) is not None:
+            return "FreeSummand"
+    return "NoneFoundWithinBound"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3), st.integers(2, 5))
+def test_free_summand_probe_matches_the_hom_system(ring_gens, cap):
+    # caps below the relations' degrees leave H1 with too few relations,
+    # so both verdicts occur
+    ring, gens = ring_gens
+    h1 = koszul_h1(gr.Ideal(ring, gens), cap)
+    verdict = h1_free_summand_probe(h1)
+    event(verdict)
+    assert verdict == reference_free_summand_probe(h1)

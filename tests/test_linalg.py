@@ -57,13 +57,6 @@ def test_span_contains_all():
     assert not linalg.span_contains_all(span, frac_rows([[0, 0, 1]]), QQ)
 
 
-def test_solve():
-    A = frac_rows([[1, 1], [1, -1]])
-    assert linalg.solve(A, 2, [Fraction(3), Fraction(1)], QQ) == [Fraction(2), Fraction(1)]
-    B = frac_rows([[1, 0], [1, 0]])
-    assert linalg.solve(B, 2, [Fraction(1), Fraction(2)], QQ) is None
-
-
 def test_kernel_modulo_matches_bruteforce():
     # {x : M x in span(W)} computed two ways over GF(7) and Q
     rng = random.Random(3)
@@ -408,10 +401,9 @@ def test_q_rows_give_equal_results_as_int_fraction_or_mixed(data):
     forms = data.draw(q_matrix_forms(m, n))
     others = data.draw(q_matrix_forms(data.draw(st.integers(0, 3)), n))
     vecs = data.draw(q_matrix_forms(data.draw(st.integers(0, 3)), n))
-    rhs = data.draw(q_matrix_forms(1, m))
     want_rref = fraction_rref(forms[1])
     results = []
-    for rows, extra, vs, b in zip(forms, others, vecs, rhs):
+    for rows, extra, vs in zip(forms, others, vecs):
         red, pivots = linalg.rref(rows, QQ)
         assert (red, pivots) == want_rref
         assert all(type(v) is int or v.denominator != 1 for row in red for v in row)
@@ -423,7 +415,6 @@ def test_q_rows_give_equal_results_as_int_fraction_or_mixed(data):
             linalg.independent_subset(extra, rows, QQ),
             linalg.kernel_modulo(rows, n, extra, QQ),
             linalg.reduce_mod_echelon(ech, ech_pivots, vs, QQ),
-            linalg.solve(rows, n, b[0], QQ),
         )
         assert_no_float(out)
         results.append(out)
