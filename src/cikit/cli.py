@@ -66,12 +66,12 @@ common_options = [
     click.option("--bounds", default="", callback=_bounds,
                  help="e.g. 'hdeg=5 intdeg=12 reslen=8'; intdeg caps internal "
                       "degrees (Z_1 runs to Schreyer's bound, the model to "
-                      "Backelin's and R/I over R to the Taylor bound of in(I), "
-                      "each at most intdeg; H1 relations, probes over S and "
-                      "Hilbert lists run to intdeg); reslen caps "
-                      "resolution length (projective-dimension probes stop at "
-                      "dim S + 1 steps anyway); the Ext cross-check resolves k "
-                      "to Backelin's degree bound, not to intdeg"),
+                      "Backelin's, R/I over R and H1's relations to bounds from "
+                      "the Taylor bounds of in(I), each at most intdeg; probes "
+                      "over S and Hilbert lists run to intdeg); reslen is the "
+                      "length bound of resolve only (projective-dimension "
+                      "probes stop at dim S + 1 steps); the Ext cross-check "
+                      "resolves k to Backelin's degree bound, not to intdeg"),
     click.option("--json", "as_json", is_flag=True, help="emit JSON"),
 ]
 

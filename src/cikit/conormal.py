@@ -276,7 +276,6 @@ def sharpvc_hypothesis_check(
     ideal: Ideal,
     alpha,  # matrix: rows over target generators, cols over conormal generators
     target: ModulePresentation,
-    length_bound: int,
     degree_bound: int,
     ci_predicate=None,
 ) -> SharpVCReport:
@@ -291,48 +290,27 @@ def sharpvc_hypothesis_check(
     if len(alpha) != target.nrows or any(len(r) != source.nrows for r in alpha):
         raise IllFormedMap("alpha has the wrong shape")
     # well-formedness: alpha maps every relation of I/I^2 into the target's
-    # relation submodule
-    for col, cdeg in zip(source.columns, source.col_degrees):
-        image = []
-        for i in range(target.nrows):
-            acc = ring.zero()
-            for j in range(source.nrows):
-                acc = acc + alpha[i][j] * col[j]
-            image.append(acc)
-        image = tuple(image)
-        if all(p.is_zero() for p in image):
-            continue
-        d = None
-        for p, rd in zip(image, target.row_degrees):
-            if p.is_zero():
-                continue
-            e = p.homogeneous_degree() + rd
-            if d is None:
-                d = e
-            elif d != e:
-                raise IllFormedMap("alpha is not degree-homogeneous")
+    # relation submodule; the images are homogeneous columns over the
+    # target's row degrees (zero ones dropped)
+    images = [tuple(sum((a * p for a, p in zip(row, col)), ring.zero()) for row in alpha)
+              for col in source.columns]
+    try:
+        image = ModulePresentation(ring, ideal, target.row_degrees, images)
+    except ValueError:
+        raise IllFormedMap("alpha is not degree-homogeneous") from None
+    for col, d in zip(image.columns, image.col_degrees):
         span = target.span_slice_rows(d)
-        vec = target.slices().coords(image, d)
+        vec = target.slices().coords(col, d)
         if not linalg.span_contains_all(span, [vec], field):
             raise IllFormedMap("alpha does not respect the conormal relations")
 
     # alpha (x) k: degree-0 entries between generators of equal degree
-    cols_k = []
-    for j in range(source.nrows):
-        col = []
-        for i in range(target.nrows):
-            p = alpha[i][j]
-            if (
-                not p.is_zero()
-                and target.row_degrees[i] == source.row_degrees[j]
-            ):
-                col.append(p.constant_coefficient())
-            else:
-                col.append(field.zero())
-        cols_k.append(col)
+    cols_k = [[alpha[i][j].constant_coefficient() if rd == sd else field.zero()
+               for i, rd in enumerate(target.row_degrees)]
+              for j, sd in enumerate(source.row_degrees)]
     injective = linalg.rank(cols_k, field) == source.nrows
 
-    probe = projdim_probe(target, length_bound, degree_bound)
+    probe = projdim_probe(target, degree_bound)
     hold = injective and probe.is_finite() and probe.certified
     ci_asserted = None
     if hold and ci_predicate is not None:

@@ -339,13 +339,20 @@ def _zero_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, [])
 
 
-def _add_multiple(row, blocks, vec, m, c, p):
-    """row += c * m * vec in quotient coordinates (``blocks`` as in
+def _support(vec):
+    """(row, terms) for the nonzero entries of a vector of polynomials."""
+    return [(i, poly.terms) for i, poly in enumerate(vec) if poly.terms]
+
+
+def _add_multiple(row, blocks, support, m, c, p):
+    """row += c * m * vec in quotient coordinates, vec given by its
+    :func:`_support`, so that zero entries cost nothing (``blocks`` as in
     :meth:`FreeSlices._slice`): every product monomial goes through its
     row's quotient table.  Entries stay reduced mod p over GF(p); p is None
     over Q."""
-    for (offset, table), poly in zip(blocks, vec):
-        for pm, pc in poly.terms.items():
+    for i, terms in support:
+        offset, table = blocks[i]
+        for pm, pc in terms.items():
             pc *= c
             for pos, a in table[monomial_mul(pm, m)]:
                 k = offset + pos
@@ -396,10 +403,11 @@ class FreeSlices:
         vector (tuple of polynomials) with m*vec of internal degree d."""
         basis, blocks = self._slice(d)
         p = self.ring.field.p
+        support = _support(vec)
         rows = []
         for m in monomials:
             row = [0] * len(basis)
-            _add_multiple(row, blocks, vec, m, 1, p)
+            _add_multiple(row, blocks, support, m, 1, p)
             rows.append(row)
         return rows
 
@@ -652,12 +660,13 @@ def compose_is_zero(upper: ModulePresentation, lower: ModulePresentation) -> boo
     by linearity this is the full matrix identity."""
     p = upper.ring.field.p
     target = upper.slices()
+    supports = [_support(ucol) for ucol in upper.columns]
     for col, cd in zip(lower.columns, lower.col_degrees):
         basis, blocks = target._slice(cd)
         image = [0] * len(basis)
-        for entry, ucol in zip(col, upper.columns):
+        for entry, support in zip(col, supports):
             for m, c in entry.terms.items():
-                _add_multiple(image, blocks, ucol, m, c, p)
+                _add_multiple(image, blocks, support, m, c, p)
         if any(image):
             return False
     return True

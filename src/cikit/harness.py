@@ -24,14 +24,14 @@ from .dgmodel import (
 )
 from .fields import Field
 from .groebner import Ideal, ModulePresentation, height, ideal_as_module
-from .koszul import h1_free_summand_probe, koszul_complex, koszul_h1
+from .koszul import _h1_relation_bound, h1_free_summand_probe, koszul_complex, koszul_h1
 from .poly import PolyRing, parse_poly_list
 from .resolution import projdim_probe, verify_composites, verify_resolution
 
 SCHEMA = "cikit-report/3"
 # Part of every cache key: bump whenever a fix can change a computed result,
 # so that results cached before the fix are never served after it.
-RESULTS_VERSION = 4
+RESULTS_VERSION = 5
 
 
 class CriteriaDisagree(RuntimeError):
@@ -60,13 +60,14 @@ class Bounds:
     Those two are complete unless the cap is below their bound; then a
     comparison against them that fails is ``inconclusive`` with the cap.
     The probe of R/I over R runs each syzygy step to the Taylor bound of
-    in(I) (:meth:`Ideal.taylor_degree_bounds`), capped by ``intdeg``.  H1's
-    own relations, the syzygy steps of the probes over S and the compared
-    Hilbert lists run to ``intdeg`` itself.  ``reslen`` is only a cap on
-    resolution length: a probe stops at dim S + 1 steps anyway, where
-    Auslander-Buchsbaum decides, and a cap below that leaves the verdict
-    inconclusive.  The Ext cross-check resolves k to Backelin's degree
-    bound and reads none of these.
+    in(I) (:meth:`Ideal.taylor_degree_bounds`), and H1's own relations run
+    to a bound derived from it (see :mod:`cikit.koszul`), each capped by
+    ``intdeg``.  The syzygy steps of the probes over S and the compared
+    Hilbert lists run to ``intdeg`` itself.  Every probe stops at dim S + 1
+    steps, where Auslander-Buchsbaum decides.  ``reslen`` is read by no
+    check: it is the length bound of ``cikit resolve`` only.  The Ext
+    cross-check resolves k to Backelin's degree bound and reads none of
+    these.
     """
 
     __slots__ = ("hdeg", "intdeg", "reslen")
@@ -129,17 +130,25 @@ def ci_certificate(ideal: Ideal, degree_bound: int = 12) -> dict:
 # theorem verifiers
 
 
-def _evidence(probe, complete: bool) -> dict:
+def _evidence(probe, complete: bool, is_ci: bool, module: str) -> dict:
     """How far a theorem check's probe evidence reaches: ``pass`` with no
     bound for a certified verdict (``probe.certified``; a finite one also
-    needs a presentation that is ``complete`` in every degree),
-    ``inconclusive`` with the length cap when ``reslen`` cut the probe
-    short, and ``inconclusive`` with the degree cap otherwise."""
-    if probe.verdict == "inconclusive":
-        return {"status": "inconclusive", "bound": probe.value}
-    if probe.is_infinite() or (complete and probe.certified):
-        return {"status": "pass", "bound": None}
-    return {"status": "inconclusive", "bound": probe.degree_bound}
+    needs a presentation that is ``complete`` in every degree), and
+    ``inconclusive`` with the degree cap otherwise.  A ``pass`` is held to
+    the theorem, and raises when it contradicts it: the module has finite
+    projective dimension iff the ideal is a complete intersection, and a
+    non-CI resolution has no zero Betti number."""
+    if not (probe.is_infinite() or (complete and probe.certified)):
+        return {"status": "inconclusive", "bound": probe.degree_bound}
+    if probe.is_finite() != is_ci:
+        raise TheoremViolationSignal(
+            f"non-CI entry with finite {module} projective dimension" if probe.is_finite()
+            else f"CI entry with infinite {module} projective dimension")
+    betti = probe.resolution.betti_totals()
+    if not is_ci and any(b <= 0 for b in betti):
+        raise TheoremViolationSignal(
+            f"non-CI {module} resolution has a zero Betti number: {betti}")
+    return {"status": "pass", "bound": None}
 
 
 def verify_conormal_rigidity(ideal: Ideal, bounds: Bounds):
@@ -147,45 +156,35 @@ def verify_conormal_rigidity(ideal: Ideal, bounds: Bounds):
     syzygy theorem), so if I/I^2 has finite projdim over S then I must be
     a complete intersection, whose I/I^2 is free.  The probe of route A
     raises when a certified verdict (``status`` pass) contradicts the CI
-    certificate.  Route A is complete when Z_1 is; a verdict the degree
-    cap or ``reslen`` bounds is ``inconclusive`` with that bound.
+    certificate (:func:`_evidence`).  Route A is complete when Z_1 is; a
+    verdict the degree cap bounds is ``inconclusive`` with the cap.
 
     Returns (report, probe resolutions)."""
     cap = bounds.intdeg
     cert = ci_certificate(ideal, cap)
-    s_probe = projdim_probe(ideal_as_module(ideal), bounds.reslen, cap)
-    con_probe = projdim_probe(conormal_mod.conormal_route_a(ideal, cap), bounds.reslen, cap)
+    s_probe = projdim_probe(ideal_as_module(ideal), cap)
+    con_probe = projdim_probe(conormal_mod.conormal_route_a(ideal, cap), cap)
     report = {
         "is_ci": cert["is_ci"],
         "s_over_r": repr(s_probe),
         "conormal_over_s": repr(con_probe),
         "conormal_free": con_probe.is_finite() and con_probe.value == 0,
         "betti_conormal": con_probe.resolution.betti_totals(),
-        **_evidence(con_probe, ideal.generator_syzygy_bound() <= cap),
+        **_evidence(con_probe, ideal.generator_syzygy_bound() <= cap, cert["is_ci"],
+                    "conormal"),
     }
-    resolutions = {"s_over_r": s_probe.resolution, "conormal": con_probe.resolution}
-    if report["status"] != "pass":
-        return report, resolutions
-    if con_probe.is_finite() != cert["is_ci"]:
-        raise TheoremViolationSignal(
-            "non-CI entry with finite conormal projective dimension" if con_probe.is_finite()
-            else "CI entry with infinite conormal projective dimension"
-        )
-    if not cert["is_ci"] and any(b <= 0 for b in report["betti_conormal"]):
-        raise TheoremViolationSignal(
-            f"non-CI conormal resolution has a zero Betti number: {report['betti_conormal']}"
-        )
-    return report, resolutions
+    return report, {"s_over_r": s_probe.resolution, "conormal": con_probe.resolution}
 
 
 def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
     """First-Koszul-homology side, plus the free-summand probe: H1 of
     finite projdim, or with a free summand, forces a complete intersection,
     whose H1 is zero.  A nonzero H1 is certified (its generators come from
-    Z_1 below the cap), H1 = 0 when Z_1 is complete.  H1's own relations
-    stay cap-bounded, so only an infinite probe verdict is certified; a
-    finite one, or a free summand found on a non-CI entry, is
-    ``inconclusive`` with the cap and never raises.
+    Z_1 below the cap), H1 = 0 when Z_1 is complete.  H1's presentation is
+    complete when its relations' derived bound is within the cap, and the
+    probe then reads its evidence as route A's does: a certified verdict
+    that contradicts the CI certificate raises.  A free summand found on a
+    non-CI entry is ``inconclusive`` with the cap and never raises.
 
     Returns (report, probe resolutions)."""
     cap = bounds.intdeg
@@ -201,12 +200,10 @@ def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
         report.update(status="pass" if complete else "inconclusive",
                       bound=None if complete else cap)
         return report, {}
-    probe = projdim_probe(h1.presentation, bounds.reslen, cap)
+    probe = projdim_probe(h1.presentation, cap)
     report["h1_over_s"] = repr(probe)
     report["betti_h1"] = probe.resolution.betti_totals()
-    report.update(_evidence(probe, complete=False))
-    if report["status"] == "pass" and any(b <= 0 for b in report["betti_h1"]):
-        raise TheoremViolationSignal("non-CI H1 resolution has a zero Betti number")
+    report.update(_evidence(probe, _h1_relation_bound(ideal) <= cap, is_ci=False, module="H1"))
     report["gulliksen"] = h1_free_summand_probe(h1)
     if report["gulliksen"] == "FreeSummand":
         report.update(status="inconclusive", bound=cap)
@@ -542,7 +539,7 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         alpha = [[jac[j][i] for j in range(len(gens))] for i in range(ring.nvars)]
         target = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
         rep = conormal_mod.sharpvc_hypothesis_check(
-            ideal, alpha, target, bounds.reslen, cap,
+            ideal, alpha, target, cap,
             ci_predicate=lambda I: ci_certificate(I, cap)["is_ci"])
         data["sharp_jacobian_injective"] = rep.alpha_mod_k_injective
         _check(checks, "sharp_hypothesis_consistency", True)

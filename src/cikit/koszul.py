@@ -130,16 +130,41 @@ def koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     (:meth:`Ideal.generator_syzygies`) with ``degree_bound`` as a cap, so
     they, ``is_zero()`` and the minimal generator count are complete
     unless the cap is below that bound.  H1's own relations, the syzygies
-    over R of [reps | boundaries], have no such bound: they stay complete
-    only up to ``degree_bound``."""
+    over R of [reps | boundaries], run to :func:`_h1_relation_bound` with
+    the same cap, so the presentation is complete unless the cap is below
+    that bound.  ``degree_bound`` records the cap."""
     return ideal.memo(("koszul_h1", degree_bound), lambda: _koszul_h1(ideal, degree_bound))
+
+
+def _h1_relation_bound(ideal: Ideal) -> int:
+    """b = max(T_3, B, d_i + d_j for i < j) bounds the degrees of a
+    generating set of the syzygies over R of [reps | boundaries], and so of
+    H1's relations, their first block.  T_3 comes from
+    :meth:`Ideal.taylor_degree_bounds` (left out when in(I) has fewer than
+    3 leads), B is :meth:`Ideal.generator_syzygy_bound`, and the d_i are
+    the degrees of the minimal generators.
+
+    The bound binds only below the cap, and b >= B, so Z_1 is complete
+    there.  Then [reps | boundaries] generates Z_1: the reps were kept
+    outside boundaries + m*Z_1, so the two span Z_1 modulo m*Z_1, and
+    graded Nakayama lifts that to Z_1.  A homogeneous generating set G of
+    a graded module contains a minimal one, G_0.  Every g in G outside G_0
+    is a combination of G_0, which gives one syzygy of G in the degree of
+    g; subtracting multiples of these clears the coordinates outside G_0
+    of any syzygy, so they and Syz(G_0) generate Syz(G).  G_0 minimally
+    generates Z_1, the image of F_2 in the minimal resolution of R/I, so
+    Syz(G_0) is generated in the degrees of F_3, at most T_3, and F_3 = 0
+    when in(I) has fewer than 3 leads.  A rep has degree at most B, and
+    the boundary f_i e_j - f_j e_i has degree d_i + d_j."""
+    degrees = [g.homogeneous_degree() for g in ideal.minimal_generators()]
+    return max([ideal.generator_syzygy_bound(), *ideal.taylor_degree_bounds()[3:4]]
+               + [a + b for i, a in enumerate(degrees) for b in degrees[i + 1:]])
 
 
 def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     cx = koszul_complex(ideal)
     ring = ideal.ring
-    gens = cx.generators
-    c = len(gens)
+    c = len(cx.generators)
     if c == 0:
         pres = ModulePresentation(ring, ideal, [], [])
         return KoszulH1(cx, [], [], pres, degree_bound)
@@ -149,13 +174,8 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     cycle_cols = cycles.columns
     cycle_degs = cycles.col_degrees
 
-    boundary_cols = []
-    for i in range(c):
-        for j in range(i + 1, c):
-            col = [ring.zero()] * c
-            col[i] = gens[j]
-            col[j] = -gens[i]
-            boundary_cols.append(tuple(col))
+    # the boundaries B_1 are the columns of d_2: Lambda^2 -> Lambda^1
+    boundary_cols = cx.maps[1].columns if c > 1 else []
 
     # minimal generators of Z/B over S: graded Nakayama on [boundaries | Z_1]
     # keeps the cycles outside boundaries + m * Z, since within a degree the
@@ -167,17 +187,13 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     rep_degs = [cycle_degs[j - nb] for j in selected if j >= nb]
 
     # relations among the chosen classes: syzygies over R of [reps | boundaries],
-    # first block of coordinates, reduced mod I
+    # complete at the derived bound, first block of coordinates, reduced mod I
     combined = ModulePresentation(ring, None, cx.gen_degrees, list(reps) + boundary_cols)
-    rel = syzygies(combined, degree_bound)
+    rel = syzygies(combined, min(_h1_relation_bound(ideal), degree_bound))
+    # (heads that are zero mod I are dropped as zero columns)
     gb = ideal.groebner()
-    rel_cols = []
-    t = len(reps)
-    for col in rel.columns:
-        head = tuple(gb.normal_form(p) for p in col[:t])
-        if any(not p.is_zero() for p in head):
-            rel_cols.append(head)
-    presentation = ModulePresentation(ring, ideal, rep_degs, rel_cols)
+    heads = [tuple(gb.normal_form(p) for p in col[:len(reps)]) for col in rel.columns]
+    presentation = ModulePresentation(ring, ideal, rep_degs, heads)
     return KoszulH1(cx, reps, rep_degs, presentation, degree_bound)
 
 

@@ -6,7 +6,7 @@ maximal ideal); pruning of the input presentation happens first.  All
 statements above the internal degree bound are reported as truncation, never
 extrapolated.
 
-Three resolutions stop where a theorem says they may, not at a user bound:
+Four resolutions stop where a theorem says they may, not at a user bound:
 
 * ``ext_betti`` resolves k over S = R/I to internal degree 1 + r(n-1) with
   r = max(1, m-1), m the top degree of the reduced Groebner basis of I.
@@ -22,6 +22,9 @@ Three resolutions stop where a theorem says they may, not at a user bound:
   degeneration (Peeva 2004), and the Taylor resolution of in(I) has length r
   with F_i in the lcm degrees of i-subsets of the leads
   (:meth:`Ideal.taylor_degree_bounds`).
+* Koszul H1's relations (:func:`cikit.koszul.koszul_h1`), a syzygy step
+  over R, run to max(T_3, Schreyer's bound, d_i + d_j over pairs of
+  generator degrees), with T_3 the Taylor bound of F_3 of R/I.
 """
 
 from __future__ import annotations
@@ -84,14 +87,12 @@ class FreeResolution:
 
 
 class ProjDimCertificate:
-    """Projective dimension verdict of a probe, one of three:
+    """Projective dimension verdict of a probe, one of two:
 
     * ``finite``: the resolution terminated at step ``value`` within the
       recorded internal degree bound;
     * ``infinite``: F_value != 0 with value = dim S + 1, which
-      Auslander-Buchsbaum certifies (no bound involved);
-    * ``inconclusive``: the length cap ``value`` (below dim S + 1) cut the
-      resolution off before either of the above.
+      Auslander-Buchsbaum certifies (no bound involved).
 
     ``certified`` tells which verdicts hold for the presented module
     without a degree bound (see its docstring).
@@ -100,7 +101,7 @@ class ProjDimCertificate:
     __slots__ = ("verdict", "value", "resolution", "degree_bound")
 
     def __init__(self, verdict: str, value: int, resolution: FreeResolution, degree_bound: int):
-        self.verdict = verdict  # "finite" | "infinite" | "inconclusive"
+        self.verdict = verdict  # "finite" | "infinite"
         self.value = value
         self.resolution = resolution
         self.degree_bound = degree_bound
@@ -121,14 +122,12 @@ class ProjDimCertificate:
         if self.is_infinite():
             return True
         over_r = self.resolution.modulus is None or self.resolution.modulus.is_zero()
-        return self.is_finite() and (over_r or self.value == 0)
+        return over_r or self.value == 0
 
     def __repr__(self):
         if self.is_finite():
             return f"Finite({self.value}; intdeg<={self.degree_bound})"
-        if self.is_infinite():
-            return f"Infinite(F_{self.value} != 0; dim={self.value - 1})"
-        return f"NotTerminatedWithin({self.value})"
+        return f"Infinite(F_{self.value} != 0; dim={self.value - 1})"
 
 
 def _generator_degree_caps(first: ModulePresentation, ideal, length_bound: int,
@@ -191,21 +190,18 @@ def minimal_free_resolution(
     return FreeResolution(pres.ring, pres.modulus, pruned.row_degrees, maps, status, degree_bound)
 
 
-def projdim_probe(
-    pres: ModulePresentation, length_bound: int, degree_bound: int
-) -> ProjDimCertificate:
-    """Resolve coker(pres) for at most min(length_bound, dim S + 1) steps,
-    each to the degree bound, or, for R/I over R, to the Taylor bound below
-    it (see :func:`minimal_free_resolution`)."""
+def projdim_probe(pres: ModulePresentation, degree_bound: int) -> ProjDimCertificate:
+    """Resolve coker(pres) for at most dim S + 1 steps, each to the degree
+    bound, or, for R/I over R, to the Taylor bound below it (see
+    :func:`minimal_free_resolution`).  A resolution that ran all dim S + 1
+    steps is infinite; any shorter one terminated."""
     dim = krull_dimension(pres.modulus) if pres.modulus is not None else pres.ring.nvars
-    res = minimal_free_resolution(pres, min(length_bound, dim + 1), degree_bound)
+    res = minimal_free_resolution(pres, dim + 1, degree_bound)
     # F_{dim+1} != 0 outranks the final termination scan, which can only
     # come back empty there because syzygies lie above the degree bound
     if res.length > dim:
         return ProjDimCertificate("infinite", res.length, res, degree_bound)
-    if res.is_terminated():
-        return ProjDimCertificate("finite", res.status[1], res, degree_bound)
-    return ProjDimCertificate("inconclusive", length_bound, res, degree_bound)
+    return ProjDimCertificate("finite", res.status[1], res, degree_bound)
 
 
 def ext_degree_bound(modulus, n: int) -> int:

@@ -42,20 +42,20 @@ def ideal(ring, *texts):
 def test_ci_conormal_free_rank_two(R):
     con = conormal(ideal(R, "x^2", "y^2"), 10)
     assert con.mu == 2
-    probe = projdim_probe(con.presentation, 8, 12)
+    probe = projdim_probe(con.presentation, 12)
     assert probe.is_finite() and probe.value == 0
 
 
 def test_principal_conormal_free(R):
     con = conormal(ideal(R, "x"), 8)
     assert con.mu == 1
-    assert projdim_probe(con.presentation, 8, 10).is_finite()
+    assert projdim_probe(con.presentation, 10).is_finite()
 
 
 def test_m2_conormal_not_free(R):
     con = conormal(ideal(R, "x^2", "x*y", "y^2"), 10)
     assert con.mu == 3
-    probe = projdim_probe(con.presentation, 8, 12)
+    probe = projdim_probe(con.presentation, 12)
     # dim S = 0, so F_1 != 0 certifies infinite projective dimension
     assert probe.is_infinite() and probe.value == 1
     assert repr(probe) == "Infinite(F_1 != 0; dim=0)"
@@ -133,7 +133,7 @@ def test_sharpvc_identity_on_free_conormal(R):
     src = conormal_route_a(I, 10)
     target = ModulePresentation(R, I, src.row_degrees, [])
     alpha = [[R.one() if i == j else R.zero() for j in range(2)] for i in range(2)]
-    rep = sharpvc_hypothesis_check(I, alpha, target, 8, 12, ci_predicate=lambda _: True)
+    rep = sharpvc_hypothesis_check(I, alpha, target, 12, ci_predicate=lambda _: True)
     assert rep.alpha_mod_k_injective and rep.hypotheses_hold and rep.ci_asserted
 
 
@@ -141,7 +141,7 @@ def test_sharpvc_zero_map_fails_injectivity(R):
     I = ideal(R, "x^2", "y^2")
     target = ModulePresentation(R, I, [2, 2], [])
     alpha = [[R.zero()] * 2 for _ in range(2)]
-    rep = sharpvc_hypothesis_check(I, alpha, target, 8, 12)
+    rep = sharpvc_hypothesis_check(I, alpha, target, 12)
     assert not rep.alpha_mod_k_injective and not rep.hypotheses_hold
 
 
@@ -150,7 +150,7 @@ def test_sharpvc_jacobian_on_non_ci_fails_injectivity(R):
     jac = jacobian_columns(I)
     target = ModulePresentation(R, I, [1, 1], [])
     alpha = [[jac[j][i] for j in range(3)] for i in range(2)]
-    rep = sharpvc_hypothesis_check(I, alpha, target, 8, 12)
+    rep = sharpvc_hypothesis_check(I, alpha, target, 12)
     assert not rep.alpha_mod_k_injective
 
 
@@ -160,7 +160,16 @@ def test_sharpvc_rejects_ill_formed_map(R):
     # projection onto the first generator ignores the relations
     alpha = [[R.one(), R.zero(), R.zero()]]
     with pytest.raises(IllFormedMap):
-        sharpvc_hypothesis_check(I, alpha, target, 8, 12)
+        sharpvc_hypothesis_check(I, alpha, target, 12)
+
+
+def test_sharpvc_rejects_inhomogeneous_map(R):
+    I = ideal(R, "x^2", "x*y")
+    target = ModulePresentation(R, I, [2, 2], [])  # free of rank two
+    # the relation (y, -x) goes to (y, -x^2), in degrees 3 and 4
+    alpha = [[R.one(), R.zero()], [R.zero(), R.from_string("x")]]
+    with pytest.raises(IllFormedMap, match="not degree-homogeneous"):
+        sharpvc_hypothesis_check(I, alpha, target, 12)
 
 
 def test_koszul_strand_crosscheck(R):

@@ -9,7 +9,7 @@ from conftest import homogeneous_ideals
 from cikit import harness
 from cikit.cli import main as cli_main
 from cikit.fields import QQ
-from cikit.groebner import Ideal
+from cikit.groebner import Ideal, ModulePresentation
 from cikit.harness import (
     Bounds,
     CorpusError,
@@ -22,6 +22,7 @@ from cikit.harness import (
     run_corpus,
 )
 from cikit.poly import PolyRing
+from cikit.resolution import ProjDimCertificate, minimal_free_resolution
 
 
 @pytest.fixture
@@ -293,16 +294,33 @@ def test_koszul_rigidity_on_x2_y2_xyz():
     assert len(resolutions["h1"].betti_totals()) == 3
 
 
-def test_length_cap_below_dim_is_inconclusive():
-    # dim S = 1 for (x^2, x*y): reslen=1 stops the probes before F_2
-    entry = parse_corpus(
-        "entry capped / field Q / ring x, y / ideal x^2, x*y / bounds reslen=1\n")[0]
-    result = harness.evaluate_entry(entry)
-    for name in ("theorem_conormal_consistency", "theorem_koszul_consistency"):
-        check = next(c for c in result["checks"] if c["name"] == name)
-        assert check["status"] == "inconclusive" and check["bound"] == 1
-    assert result["data"]["h1_probe"] == "NotTerminatedWithin(1)"
-    assert not result["ok"]
+def test_reslen_does_not_change_the_report():
+    # dim S = 1 for (x^2, x*y): reslen=1 once stopped the probes before F_2,
+    # but every probe runs its dim S + 1 steps and no check reads reslen
+    default, capped = (
+        harness.evaluate_entry(parse_corpus(
+            f"entry e / field Q / ring x, y / ideal x^2, x*y{bounds}\n")[0])
+        for bounds in ("", " / bounds reslen=1"))
+    assert capped == default
+    assert capped["ok"] and capped["data"]["h1_probe"] == "Infinite(F_2 != 0; dim=1)"
+
+
+def _certified_finite(pres, degree_bound):
+    """A certified Finite(0) for any presentation, as a wrong probe would
+    give it."""
+    free = ModulePresentation(pres.ring, pres.modulus, [0], [])
+    res = minimal_free_resolution(free, 1, degree_bound)
+    return ProjDimCertificate("finite", 0, res, degree_bound)
+
+
+@pytest.mark.parametrize("verify", [harness.verify_conormal_rigidity,
+                                    harness.verify_koszul_rigidity])
+def test_a_certified_finite_verdict_on_a_non_ci_entry_raises(monkeypatch, R, verify):
+    # (x^2, x*y) is no complete intersection, and at intdeg 12 both I/I^2
+    # (Z_1 to Schreyer's 3) and H1 (relations to 4) are complete
+    monkeypatch.setattr(harness, "projdim_probe", _certified_finite)
+    with pytest.raises(harness.TheoremViolationSignal, match="non-CI entry with finite"):
+        verify(ideal(R, "x^2", "x*y"), Bounds())
 
 
 # -- cache keys and damaged cache files ----------------------------------------
@@ -482,7 +500,7 @@ def test_a_low_cap_leaves_checks_inconclusive_not_failed(corpus_entries, name, c
 @given(homogeneous_ideals(max_vars=3), st.integers(1, 12))
 def test_no_cap_raises_a_tripwire(ring_gens, cap):
     # raises TheoremViolationSignal or CriteriaDisagree on a bug; a verdict
-    # is certified or labelled with the cap (dim S + 1 <= 4 steps, below reslen)
+    # is certified or labelled with the cap (dim S + 1 <= 4 steps)
     ring, gens = ring_gens
     I = Ideal(ring, gens)
     bounds = Bounds(intdeg=cap)

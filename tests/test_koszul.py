@@ -10,7 +10,13 @@ from conftest import homogeneous_ideals
 from cikit import groebner as gr
 from cikit import linalg
 from cikit.fields import QQ
-from cikit.koszul import KoszulH1, h1_free_summand_probe, koszul_complex, koszul_h1
+from cikit.koszul import (
+    KoszulH1,
+    _h1_relation_bound,
+    h1_free_summand_probe,
+    koszul_complex,
+    koszul_h1,
+)
 from cikit.groebner import ModulePresentation
 from cikit.poly import PolyRing
 
@@ -158,6 +164,46 @@ def test_h1_generators_match_the_hand_rolled_selection(ring_gens):
     I = gr.Ideal(ring, gens)
     bound = max(g.homogeneous_degree() for g in I.generators) + 2
     assert koszul_h1(I, bound).cycle_reps == _h1_cycle_reps_by_hand(I, bound)
+
+
+# -- H1's relations at the derived bound against the relation step at the cap
+
+
+def reference_h1_relations(h1):
+    """H1's relation columns as they were: the syzygies over R of
+    [reps | boundaries] run to the cap, first block, reduced mod I, with
+    the boundaries the columns of d_2."""
+    cx = h1.complex
+    reps = list(h1.cycle_reps)
+    boundaries = cx.maps[1].columns if len(cx.maps) > 1 else []
+    combined = ModulePresentation(cx.ideal.ring, None, cx.gen_degrees, reps + boundaries)
+    gb = cx.ideal.groebner()
+    heads = [tuple(gb.normal_form(p) for p in col[:len(reps)])
+             for col in gr.syzygies(combined, h1.degree_bound).columns]
+    return [head for head in heads if any(not p.is_zero() for p in head)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3), st.integers(-2, 3))
+def test_h1_relations_at_the_derived_bound_match_the_cap(ring_gens, offset):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = _h1_relation_bound(I)
+    cap = max(1, bound + offset)
+    event("cap below the derived bound" if cap < bound else "cap at or above it")
+    h1 = koszul_h1(I, cap)
+    assert h1.degree_bound == cap
+    assert h1.presentation.columns == reference_h1_relations(h1)
+
+
+def test_h1_relation_bound_terms(R):
+    # (x^2, x*y): two leads, so no T_3; Schreyer's bound 3, d_1 + d_2 = 4
+    assert _h1_relation_bound(ideal(R, "x^2", "x*y")) == 4
+    # (x^2, x*y, y^2): T_3 = deg lcm(x^2, x*y, y^2) = 4, Schreyer's 4 (x^2 and y^2), pairs 4
+    assert _h1_relation_bound(ideal(R, "x^2", "x*y", "y^2")) == 4
+    R3 = PolyRing(QQ, ["x", "y", "z"])
+    # (x, y^2, z^3): T_3 = 6 is the largest term
+    assert _h1_relation_bound(gr.Ideal(R3, [R3.from_string(t) for t in ("x", "y^2", "z^3")])) == 6
 
 
 # -- the Koszul-map route to the H1 Hilbert function ------------------------
