@@ -2,6 +2,9 @@
 
 Two engines live here.  Buchberger's algorithm provides ideal-level
 normal forms, membership, and lead-term data (Hilbert numerators, height).
+Its reductions and every normal form run on :func:`_reduce`, which keeps
+only the remainder; :func:`multivariate_divide`, the textbook division
+with quotients, is the reference that checks them.
 Module-level work (syzygies, minimal generators, Hilbert functions of
 presented modules) runs degree by degree through exact linear algebra on
 finite-dimensional graded slices, which keeps one code path for modules
@@ -20,7 +23,9 @@ slice: results above the bound are reported as unknown, never guessed.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from . import linalg
 from .poly import (
@@ -48,6 +53,11 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
 
     Returns (quotients, remainder) with f = sum(q_i * d_i) + r and no term
     of r divisible by any divisor's leading term.
+
+    This is the textbook algorithm, kept as the reference: Buchberger and
+    normal forms run on :func:`_reduce`, while the checks that a basis and
+    its S-pairs reduce to zero divide with this function, so they share no
+    code with what they check.
     """
     ring = f.ring
     F = ring.field
@@ -85,9 +95,52 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
     return qs, Polynomial(ring, remainder)
 
 
+def _divisor(d: Polynomial, order: MonomialOrder):
+    """(lead monomial, inverse of the lead coefficient, tail terms) of a
+    nonzero divisor."""
+    lm, lc = d.leading_term(order)
+    return lm, d.ring.field.inv(lc), [(m, c) for m, c in d.terms.items() if m != lm]
+
+
 def _reduce(f: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
-    _, r = multivariate_divide(f, reducers, order)
-    return r
+    """The remainder of :func:`multivariate_divide`, without its quotients."""
+    return _remainder(f, [_divisor(d, order) for d in reducers], order)
+
+
+def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
+    """Remainder of f on division by the :func:`_divisor` data ``divisors``.
+
+    Terms wait in ``queue``, sorted by order key, and leave it largest
+    first, each going to the first divisor whose lead divides it, as in
+    :func:`multivariate_divide`; so the two remainders are equal.  A term
+    is queued once, when it first appears.  One that cancels stays in
+    ``work`` at zero, where it can come back, and is skipped when popped."""
+    F = f.ring.field
+    key = order.key
+    zero = F.zero()
+    work = dict(f.terms)
+    queue = sorted((key(m), m) for m in work)
+    remainder = {}
+    while queue:
+        m = queue.pop()[1]
+        c = work.pop(m)
+        if F.is_zero(c):
+            continue
+        for lm, inv, tail in divisors:
+            if monomial_divides(lm, m):
+                q_mon = monomial_div(m, lm)
+                q = F.mul(c, inv)
+                for dm, dc in tail:
+                    t = monomial_mul(dm, q_mon)
+                    old = work.get(t)
+                    if old is None:
+                        old = zero
+                        insort(queue, (key(t), t))
+                    work[t] = F.sub(old, F.mul(dc, q))
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -127,57 +180,74 @@ class GroebnerBasis:
 
 
 def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of a homogeneous ideal."""
+    """Reduced Groebner basis of a homogeneous ideal.
+
+    Pending pairs wait in a heap keyed (deg lcm, i, j): normal selection,
+    with index order breaking ties.  Two criteria skip pairs whose
+    S-polynomial need not be reduced (Cox-Little-O'Shea, *Ideals,
+    Varieties, and Algorithms*, Ch. 2 Sec. 10; Gebauer-Moeller, "On an
+    installation of Buchberger's algorithm", J. Symb. Comput. 6, 1988).
+    Buchberger's first criterion skips coprime leads.  His second, the
+    chain criterion, skips (i, j) when the lead of some k outside {i, j}
+    divides lcm(lead_i, lead_j) and neither (i, k) nor (j, k) is still
+    pending: both of their S-polynomials then have standard
+    representations, which combine into one for (i, j).  Each element's
+    lead and divisor data are computed once, when it joins the basis."""
     ring = ideal.ring
     F = ring.field
-    basis: list[Polynomial] = []
-    for g in ideal.generators:
-        _, lc = g.leading_term(order)
-        basis.append(g.scale(F.inv(lc)))
-    basis.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    key = order.key
+    basis: list[Polynomial] = []  # monic
+    leads: list = []
+    divisors: list = []  # _divisor data of basis
+    heap: list = []
+    pending: set = set()
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        # normal selection: smallest lcm degree first, index order breaks ties
-        i, j = min(
-            pairs,
-            key=lambda ij: (
-                sum(
-                    monomial_lcm(
-                        basis[ij[0]].leading_term(order)[0],
-                        basis[ij[1]].leading_term(order)[0],
-                    )
-                ),
-                ij,
-            ),
-        )
-        pairs.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        mi = fi.leading_term(order)[0]
-        mj = fj.leading_term(order)[0]
-        if monomial_lcm(mi, mj) == monomial_mul(mi, mj):
-            continue  # coprime leads reduce to zero
-        r = _reduce(s_polynomial(fi, fj, order), basis, order)
-        if r.is_zero():
-            continue
-        _, lc = r.leading_term(order)
-        basis.append(r.scale(F.inv(lc)))
-        k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
+    def adjoin(g: Polynomial):
+        lm, lc = g.leading_term(order)
+        g = g.scale(F.inv(lc))
+        j = len(basis)
+        basis.append(g)
+        leads.append(lm)
+        divisors.append((lm, F.one(), [(m, c) for m, c in g.terms.items() if m != lm]))
+        for i in range(j):
+            pending.add((i, j))
+            heappush(heap, (sum(monomial_lcm(leads[i], lm)), i, j))
+
+    def is_pending(a: int, b: int) -> bool:
+        return ((a, b) if a < b else (b, a)) in pending
+
+    for g in sorted(ideal.generators, key=lambda g: key(g.leading_term(order)[0])):
+        adjoin(g)
+    while heap:
+        _, i, j = heappop(heap)
+        pending.remove((i, j))
+        mi, mj = leads[i], leads[j]
+        lcm = monomial_lcm(mi, mj)
+        if lcm == monomial_mul(mi, mj):
+            continue  # first criterion: coprime leads
+        if any(
+            k != i and k != j and not is_pending(i, k) and not is_pending(j, k)
+            and monomial_divides(mk, lcm)
+            for k, mk in enumerate(leads)
+        ):
+            continue  # chain criterion
+        s = basis[i].mul_monomial(monomial_div(lcm, mi)) - basis[j].mul_monomial(
+            monomial_div(lcm, mj))
+        r = _remainder(s, divisors, order)
+        if not r.is_zero():
+            adjoin(r)
 
     # minimal basis: in increasing lead order a lead's divisors come first,
     # so keep an element iff no kept lead divides its lead
-    basis.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    minimal: list[Polynomial] = []
-    for g in basis:
-        lm = g.leading_term(order)[0]
-        if not any(monomial_divides(h.leading_term(order)[0], lm) for h in minimal):
-            minimal.append(g)
+    minimal: list[int] = []
+    for k in sorted(range(len(basis)), key=lambda k: key(leads[k])):
+        if not any(monomial_divides(leads[h], leads[k]) for h in minimal):
+            minimal.append(k)
     # tail-reduce against the rest of the minimal basis: the leads are
     # pairwise non-dividing, so each lead survives and the result is the
     # unique reduced basis
     final = [
-        _reduce(g, minimal[:i] + minimal[i + 1 :], order) for i, g in enumerate(minimal)
+        _remainder(basis[k], [divisors[h] for h in minimal if h != k], order) for k in minimal
     ]
     return GroebnerBasis(ring, order, final)
 

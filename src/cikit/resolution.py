@@ -29,6 +29,8 @@ Four resolutions stop where a theorem says they may, not at a user bound:
 
 from __future__ import annotations
 
+from functools import partial
+
 from .groebner import (
     Ideal,
     ModulePresentation,
@@ -44,17 +46,28 @@ from .groebner import (
 
 class FreeResolution:
     """maps[i] is the matrix of F_{i+1} -> F_i; row degrees of maps[0] are
-    the generator degrees of the resolved module."""
+    the generator degrees of the resolved module.
 
-    __slots__ = ("ring", "modulus", "row_degrees", "maps", "status", "degree_bound")
+    ``status`` is ("terminated", d) or ("truncated", L).  It may be given
+    as a zero-argument callable, which runs on first read of ``status``:
+    :func:`minimal_free_resolution` defers its termination scan that way,
+    so callers that read only maps and Betti numbers never pay for it."""
+
+    __slots__ = ("ring", "modulus", "row_degrees", "maps", "_status", "degree_bound")
 
     def __init__(self, ring, modulus, row_degrees, maps, status, degree_bound):
         self.ring = ring
         self.modulus = modulus
         self.row_degrees = list(row_degrees)
         self.maps = maps
-        self.status = status  # ("terminated", d) or ("truncated", L)
+        self._status = status
         self.degree_bound = degree_bound
+
+    @property
+    def status(self):
+        if callable(self._status):
+            self._status = self._status()
+        return self._status
 
     @property
     def length(self) -> int:
@@ -177,17 +190,19 @@ def minimal_free_resolution(
         if nxt.ncols == 0:
             break
         maps.append(nxt)
-    # at the length bound a single early-exit scan decides termination
     n = len(maps)
-    if (
-        n >= length_bound
-        and n + 1 < len(caps)
-        and first_syzygy_degree(maps[-1], caps[n + 1]) is not None
-    ):
-        status = ("truncated", length_bound)
-    else:
-        status = ("terminated", n)
+    status = ("terminated", n)
+    if n >= length_bound and n + 1 < len(caps):
+        status = partial(_status_at_length_bound, maps[-1], caps[n + 1], n, length_bound)
     return FreeResolution(pres.ring, pres.modulus, pruned.row_degrees, maps, status, degree_bound)
+
+
+def _status_at_length_bound(last: ModulePresentation, cap: int, n: int, length_bound: int):
+    """The status of a resolution with n >= length_bound maps, the last one
+    ``last``: a single early-exit scan to ``cap`` decides termination."""
+    if first_syzygy_degree(last, cap) is not None:
+        return ("truncated", length_bound)
+    return ("terminated", n)
 
 
 def projdim_probe(pres: ModulePresentation, degree_bound: int) -> ProjDimCertificate:
@@ -198,7 +213,8 @@ def projdim_probe(pres: ModulePresentation, degree_bound: int) -> ProjDimCertifi
     dim = krull_dimension(pres.modulus) if pres.modulus is not None else pres.ring.nvars
     res = minimal_free_resolution(pres, dim + 1, degree_bound)
     # F_{dim+1} != 0 outranks the final termination scan, which can only
-    # come back empty there because syzygies lie above the degree bound
+    # come back empty there because syzygies lie above the degree bound, so
+    # this reads no status there
     if res.length > dim:
         return ProjDimCertificate("infinite", res.length, res, degree_bound)
     return ProjDimCertificate("finite", res.status[1], res, degree_bound)

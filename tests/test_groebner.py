@@ -9,7 +9,16 @@ from conftest import homogeneous_ideals
 from cikit import groebner as gr
 from cikit.fields import QQ, GF
 from cikit.harness import ci_certificate
-from cikit.poly import DEGREVLEX, PolyRing, monomial_divides
+from cikit.poly import (
+    DEGLEX,
+    DEGREVLEX,
+    LEX,
+    PolyRing,
+    Polynomial,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
 
 
 @pytest.fixture
@@ -105,6 +114,15 @@ def test_normal_form_membership(R):
     assert gb.normal_form(R.from_string("x^2")).is_zero()
     assert gb.normal_form(R.from_string("x^3")).is_zero()
     assert str(gb.normal_form(R.one())) == "1"
+
+
+def test_reduce_requeues_a_term_that_cancels_and_comes_back(R):
+    # x^3 goes to 2x^2 + 2y^2 and brings in x*y^2; x^2*y brings in -y^3,
+    # which cancels the y^3 of f; x*y^2 goes to x + 2y and brings y^3 back
+    f = R.from_string("-x^3 + x^2*y + y^3")
+    divisors = [R.from_string("2*x^2 + 2*y^2"), R.from_string("x + 2*y")]
+    assert gr._reduce(f, divisors, DEGREVLEX) == R.from_string("-2*y^3")
+    assert gr.multivariate_divide(f, divisors)[1] == R.from_string("-2*y^3")
 
 
 # -- syzygies ----------------------------------------------------------------
@@ -294,6 +312,85 @@ def test_equal_leads_do_not_cancel(R3):
     gb = ideal(R3, "x*z + y^2", "y^2").groebner()
     assert [str(g) for g in gb] == ["x*z", "y^2"]
     assert gr.height(ideal(R3, "x*z + y^2", "y^2")) == 2
+
+
+# -- the Buchberger engine against the textbook loop -----------------------------
+
+
+def reference_buchberger(ideal, order):
+    """Reference: the former buchberger, which rescans every pending pair,
+    recomputes leading terms, has no chain criterion and reduces with
+    multivariate_divide."""
+    ring = ideal.ring
+    F = ring.field
+    reduce = lambda f, reducers: gr.multivariate_divide(f, reducers, order)[1]
+    basis = []
+    for g in ideal.generators:
+        _, lc = g.leading_term(order)
+        basis.append(g.scale(F.inv(lc)))
+    basis.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    while pairs:
+        i, j = min(
+            pairs,
+            key=lambda ij: (
+                sum(
+                    monomial_lcm(
+                        basis[ij[0]].leading_term(order)[0],
+                        basis[ij[1]].leading_term(order)[0],
+                    )
+                ),
+                ij,
+            ),
+        )
+        pairs.discard((i, j))
+        fi, fj = basis[i], basis[j]
+        mi = fi.leading_term(order)[0]
+        mj = fj.leading_term(order)[0]
+        if monomial_lcm(mi, mj) == monomial_mul(mi, mj):
+            continue
+        r = reduce(gr.s_polynomial(fi, fj, order), basis)
+        if r.is_zero():
+            continue
+        _, lc = r.leading_term(order)
+        basis.append(r.scale(F.inv(lc)))
+        k = len(basis) - 1
+        pairs.update((i2, k) for i2 in range(k))
+
+    basis.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    minimal = []
+    for g in basis:
+        lm = g.leading_term(order)[0]
+        if not any(monomial_divides(h.leading_term(order)[0], lm) for h in minimal):
+            minimal.append(g)
+    final = [reduce(g, minimal[:i] + minimal[i + 1 :]) for i, g in enumerate(minimal)]
+    return gr.GroebnerBasis(ring, order, final)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_buchberger_matches_the_reference(ring_gens):
+    # the reduced basis is unique, so the two loops agree element for
+    # element; lex only up to 3 variables, where the reference stays fast
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    for order in (DEGREVLEX, DEGLEX) + ((LEX,) if ring.nvars <= 3 else ()):
+        assert gr.buchberger(I, order).elements == reference_buchberger(I, order).elements
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(), st.data())
+def test_reduce_matches_multivariate_divide(ring_gens, data):
+    # both take the same terms to the same divisors in the same order
+    ring, gens = ring_gens
+    mons = ring.monomials_of_degree(data.draw(st.integers(1, 4)))
+    support = data.draw(st.lists(st.sampled_from(mons), min_size=1, max_size=6, unique=True))
+    f = Polynomial(ring, {m: ring.field.of_int(data.draw(st.integers(-5, 5).filter(bool)))
+                          for m in support})
+    divisors = gens + list(gr.Ideal(ring, gens).groebner())
+    for order in (DEGREVLEX, DEGLEX, LEX):
+        assert gr._reduce(f, divisors, order) == gr.multivariate_divide(f, divisors, order)[1]
 
 
 # -- d^2 = 0 against the polynomial-product construction ----------------------

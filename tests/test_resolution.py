@@ -182,6 +182,24 @@ def test_only_r_mod_i_over_r_stops_below_the_cap(R, monkeypatch):
         assert bounds and set(bounds) == {12}
 
 
+def test_only_status_readers_pay_for_the_termination_scan(R, monkeypatch):
+    # the scan at the length bound runs on the first read of status: the
+    # infinite branch of projdim_probe and ext_betti, which reads Betti
+    # totals only, make no scan
+    from cikit import resolution
+
+    calls = []
+    real = resolution.first_syzygy_degree
+    monkeypatch.setattr(resolution, "first_syzygy_degree",
+                        lambda pres, bound: calls.append(bound) or real(pres, bound))
+    I = ideal(R, "x^2", "x*y", "y^2")
+    cert = projdim_probe(gr.residue_field_presentation(R, I), 8)
+    assert cert.is_infinite() and calls == []
+    assert ext_betti(R, I, 4) == [1, 2, 4, 8, 16] and calls == []
+    assert cert.resolution.status == ("truncated", 1) and calls == [8]
+    assert cert.resolution.is_terminated() is False and calls == [8]
+
+
 def test_conormal_probes(R):
     from cikit.conormal import conormal_route_a
 
