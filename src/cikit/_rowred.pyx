@@ -107,53 +107,6 @@ cdef Py_ssize_t _fp_reduce_insert(long long *ech, long long *pivs,
     return pos
 
 
-def reduce_fp(ech_rows, pivots, vecs, long long p):
-    """Reduce each vector by a normalized (unit-pivot) echelon, exactly."""
-    cdef Py_ssize_t m = len(ech_rows)
-    cdef Py_ssize_t n = 0
-    if vecs:
-        n = len(vecs[0])
-    elif m:
-        n = len(ech_rows[0])
-    if not vecs:
-        return []
-    if n == 0:
-        return [[] for _ in vecs]
-    cdef long long *ech = <long long *> PyMem_Malloc(max(m, 1) * n * sizeof(long long))
-    cdef long long *work = <long long *> PyMem_Malloc(n * sizeof(long long))
-    cdef long long *pivbuf = <long long *> PyMem_Malloc(max(m, 1) * sizeof(long long))
-    if ech == NULL or work == NULL or pivbuf == NULL:
-        raise MemoryError
-    cdef Py_ssize_t i, j, k
-    cdef long long b, v
-    out = []
-    try:
-        for i in range(m):
-            src = ech_rows[i]
-            for j in range(n):
-                ech[i * n + j] = src[j]
-            pivbuf[i] = pivots[i]
-        for src in vecs:
-            for j in range(n):
-                v = src[j]
-                work[j] = v % p
-                if work[j] < 0:
-                    work[j] += p
-            for i in range(m):
-                b = work[pivbuf[i]]
-                if b:
-                    for k in range(pivbuf[i], n):
-                        work[k] = (work[k] - b * ech[i * n + k]) % p
-                        if work[k] < 0:
-                            work[k] += p
-            out.append([work[j] for j in range(n)])
-        return out
-    finally:
-        PyMem_Free(ech)
-        PyMem_Free(work)
-        PyMem_Free(pivbuf)
-
-
 def indep_fp(d_rows, c_rows, long long p):
     if p <= 0 or p >= (<long long>1) << 31:
         raise ValueError("modulus out of supported range")

@@ -1,14 +1,13 @@
 """Pure-Python row-reduction kernels.
 
-The compiled twin lives in ``_rowred.pyx``; both expose the same five
-functions, ``rref_int``, ``indep_int``, ``rref_fp``, ``reduce_fp`` and
-``indep_fp``.  Every output is canonical: the reduced row echelon form
-(unit pivots over GF(p); content 1 and a positive pivot over the integers),
-the greedy list of independent row indices, and the reduction of a vector
-modulo a reduced echelon.  None of them depends on the order in which the
-elimination is carried out, so any correct elimination is interchangeable
-with any other, and the compiled twin and this module are cross-checked for
-equal output.
+The compiled twin lives in ``_rowred.pyx``; both expose the same four
+functions, ``rref_int``, ``indep_int``, ``rref_fp`` and ``indep_fp``.
+Every output is canonical: the reduced row echelon form (unit pivots over
+GF(p); content 1 and a positive pivot over the integers) and the greedy
+list of independent row indices.  None of them depends on the order in
+which the elimination is carried out, so any correct elimination is
+interchangeable with any other, and the compiled twin and this module are
+cross-checked for equal output.
 
 The rows met in practice are wide and very sparse (a few percent nonzero),
 so a step here touches only nonzero entries:
@@ -171,25 +170,6 @@ def rref_fp(rows, p):
                     row[k] -= b * w
             pivots[pc] = [(k, w) for k in _nonzero(row) if (w := row[k] % p)]
     return [_dense(pivots[pc], n) for pc in order], order
-
-
-def reduce_fp(ech_rows, pivots, vecs, p):
-    """Reduce each vector by a normalized (unit-pivot) echelon, exactly.
-    Vector entries are any ints, read mod p; the output's are in [0, p)."""
-    basis = [(pc, [(k, prow[k]) for k in _nonzero(prow, pc)])
-             for prow, pc in zip(ech_rows, pivots)]
-    out = []
-    for src in vecs:
-        row = list(src)
-        for pc, srow in basis:
-            b = row[pc] % p
-            if b:
-                for k, w in srow:
-                    row[k] -= b * w
-        for k in _nonzero(row):
-            row[k] %= p
-        out.append(row)
-    return out
 
 
 def indep_fp(d_rows, c_rows, p):

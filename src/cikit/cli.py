@@ -126,7 +126,7 @@ def resolve(ideal_arg, ring_opt, field_opt, bounds, as_json, module_opt):
     ring = _ring(ring_opt, field_opt)
     ideal = _ideal(ring, ideal_arg)
     if module_opt == "k":
-        pres = residue_field_presentation(ring, ideal if ideal.generators else None)
+        pres = residue_field_presentation(ring, ideal)
     elif module_opt == "s":
         pres = ideal_as_module(ideal)
     elif module_opt == "ideal":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 
 from . import linalg
-from .dgmodel import DgAlgebraModel, build_minimal_model, kahler_module
+from .dgmodel import DgAlgebraModel, KahlerDgModule, build_minimal_model
 from .groebner import (
     FreeSlices,
     Ideal,
@@ -47,10 +47,6 @@ class ConormalModule:
         self.mu = mu
         self.degree_bound = degree_bound
 
-    @property
-    def presentation(self) -> ModulePresentation:
-        return self.route_a
-
 
 def conormal_route_a(ideal: Ideal, degree_bound: int) -> ModulePresentation:
     """I/I^2 as Z_1 (x) S: the minimal generators of I with the generator
@@ -75,7 +71,7 @@ def conormal(ideal: Ideal, degree_bound: int, model: DgAlgebraModel | None = Non
     route_a = conormal_route_a(ideal, degree_bound)
     if model is None:
         model = build_minimal_model(ideal, 3, degree_bound)
-    route_b = kahler_module(model).conormal_presentation()
+    route_b = KahlerDgModule(model).conormal_presentation()
     hf_a = route_a.hilbert_function(degree_bound)
     hf_b = route_b.hilbert_function(degree_bound)
     mu_a = minimalize_presentation(route_a).nrows
@@ -150,7 +146,7 @@ def differential_kernel_slice(ideal: Ideal, d: int):
     target = FreeSlices(ring, [1] * ring.nvars, ideal)
     cols = [target.coords(tuple(v.partial_derivative(i) for i in range(ring.nvars)), d)
             for v in candidates]
-    coeffs = linalg.kernel_modulo(cols, target.dim(d), [], field)
+    coeffs = linalg.kernel(cols, field)
     out = []
     for cvec in coeffs:
         p = ring.zero()
@@ -301,7 +297,7 @@ def sharpvc_hypothesis_check(
     for col, d in zip(image.columns, image.col_degrees):
         span = target.span_slice_rows(d)
         vec = target.slices().coords(col, d)
-        if not linalg.span_contains_all(span, [vec], field):
+        if linalg.independent_subset(span, [vec], field):
             raise IllFormedMap("alpha does not respect the conormal relations")
 
     # alpha (x) k: degree-0 entries between generators of equal degree
@@ -336,7 +332,7 @@ def koszul_strand_crosscheck(ideal: Ideal, degree_bound: int, model: DgAlgebraMo
     """The module presented by the degree-3 strand of the reduced Kaehler
     complex matches the first Koszul homology in mu and Hilbert function."""
     h1 = koszul_h1(ideal, degree_bound)
-    strand = kahler_module(model).koszul_h1_strand()
+    strand = KahlerDgModule(model).koszul_h1_strand()
     mu_h1 = h1.minimal_generator_count()
     mu_strand = minimalize_presentation(strand).nrows
     hf_h1 = h1.presentation.hilbert_function(degree_bound)

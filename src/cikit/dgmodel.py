@@ -88,11 +88,7 @@ class DgElement:
         F = self.model.field
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = F.add(out.get(key, F.zero()), c)
-            if F.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            F.add_into(out, key, c)
         return DgElement(self.model, out)
 
     def __neg__(self):
@@ -122,12 +118,7 @@ class DgElement:
                 c = F.mul(c1, c2)
                 if sign < 0:
                     c = F.neg(c)
-                key = (m, w)
-                s = F.add(out.get(key, F.zero()), c)
-                if F.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                F.add_into(out, (m, w), c)
         return DgElement(model, out)
 
     # -- degree bookkeeping ------------------------------------------------
@@ -250,7 +241,7 @@ class DgAlgebraModel:
     degree bound that makes it complete (see :func:`build_minimal_model`).
     """
 
-    def __init__(self, ring: PolyRing, ideal: Ideal | None, hdeg_bound: int, intdeg_bound: int):
+    def __init__(self, ring: PolyRing, ideal: Ideal, hdeg_bound: int, intdeg_bound: int):
         self.ring = ring
         self.field: Field = ring.field
         self.ideal = ideal
@@ -364,12 +355,7 @@ class DgAlgebraModel:
             if not w:
                 continue
             for (dm, dww), dc in image_of(w).terms.items():
-                key = (monomial_mul(m, dm), dww)
-                s = F.add(result.terms.get(key, F.zero()), F.mul(c, dc))
-                if F.is_zero(s):
-                    result.terms.pop(key, None)
-                else:
-                    result.terms[key] = s
+                F.add_into(result.terms, (monomial_mul(m, dm), dww), F.mul(c, dc))
         return result
 
     def _dw(self, w) -> DgElement:
@@ -537,8 +523,7 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
     new_vars = []  # (intdeg, cycle element)
 
     for d in range(0, model.intdeg_bound + 1):
-        cycles = linalg.kernel_modulo(
-            model.differential_rows(h, d), model.slices(h - 1).dim(d), [], field)
+        cycles = linalg.kernel(model.differential_rows(h, d), field)
         cycle_slices[d] = cycles
         if not cycles:
             continue
@@ -568,43 +553,7 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
 
 
 # ---------------------------------------------------------------------------
-# stages, fibers, verification
-
-
-def stage_algebra(model: DgAlgebraModel, n: int) -> DgAlgebraModel:
-    """A_(n) = R[X_<n] with the restricted differential."""
-    sub = DgAlgebraModel(model.ring, model.ideal, n - 1, model.intdeg_bound)
-    for v in model.variables:
-        if v.hdeg < n:
-            diff = model.differentials[v.index]
-            sub.add_variable(v.hdeg, v.intdeg, DgElement(sub, dict(diff.terms)))
-        else:
-            break
-    return sub
-
-
-def fiber_algebra(model: DgAlgebraModel, n: int) -> DgAlgebraModel:
-    """A^(n) = k[X_>=n]: kill m_R and the variables below stage n."""
-    kring = PolyRing(model.ring.field, ())
-    fiber = DgAlgebraModel(kring, None, model.hdeg_bound, model.intdeg_bound)
-    keep = [v for v in model.variables if v.hdeg >= n]
-    remap = {v.index: i for i, v in enumerate(keep)}
-    for v in keep:
-        diff = model.differentials[v.index]
-        terms = {}
-        for (m, w), c in diff.terms.items():
-            if any(m):
-                continue
-            if any(vv not in remap for vv, _ in w):
-                continue
-            terms[((), tuple((remap[vv], e) for vv, e in w))] = c
-        placeholder = DgElement(fiber, terms)
-        fiber.add_variable(v.hdeg, v.intdeg, placeholder)
-    return fiber
-
-
-def stage_and_fiber(model: DgAlgebraModel, n: int):
-    return stage_algebra(model, n), fiber_algebra(model, n)
+# verification
 
 
 def verify_model_differential(model: DgAlgebraModel):
@@ -640,17 +589,6 @@ def verify_model_acyclicity(model: DgAlgebraModel):
             if hd != 0:
                 failures.append(f"H_{i} nonzero at degree {d}: dim {hd}")
     return failures
-
-
-def verify_model(model: DgAlgebraModel):
-    """Full invariant suite; returns failure strings."""
-    return verify_model_differential(model) + verify_model_acyclicity(model)
-
-
-def dg_multiply(a: DgElement, b: DgElement) -> DgElement:
-    if a.model is not b.model:
-        raise ModelError("elements of different models")
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +717,3 @@ def omega_differential(kahler: KahlerDgModule, omega_elem: dict) -> dict:
                 add(t2, term)
     return out
 
-
-def kahler_module(model: DgAlgebraModel) -> KahlerDgModule:
-    return KahlerDgModule(model)

@@ -144,17 +144,21 @@ class Field:
     def is_zero(self, a) -> bool:
         return not a
 
+    def add_into(self, terms: dict, key, c):
+        """terms[key] += c in a sparse dict of nonzero elements: the key is
+        dropped when the sum is zero."""
+        s = terms.get(key, 0) + c
+        if self.p is not None:
+            s %= self.p
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+
     # -- text ------------------------------------------------------------
 
     def to_str(self, a) -> str:
         return str(a)
-
-    def parse_scalar(self, text: str):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.of_fraction(int(num), int(den))
-        return self.of_int(int(text))
 
     @staticmethod
     def parse(text: str) -> "Field":

@@ -2,9 +2,10 @@
 
 Two engines live here.  Buchberger's algorithm provides ideal-level
 normal forms, membership, and lead-term data (Hilbert numerators, height).
-Its reductions and every normal form run on :func:`_reduce`, which keeps
-only the remainder; :func:`multivariate_divide`, the textbook division
-with quotients, is the reference that checks them.
+Its reductions and every normal form run on :func:`_remainder` over
+divisor data (:func:`_divisor`) computed once per basis element;
+:func:`multivariate_divide`, the textbook division with quotients, is the
+reference that checks them.
 Module-level work (syzygies, minimal generators, Hilbert functions of
 presented modules) runs degree by degree through exact linear algebra on
 finite-dimensional graded slices, which keeps one code path for modules
@@ -55,7 +56,7 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
     of r divisible by any divisor's leading term.
 
     This is the textbook algorithm, kept as the reference: Buchberger and
-    normal forms run on :func:`_reduce`, while the checks that a basis and
+    normal forms run on :func:`_remainder`, while the checks that a basis and
     its S-pairs reduce to zero divide with this function, so they share no
     code with what they check.
     """
@@ -102,13 +103,9 @@ def _divisor(d: Polynomial, order: MonomialOrder):
     return lm, d.ring.field.inv(lc), [(m, c) for m, c in d.terms.items() if m != lm]
 
 
-def _reduce(f: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
-    """The remainder of :func:`multivariate_divide`, without its quotients."""
-    return _remainder(f, [_divisor(d, order) for d in reducers], order)
-
-
 def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
-    """Remainder of f on division by the :func:`_divisor` data ``divisors``.
+    """Remainder of f on division by the :func:`_divisor` data ``divisors``:
+    the remainder of :func:`multivariate_divide`, without its quotients.
 
     Terms wait in ``queue``, sorted by order key, and leave it largest
     first, each going to the first divisor whose lead divides it, as in
@@ -154,14 +151,17 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis (monic elements, sorted by leading term)."""
+    """A reduced Groebner basis (monic elements, sorted by leading term),
+    with each element's :func:`_divisor` data computed once, for
+    :meth:`normal_form`."""
 
-    __slots__ = ("ring", "order", "elements")
+    __slots__ = ("ring", "order", "elements", "_divisors")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, elements):
         self.ring = ring
         self.order = order
         self.elements = list(elements)
+        self._divisors = [_divisor(g, order) for g in self.elements]
 
     def __iter__(self):
         return iter(self.elements)
@@ -170,7 +170,7 @@ class GroebnerBasis:
         return len(self.elements)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return _reduce(f, self.elements, self.order)
+        return _remainder(f, self._divisors, self.order)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -431,7 +431,7 @@ def _add_multiple(row, blocks, support, m, c, p):
 
 class FreeSlices:
     """Cached graded slices of a free module F with given row degrees over
-    S = R/modulus (over R when the modulus is None).
+    S = R/modulus (over R when the modulus is None, the zero ideal).
 
     Slices are taken in quotient coordinates.  The degree-d basis is (i, m)
     for m in the quotient basis of S_{d - row_degrees[i]}
@@ -535,6 +535,10 @@ def scatter_multiples(slices: FreeSlices, vec, vec_degree: int, d: int, proper_o
 class ModulePresentation:
     """A finitely generated graded module over R or S = R/modulus.
 
+    A modulus of None is the zero ideal (:func:`_zero_ideal`), so
+    ``modulus`` is always an :class:`Ideal` and a module over R is one
+    over R/0.
+
     The matrix columns are vectors in the free module with the given row
     degrees.  Operations state which view they take: `syzygies` and
     `minimal_generators` treat the columns as generators of the submodule
@@ -548,7 +552,7 @@ class ModulePresentation:
 
     def __init__(self, ring: PolyRing, modulus, row_degrees, columns):
         self.ring = ring
-        self.modulus = modulus  # Ideal or None
+        self.modulus = _zero_ideal(ring) if modulus is None else modulus
         self.row_degrees = list(row_degrees)
         cols = []
         degs = []
@@ -571,7 +575,7 @@ class ModulePresentation:
             degs.append(d)
         self.columns = cols
         self.col_degrees = degs
-        self._slices = FreeSlices(ring, self.row_degrees, modulus)
+        self._slices = FreeSlices(ring, self.row_degrees, self.modulus)
         # the Ideal whose generators are the columns, when built from one
         # (:func:`ideal_as_module`), so its memo serves the resolution
         self.column_ideal = None
@@ -590,7 +594,7 @@ class ModulePresentation:
         return self.columns[j][i]
 
     def over_quotient(self) -> bool:
-        return self.modulus is not None and not self.modulus.is_zero()
+        return not self.modulus.is_zero()
 
     def slices(self) -> FreeSlices:
         return self._slices
@@ -679,7 +683,7 @@ def _syzygy_slice(pres: ModulePresentation, d: int):
     coordinates of the free module on the columns: vectors x with
     sum x_j c_j = 0 in F/IF (in F over R)."""
     rows = pres.span_slice_rows(d)
-    return linalg.kernel_modulo(rows, pres.slices().dim(d), [], pres.ring.field)
+    return linalg.kernel(rows, pres.ring.field)
 
 
 def _minimal_syzygies_by_degree(pres: ModulePresentation, degree_bound: int):

@@ -17,8 +17,8 @@ import time
 from . import conormal as conormal_mod
 from . import homlie as homlie_mod
 from .dgmodel import (
+    KahlerDgModule,
     build_minimal_model,
-    kahler_module,
     verify_model_acyclicity,
     verify_model_differential,
 )
@@ -398,7 +398,7 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     _check(checks, "koszul_d2", cx.verify_d_squared())
     data["koszul_ranks"] = cx.rank_profile()
 
-    km = kahler_module(model)
+    km = KahlerDgModule(model)
     fails = km.verify()
     _check(checks, "kahler_complex", not fails, detail=fails)
 

@@ -153,12 +153,7 @@ def compute_pi(model: DgAlgebraModel) -> HomotopyLieTruncation:
                 c = F.mul(coeff, val)
                 if j_deg % 2:
                     c = F.neg(c)
-                tbl = bracket[key]
-                s2 = F.add(tbl.get(x.index, F.zero()), c)
-                if F.is_zero(s2):
-                    tbl.pop(x.index, None)
-                else:
-                    tbl[x.index] = s2
+                F.add_into(bracket[key], x.index, c)
     return HomotopyLieTruncation(model, N, basis, by_degree, bracket)
 
 
@@ -217,11 +212,7 @@ def check_jacobi(pi: HomotopyLieTruncation):
                 for src, sgn in ((lhs, F.of_int(1)), (t1, F.of_int(-1)),
                                  (t2, F.neg(sign))):
                     for t, c in src.items():
-                        s = F.add(total.get(t, F.zero()), F.mul(sgn, c))
-                        if F.is_zero(s):
-                            total.pop(t, None)
-                        else:
-                            total[t] = s
+                        F.add_into(total, t, F.mul(sgn, c))
                 if total:
                     failures.append(
                         f"Jacobi fails on ({u.name},{v.name},{w.name}): {total}"
@@ -238,11 +229,7 @@ def _bracket_combos(pi, left: dict, right: dict) -> dict:
         for b, cb in right.items():
             c = F.mul(ca, cb)
             for t, ct in pi.bracket.get((a, b), {}).items():
-                s = F.add(out.get(t, F.zero()), F.mul(c, ct))
-                if F.is_zero(s):
-                    out.pop(t, None)
-                else:
-                    out[t] = s
+                F.add_into(out, t, F.mul(c, ct))
     return out
 
 

@@ -1,12 +1,15 @@
 """Exact dense linear algebra over Q and GF(p).
 
-Thin field-aware wrappers around the row-reduction kernels.  The compiled
-kernel (`_rowred`, Cython) is preferred; the pure-Python twin (`_rowred_py`)
-is selected when the extension is unavailable or ``CIKIT_PURE_PYTHON`` is
-set.  The extension exists only after a build step, so any install without
-one runs the pure kernel, and so does the benchmark (`cibench`), which
-imports the source tree as it is.  Both produce identical output, which
-`benchmarks/bench_rowred.py` exercises directly.
+Six field-aware functions: `rref`, `rank`, `independent_subset`,
+`nullspace`, `kernel` and `transpose`.  They reach only the four functions
+of the row-reduction kernel, ``rref_int``, ``indep_int``, ``rref_fp`` and
+``indep_fp``.  The compiled kernel (`_rowred`, Cython) is preferred; the
+pure-Python twin (`_rowred_py`) is selected when the extension is
+unavailable or ``CIKIT_PURE_PYTHON`` is set.  The extension exists only
+after a build step, so any install without one runs the pure kernel, and so
+does the benchmark (`cibench`), which imports the source tree as it is.
+Both produce identical output, which `benchmarks/bench_rowred.py` exercises
+directly.
 
 Over Q a row holds `int` entries where they are integral and `Fraction`
 entries elsewhere (see `fields`).  Integral rows reach the integer kernel
@@ -92,10 +95,6 @@ def independent_subset(d_rows, c_rows, field: Field):
     return _fp_impl(field.p).indep_fp(d_rows, c_rows, field.p)
 
 
-def span_contains_all(span_rows, vecs, field: Field) -> bool:
-    return not independent_subset(span_rows, vecs, field)
-
-
 def nullspace(rows, ncols: int, field: Field):
     """Basis of {x : M x = 0} for the matrix M with the given rows.
 
@@ -117,45 +116,19 @@ def nullspace(rows, ncols: int, field: Field):
     return basis
 
 
-def kernel_modulo(cols, target_dim: int, subspace_rows, field: Field,
-                  subspace_pivots=None):
-    """Canonical basis of {x : sum_i x_i * cols[i] in span(subspace_rows)}.
+def kernel(cols, field: Field):
+    """Canonical basis (RREF) of {x : sum_i x_i * cols[i] = 0}.
 
-    ``cols`` are target-coordinate vectors; the subspace acts as a quotient
-    of the target.  The subspace is echelonized (or taken as the given
-    echelon when ``subspace_pivots`` is passed) and the columns reduced
-    against it, which keeps the elimination square in the quotient
-    dimensions.  Slices of modules over S = R/I pass no subspace: their
-    columns are already in the quotient coordinates of
-    :class:`cikit.groebner.FreeSlices`, where I*F is zero.
+    ``cols`` are vectors of one length.  Slices of modules over S = R/I
+    are taken in the quotient coordinates of
+    :class:`cikit.groebner.FreeSlices`, where I*F is zero, so a kernel
+    there needs no subspace to divide by.
     """
     if not cols:
         return []
-    if subspace_rows:
-        if subspace_pivots is None:
-            subspace_rows, subspace_pivots = rref(subspace_rows, field)
-        cols = reduce_mod_echelon(subspace_rows, subspace_pivots, cols, field)
-    rows = [r for r in transpose(cols, target_dim, field) if any(r)]
+    rows = [r for r in transpose(cols, len(cols[0]), field) if any(r)]
     basis, _ = rref(nullspace(rows, len(cols), field), field)
     return basis
-
-
-def reduce_mod_echelon(ech_rows, pivots, vecs, field: Field):
-    """Reduce vectors against a unit-pivot RREF echelon (exact elimination
-    at pivot coordinates)."""
-    if not field.is_rationals:
-        return _fp_impl(field.p).reduce_fp(ech_rows, pivots, vecs, field.p)
-    out = []
-    for src in vecs:
-        row = list(src)
-        for prow, pc in zip(ech_rows, pivots):
-            b = row[pc]
-            if b:
-                for k in range(pc, len(row)):
-                    if prow[k]:
-                        row[k] = row[k] - b * prow[k]
-        out.append(row)
-    return out
 
 
 def transpose(rows, ncols: int, field: Field):

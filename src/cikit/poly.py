@@ -199,12 +199,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Maximum total degree, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def homogeneous_degree(self) -> int:
         """Common degree of all terms; raises on mixed degrees, -1 on zero."""
         degs = {sum(m) for m in self.terms}
@@ -223,9 +217,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
-
-    def coefficient(self, expts):
-        return self.terms.get(tuple(expts), self.ring.field.zero())
 
     def __bool__(self):
         return bool(self.terms)
@@ -251,11 +242,7 @@ class Polynomial:
         F = self.ring.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = F.add(out.get(m, F.zero()), c)
-            if F.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+            F.add_into(out, m, c)
         return Polynomial(self.ring, out)
 
     def __neg__(self):
@@ -271,12 +258,7 @@ class Polynomial:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = F.add(out.get(m, F.zero()), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                F.add_into(out, monomial_mul(m1, m2), F.mul(c1, c2))
         return Polynomial(self.ring, out)
 
     def scale(self, c):

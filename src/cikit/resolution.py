@@ -134,8 +134,7 @@ class ProjDimCertificate:
         other finite verdict is bounded by ``degree_bound``."""
         if self.is_infinite():
             return True
-        over_r = self.resolution.modulus is None or self.resolution.modulus.is_zero()
-        return over_r or self.value == 0
+        return self.resolution.modulus.is_zero() or self.value == 0
 
     def __repr__(self):
         if self.is_finite():
@@ -165,7 +164,7 @@ def minimal_free_resolution(
     """Minimal resolution of coker(pres) up to the given bounds.
 
     A syzygy step runs to ``degree_bound``, except for R/I over R (one row,
-    no modulus): step i then stops at the Taylor bound T_i of in(I), and no
+    zero modulus): step i then stops at the Taylor bound T_i of in(I), and no
     step runs past F_r (see :meth:`Ideal.taylor_degree_bounds`).  Either way
     the result is the one the cap gives, and ``degree_bound`` records the
     cap."""
@@ -210,7 +209,7 @@ def projdim_probe(pres: ModulePresentation, degree_bound: int) -> ProjDimCertifi
     bound, or, for R/I over R, to the Taylor bound below it (see
     :func:`minimal_free_resolution`).  A resolution that ran all dim S + 1
     steps is infinite; any shorter one terminated."""
-    dim = krull_dimension(pres.modulus) if pres.modulus is not None else pres.ring.nvars
+    dim = krull_dimension(pres.modulus)
     res = minimal_free_resolution(pres, dim + 1, degree_bound)
     # F_{dim+1} != 0 outranks the final termination scan, which can only
     # come back empty there because syzygies lie above the degree bound, so
@@ -225,7 +224,7 @@ def ext_degree_bound(modulus, n: int) -> int:
     F_1..F_n in the minimal resolution of k over S = R/modulus, with m the
     top degree of the reduced Groebner basis (1 for a zero modulus)."""
     m = 1
-    if modulus is not None and not modulus.is_zero():
+    if not modulus.is_zero():
         m = max(g.homogeneous_degree() for g in modulus.groebner())
     return 1 + max(1, m - 1) * max(n - 1, 0)
 
@@ -277,7 +276,7 @@ def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | Non
                     failures.append(f"non-minimal entry in step {i}")
 
     n = len(res.maps)
-    ideal_dim = res.modulus.slice_dim if res.modulus is not None else lambda e: 0
+    ideal_dim = res.modulus.slice_dim
     free = [
         [sum(res.ring.slice_dim(d - r) - ideal_dim(d - r) for r in res.free_module(i))
          for d in degrees]

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
-from cikit import harness
+from cikit import harness, linalg
 from cikit.fields import QQ, GF
 from cikit.poly import PolyRing, Polynomial
 
@@ -36,6 +36,20 @@ def check_status(entry, check_name):
         if c["name"] == check_name:
             return c["status"]
     return None
+
+
+def bruteforce_kernel(cols, W, field):
+    """Reference for {x : sum_i x_i * cols[i] in span(W)}: the x-parts of
+    the nullspace of the matrix [cols | W], in RREF."""
+    if not cols:
+        return []
+    n = len(cols)
+    rows = [[field.zero()] * (n + len(W)) for _ in cols[0]]
+    for j, col in enumerate(list(cols) + list(W)):
+        for t, v in enumerate(col):
+            rows[t][j] = v
+    kernel = linalg.nullspace(rows, n + len(W), field)
+    return linalg.rref([v[:n] for v in kernel], field)[0]
 
 
 FUZZ_FIELDS = (QQ, GF(32003))

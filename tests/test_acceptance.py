@@ -14,7 +14,12 @@ import time
 import pytest
 
 from cikit import harness
-from cikit.dgmodel import build_minimal_model, kahler_module, verify_model
+from cikit.dgmodel import (
+    KahlerDgModule,
+    build_minimal_model,
+    verify_model_acyclicity,
+    verify_model_differential,
+)
 from cikit.groebner import krull_dimension
 from cikit.koszul import koszul_complex
 
@@ -48,10 +53,10 @@ def test_criterion_1_structural_exactness(corpus_report, corpus_entries):
     for entry in corpus_entries:
         _, ideal = entry.build()
         model = build_minimal_model(ideal, entry.bounds.hdeg, entry.bounds.intdeg)
-        fails = verify_model(model)
+        fails = verify_model_differential(model) + verify_model_acyclicity(model)
         assert not fails, (entry.name, fails)
         assert koszul_complex(ideal).verify_d_squared(), entry.name
-        assert kahler_module(model).verify() == [], entry.name
+        assert KahlerDgModule(model).verify() == [], entry.name
     elapsed = time.monotonic() - t0
 
     # resolution d^2 = 0 checks ran inside the corpus evaluation

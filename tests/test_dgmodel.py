@@ -11,13 +11,10 @@ from cikit import groebner as gr
 from cikit.dgmodel import (
     CharacteristicTooSmall,
     DgDerivation,
+    KahlerDgModule,
     build_minimal_model,
-    dg_multiply,
-    fiber_algebra,
-    kahler_module,
-    stage_and_fiber,
-    verify_model,
     verify_model_acyclicity,
+    verify_model_differential,
 )
 from cikit import linalg
 from cikit.fields import QQ, GF
@@ -41,7 +38,7 @@ def model_for(ring, *texts, hdeg=4, intdeg=12):
 def test_ci_model_is_koszul_complex(R):
     m = model_for(R, "x^2", "y^2", hdeg=5)
     assert m.deviations() == [2, 0, 0, 0, 0]
-    assert verify_model(m) == []
+    assert verify_model_differential(m) + verify_model_acyclicity(m) == []
 
 
 def test_aci_stages(R):
@@ -52,13 +49,13 @@ def test_aci_stages(R):
     assert dump[1] == "t1_2 : 1 2 : x*y"
     assert dump[2] == "t2_1 : 2 3 : y*t1_1 - x*t1_2"
     assert dump[3] == "t3_1 : 3 4 : t1_1*t1_2 + x*t2_1"
-    assert verify_model(m) == []
+    assert verify_model_differential(m) + verify_model_acyclicity(m) == []
 
 
 def test_m2_deviations(R):
     m = model_for(R, "x^2", "x*y", "y^2")
     assert m.deviations()[:2] == [3, 2]
-    assert verify_model(m) == []
+    assert verify_model_differential(m) + verify_model_acyclicity(m) == []
 
 
 def test_graded_commutativity(R):
@@ -68,7 +65,6 @@ def test_graded_commutativity(R):
     assert (t1 * t2 + t2 * t1).is_zero()          # anticommutation
     x = m.embed(R.from_string("x"))
     assert (x * t1) * t2 == x * (t1 * t2)
-    assert dg_multiply(x * t1, t2) == x * (t1 * t2)
 
 
 def test_differential_squares_to_zero_on_products(R):
@@ -105,30 +101,6 @@ def test_derivation_signs(R):
     assert dy.apply(z * y) == -z
 
 
-def test_stage_and_fiber(R):
-    m = model_for(R, "x^2", "x*y")
-    stage2, fiber2 = stage_and_fiber(m, 2)
-    assert len(stage2.variables) == 2
-    assert all(v.hdeg >= 2 for v in fiber2.variables)
-    # n = 1: the derived fibre carries every variable
-    _, fiber1 = stage_and_fiber(m, 1)
-    assert len(fiber1.variables) == len(m.variables)
-    # complete intersection: A^(2) has no variables at all
-    mci = model_for(R, "x^2", "y^2")
-    assert len(fiber_algebra(mci, 2).variables) == 0
-    # fiber differentials drop coefficients in m_R
-    for v in fiber1.variables:
-        diff = fiber1.differentials[v.index]
-        for (mon, w), _ in diff.terms.items():
-            assert mon == ()
-
-
-def test_m2_fiber_at_2(R):
-    m = model_for(R, "x^2", "x*y", "y^2")
-    _, fiber = stage_and_fiber(m, 2)
-    assert sum(1 for v in fiber.variables if v.hdeg == 2) == 2
-
-
 def test_characteristic_guard():
     R3 = PolyRing(GF(3), ["x"])
     with pytest.raises(CharacteristicTooSmall):
@@ -136,7 +108,7 @@ def test_characteristic_guard():
     # GF(7) with bound 5 is fine
     R7 = PolyRing(GF(7), ["x", "y"])
     m = build_minimal_model(gr.Ideal(R7, [R7.from_string("x^2"), R7.from_string("y^2")]), 5, 12)
-    assert verify_model(m) == []
+    assert verify_model_differential(m) + verify_model_acyclicity(m) == []
 
 
 def test_degree_bound_warning(R):
@@ -156,7 +128,7 @@ def test_zero_ideal_has_no_variables(R):
 
 def test_kahler_module(R):
     m = model_for(R, "x^2", "x*y")
-    km = kahler_module(m)
+    km = KahlerDgModule(m)
     assert km.verify() == []
     con = km.conormal_presentation()
     assert con.nrows == 2 and con.ncols == 1
@@ -165,7 +137,7 @@ def test_kahler_module(R):
 
     Rx = PolyRing(QQ, ["x"])
     mx = build_minimal_model(gr.Ideal(Rx, [Rx.from_string("x^2")]), 4, 10)
-    kx = kahler_module(mx)
+    kx = KahlerDgModule(mx)
     conx = kx.conormal_presentation()
     # free of rank 1, Hilbert function of (x^2)/(x^4)
     assert conx.nrows == 1 and conx.ncols == 0
@@ -174,7 +146,7 @@ def test_kahler_module(R):
 
 def test_kahler_ci_conormal_free(R):
     m = model_for(R, "x^2", "y^2", hdeg=5)
-    con = kahler_module(m).conormal_presentation()
+    con = KahlerDgModule(m).conormal_presentation()
     assert con.nrows == 2 and con.ncols == 0
 
 

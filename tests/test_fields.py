@@ -81,18 +81,26 @@ def test_parse_rejects_malformed_specs(spec):
         Field.parse(spec)
 
 
-def test_parse_scalar():
-    assert QQ.parse_scalar("3/2") == Fraction(3, 2)
-    assert GF(7).parse_scalar("3/2") == (3 * 4) % 7
-    assert QQ.parse_scalar("-5") == Fraction(-5)
+def test_add_into_drops_zero_sums():
+    terms = {"a": Fraction(1, 2), "b": 3}
+    QQ.add_into(terms, "a", Fraction(-1, 2))
+    QQ.add_into(terms, "b", 1)
+    QQ.add_into(terms, "c", Fraction(2, 3))
+    assert terms == {"b": 4, "c": Fraction(2, 3)}
+    F = GF(7)
+    terms = {"a": 3, "b": 5}
+    F.add_into(terms, "a", 4)
+    F.add_into(terms, "b", 5)
+    F.add_into(terms, "c", 6)
+    assert terms == {"b": 3, "c": 6}
 
 
 def test_rationals_keep_integral_values_as_int():
-    for value in (QQ.zero(), QQ.one(), QQ.of_int(3), QQ.parse_scalar("4/2"),
-                  QQ.parse_scalar("-5"), QQ.of_fraction(6, -3), QQ.inv(-1),
+    for value in (QQ.zero(), QQ.one(), QQ.of_int(3), QQ.of_fraction(4, 2),
+                  QQ.of_int(-5), QQ.of_fraction(6, -3), QQ.inv(-1),
                   QQ.inv(Fraction(1, 3))):
         assert type(value) is int
-    assert QQ.parse_scalar("4/2") == 2 and QQ.inv(Fraction(1, 3)) == 3
+    assert QQ.of_fraction(4, 2) == 2 and QQ.inv(Fraction(1, 3)) == 3
     for value, want in ((QQ.inv(2), Fraction(1, 2)), (QQ.div(1, 3), Fraction(1, 3)),
                         (QQ.of_fraction(1, 3), Fraction(1, 3))):
         assert type(value) is Fraction and value == want

@@ -116,12 +116,25 @@ def test_normal_form_membership(R):
     assert str(gb.normal_form(R.one())) == "1"
 
 
+def test_normal_forms_reuse_the_divisor_data(R, monkeypatch):
+    # each basis element's divisor data is built once, with the basis
+    calls = []
+    divisor = gr._divisor
+    monkeypatch.setattr(gr, "_divisor", lambda d, order: calls.append(d) or divisor(d, order))
+    gb = ideal(R, "x^2", "x*y", "y^3").groebner()
+    assert calls == gb.elements
+    for text in ("x^3 + y^3", "x*y^2 + y^2", "y^4"):
+        gb.normal_form(R.from_string(text))
+    assert calls == gb.elements
+
+
 def test_reduce_requeues_a_term_that_cancels_and_comes_back(R):
     # x^3 goes to 2x^2 + 2y^2 and brings in x*y^2; x^2*y brings in -y^3,
     # which cancels the y^3 of f; x*y^2 goes to x + 2y and brings y^3 back
     f = R.from_string("-x^3 + x^2*y + y^3")
     divisors = [R.from_string("2*x^2 + 2*y^2"), R.from_string("x + 2*y")]
-    assert gr._reduce(f, divisors, DEGREVLEX) == R.from_string("-2*y^3")
+    data = [gr._divisor(d, DEGREVLEX) for d in divisors]
+    assert gr._remainder(f, data, DEGREVLEX) == R.from_string("-2*y^3")
     assert gr.multivariate_divide(f, divisors)[1] == R.from_string("-2*y^3")
 
 
@@ -390,7 +403,8 @@ def test_reduce_matches_multivariate_divide(ring_gens, data):
                           for m in support})
     divisors = gens + list(gr.Ideal(ring, gens).groebner())
     for order in (DEGREVLEX, DEGLEX, LEX):
-        assert gr._reduce(f, divisors, order) == gr.multivariate_divide(f, divisors, order)[1]
+        data = [gr._divisor(d, order) for d in divisors]
+        assert gr._remainder(f, data, order) == gr.multivariate_divide(f, divisors, order)[1]
 
 
 # -- d^2 = 0 against the polynomial-product construction ----------------------

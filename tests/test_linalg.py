@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bruteforce_kernel
+
 from cikit import _rowred_py, linalg
 from cikit.fields import QQ, GF
 
@@ -51,35 +53,29 @@ def test_independent_subset_greedy():
     assert linalg.independent_subset([], cands, QQ) == [0, 1]
 
 
-def test_span_contains_all():
-    span = frac_rows([[1, 0, 0], [0, 1, 0]])
-    assert linalg.span_contains_all(span, frac_rows([[2, 3, 0]]), QQ)
-    assert not linalg.span_contains_all(span, frac_rows([[0, 0, 1]]), QQ)
-
-
-def test_kernel_modulo_matches_bruteforce():
-    # {x : M x in span(W)} computed two ways over GF(7) and Q
+def test_kernel_matches_bruteforce():
+    # {x : sum x_i cols[i] = 0} against the nullspace reference with W = []:
+    # no columns, columns of length zero, then random columns over GF(7) and
+    # over Q with int, Fraction and mixed rows
     rng = random.Random(3)
     for field in (QQ, GF(7)):
-        for _ in range(25):
-            tdim = rng.randrange(1, 5)
-            ncols = rng.randrange(1, 5)
-            mk = (lambda: Fraction(rng.randrange(-4, 5))) if field.is_rationals else (
-                lambda: rng.randrange(7))
-            cols = [[mk() for _ in range(tdim)] for _ in range(ncols)]
-            W = [[mk() for _ in range(tdim)] for _ in range(rng.randrange(0, 3))]
-            got = linalg.kernel_modulo(cols, tdim, W, field)
-            # brute force: x-parts of the kernel of [cols | W]
-            rows = [[field.zero()] * (ncols + len(W)) for _ in range(tdim)]
-            for j, col in enumerate(cols):
-                for t, v in enumerate(col):
-                    rows[t][j] = v
-            for j, w in enumerate(W):
-                for t, v in enumerate(w):
-                    rows[t][ncols + j] = v
-            kernel = linalg.nullspace(rows, ncols + len(W), field)
-            want, _ = linalg.rref([v[:ncols] for v in kernel], field)
-            assert got == want, (field, cols, W)
+        assert linalg.kernel([], field) == bruteforce_kernel([], [], field) == []
+        for ncols in range(1, 4):
+            cols = [[] for _ in range(ncols)]
+            assert linalg.kernel(cols, field) == bruteforce_kernel(cols, [], field)
+    for _ in range(25):
+        tdim, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+        cols = [[rng.randrange(7) for _ in range(tdim)] for _ in range(ncols)]
+        assert linalg.kernel(cols, GF(7)) == bruteforce_kernel(cols, [], GF(7)), cols
+    for _ in range(25):
+        tdim, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+        values = [[Fraction(rng.randrange(-4, 5), rng.choice([1, 1, 2, 3])) for _ in range(tdim)]
+                  for _ in range(ncols)]
+        want = bruteforce_kernel(values, [], QQ)
+        as_int = [[canonical(v) for v in col] for col in values]
+        mixed = [[v if rng.random() < 0.5 else canonical(v) for v in col] for col in values]
+        for cols in (as_int, values, mixed):
+            assert linalg.kernel(cols, QQ) == want, cols
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
@@ -104,19 +100,6 @@ def test_compiled_matches_pure_randomised():
         ) == _rowred_py.indep_fp(
             [[v % p for v in r] for r in d], [[v % p for v in r] for r in c], p
         )
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
-def test_compiled_reduce_matches_pure():
-    rng = random.Random(1)
-    p = 7
-    for _ in range(100):
-        n = rng.randrange(1, 8)
-        raw = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(0, 4))]
-        ech, pivots = _rowred_py.rref_fp([list(r) for r in raw], p)
-        vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
-        assert compiled.reduce_fp(ech, pivots, [list(v) for v in vecs], p) == \
-            _rowred_py.reduce_fp(ech, pivots, [list(v) for v in vecs], p)
 
 
 # -- the dense kernel, kept as the reference ----------------------------------
@@ -241,19 +224,6 @@ def ref_fp_reduce(echelon, row, p):
     return piv
 
 
-def ref_reduce_fp(ech_rows, pivots, vecs, p):
-    out = []
-    for src in vecs:
-        row = [v % p for v in src]
-        for prow, pc in zip(ech_rows, pivots):
-            b = row[pc]
-            if b:
-                for k in range(pc, len(row)):
-                    row[k] = (row[k] - b * prow[k]) % p
-        out.append(row)
-    return out
-
-
 def ref_indep_fp(d_rows, c_rows, p):
     echelon = []
     for src in d_rows:
@@ -323,14 +293,12 @@ def test_kernel_matches_dense_reference(data):
     rows = data.draw(kernel_rows(-2 * p - 3, 2 * p + 3))
     split = data.draw(st.integers(0, len(rows)))
     d_rows, c_rows = rows[:split], rows[split:]
-    ech, pivots = ref_rref_fp(d_rows, p)
     for kernel in KERNELS:
         # the compiled kernel takes entries in [0, p)
         if kernel is not _rowred_py:
             d_rows, c_rows = [[v % p for v in r] for r in d_rows], [[v % p for v in r] for r in c_rows]
         assert_kernel_matches(kernel, "rref_fp", (d_rows + c_rows, p), ref_rref_fp)
         assert_kernel_matches(kernel, "indep_fp", (d_rows, c_rows, p), ref_indep_fp)
-        assert_kernel_matches(kernel, "reduce_fp", (ech, pivots, c_rows, p), ref_reduce_fp)
 
 
 def test_linalg_above_the_compiled_prime_limit_matches_reference():
@@ -349,9 +317,6 @@ def test_linalg_above_the_compiled_prime_limit_matches_reference():
         assert linalg.rank(rows, F) == len(pivots)
         assert linalg.independent_subset(rows[:2], rows[2:], F) == \
             ref_indep_fp(rows[:2], rows[2:], p)
-        vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
-        assert linalg.reduce_mod_echelon(red, pivots, vecs, F) == \
-            ref_reduce_fp(red, pivots, vecs, p)
 
 
 def fraction_rref(rows):
@@ -400,21 +365,18 @@ def test_q_rows_give_equal_results_as_int_fraction_or_mixed(data):
     m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
     forms = data.draw(q_matrix_forms(m, n))
     others = data.draw(q_matrix_forms(data.draw(st.integers(0, 3)), n))
-    vecs = data.draw(q_matrix_forms(data.draw(st.integers(0, 3)), n))
     want_rref = fraction_rref(forms[1])
     results = []
-    for rows, extra, vs in zip(forms, others, vecs):
+    for rows, extra in zip(forms, others):
         red, pivots = linalg.rref(rows, QQ)
         assert (red, pivots) == want_rref
         assert all(type(v) is int or v.denominator != 1 for row in red for v in row)
-        ech, ech_pivots = linalg.rref(extra, QQ)
         out = (
             red, pivots,
             linalg.rank(rows, QQ),
             linalg.nullspace(rows, n, QQ),
             linalg.independent_subset(extra, rows, QQ),
-            linalg.kernel_modulo(rows, n, extra, QQ),
-            linalg.reduce_mod_echelon(ech, ech_pivots, vs, QQ),
+            linalg.kernel(rows, QQ),
         )
         assert_no_float(out)
         results.append(out)
@@ -425,3 +387,48 @@ def test_pure_python_env_selection():
     # the environment switch is honoured at import; here just check the
     # module reports which kernel is active
     assert linalg.KERNEL in ("compiled", "python")
+
+
+KERNEL_CONTRACT = {"rref_int", "indep_int", "rref_fp", "indep_fp"}
+
+
+def public_functions(module):
+    return {a for a, o in vars(module).items()
+            if callable(o) and not a.startswith("_")
+            and getattr(o, "__module__", None) == module.__name__}
+
+
+class _RecordingKernel:
+    """A kernel module that records the names looked up on it."""
+
+    def __init__(self, module, seen):
+        self._module = module
+        self._seen = seen
+
+    def __getattr__(self, name):
+        self._seen.add(name)
+        return getattr(self._module, name)
+
+
+def test_kernel_contract(monkeypatch):
+    # the pure kernel defines exactly four functions and the compiled twin,
+    # when built, the same four; cibench's tracer looks each pure name up on
+    # linalg._impl, and linalg reaches no other kernel name
+    assert public_functions(_rowred_py) == KERNEL_CONTRACT
+    if compiled is not None:
+        assert public_functions(compiled) == KERNEL_CONTRACT
+    assert all(callable(getattr(linalg._impl, name)) for name in KERNEL_CONTRACT)
+    assert public_functions(linalg) == {
+        "rref", "rank", "independent_subset", "nullspace", "kernel", "transpose"}
+    seen = set()
+    monkeypatch.setattr(linalg, "_impl", _RecordingKernel(linalg._impl, seen))
+    monkeypatch.setattr(linalg, "_rowred_py", _RecordingKernel(_rowred_py, seen))
+    rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
+    for field in (QQ, GF(7), GF(2147483659)):
+        linalg.rref(rows, field)
+        linalg.rank(rows, field)
+        linalg.independent_subset(rows[:1], rows[1:], field)
+        linalg.nullspace(rows, 3, field)
+        linalg.kernel(rows, field)
+        linalg.transpose(rows, 3, field)
+    assert seen == KERNEL_CONTRACT

@@ -75,7 +75,7 @@ def test_binomial_betti_numbers():
 def test_ext_betti_examples(R):
     Rx = PolyRing(QQ, ["x"])
     assert ext_betti(Rx, ideal(Rx, "x^2"), 5) == [1, 1, 1, 1, 1, 1]
-    assert ext_betti(R, None, 4) == [1, 2, 1, 0, 0]
+    assert ext_betti(R, ideal(R), 4) == [1, 2, 1, 0, 0]
     m2 = ideal(R, "x^2", "x*y", "y^2")
     assert ext_betti(R, m2, 4) == [1, 2, 4, 8, 16]
 
