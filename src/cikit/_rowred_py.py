@@ -1,13 +1,12 @@
-"""Pure-Python row-reduction kernels.
+"""The row-reduction kernel: ``rref_int``, ``indep_int``, ``rref_fp`` and
+``indep_fp``, in pure Python.
 
-The compiled twin lives in ``_rowred.pyx``; both expose the same four
-functions, ``rref_int``, ``indep_int``, ``rref_fp`` and ``indep_fp``.
 Every output is canonical: the reduced row echelon form (unit pivots over
 GF(p); content 1 and a positive pivot over the integers) and the greedy
 list of independent row indices.  None of them depends on the order in
 which the elimination is carried out, so any correct elimination is
-interchangeable with any other, and the compiled twin and this module are
-cross-checked for equal output.
+interchangeable with any other.  The reference is the dense kernel kept in
+``tests/test_linalg.py``, which this module must match exactly.
 
 The rows met in practice are wide and very sparse (a few percent nonzero),
 so a step here touches only nonzero entries:

@@ -13,8 +13,6 @@ with this grading the bracket satisfies [u,v] = -(-1)^{ij} [v,u].
 from __future__ import annotations
 
 from .dgmodel import DgAlgebraModel, DgDerivation, DgElement, ModelError
-from .groebner import Ideal
-from .poly import Polynomial
 from .resolution import ext_betti
 
 
@@ -434,22 +432,20 @@ def expected_ext_dims(model: DgAlgebraModel, N: int):
     # cancelled against the Koszul factor
     eps1 = eps[0] - ell if eps else 0
     series = _series_mul(series, _series_pow(_geometric(2, N), eps1, N), N)
-    for j in range(2, len(eps) + 1):
-        if j + 1 > N and j > N:
-            break
+    # pi^(j+1) sits in degree j + 1, so only j <= N - 1 reaches the series
+    for j in range(2, min(len(eps), N - 1) + 1):
         count = eps[j - 1]
         if not count:
             continue
-        gen = [0] * (N + 1)
-        gen[0] = 1
-        if j + 1 <= N:
-            if j % 2 == 0:  # pi^(j+1) odd: exterior
-                gen[j + 1] = 1
-                series = _series_mul(series, _series_pow(gen, count, N), N)
-            else:  # pi^(j+1) even: polynomial
-                series = _series_mul(
-                    series, _series_pow(_geometric(j + 1, N), count, N), N
-                )
+        if j % 2 == 0:  # pi^(j+1) odd: exterior
+            gen = [0] * (N + 1)
+            gen[0] = 1
+            gen[j + 1] = 1
+            series = _series_mul(series, _series_pow(gen, count, N), N)
+        else:  # pi^(j+1) even: polynomial
+            series = _series_mul(
+                series, _series_pow(_geometric(j + 1, N), count, N), N
+            )
     return series
 
 

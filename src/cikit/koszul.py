@@ -11,6 +11,7 @@ transposed presentation.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .groebner import (
     FreeSlices,
@@ -43,8 +44,6 @@ class KoszulComplex:
         c = len(self.generators)
         if i < 0 or i > c:
             return 0
-        import math
-
         return math.comb(c, i)
 
     def subset_degree(self, subset) -> int:

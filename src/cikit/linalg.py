@@ -2,14 +2,10 @@
 
 Six field-aware functions: `rref`, `rank`, `independent_subset`,
 `nullspace`, `kernel` and `transpose`.  They reach only the four functions
-of the row-reduction kernel, ``rref_int``, ``indep_int``, ``rref_fp`` and
-``indep_fp``.  The compiled kernel (`_rowred`, Cython) is preferred; the
-pure-Python twin (`_rowred_py`) is selected when the extension is
-unavailable or ``CIKIT_PURE_PYTHON`` is set.  The extension exists only
-after a build step, so any install without one runs the pure kernel, and so
-does the benchmark (`cibench`), which imports the source tree as it is.
-Both produce identical output, which `benchmarks/bench_rowred.py` exercises
-directly.
+of the row-reduction kernel `_rowred_py`: ``rref_int``, ``indep_int``,
+``rref_fp`` and ``indep_fp``.  There is one kernel.  It is reached through
+`_impl`, and `KERNEL` names it; both stay because the benchmark (`cibench`)
+reads them, to trace the kernel's calls and to record which kernel ran.
 
 Over Q a row holds `int` entries where they are integral and `Fraction`
 entries elsewhere (see `fields`).  Integral rows reach the integer kernel
@@ -21,7 +17,6 @@ are integral.  No function here returns a float.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 
@@ -29,18 +24,9 @@ from .fields import Field
 
 from . import _rowred_py
 
-_compiled = None
-if not os.environ.get("CIKIT_PURE_PYTHON"):
-    try:
-        from . import _rowred as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
+_impl = _rowred_py
 
-_impl = _compiled if _compiled is not None else _rowred_py
-
-KERNEL = "compiled" if _compiled is not None else "python"
-
-_FP_LIMIT = 1 << 31
+KERNEL = "python"
 
 
 def _scale_row_to_int(row):
@@ -50,10 +36,6 @@ def _scale_row_to_int(row):
         return row
     den = lcm(*[v.denominator for v in row])
     return [v.numerator * (den // v.denominator) for v in row]
-
-
-def _fp_impl(p):
-    return _impl if p < _FP_LIMIT else _rowred_py
 
 
 def rref(rows, field: Field):
@@ -71,7 +53,7 @@ def rref(rows, field: Field):
                 row = [v // piv if v % piv == 0 else Fraction(v, piv) for v in row]
             out.append(row)
         return out, pivots
-    return _fp_impl(field.p).rref_fp(rows, field.p)
+    return _impl.rref_fp(rows, field.p)
 
 
 def rank(rows, field: Field) -> int:
@@ -80,7 +62,7 @@ def rank(rows, field: Field) -> int:
         return 0
     if field.is_rationals:
         return len(_impl.indep_int([], [_scale_row_to_int(r) for r in rows]))
-    return len(_fp_impl(field.p).indep_fp([], rows, field.p))
+    return len(_impl.indep_fp([], rows, field.p))
 
 
 def independent_subset(d_rows, c_rows, field: Field):
@@ -92,7 +74,7 @@ def independent_subset(d_rows, c_rows, field: Field):
             [_scale_row_to_int(r) for r in d_rows],
             [_scale_row_to_int(r) for r in c_rows],
         )
-    return _fp_impl(field.p).indep_fp(d_rows, c_rows, field.p)
+    return _impl.indep_fp(d_rows, c_rows, field.p)
 
 
 def nullspace(rows, ncols: int, field: Field):

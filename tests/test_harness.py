@@ -13,7 +13,6 @@ from cikit.groebner import Ideal, ModulePresentation
 from cikit.harness import (
     Bounds,
     CorpusError,
-    CriteriaDisagree,
     cache_insert,
     cache_key,
     cache_lookup,

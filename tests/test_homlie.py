@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from cikit.dgmodel import build_minimal_model
 from cikit.fields import QQ, GF
 from cikit.homlie import (
     DimensionMismatch,
-    ad_matrix,
     check_antisymmetry,
     check_jacobi,
     compute_pi,

@@ -1,6 +1,3 @@
-import random
-from fractions import Fraction
-
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +10,6 @@ from conftest import bruteforce_kernel
 
 from cikit import _rowred_py, linalg
 from cikit.fields import QQ, GF
-
-try:
-    from cikit import _rowred as compiled
-except ImportError:
-    compiled = None
 
 
 def frac_rows(rows):
@@ -78,34 +72,10 @@ def test_kernel_matches_bruteforce():
             assert linalg.kernel(cols, QQ) == want, cols
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
-def test_compiled_matches_pure_randomised():
-    rng = random.Random(0)
-    for _ in range(200):
-        m = rng.randrange(0, 8)
-        n = rng.randrange(1, 8)
-        rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-        assert compiled.rref_int([list(r) for r in rows]) == _rowred_py.rref_int(
-            [list(r) for r in rows]
-        )
-        p = rng.choice([3, 5, 7, 101])
-        fpr = [[v % p for v in r] for r in rows]
-        assert compiled.rref_fp([list(r) for r in fpr], p) == _rowred_py.rref_fp(
-            [list(r) for r in fpr], p
-        )
-        d, c = rows[: m // 2], rows[m // 2 :]
-        assert compiled.indep_int(d, c) == _rowred_py.indep_int(d, c)
-        assert compiled.indep_fp(
-            [[v % p for v in r] for r in d], [[v % p for v in r] for r in c], p
-        ) == _rowred_py.indep_fp(
-            [[v % p for v in r] for r in d], [[v % p for v in r] for r in c], p
-        )
-
-
 # -- the dense kernel, kept as the reference ----------------------------------
 # The bodies of the dense row-reduction kernel that the sparse `_rowred_py`
 # replaced, verbatim apart from the names.  Every output is canonical, so the
-# sparse kernel (and the compiled twin) must match these exactly.
+# sparse kernel must match these exactly.
 
 
 def ref_first_nonzero(row):
@@ -243,9 +213,6 @@ def ref_indep_fp(d_rows, c_rows, p):
     return selected
 
 
-KERNELS = [_rowred_py] + ([compiled] if compiled is not None else [])
-
-
 @st.composite
 def kernel_rows(draw, lo, hi):
     """Rows shaped like the kernel's inputs: small or wide (3 x 80), of a
@@ -285,25 +252,18 @@ def test_kernel_matches_dense_reference(data):
     bound = data.draw(st.sampled_from([30, 10**12]))
     rows = data.draw(kernel_rows(-bound, bound))
     split = data.draw(st.integers(0, len(rows)))
-    for kernel in KERNELS:
-        assert_kernel_matches(kernel, "rref_int", (rows,), ref_rref_int)
-        assert_kernel_matches(kernel, "indep_int", (rows[:split], rows[split:]), ref_indep_int)
+    assert_kernel_matches(_rowred_py, "rref_int", (rows,), ref_rref_int)
+    assert_kernel_matches(_rowred_py, "indep_int", (rows[:split], rows[split:]), ref_indep_int)
 
     p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]))
     rows = data.draw(kernel_rows(-2 * p - 3, 2 * p + 3))
     split = data.draw(st.integers(0, len(rows)))
     d_rows, c_rows = rows[:split], rows[split:]
-    for kernel in KERNELS:
-        # the compiled kernel takes entries in [0, p)
-        if kernel is not _rowred_py:
-            d_rows, c_rows = [[v % p for v in r] for r in d_rows], [[v % p for v in r] for r in c_rows]
-        assert_kernel_matches(kernel, "rref_fp", (d_rows + c_rows, p), ref_rref_fp)
-        assert_kernel_matches(kernel, "indep_fp", (d_rows, c_rows, p), ref_indep_fp)
+    assert_kernel_matches(_rowred_py, "rref_fp", (d_rows + c_rows, p), ref_rref_fp)
+    assert_kernel_matches(_rowred_py, "indep_fp", (d_rows, c_rows, p), ref_indep_fp)
 
 
-def test_linalg_above_the_compiled_prime_limit_matches_reference():
-    """Over GF(p) with p above 2^31 `linalg` runs the pure kernel whatever
-    the build (`_fp_impl`)."""
+def test_linalg_above_2_31_matches_reference():
     F = GF(2147483659)
     p = F.p
     rng = random.Random(11)
@@ -383,12 +343,6 @@ def test_q_rows_give_equal_results_as_int_fraction_or_mixed(data):
     assert results[0] == results[1] == results[2]
 
 
-def test_pure_python_env_selection():
-    # the environment switch is honoured at import; here just check the
-    # module reports which kernel is active
-    assert linalg.KERNEL in ("compiled", "python")
-
-
 KERNEL_CONTRACT = {"rref_int", "indep_int", "rref_fp", "indep_fp"}
 
 
@@ -411,18 +365,15 @@ class _RecordingKernel:
 
 
 def test_kernel_contract(monkeypatch):
-    # the pure kernel defines exactly four functions and the compiled twin,
-    # when built, the same four; cibench's tracer looks each pure name up on
-    # linalg._impl, and linalg reaches no other kernel name
+    # the kernel defines exactly four functions; cibench's tracer looks each
+    # name up on linalg._impl and records linalg.KERNEL, and linalg reaches
+    # no other kernel name
     assert public_functions(_rowred_py) == KERNEL_CONTRACT
-    if compiled is not None:
-        assert public_functions(compiled) == KERNEL_CONTRACT
-    assert all(callable(getattr(linalg._impl, name)) for name in KERNEL_CONTRACT)
+    assert linalg._impl is _rowred_py and linalg.KERNEL == "python"
     assert public_functions(linalg) == {
         "rref", "rank", "independent_subset", "nullspace", "kernel", "transpose"}
     seen = set()
     monkeypatch.setattr(linalg, "_impl", _RecordingKernel(linalg._impl, seen))
-    monkeypatch.setattr(linalg, "_rowred_py", _RecordingKernel(_rowred_py, seen))
     rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
     for field in (QQ, GF(7), GF(2147483659)):
         linalg.rref(rows, field)
