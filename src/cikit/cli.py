@@ -71,7 +71,7 @@ common_options = [
                       "over S and Hilbert lists run to intdeg); reslen is the "
                       "length bound of resolve only (projective-dimension "
                       "probes stop at dim S + 1 steps); the Ext cross-check "
-                      "resolves k to Backelin's degree bound, not to intdeg"),
+                      "compares degrees up to hdeg, k resolved to Backelin's bound"),
     click.option("--json", "as_json", is_flag=True, help="emit JSON"),
 ]
 
@@ -370,7 +370,7 @@ def corpus():
 @click.option("--parallel", default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--cache-dir", default=None, help="result cache directory (insert-only)")
-@click.option("--bounds", default="", callback=_bounds, help="override default bounds")
+@click.option("--bounds", default="", callback=_bounds, help="override default bounds (hdeg >= 3)")
 def corpus_run(path, parallel, as_json, cache_dir, bounds):
     """Run the full invariant and theorem suite over a corpus file."""
     try:

@@ -237,8 +237,9 @@ def _in_augmentation(elem: DgElement) -> bool:
 class DgAlgebraModel:
     """R[X] with differential, truncated at (hdeg_bound, intdeg_bound).
 
-    ``warnings`` holds one notice when a cap stopped the model below the
-    degree bound that makes it complete (see :func:`build_minimal_model`).
+    ``complete`` is false, and ``warnings`` says so, when a cap stopped the
+    model below the degree bound that makes it complete (see
+    :func:`build_minimal_model`).
     """
 
     def __init__(self, ring: PolyRing, ideal: Ideal, hdeg_bound: int, intdeg_bound: int):
@@ -249,6 +250,7 @@ class DgAlgebraModel:
         self.intdeg_bound = intdeg_bound
         self.variables: list[DgVariable] = []
         self.differentials: list[DgElement] = []
+        self.complete = True
         self.warnings: list[str] = []
         self._mon_cache: dict = {}
         self._slices: dict = {}
@@ -473,18 +475,16 @@ class DgAlgebraModel:
 # model construction
 
 
-def build_minimal_model(
-    ideal: Ideal, hdeg_bound: int = 5, intdeg_bound: int = 12
-) -> DgAlgebraModel:
+def build_minimal_model(ideal: Ideal, hdeg_bound: int, intdeg_bound: int) -> DgAlgebraModel:
     """Minimal model of R -> R/I with variables in degrees 1..hdeg_bound.
 
     The variables X_n span a copy of pi^{n+1}(S) inside Ext^{n+1}_S(k, k),
     so Backelin's bound ``ext_degree_bound(ideal, n + 1)`` bounds their
     internal degrees: the model is built to that bound at n = hdeg_bound,
-    with ``intdeg_bound`` as a cap, and is complete unless the cap is below
-    it (then ``warnings`` says so).  After stage n the model kills H_{n-1},
-    so on completion H_i vanishes for 0 < i < hdeg_bound within the
-    model's ``intdeg_bound``.
+    with ``intdeg_bound`` as a cap, and is ``complete`` unless the cap is
+    below it (then ``warnings`` says so).  After stage n the model kills
+    H_{n-1}, so on completion H_i vanishes for 0 < i < hdeg_bound within
+    the model's ``intdeg_bound``.
     """
     ring = ideal.ring
     field = ring.field
@@ -498,7 +498,8 @@ def build_minimal_model(
 
     derived = ext_degree_bound(ideal, hdeg_bound + 1)
     model = DgAlgebraModel(ring, ideal, hdeg_bound, min(derived, intdeg_bound))
-    if intdeg_bound < derived:
+    model.complete = intdeg_bound >= derived
+    if not model.complete:
         model.warnings.append(
             f"internal degree cap {intdeg_bound} is below Backelin's bound "
             f"{derived}; variables above the cap are missing"

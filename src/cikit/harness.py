@@ -24,7 +24,7 @@ from .dgmodel import (
 )
 from .fields import Field
 from .groebner import Ideal, ModulePresentation, height, ideal_as_module
-from .koszul import _h1_relation_bound, h1_free_summand_probe, koszul_complex, koszul_h1
+from .koszul import h1_free_summand_probe, koszul_complex, koszul_h1
 from .poly import PolyRing, parse_poly_list
 from .resolution import projdim_probe, verify_composites, verify_resolution
 
@@ -53,7 +53,9 @@ class CorpusError(ValueError):
 class Bounds:
     """Truncation bounds of one entry.
 
-    ``hdeg`` bounds the model's homological degree.  ``intdeg`` is a cap on
+    ``hdeg`` bounds the model's homological degree and the Ext cross-check's
+    degrees; a corpus entry needs hdeg >= 3 (the Koszul-strand check reads
+    X_3, the radical probe pi^hdeg above pi^2).  ``intdeg`` is a cap on
     internal degrees, not a verdict: Z_1 runs to Schreyer's bound
     (:meth:`Ideal.generator_syzygy_bound`) and the model to Backelin's
     (:func:`ext_degree_bound` at hdeg + 1), each capped by ``intdeg``.
@@ -65,9 +67,7 @@ class Bounds:
     ``intdeg``.  The syzygy steps of the probes over S and the compared
     Hilbert lists run to ``intdeg`` itself.  Every probe stops at dim S + 1
     steps, where Auslander-Buchsbaum decides.  ``reslen`` is read by no
-    check: it is the length bound of ``cikit resolve`` only.  The Ext
-    cross-check resolves k to Backelin's degree bound and reads none of
-    these.
+    check: it is the length bound of ``cikit resolve`` only.
     """
 
     __slots__ = ("hdeg", "intdeg", "reslen")
@@ -102,14 +102,11 @@ class Bounds:
         return out
 
 
-DEFAULT_BOUNDS = Bounds()
-
-
 # ---------------------------------------------------------------------------
 # complete intersection certificate
 
 
-def ci_certificate(ideal: Ideal, degree_bound: int = 12) -> dict:
+def ci_certificate(ideal: Ideal, degree_bound: int) -> dict:
     """CI iff mu(I) = height(I), which is exact; independently iff the
     first Koszul homology vanishes, which is certified when Z_1 is complete
     (its Schreyer bound is within the degree bound, a cap).  Certified
@@ -203,7 +200,7 @@ def verify_koszul_rigidity(ideal: Ideal, bounds: Bounds):
     probe = projdim_probe(h1.presentation, cap)
     report["h1_over_s"] = repr(probe)
     report["betti_h1"] = probe.resolution.betti_totals()
-    report.update(_evidence(probe, _h1_relation_bound(ideal) <= cap, is_ci=False, module="H1"))
+    report.update(_evidence(probe, h1.complete, is_ci=False, module="H1"))
     report["gulliksen"] = h1_free_summand_probe(h1)
     if report["gulliksen"] == "FreeSummand":
         report.update(status="inconclusive", bound=cap)
@@ -276,7 +273,7 @@ def parse_corpus(text: str, base_bounds: Bounds | None = None):
         field_spec = "Q"
         ring_vars: list[str] = []
         ideal_strs: list[str] = []
-        bounds = Bounds(**(base_bounds or DEFAULT_BOUNDS).to_dict())
+        bounds = Bounds.parse("", base_bounds)
         expect: dict = {}
         for clause in clauses:
             if not clause:
@@ -309,6 +306,11 @@ def parse_corpus(text: str, base_bounds: Bounds | None = None):
             raise CorpusError(f"line {lineno}: missing entry name")
         if not ring_vars:
             raise CorpusError(f"line {lineno}: missing ring")
+        if bounds.hdeg < 3:
+            raise CorpusError(f"line {lineno}: hdeg must be at least 3, got {bounds.hdeg}")
+        for key, most in (("deviations", bounds.hdeg), ("ext", bounds.hdeg + 1)):
+            if len(expect.get(key, ())) > most:
+                raise CorpusError(f"line {lineno}: expect {key} has more than {most} values")
         if expect.get("ci") and not (
             expect.get("h1zero", True) and expect.get("conormal_free", True)
         ):
@@ -387,7 +389,6 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     except Exception as exc:
         _check(checks, "model_built", False, detail=str(exc))
         return
-    model_complete = not model.warnings  # its one notice: the cap cut it short
 
     fails = verify_model_differential(model)
     _check(checks, "model_d2_and_minimality", not fails, detail=fails)
@@ -417,7 +418,7 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     except Exception as exc:
         _check(checks, "theta_induces_minus_ad", False, detail=str(exc))
 
-    both_complete = z1_complete and model_complete
+    both_complete = z1_complete and model.complete
     try:
         con = conormal_mod.conormal(ideal, cap, model)
         data["conormal_mu"] = con.mu
@@ -444,11 +445,11 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
              detail=None if ok else json.dumps(info))
 
     try:
-        ext = homlie_mod.ext_crosscheck(model, 5)
+        ext = homlie_mod.ext_crosscheck(model)
         data["ext_dims"] = ext
         _check(checks, "ext_crosscheck", True)
     except homlie_mod.DimensionMismatch as exc:
-        _compare(checks, "ext_crosscheck", False, model_complete, cap, detail=str(exc))
+        _compare(checks, "ext_crosscheck", False, model.complete, cap, detail=str(exc))
     except Exception as exc:
         _check(checks, "ext_crosscheck", False, detail=str(exc))
 
@@ -532,16 +533,16 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
             _check(checks, "expected_lenstra", data["lenstra"] == entry.expect["lenstra"],
                    detail=f"computed {data['lenstra']}")
 
-    # sharp hypothesis consistency with the Jacobian map into the free module
+    # sharp hypotheses on the Jacobian map into the free module force a CI
     try:
         gens = ideal.minimal_generators()
         jac = [tuple(g.partial_derivative(i) for i in range(ring.nvars)) for g in gens]
         alpha = [[jac[j][i] for j in range(len(gens))] for i in range(ring.nvars)]
         target = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
-        rep = conormal_mod.sharpvc_hypothesis_check(
-            ideal, alpha, target, cap,
-            ci_predicate=lambda I: ci_certificate(I, cap)["is_ci"])
+        rep = conormal_mod.sharpvc_hypothesis_check(ideal, alpha, target, cap)
         data["sharp_jacobian_injective"] = rep.alpha_mod_k_injective
+        if rep.hypotheses_hold and not ci_certificate(ideal, cap)["is_ci"]:
+            raise TheoremViolationSignal("sharp hypotheses hold on a non-CI entry")
         _check(checks, "sharp_hypothesis_consistency", True)
     except Exception as exc:
         _check(checks, "sharp_hypothesis_consistency", False, detail=str(exc))
@@ -549,13 +550,13 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     if "deviations" in entry.expect:
         want = entry.expect["deviations"]
         got = data["deviations"][: len(want)]
-        _compare(checks, "frozen_deviations", got == want, model_complete, cap,
+        _compare(checks, "frozen_deviations", got == want, model.complete, cap,
                  detail=f"computed {got}")
     if "ext" in entry.expect:
         # exact, but recorded only when the model reproduces them
         want = entry.expect["ext"]
         got = data.get("ext_dims", [])[: len(want)]
-        _compare(checks, "frozen_ext", got == want, model_complete, cap,
+        _compare(checks, "frozen_ext", got == want, model.complete, cap,
                  detail=f"computed {got}")
     if "h1mu" in entry.expect:
         _compare(checks, "frozen_h1mu", data["h1_mu"] == entry.expect["h1mu"], z1_complete,
@@ -632,8 +633,6 @@ def run_corpus(
     result.  Cached and uncached runs produce identical reports.  A crashed
     entry (see :func:`evaluate_entry`, or a pool worker that died) is
     reported, not cached."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("CIKIT_CACHE_DIR") or None
     entries = list(entries)
     keys = [cache_key(entry) for entry in entries]
     first: dict = {}  # cache key -> position of its first entry

@@ -449,9 +449,11 @@ def expected_ext_dims(model: DgAlgebraModel, N: int):
     return series
 
 
-def ext_crosscheck(model: DgAlgebraModel, N: int = 5):
+def ext_crosscheck(model: DgAlgebraModel):
     """Resolution-side Ext^i_S(k,k) dims must equal the deviation product
-    coefficients for i <= N.  Returns the common list; raises otherwise."""
+    coefficients for i <= N = hdeg_bound, which read pi only up to pi^N, the
+    dual of X_{N-1}.  Returns the common list; raises otherwise."""
+    N = model.hdeg_bound
     resolved = ext_betti(model.ring, model.ideal, N)
     predicted = expected_ext_dims(model, N)
     if resolved != predicted[: N + 1]:

@@ -86,16 +86,20 @@ class KoszulH1:
     ``cycle_reps`` are vectors a with sum(a_j f_j) = 0 representing the
     chosen minimal generators; ``presentation`` has one row per chosen
     cycle and columns generating all relations among their classes.
+    ``complete`` says the relations reached :func:`_h1_relation_bound`.
     """
 
-    __slots__ = ("complex", "cycle_reps", "cycle_degrees", "presentation", "degree_bound")
+    __slots__ = ("complex", "cycle_reps", "cycle_degrees", "presentation", "degree_bound",
+                 "complete")
 
-    def __init__(self, complex, cycle_reps, cycle_degrees, presentation, degree_bound):
+    def __init__(self, complex, cycle_reps, cycle_degrees, presentation, degree_bound,
+                 complete):
         self.complex = complex
         self.cycle_reps = cycle_reps
         self.cycle_degrees = cycle_degrees
         self.presentation = presentation
         self.degree_bound = degree_bound
+        self.complete = complete
 
     def is_zero(self) -> bool:
         return not self.cycle_reps
@@ -166,7 +170,7 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     c = len(cx.generators)
     if c == 0:
         pres = ModulePresentation(ring, ideal, [], [])
-        return KoszulH1(cx, [], [], pres, degree_bound)
+        return KoszulH1(cx, [], [], pres, degree_bound, True)
 
     # the cycles Z_1 live in the free module on the generator degrees
     cycles = ideal.generator_syzygies(degree_bound)
@@ -188,12 +192,13 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     # relations among the chosen classes: syzygies over R of [reps | boundaries],
     # complete at the derived bound, first block of coordinates, reduced mod I
     combined = ModulePresentation(ring, None, cx.gen_degrees, list(reps) + boundary_cols)
-    rel = syzygies(combined, min(_h1_relation_bound(ideal), degree_bound))
+    bound = _h1_relation_bound(ideal)
+    rel = syzygies(combined, min(bound, degree_bound))
     # (heads that are zero mod I are dropped as zero columns)
     gb = ideal.groebner()
     heads = [tuple(gb.normal_form(p) for p in col[:len(reps)]) for col in rel.columns]
     presentation = ModulePresentation(ring, ideal, rep_degs, heads)
-    return KoszulH1(cx, reps, rep_degs, presentation, degree_bound)
+    return KoszulH1(cx, reps, rep_degs, presentation, degree_bound, bound <= degree_bound)
 
 
 def h1_free_summand_probe(h1: KoszulH1) -> str:

@@ -41,10 +41,10 @@ entry aci / field Q / ring x, y / ideal x^2, x*y / expect ci=false h1zero=false 
 
 
 def test_ci_certificate_examples(R):
-    assert ci_certificate(ideal(R, "x^2", "y^2"))["is_ci"]
-    cert = ci_certificate(ideal(R, "x^2", "x*y", "y^2"))
+    assert ci_certificate(ideal(R, "x^2", "y^2"), 12)["is_ci"]
+    cert = ci_certificate(ideal(R, "x^2", "x*y", "y^2"), 12)
     assert not cert["is_ci"] and cert["mu"] == 3 and cert["height"] == 2
-    cert2 = ci_certificate(ideal(R, "x^2", "x*y"))
+    cert2 = ci_certificate(ideal(R, "x^2", "x*y"), 12)
     assert not cert2["is_ci"] and cert2["mu"] == 2 and cert2["height"] == 1
 
 
@@ -86,6 +86,48 @@ def test_corpus_expect_errors_name_the_line():
         with pytest.raises(CorpusError) as info:
             parse_corpus(head + clause + "\n")
         assert str(info.value) == "line 2: " + message
+
+
+def test_corpus_hdeg_floor_and_frozen_lengths_name_the_line():
+    head = "entry a / ring x / ideal x^2\nentry b / ring x, y / ideal x^2, x*y / "
+    for clause, message in (
+        ("bounds hdeg=2", "hdeg must be at least 3, got 2"),
+        ("bounds hdeg=3 / expect deviations=2,1,1,2,3",
+         "expect deviations has more than 3 values"),
+        ("bounds hdeg=3 / expect ext=1,2,3,5,8",
+         "expect ext has more than 4 values"),
+    ):
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(head + clause + "\n")
+        assert str(info.value) == "line 2: " + message
+    # the floor applies after bounds given for the whole run, too
+    with pytest.raises(CorpusError, match="line 1: hdeg must be at least 3, got 2"):
+        parse_corpus(head, Bounds(hdeg=2))
+    entries = parse_corpus(head + "bounds hdeg=3 / expect deviations=2,1,1 ext=1,2,3,5\n")
+    assert entries[1].bounds.hdeg == 3
+
+
+def test_hdeg_3_entry_checks_ext_to_degree_3():
+    # the Ext cross-check once compared degrees up to 5 whatever the model's
+    # hdeg, and failed here: the series to degree 5 needs X_4
+    entry = parse_corpus("entry e / field Q / ring x, y / ideal x^2, x*y / bounds hdeg=3"
+                         " / expect deviations=2,1,1 ext=1,2,3,5\n")[0]
+    result = harness.evaluate_entry(entry)
+    assert result["ok"], result["checks"]
+    assert result["data"]["ext_dims"] == [1, 2, 3, 5]
+
+
+def test_sharp_hypotheses_on_a_non_ci_certificate_raise(monkeypatch):
+    # (x) in k[x, y]: the Jacobian (1, 0) into S^2 is injective mod m and
+    # S^2 is free, so the hypotheses hold and the certificate must say CI
+    real = harness.ci_certificate
+    monkeypatch.setattr(harness, "ci_certificate",
+                        lambda I, cap: {**real(I, cap), "is_ci": False})
+    entry = parse_corpus("entry line / field Q / ring x, y / ideal x\n")[0]
+    checks = {c["name"]: c for c in harness.evaluate_entry(entry)["checks"]}
+    assert checks["sharp_hypothesis_consistency"] == {
+        "name": "sharp_hypothesis_consistency", "status": "fail",
+        "detail": "sharp hypotheses hold on a non-CI entry"}
 
 
 def test_corpus_parse():
@@ -206,6 +248,9 @@ def test_cli_koszul_and_conormal():
     assert "H1 minimal generators: 1" in out.output
     out2 = run_cli("conormal", "--ring", "x,y", "--json", "x^2, y^2")
     assert json.loads(out2.output)["result"]["mu"] == 2
+    # route B needs a stage-2 model only, which GF(3) allows (p > 2)
+    out3 = run_cli("conormal", "--field", "F3", "--ring", "x,y", "x^2, x*y")
+    assert out3.exit_code == 0 and "minimal generators: 2" in out3.output
 
 
 def test_cli_corpus_run(tmp_path):
@@ -226,6 +271,8 @@ def test_cli_corpus_run(tmp_path):
 def test_cli_bound_errors_are_one_line(tmp_path):
     bad = tmp_path / "bad.corpus"
     bad.write_text("entry a / ring x, y / ideal x^2 / bounds intdeg=abc\n")
+    good = tmp_path / "good.corpus"
+    good.write_text("entry a / ring x, y / ideal x^2\n")
     for args, message in (
         (["ci", "--bounds", "intdeg=-1", "--ring", "x,y", "x^2, x*y"],
          "Error: --bounds: bound intdeg must be a non-negative integer, got '-1'"),
@@ -233,6 +280,8 @@ def test_cli_bound_errors_are_one_line(tmp_path):
          "Error: --bounds: bound intdeg must be a non-negative integer, got 'abc'"),
         (["corpus", "run", str(bad)],
          "Error: line 1: bound intdeg must be a non-negative integer, got 'abc'"),
+        (["corpus", "run", "--bounds", "hdeg=2", str(good)],
+         "Error: line 1: hdeg must be at least 3, got 2"),
     ):
         out = run_cli(*args)
         assert out.exit_code != 0 and out.output == message + "\n", out.output

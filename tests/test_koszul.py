@@ -93,7 +93,7 @@ def test_free_summand_probe(R):
     # hypothetical presentation with empty relations: free
     I = ideal(R, "x^2", "x*y")
     fake = KoszulH1(h.complex, h.cycle_reps, h.cycle_degrees,
-                    ModulePresentation(R, I, [3], []), 10)
+                    ModulePresentation(R, I, [3], []), 10, True)
     assert h1_free_summand_probe(fake) == "FreeSummand"
     # both generators in the one relation y*g1 - y^2*g2 = y*(g1 - y*g2), g1 in
     # degree 3 and g2 in degree 2: g2 splits off (g1 does not), found through
@@ -103,7 +103,7 @@ def test_free_summand_probe(R):
     for degrees, col, verdict in (([3, 2], (y, -y * y), "FreeSummand"),
                                   ([3, 3], (y, x), "NoneFoundWithinBound")):
         fake = KoszulH1(h.complex, h.cycle_reps * 2, degrees,
-                        ModulePresentation(R, I, degrees, [col]), 10)
+                        ModulePresentation(R, I, degrees, [col]), 10, True)
         assert h1_free_summand_probe(fake) == verdict
         assert reference_free_summand_probe(fake) == verdict
 
@@ -189,7 +189,7 @@ def test_h1_relations_at_the_derived_bound_match_the_cap(ring_gens, offset):
     cap = max(1, bound + offset)
     event("cap below the derived bound" if cap < bound else "cap at or above it")
     h1 = koszul_h1(I, cap)
-    assert h1.degree_bound == cap
+    assert h1.degree_bound == cap and h1.complete == (cap >= bound)
     assert h1.presentation.columns == reference_h1_relations(h1)
 
 
