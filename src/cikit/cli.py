@@ -266,7 +266,7 @@ def theta(ideal_arg, ring_opt, field_opt, bounds, as_json, z_name):
     m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     z = p.element_by_name(z_name)
-    th = homlie_mod.theta(m, p, z)
+    th = homlie_mod.theta(m, z)
     values = {
         v.name: th.value_on(v.index).to_string()
         for v in m.variables

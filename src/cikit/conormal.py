@@ -15,10 +15,12 @@ import warnings
 
 from . import linalg
 from .dgmodel import DgAlgebraModel, KahlerDgModule, build_minimal_model
+from .fields import FieldError
 from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
+    ideal_as_module,
     minimalize_presentation,
     quotient_hilbert_by_monomials,
 )
@@ -232,17 +234,17 @@ def lenstra_evolution_check(ideal: Ideal) -> EvolutionVerdict:
     m_S * (I/I^2)."""
     ring = ideal.ring
     if not ring.field.is_rationals:
-        raise ValueError("the evolution criterion is applied over char 0")
+        raise FieldError("the evolution criterion is applied over char 0")
     field = ring.field
     gen_degrees = sorted({g.homogeneous_degree() for g in ideal.minimal_generators()})
-    sq = _square(ideal)
+    sq = ideal_as_module(_square(ideal))
     ring_slices = FreeSlices(ring, [0])
     for d in gen_degrees:
         kernel_vectors = differential_kernel_slice(ideal, d)
         if not kernel_vectors:
             continue
         # m*(I/I^2) + I^2 at degree d: x_i * I_{d-1} plus I^2_d
-        denom = list(sq.slice_rows(d))
+        denom = sq.span_slice_rows(d)
         for w in ideal.slice_rref(d - 1)[0]:
             for i in range(ring.nvars):
                 denom.append(ring_slices.multiply_coords_by_var(w, d - 1, i))

@@ -29,6 +29,7 @@ from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
+    UnitIdeal,
     compose_is_zero,
     quotient_hilbert_by_monomials,
     scatter_multiples,
@@ -252,6 +253,8 @@ class DgAlgebraModel:
         self.differentials: list[DgElement] = []
         self.complete = True
         self.warnings: list[str] = []
+        # the current stage's data by degree, cleared by add_variable; d of
+        # a dg monomial never changes, so _dw_cache is kept for the model
         self._mon_cache: dict = {}
         self._slices: dict = {}
         self._dw_cache: dict = {}
@@ -266,6 +269,8 @@ class DgAlgebraModel:
         var = DgVariable(f"t{hdeg}_{count + 1}", hdeg, intdeg, index)
         self.variables.append(var)
         self.differentials.append(differential)
+        for cache in (self._mon_cache, self._slices, self._dvec_cache, self._diff_cache):
+            cache.clear()
         return var
 
     def zero(self) -> DgElement:
@@ -376,13 +381,12 @@ class DgAlgebraModel:
     def dg_monomials(self, hdeg: int):
         """All dg monomials of the given homological degree with internal
         degree within the truncation, over the current variables."""
-        key = (len(self.variables), hdeg)
-        if key not in self._mon_cache:
+        if hdeg not in self._mon_cache:
             out = []
             self._gen_monomials(0, hdeg, self.intdeg_bound, [], out)
             out.sort()
-            self._mon_cache[key] = tuple(out)
-        return self._mon_cache[key]
+            self._mon_cache[hdeg] = tuple(out)
+        return self._mon_cache[hdeg]
 
     def _gen_monomials(self, i, h_left, d_left, current, out):
         if h_left == 0:
@@ -408,11 +412,10 @@ class DgAlgebraModel:
         """A_hdeg as a free R-module on the dg monomials of that degree, one
         row each in its internal degree, sliced by internal degree (cached
         per stage)."""
-        key = (len(self.variables), hdeg)
-        if key not in self._slices:
-            self._slices[key] = FreeSlices(
+        if hdeg not in self._slices:
+            self._slices[hdeg] = FreeSlices(
                 self.ring, [self.dgmon_intdeg(w) for w in self.dg_monomials(hdeg)])
-        return self._slices[key]
+        return self._slices[hdeg]
 
     def element_from_coords(self, coords, hdeg: int, d: int) -> DgElement:
         """The element of A_hdeg with these coordinates in the degree-d slice."""
@@ -423,8 +426,7 @@ class DgAlgebraModel:
     def _differential_vectors(self, hdeg: int):
         """d(w) for each dg monomial w of degree hdeg, as a vector over the
         dg monomials of degree hdeg - 1 (cached per stage)."""
-        key = (len(self.variables), hdeg)
-        if key not in self._dvec_cache:
+        if hdeg not in self._dvec_cache:
             position = {w: i for i, w in enumerate(self.dg_monomials(hdeg - 1))}
             vecs = []
             for w in self.dg_monomials(hdeg):
@@ -432,13 +434,13 @@ class DgAlgebraModel:
                 for (m, ww), c in self._dw(w).terms.items():
                     polys[position[ww]][m] = c
                 vecs.append(tuple(Polynomial(self.ring, t) for t in polys))
-            self._dvec_cache[key] = vecs
-        return self._dvec_cache[key]
+            self._dvec_cache[hdeg] = vecs
+        return self._dvec_cache[hdeg]
 
     def differential_rows(self, hdeg: int, d: int):
         """Images of the (hdeg, d) slice basis under d, as coordinate rows in
         the (hdeg-1, d) slice (cached per stage)."""
-        key = (len(self.variables), hdeg, d)
+        key = (hdeg, d)
         if key not in self._diff_cache:
             target = self.slices(hdeg - 1)
             rows = []
@@ -495,6 +497,8 @@ def build_minimal_model(ideal: Ideal, hdeg_bound: int, intdeg_bound: int) -> DgA
         )
     if hdeg_bound < 2:
         raise ModelError("homological bound must be at least 2")
+    if any(g.homogeneous_degree() == 0 for g in ideal.generators):
+        raise UnitIdeal("ideal contains a unit")
 
     derived = ext_degree_bound(ideal, hdeg_bound + 1)
     model = DgAlgebraModel(ring, ideal, hdeg_bound, min(derived, intdeg_bound))
@@ -549,6 +553,8 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
         for c in chosen:
             new_vars.append((d, model.element_from_coords(cycles[c], h, d)))
 
+    # X_n joins only now: the loop above reads the stage caches, which
+    # add_variable clears
     for intdeg, cycle in new_vars:
         model.add_variable(n, intdeg, cycle)
 

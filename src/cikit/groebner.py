@@ -1,7 +1,7 @@
 """Groebner bases, normal forms, and graded-module primitives.
 
 Two engines live here.  Buchberger's algorithm provides ideal-level
-normal forms, membership, and lead-term data (Hilbert numerators, height).
+normal forms and lead-term data (standard monomials, height).
 Its reductions and every normal form run on :func:`_remainder` over
 divisor data (:func:`_divisor`) computed once per basis element;
 :func:`multivariate_divide`, the textbook division with quotients, is the
@@ -171,9 +171,6 @@ class GroebnerBasis:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return _remainder(f, self._divisors, self.order)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
 
     def lead_monomials(self):
         return [g.leading_term(self.order)[0] for g in self.elements]
@@ -347,24 +344,15 @@ class Ideal:
 
         return self.memo(("generator_syzygies", bound), compute)
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.groebner().contains(f)
-
     def is_zero(self) -> bool:
         return not self.generators
 
-    def slice_rows(self, d: int):
-        """k-spanning rows of the degree-d slice, in ring monomial coordinates."""
-        ring_slices = FreeSlices(self.ring, [0])
-        rows = []
-        for g in self.generators:
-            rows.extend(scatter_multiples(ring_slices, (g,), g.homogeneous_degree(), d))
-        return rows
-
     def slice_rref(self, d: int):
-        """Canonical (RREF) basis of the degree-d slice."""
+        """Canonical (RREF) basis of the degree-d slice, in ring monomial
+        coordinates."""
         return self.memo(
-            ("slice_rref", d), lambda: linalg.rref(self.slice_rows(d), self.ring.field)
+            ("slice_rref", d),
+            lambda: linalg.rref(ideal_as_module(self).span_slice_rows(d), self.ring.field),
         )
 
     def slice_dim(self, d: int) -> int:
@@ -590,9 +578,6 @@ class ModulePresentation:
     def ncols(self) -> int:
         return len(self.columns)
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.columns[j][i]
-
     def over_quotient(self) -> bool:
         return not self.modulus.is_zero()
 
@@ -792,7 +777,7 @@ def minimalize_presentation(pres: ModulePresentation) -> ModulePresentation:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series and height via lead-term data
+# standard monomials and height via lead-term data
 
 
 def standard_monomials(ideal: Ideal, d: int):
@@ -809,69 +794,35 @@ def quotient_hilbert_by_monomials(ideal: Ideal, degree_bound: int):
     return [len(standard_monomials(ideal, d)) for d in range(degree_bound + 1)]
 
 
-def _minimalize_monomials(mons):
-    mons = sorted(set(mons), key=lambda m: (sum(m), m))
-    keep = []
-    for m in mons:
-        if not any(monomial_divides(k, m) for k in keep):
-            keep.append(m)
-    return tuple(keep)
-
-
-def _hilbert_numerator(mons, nvars, cache):
-    """Numerator of the Hilbert series of R/(mons) over (1-t)^nvars, as a
-    coefficient list."""
-    mons = _minimalize_monomials(mons)
-    if mons in cache:
-        return cache[mons]
-    if not mons:
-        result = [1]
-    elif any(sum(m) == 0 for m in mons):
-        result = [0]
-    else:
-        rest = mons[:-1]
-        last = mons[-1]
-        n_rest = _hilbert_numerator(rest, nvars, cache)
-        colon = tuple(tuple(max(e - f, 0) for e, f in zip(g, last)) for g in rest)
-        n_colon = _hilbert_numerator(colon, nvars, cache)
-        shift = sum(last)
-        result = list(n_rest) + [0] * max(0, shift + len(n_colon) - len(n_rest))
-        for i, c in enumerate(n_colon):
-            result[shift + i] -= c
-        while result and result[-1] == 0:
-            result.pop()
-    cache[mons] = result
-    return result
+def _min_cover(supports) -> int:
+    """Size of a smallest set of variables meeting every support in
+    ``supports``, a set of nonempty frozensets of variable indices.  Every
+    cover holds a variable of a smallest support, so the search branches on
+    each of those; its depth is the answer."""
+    if not supports:
+        return 0
+    smallest = min(supports, key=len)
+    return 1 + min(_min_cover({s for s in supports if v not in s}) for v in smallest)
 
 
 def height(ideal: Ideal) -> int:
     """Codimension of a proper homogeneous ideal.
 
-    Computed exactly as the multiplicity of (1-t) in the Hilbert numerator
-    of R/in(I); no degree heuristic is involved.
+    I and in(I) have the same Hilbert function, so the same height, and the
+    minimal primes of the monomial ideal in(I) are generated by the minimal
+    sets of variables meeting the support of every generator (Cox-Little-
+    O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 9 Secs. 1 and 3).  So
+    the height is the size of a smallest such set for the leads of the
+    reduced Groebner basis; no degree heuristic is involved.
     """
     if ideal.is_zero():
         return 0
-    gb = ideal.groebner()
-    for g in gb:
-        if g.homogeneous_degree() == 0:
+    supports = set()
+    for lead in ideal.groebner().lead_monomials():
+        if not any(lead):
             raise UnitIdeal("ideal contains a unit")
-    leads = gb.lead_monomials()
-    numerator = _hilbert_numerator(tuple(leads), ideal.ring.nvars, {})
-    h = 0
-    coeffs = list(numerator)
-    while coeffs and sum(coeffs) == 0:
-        # synthetic division by (1 - t)
-        out = []
-        acc = 0
-        for c in coeffs[:-1]:
-            acc += c
-            out.append(acc)
-        coeffs = out
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        h += 1
-    return h
+        supports.add(frozenset(i for i, e in enumerate(lead) if e))
+    return _min_cover(supports)
 
 
 def krull_dimension(ideal: Ideal) -> int:

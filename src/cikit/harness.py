@@ -412,7 +412,7 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
 
     try:
         for z in pi.by_degree.get(2, []):
-            th = homlie_mod.theta(model, pi, z)
+            th = homlie_mod.theta(model, z)
             homlie_mod.induced_ad(th, pi)
         _check(checks, "theta_induces_minus_ad", True)
     except Exception as exc:

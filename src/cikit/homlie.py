@@ -250,14 +250,12 @@ class ThetaDerivation:
         return self.derivation.values.get(var_index, self.derivation.model.zero())
 
 
-def theta(model: DgAlgebraModel, pi: HomotopyLieTruncation, z: PiBasisElement,
-          lift: dict | None = None) -> ThetaDerivation:
+def theta(model: DgAlgebraModel, z: PiBasisElement, lift: dict | None = None) -> ThetaDerivation:
     """Construct theta_z.  ``lift`` maps stage-1 variable indices to ring
     polynomials; the default sends z's variable to 1 and the rest to 0.
     """
     if z.degree != 2:
         raise ModelError("theta is defined for degree-2 elements")
-    F = model.field
     if lift is None:
         lift = {}
         for v in model.variables_of_hdeg(1):
@@ -282,33 +280,12 @@ def theta(model: DgAlgebraModel, pi: HomotopyLieTruncation, z: PiBasisElement,
     return ThetaDerivation(z, lift, deriv)
 
 
-class AdMatrix:
-    """Blocks of ad(z): pi^m -> pi^(m+2) for 2 <= m <= N-2."""
+def induced_ad(theta_z: ThetaDerivation, pi: HomotopyLieTruncation) -> dict:
+    """Pass theta_z to the derived fiber, take indecomposables, dualise:
+    the blocks {m: matrix of pi^m -> pi^(m+2)} for 2 <= m <= N-2.
 
-    __slots__ = ("z", "blocks")
-
-    def __init__(self, z: PiBasisElement, blocks: dict):
-        self.z = z
-        self.blocks = blocks
-
-    def is_zero(self) -> bool:
-        return all(
-            all(not v for row in mat for v in row) for mat in self.blocks.values()
-        )
-
-
-def ad_matrix(pi: HomotopyLieTruncation, z: PiBasisElement) -> AdMatrix:
-    blocks = {}
-    for m in range(2, pi.N - 1):
-        blocks[m] = pi.ad_block(z, m)
-    return AdMatrix(z, blocks)
-
-
-def induced_ad(theta_z: ThetaDerivation, pi: HomotopyLieTruncation) -> AdMatrix:
-    """Pass theta_z to the derived fiber, take indecomposables, dualise.
-
-    The resulting blocks are asserted equal to -ad(z) entry-exact; a
-    mismatch signals a sign-convention bug.
+    Each block is asserted equal to -ad(z) (:meth:`HomotopyLieTruncation.ad_block`)
+    entry-exact; a mismatch signals a sign-convention bug.
     """
     model = pi.model
     F = model.field
@@ -334,17 +311,13 @@ def induced_ad(theta_z: ThetaDerivation, pi: HomotopyLieTruncation) -> AdMatrix:
                 v = lin.get((te.var_index, se.var_index))
                 if v is not None:
                     mat[r][c] = v
-        blocks[m] = mat
-
-    induced = AdMatrix(theta_z.z, blocks)
-    direct = ad_matrix(pi, theta_z.z)
-    for m, mat in induced.blocks.items():
-        neg_ad = [[F.neg(v) for v in row] for row in direct.blocks[m]]
+        neg_ad = [[F.neg(v) for v in row] for row in pi.ad_block(theta_z.z, m)]
         if mat != neg_ad:
             raise MismatchWithBracket(
                 f"induced map of theta_{theta_z.z.name} differs from -ad at pi^{m}"
             )
-    return induced
+        blocks[m] = mat
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +347,8 @@ def radical_probe(pi: HomotopyLieTruncation, z: PiBasisElement | None) -> Radica
     F = pi.model.field
     if z is None:
         return RadicalVerdict("radical_witness", 1, N)
+    if z.degree != 2:
+        raise ModelError("the radical probe is defined for degree-2 elements")
     nonzero_degrees = []
     for m in range(2, N - 1):
         block = pi.ad_block(z, m)

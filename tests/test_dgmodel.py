@@ -126,6 +126,16 @@ def test_zero_ideal_has_no_variables(R):
     assert m.deviations() == [0, 0, 0]
 
 
+def test_stage_caches_end_with_their_stage(R):
+    # the last stage adjoins X_5, which clears the slices of the stage
+    # before; acyclicity then rebuilds them over every variable
+    m = model_for(R, "x^2", "x*y", hdeg=5)
+    assert m.variables_of_hdeg(5)
+    assert not (m._mon_cache or m._slices or m._dvec_cache or m._diff_cache)
+    assert verify_model_acyclicity(m) == []
+    assert m._mon_cache and m._diff_cache
+
+
 def test_kahler_module(R):
     m = model_for(R, "x^2", "x*y")
     km = KahlerDgModule(m)

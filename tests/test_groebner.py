@@ -234,8 +234,93 @@ def test_height_examples(R, R3):
     assert gr.height(ideal(R3, "x^2 - y*z")) == 1
     assert gr.height(ideal(R3, "x*y", "x*z", "y*z")) == 2
     assert gr.height(ideal(R, "x^2", "x*y")) == 1
+    R6 = PolyRing(QQ, list("abcdef"))
+    # the 5-cycle: a smallest vertex cover of a pentagon has 3 vertices
+    assert gr.height(ideal(R6, "a*b", "b*c", "c*d", "d*e", "e*a")) == 3
+    assert gr.height(ideal(R6, *"abcdef")) == 6
+    assert gr.height(ideal(R6, "a^2", "a*b", "b^3")) == 2
+    assert gr.height(gr.Ideal(R6, [])) == 0
     with pytest.raises(gr.UnitIdeal):
         gr.height(gr.Ideal(R, [R.one()]))
+
+
+def reference_height(ideal):
+    """Reference: the former height, the multiplicity of (1 - t) in the
+    Hilbert-series numerator of R/in(I), which a colon recursion on the
+    minimalized leads computes."""
+
+    def minimalize(mons):
+        keep = []
+        for m in sorted(set(mons), key=lambda m: (sum(m), m)):
+            if not any(monomial_divides(k, m) for k in keep):
+                keep.append(m)
+        return tuple(keep)
+
+    def numerator(mons, cache):
+        mons = minimalize(mons)
+        if mons not in cache:
+            if not mons:
+                result = [1]
+            elif any(sum(m) == 0 for m in mons):
+                result = [0]
+            else:
+                rest, last = mons[:-1], mons[-1]
+                colon = tuple(tuple(max(e - f, 0) for e, f in zip(g, last)) for g in rest)
+                result = list(numerator(rest, cache))
+                n_colon = numerator(colon, cache)
+                shift = sum(last)
+                result += [0] * max(0, shift + len(n_colon) - len(result))
+                for i, c in enumerate(n_colon):
+                    result[shift + i] -= c
+                while result and result[-1] == 0:
+                    result.pop()
+            cache[mons] = result
+        return cache[mons]
+
+    if ideal.is_zero():
+        return 0
+    coeffs = list(numerator(tuple(ideal.groebner().lead_monomials()), {}))
+    h = 0
+    while coeffs and sum(coeffs) == 0:
+        # synthetic division by (1 - t)
+        acc, out = 0, []
+        for c in coeffs[:-1]:
+            acc += c
+            out.append(acc)
+        coeffs = out
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        h += 1
+    return h
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_height_matches_the_reference(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    assert gr.height(I) == reference_height(I)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Monomial ideals in 1-6 variables over Q: each generator a random
+    nonempty support with exponents 1-3, so supports of many sizes overlap
+    and the cover search branches."""
+    nvars = draw(st.integers(1, 6))
+    ring = PolyRing(QQ, list("abcdef")[:nvars])
+    gens = []
+    for _ in range(draw(st.integers(1, 7))):
+        support = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=nvars))
+        gens.append(ring.monomial(tuple(draw(st.integers(1, 3)) if i in support else 0
+                                        for i in range(nvars))))
+    return gr.Ideal(ring, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ideals())
+def test_height_of_monomial_ideals_matches_the_reference(I):
+    assert gr.height(I) == reference_height(I)
 
 
 def test_minimalize_presentation(R):

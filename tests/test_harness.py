@@ -117,6 +117,12 @@ def test_hdeg_3_entry_checks_ext_to_degree_3():
     assert result["data"]["ext_dims"] == [1, 2, 3, 5]
 
 
+def test_unit_ideal_entry_fails_model_built():
+    entry = parse_corpus("entry u / field Q / ring x, y / ideal 1\n")[0]
+    assert harness.evaluate_entry(entry)["checks"] == [
+        {"name": "model_built", "status": "fail", "detail": "ideal contains a unit"}]
+
+
 def test_sharp_hypotheses_on_a_non_ci_certificate_raise(monkeypatch):
     # (x) in k[x, y]: the Jacobian (1, 0) into S^2 is injective mod m and
     # S^2 is free, so the hypotheses hold and the certificate must say CI
@@ -306,6 +312,13 @@ def test_cli_math_errors_are_one_line(tmp_path):
           (["radical", "--z", "nope", "--ring", "x,y", "x^2, x*y"], unknown("nope"))),
         (["resolve", "--ring", "x,y", "x^2 + y"], "Error: mixed degrees [1, 2] in x^2 + y"),
         (["ci", "--field", "F4", "--ring", "x", "x"], "Error: 4 is not prime"),
+        *(([command, *extra, "--ring", "x,y", "1"], "Error: ideal contains a unit")
+          for command, extra in (("pi", ()), ("model", ()), ("bracket", ()),
+                                 ("theta", ("--z", "p2_1")), ("radical", ()), ("conormal", ()))),
+        (["lenstra", "--field", "F7", "--ring", "x,y", "x^2, x*y"],
+         "Error: the evolution criterion is applied over char 0"),
+        (["radical", "--z", "p3_1", "--ring", "x,y", "x^2, x*y"],
+         "Error: the radical probe is defined for degree-2 elements"),
         (["corpus", "run", str(bad)],
          "Error: line 1: expect h1mu must be an integer, got 'abc'"),
     ):

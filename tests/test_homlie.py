@@ -89,7 +89,7 @@ def test_jacobi_failure_names_each_broken_triple(R):
 def test_theta_values(R):
     model, pi = setup(R, "x^2", "x*y")
     z1 = pi.by_degree[2][0]
-    th = theta(model, pi, z1)
+    th = theta(model, z1)
     u = next(v.index for v in model.variables if v.name == "t2_1")
     assert th.value_on(u).to_string() == "y"
     assert th.derivation.is_chain()
@@ -102,7 +102,7 @@ def test_theta_values(R):
 def test_theta_vanishes_for_ci(R):
     model, pi = setup(R, "x^2", "y^2")
     for z in pi.by_degree[2]:
-        th = theta(model, pi, z)
+        th = theta(model, z)
         assert all(v.is_zero() for v in th.derivation.values.values())
         induced_ad(th, pi)
 
@@ -111,7 +111,7 @@ def test_induced_ad_matches_minus_bracket(R):
     for texts in (("x^2", "x*y"), ("x^2", "x*y", "y^2")):
         model, pi = setup(R, *texts)
         for z in pi.by_degree[2]:
-            induced_ad(theta(model, pi, z), pi)  # raises on mismatch
+            induced_ad(theta(model, z), pi)  # raises on mismatch
 
 
 @pytest.mark.parametrize("field", FUZZ_FIELDS, ids=str)
@@ -127,19 +127,19 @@ def test_theta_induces_minus_ad_on_random_ideals(field, data):
     pi = compute_pi(model)
     target(float(sum(map(len, pi.bracket.values()))))
     for z in pi.by_degree.get(2, []):
-        induced_ad(theta(model, pi, z), pi)  # raises MismatchWithBracket
+        induced_ad(theta(model, z), pi)  # raises MismatchWithBracket
 
 
 def test_lift_independence(R):
     model, pi = setup(R, "x^2", "x*y")
     z1 = pi.by_degree[2][0]
-    default = induced_ad(theta(model, pi, z1), pi)
+    default = induced_ad(theta(model, z1), pi)
     lift = {
         v.index: (R.one() if v.index == z1.var_index else R.from_string("x + y"))
         for v in model.variables_of_hdeg(1)
     }
-    perturbed = induced_ad(theta(model, pi, z1, lift), pi)
-    assert default.blocks == perturbed.blocks
+    perturbed = induced_ad(theta(model, z1, lift), pi)
+    assert default == perturbed
 
 
 def test_radical_probes(R):
