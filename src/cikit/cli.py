@@ -7,6 +7,7 @@ versioned JSON schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -36,15 +37,6 @@ from .resolution import minimal_free_resolution
 from .harness import Bounds
 
 
-def _ring(ring_opt: str, field_opt: str) -> PolyRing:
-    names = [v.strip() for v in ring_opt.split(",") if v.strip()]
-    return PolyRing(Field.parse(field_opt), names)
-
-
-def _ideal(ring: PolyRing, ideal_arg: str) -> Ideal:
-    return Ideal(ring, parse_poly_list(ring, ideal_arg))
-
-
 def _bounds(ctx, param, value: str) -> Bounds:
     try:
         return Bounds.parse(value)
@@ -60,6 +52,7 @@ def _emit(data, as_json: bool, text_fn):
 
 
 common_options = [
+    click.argument("ideal_arg"),
     click.option("--ring", "ring_opt", required=True, help="comma-separated variable names"),
     click.option("--field", "field_opt", default="Q", show_default=True,
                  help="Q or Fp <p> (e.g. F7)"),
@@ -77,9 +70,18 @@ common_options = [
 
 
 def with_common(fn):
+    """The ideal argument and the common options; the command is called
+    with the parsed ideal in place of the ideal, ring and field texts."""
+
+    @functools.wraps(fn)
+    def command(ideal_arg, ring_opt, field_opt, **kwargs):
+        names = [v.strip() for v in ring_opt.split(",") if v.strip()]
+        ring = PolyRing(Field.parse(field_opt), names)
+        return fn(Ideal(ring, parse_poly_list(ring, ideal_arg)), **kwargs)
+
     for opt in reversed(common_options):
-        fn = opt(fn)
-    return fn
+        command = opt(command)
+    return command
 
 
 # errors the math layers raise on input they cannot take, reported in one
@@ -104,29 +106,24 @@ def main():
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
 @click.option("--order", "order_opt", default="degrevlex", show_default=True)
-def gb(ideal_arg, ring_opt, field_opt, bounds, as_json, order_opt):
+def gb(ideal, bounds, as_json, order_opt):
     """Reduced Groebner basis of the ideal."""
-    ring = _ring(ring_opt, field_opt)
-    basis = _ideal(ring, ideal_arg).groebner(MonomialOrder.parse(order_opt))
+    basis = ideal.groebner(MonomialOrder.parse(order_opt))
     _emit([str(g) for g in basis], as_json, lambda gs: "\n".join(gs))
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
 @click.option("--module", "module_opt", default="k", show_default=True,
               type=click.Choice(["k", "s", "ideal", "conormal", "h1"]),
               help="which module to resolve: k, conormal or h1 over S = R/I, "
                    "or s (R/I) or ideal (I) over R")
-def resolve(ideal_arg, ring_opt, field_opt, bounds, as_json, module_opt):
+def resolve(ideal, bounds, as_json, module_opt):
     """Minimal free resolution with bigraded and total Betti numbers."""
-    ring = _ring(ring_opt, field_opt)
-    ideal = _ideal(ring, ideal_arg)
     if module_opt == "k":
-        pres = residue_field_presentation(ring, ideal)
+        pres = residue_field_presentation(ideal.ring, ideal)
     elif module_opt == "s":
         pres = ideal_as_module(ideal)
     elif module_opt == "ideal":
@@ -155,12 +152,9 @@ def resolve(ideal_arg, ring_opt, field_opt, bounds, as_json, module_opt):
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def koszul(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def koszul(ideal, bounds, as_json):
     """Koszul complex ranks and the first homology module."""
-    ring = _ring(ring_opt, field_opt)
-    ideal = _ideal(ring, ideal_arg)
     cx = koszul_complex(ideal)
     h1 = koszul_h1(ideal, bounds.intdeg)
     payload = {
@@ -184,12 +178,9 @@ def koszul(ideal_arg, ring_opt, field_opt, bounds, as_json):
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def conormal(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def conormal(ideal, bounds, as_json):
     """I/I^2 by both routes with the agreement certificate."""
-    ring = _ring(ring_opt, field_opt)
-    ideal = _ideal(ring, ideal_arg)
     con = conormal_mod.conormal(ideal, bounds.intdeg)
     payload = {
         "mu": con.mu,
@@ -210,24 +201,20 @@ def conormal(ideal_arg, ring_opt, field_opt, bounds, as_json):
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def model(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def model(ideal, bounds, as_json):
     """Minimal model dump: `name : hdeg intdeg : differential` per line."""
-    ring = _ring(ring_opt, field_opt)
-    m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
+    m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     payload = {"dump": m.dump().splitlines(), "deviations": m.deviations(),
                "warnings": m.warnings}
     _emit(payload, as_json, lambda p: "\n".join(p["dump"]))
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def pi(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def pi(ideal, bounds, as_json):
     """Dimensions and basis of the homotopy Lie algebra truncation."""
-    ring = _ring(ring_opt, field_opt)
-    m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
+    m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     payload = {
         "dims": {str(i): p.dim(i) for i in range(2, p.N + 1)},
@@ -245,25 +232,21 @@ def pi(ideal_arg, ring_opt, field_opt, bounds, as_json):
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def bracket(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def bracket(ideal, bounds, as_json):
     """Full bracket table in canonical order."""
-    ring = _ring(ring_opt, field_opt)
-    m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
+    m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     dump = p.bracket_table_dump()
     _emit({"table": dump.splitlines()}, as_json, lambda pp: dump or "(empty)")
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
 @click.option("--z", "z_name", required=True, help="pi^2 basis element, e.g. p2_1")
-def theta(ideal_arg, ring_opt, field_opt, bounds, as_json, z_name):
+def theta(ideal, bounds, as_json, z_name):
     """The commutator derivation theta_z: values on every model variable."""
-    ring = _ring(ring_opt, field_opt)
-    m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
+    m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     z = p.element_by_name(z_name)
     th = homlie_mod.theta(m, z)
@@ -283,13 +266,11 @@ def theta(ideal_arg, ring_opt, field_opt, bounds, as_json, z_name):
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
 @click.option("--z", "z_name", default="", help="pi^2 basis element; default all")
-def radical(ideal_arg, ring_opt, field_opt, bounds, as_json, z_name):
+def radical(ideal, bounds, as_json, z_name):
     """Bounded radical probes for degree-2 elements."""
-    ring = _ring(ring_opt, field_opt)
-    m = build_minimal_model(_ideal(ring, ideal_arg), bounds.hdeg, bounds.intdeg)
+    m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     targets = (
         [p.element_by_name(z_name)] if z_name else p.by_degree.get(2, [])
@@ -300,44 +281,36 @@ def radical(ideal_arg, ring_opt, field_opt, bounds, as_json, z_name):
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def ci(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def ci(ideal, bounds, as_json):
     """Complete-intersection certificate (Koszul H1 and mu = height)."""
-    ring = _ring(ring_opt, field_opt)
-    cert = harness.ci_certificate(_ideal(ring, ideal_arg), bounds.intdeg)
+    cert = harness.ci_certificate(ideal, bounds.intdeg)
     _emit(cert, as_json,
           lambda c: (f"complete intersection: {c['is_ci']}  "
                      f"(mu = {c['mu']}, height = {c['height']}, mu(H1) = {c['h1_mu']})"))
 
 
 @main.command(name="verify-a")
-@click.argument("ideal_arg")
 @with_common
-def verify_a(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def verify_a(ideal, bounds, as_json):
     """Conormal rigidity consistency report for one ideal."""
-    ring = _ring(ring_opt, field_opt)
-    rep, _ = harness.verify_conormal_rigidity(_ideal(ring, ideal_arg), bounds)
+    rep, _ = harness.verify_conormal_rigidity(ideal, bounds)
     _emit(rep, as_json, lambda r: json.dumps(r, indent=2, sort_keys=True))
 
 
 @main.command(name="verify-b")
-@click.argument("ideal_arg")
 @with_common
-def verify_b(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def verify_b(ideal, bounds, as_json):
     """Koszul-homology rigidity consistency report for one ideal."""
-    ring = _ring(ring_opt, field_opt)
-    rep, _ = harness.verify_koszul_rigidity(_ideal(ring, ideal_arg), bounds)
+    rep, _ = harness.verify_koszul_rigidity(ideal, bounds)
     _emit(rep, as_json, lambda r: json.dumps(r, indent=2, sort_keys=True))
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def jz(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def jz(ideal, bounds, as_json):
     """Jacobi-Zariski four-term slice-exactness table."""
-    ring = _ring(ring_opt, field_opt)
-    rep = conormal_mod.jacobi_zariski_check(_ideal(ring, ideal_arg), bounds.intdeg)
+    rep = conormal_mod.jacobi_zariski_check(ideal, bounds.intdeg)
     payload = {"exact": rep.exact, "rows": rep.rows(), "failures": rep.failures}
 
     def text(p):
@@ -351,12 +324,10 @@ def jz(ideal_arg, ring_opt, field_opt, bounds, as_json):
 
 
 @main.command()
-@click.argument("ideal_arg")
 @with_common
-def lenstra(ideal_arg, ring_opt, field_opt, bounds, as_json):
+def lenstra(ideal, bounds, as_json):
     """Evolution criterion: no minimal conormal generator in ker(d)."""
-    ring = _ring(ring_opt, field_opt)
-    verdict = conormal_mod.lenstra_evolution_check(_ideal(ring, ideal_arg))
+    verdict = conormal_mod.lenstra_evolution_check(ideal)
     _emit({"verdict": repr(verdict)}, as_json, lambda v: v["verdict"])
 
 

@@ -34,7 +34,7 @@ from .groebner import (
     quotient_hilbert_by_monomials,
     scatter_multiples,
 )
-from .poly import PolyRing, Polynomial, monomial_mul
+from .poly import PolyRing, Polynomial, _join_terms, monomial_mul
 from .resolution import ext_degree_bound
 
 
@@ -152,36 +152,18 @@ class DgElement:
     # -- printing ------------------------------------------------------------
 
     def to_string(self) -> str:
-        if not self.terms:
-            return "0"
         model = self.model
-        F = model.field
-        names = model.ring.names
+
+        def factors(m, w):
+            powers = [(n, e) for n, e in zip(model.ring.names, m) if e]
+            powers += [(model.variables[v].name, e) for v, e in w]
+            return [n if e == 1 else f"{n}^{e}" for n, e in powers]
+
         items = sorted(
             self.terms.items(),
             key=lambda kv: (kv[0][1], tuple(-e for e in kv[0][0])),
         )
-        parts = []
-        for (m, w), c in items:
-            factors = []
-            for n, e in zip(names, m):
-                if e:
-                    factors.append(n if e == 1 else f"{n}^{e}")
-            for v, e in w:
-                nm = model.variables[v].name
-                factors.append(nm if e == 1 else f"{nm}^{e}")
-            cs = F.to_str(c)
-            negative = cs.startswith("-")
-            if negative:
-                cs = cs[1:]
-            body = "*".join(factors) if factors else cs
-            if factors and cs != "1":
-                body = f"{cs}*{body}"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        return _join_terms((factors(m, w), model.field.to_str(c)) for (m, w), c in items)
 
     def __repr__(self):
         return f"<dg {self.to_string()}>"

@@ -587,15 +587,22 @@ def cache_key(entry: CorpusEntry) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+_RESULT_FIELDS = {"name": str, "checks": list, "data": dict, "ok": bool}
+
+
 def _read_cached(path: str):
     """The result stored at ``path``, or None when it is missing or
-    unreadable (truncated, not JSON, not a result object)."""
+    unreadable (truncated, not JSON, not a result object: exactly the
+    fields of :func:`_result`, with their types)."""
     try:
         with open(path) as fh:
             value = json.load(fh)
     except (OSError, ValueError):
         return None
-    return value if isinstance(value, dict) else None
+    if (isinstance(value, dict) and value.keys() == _RESULT_FIELDS.keys()
+            and all(isinstance(value[k], t) for k, t in _RESULT_FIELDS.items())):
+        return value
+    return None
 
 
 def cache_lookup(cache_dir: str | None, key: str):

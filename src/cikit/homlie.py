@@ -6,6 +6,11 @@ commutator derivation theta_z = [d, d/dz] gives a second, independent route
 to ad(z): the two are asserted equal entry-exact (up to the predicted sign)
 as an internal sign-convention tripwire.
 
+Ext_S(k, k) is checked against pi through the deviations eps_i = dim pi^i:
+its Poincare series is the product prod_{i odd} (1 + t^i)^eps_i /
+prod_{i even} (1 - t^i)^eps_i, compared with the Betti numbers of a
+minimal free resolution of k over S.
+
 Degrees in this module are pi-degrees i (basis of pi^i dual to X_{i-1});
 with this grading the bracket satisfies [u,v] = -(-1)^{ij} [v,u].
 """
@@ -103,9 +108,11 @@ def compute_pi(model: DgAlgebraModel) -> HomotopyLieTruncation:
     """Basis of pi^i for 2 <= i <= N = hdeg_bound + 1 with the full bracket
     table.
 
-    The bracket pairs basis duals against the quadratic part of the
-    differential on the derived fiber: terms of d(x) with coefficient
-    outside m_R and monomial length exactly two.
+    The bracket is dual to the quadratic part of the differential on the
+    derived fiber: the terms c*t_a*t_b (a <= b) of d(x) with coefficient c
+    outside m_R.  With t_a dual to u_a in pi^i and t_b to u_b in pi^j, such
+    a term adds (-1)^i c to [u_b, u_a] and (-1)^((i+1)(j+1) + j) c to
+    [u_a, u_b] at the dual of x; for t_a^2 the two add up.
     """
     N = model.hdeg_bound + 1
     F = model.field
@@ -125,49 +132,17 @@ def compute_pi(model: DgAlgebraModel) -> HomotopyLieTruncation:
                 bracket[(u.var_index, v.var_index)] = {}
 
     for x in model.variables:
-        target_deg = x.hdeg + 1  # [u, v] lands in pi^(hdeg + 1) paired against x
-        for coeff, a, b in _quadratic_terms(model, model.differentials[x.index]):
-            da = model.variables[a].hdeg + 1
-            db = model.variables[b].hdeg + 1
-            pairs = []
-            if a != b:
-                # <v, t_a><u, t_b> picks (u, v) = (dual b, dual a)
-                pairs.append((b, a, F.one()))
-                # the signed term picks (u, v) = (dual a, dual b)
-                i, j = da, db
-                s = F.of_int(-1 if ((i + 1) * (j + 1)) % 2 else 1)
-                pairs.append((a, b, s))
-            else:
-                i = j = da
-                s = F.of_int(-1 if ((i + 1) * (j + 1)) % 2 else 1)
-                pairs.append((a, a, F.add(F.one(), s)))
-            for (uv, vv, val) in pairs:
-                if F.is_zero(val):
-                    continue
-                key = (uv, vv)
-                if key not in bracket:
-                    continue
-                j_deg = model.variables[vv].hdeg + 1
-                c = F.mul(coeff, val)
-                if j_deg % 2:
-                    c = F.neg(c)
-                F.add_into(bracket[key], x.index, c)
+        for (m, w), coeff in model.differentials[x.index].terms.items():
+            if any(m) or model.dgmon_length(w) != 2:
+                continue  # a coefficient in m_R dies in the fiber
+            a, b = w[0][0], w[-1][0]
+            i = model.variables[a].hdeg + 1
+            j = model.variables[b].hdeg + 1
+            # both keys are (a, a) for t_a^2, and the two terms add up
+            for key, sign in (((b, a), i), ((a, b), (i + 1) * (j + 1) + j)):
+                if key in bracket:
+                    F.add_into(bracket[key], x.index, F.neg(coeff) if sign % 2 else coeff)
     return HomotopyLieTruncation(model, N, basis, by_degree, bracket)
-
-
-def _quadratic_terms(model: DgAlgebraModel, elem: DgElement):
-    """(coeff, a, b) with a <= b for the length-two fiber terms of elem."""
-    out = []
-    for (m, w), c in elem.terms.items():
-        if any(m):
-            continue  # coefficient in m_R dies in the fiber
-        if model.dgmon_length(w) != 2:
-            continue
-        if len(w) == 1:
-            out.append((c, w[0][0], w[0][0]))
-        else:
-            out.append((c, w[0][0], w[1][0]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,59 +343,27 @@ def radical_probe(pi: HomotopyLieTruncation, z: PiBasisElement | None) -> Radica
 # Ext cross-check via the deviation product formula
 
 
-def _series_mul(a, b, N):
-    out = [0] * (N + 1)
-    for i, av in enumerate(a[: N + 1]):
-        if not av:
-            continue
-        for j, bv in enumerate(b[: N + 1 - i]):
-            out[i + j] += av * bv
-    return out
-
-
-def _series_pow(base, e, N):
-    out = [1] + [0] * N
-    for _ in range(e):
-        out = _series_mul(out, base, N)
-    return out
-
-
-def _geometric(k, N):
-    out = [0] * (N + 1)
-    for i in range(0, N + 1, k):
-        out[i] = 1
-    return out
-
-
 def expected_ext_dims(model: DgAlgebraModel, N: int):
-    """Ext_S(k,k) dimensions predicted by graded PBW bookkeeping.
+    """Coefficients of t^0..t^N in the deviation product
 
-    pi^(j+1) contributes polynomial generators for j odd and exterior ones
-    for j even; the embedding-dimension factor (1+t)^e and the correction
-    for linear generators of I make the count match Ext over S itself.
+        P(t) = prod_{i odd} (1 + t^i)^eps_i / prod_{i even} (1 - t^i)^eps_i,
+
+    the Poincare series of Ext_S(k, k) (Avramov, "Infinite free
+    resolutions", Ch. 7).  eps_i = dim pi^i for i >= 3, while eps_1 =
+    nvars - l and eps_2 = dim pi^2 - l for the l linear minimal generators
+    of I, which lower the embedding dimension of S and are no relations of S.
     """
-    eps = model.deviations()
     ell = sum(1 for v in model.variables_of_hdeg(1) if v.intdeg == 1)
-    e = model.ring.nvars - ell
-    series = _series_pow([1, 1], e, N)
-    # pi^2: polynomial generators, minus the ell linear ones already
-    # cancelled against the Koszul factor
-    eps1 = eps[0] - ell if eps else 0
-    series = _series_mul(series, _series_pow(_geometric(2, N), eps1, N), N)
-    # pi^(j+1) sits in degree j + 1, so only j <= N - 1 reaches the series
-    for j in range(2, min(len(eps), N - 1) + 1):
-        count = eps[j - 1]
-        if not count:
-            continue
-        if j % 2 == 0:  # pi^(j+1) odd: exterior
-            gen = [0] * (N + 1)
-            gen[0] = 1
-            gen[j + 1] = 1
-            series = _series_mul(series, _series_pow(gen, count, N), N)
-        else:  # pi^(j+1) even: polynomial
-            series = _series_mul(
-                series, _series_pow(_geometric(j + 1, N), count, N), N
-            )
+    eps = model.deviations()
+    eps = [model.ring.nvars - ell, eps[0] - ell] + eps[1:]
+    series = [1] + [0] * N
+    for i, count in enumerate(eps[:N], start=1):
+        # in place: top-down reads each series[k - i] before its update,
+        # times (1 + t^i); bottom-up reads it after, times 1/(1 - t^i)
+        degrees = range(N, i - 1, -1) if i % 2 else range(i, N + 1)
+        for _ in range(count):
+            for k in degrees:
+                series[k] += series[k - i]
     return series
 
 
@@ -431,8 +374,6 @@ def ext_crosscheck(model: DgAlgebraModel):
     N = model.hdeg_bound
     resolved = ext_betti(model.ring, model.ideal, N)
     predicted = expected_ext_dims(model, N)
-    if resolved != predicted[: N + 1]:
-        raise DimensionMismatch(
-            f"Ext dims {resolved} vs deviation product {predicted[: N + 1]}"
-        )
+    if resolved != predicted:
+        raise DimensionMismatch(f"Ext dims {resolved} vs deviation product {predicted}")
     return resolved

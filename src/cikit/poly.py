@@ -319,31 +319,28 @@ class Polynomial:
         return f"<{self.to_string()}>"
 
     def to_string(self, order: MonomialOrder = DEGREVLEX) -> str:
-        if not self.terms:
-            return "0"
         F = self.ring.field
-        parts = []
-        for m, c in self.sorted_terms(order):
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}"
-                for n, e in zip(self.ring.names, m)
-                if e
-            )
-            cs = F.to_str(c)
-            negative = cs.startswith("-")
-            if negative:
-                cs = cs[1:]
-            if mono and cs == "1":
-                body = mono
-            elif mono:
-                body = f"{cs}*{mono}"
-            else:
-                body = cs
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        return _join_terms(
+            ([n if e == 1 else f"{n}^{e}" for n, e in zip(self.ring.names, m) if e],
+             F.to_str(c))
+            for m, c in self.sorted_terms(order)
+        )
+
+
+def _join_terms(terms) -> str:
+    """`x^2 - 3/2*x*y + 1` from (factor strings, coefficient text) pairs in
+    print order: a coefficient 1 is left out before factors, a leading sign
+    joins the first term and later ones are joined by " + " or " - "."""
+    parts = []
+    for factors, cs in terms:
+        negative = cs.startswith("-")
+        cs = cs.removeprefix("-")
+        body = "*".join(factors if factors and cs == "1" else [cs, *factors])
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

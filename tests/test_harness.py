@@ -413,6 +413,27 @@ def test_unreadable_cache_file_is_a_miss_and_is_replaced(tmp_path, damage):
     assert cache_lookup(str(cache_dir), cache_key(entries[0]))["name"] == "ci"
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("stored", [
+    {},
+    {"name": "ci"},
+    {"ok": True},
+    {"name": "ci", "checks": [], "data": {}, "ok": 1},
+    {"name": "ci", "checks": {}, "data": {}, "ok": True},
+    {"name": "ci", "checks": [], "data": {}, "ok": True, "extra": 0},
+])
+def test_json_that_is_not_a_result_is_a_miss_and_is_replaced(tmp_path, stored, parallelism):
+    entries = parse_corpus(MINI_CORPUS)
+    plain = run_corpus(entries)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    key = cache_key(entries[0])
+    (cache_dir / (key + ".json")).write_text(json.dumps(stored))
+    report = run_corpus(entries, parallelism=parallelism, cache_dir=str(cache_dir))
+    assert harness.strip_timings(report) == harness.strip_timings(plain)
+    assert cache_lookup(str(cache_dir), key) == plain["entries"][0]
+
+
 # -- one computation per invariant, positional results, contained crashes --------
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
@@ -208,3 +210,124 @@ def test_bracket_table_dump_is_canonical(R):
     _, pi_again = setup(R, "x^2", "x*y")
     assert dump1 == pi_again.bracket_table_dump()
     assert "[p2_1, p2_2]" in dump1
+
+
+# -- parity with the former bracket loop and series bookkeeping ----------------
+
+
+def reference_bracket(model):
+    """Reference: the former bracket extraction, with its pair list and its
+    separate branch for t_a^2."""
+    F = model.field
+    N = model.hdeg_bound + 1
+    degree = {v.index: v.hdeg + 1 for v in model.variables}
+    bracket = {(u, v): {} for u in degree for v in degree if degree[u] + degree[v] <= N}
+    for x in model.variables:
+        terms = []
+        for (m, w), c in model.differentials[x.index].terms.items():
+            if any(m) or model.dgmon_length(w) != 2:
+                continue
+            terms.append((c, w[0][0], w[0][0]) if len(w) == 1 else (c, w[0][0], w[1][0]))
+        for coeff, a, b in terms:
+            da, db = degree[a], degree[b]
+            pairs = []
+            if a != b:
+                pairs.append((b, a, F.one()))
+                s = F.of_int(-1 if ((da + 1) * (db + 1)) % 2 else 1)
+                pairs.append((a, b, s))
+            else:
+                s = F.of_int(-1 if ((da + 1) * (da + 1)) % 2 else 1)
+                pairs.append((a, a, F.add(F.one(), s)))
+            for uv, vv, val in pairs:
+                if F.is_zero(val) or (uv, vv) not in bracket:
+                    continue
+                c = F.mul(coeff, val)
+                if degree[vv] % 2:
+                    c = F.neg(c)
+                F.add_into(bracket[(uv, vv)], x.index, c)
+    return bracket
+
+
+def reference_series_mul(a, b, N):
+    out = [0] * (N + 1)
+    for i, av in enumerate(a[: N + 1]):
+        if not av:
+            continue
+        for j, bv in enumerate(b[: N + 1 - i]):
+            out[i + j] += av * bv
+    return out
+
+
+def reference_series_pow(base, e, N):
+    out = [1] + [0] * N
+    for _ in range(e):
+        out = reference_series_mul(out, base, N)
+    return out
+
+
+def reference_geometric(k, N):
+    out = [0] * (N + 1)
+    for i in range(0, N + 1, k):
+        out[i] = 1
+    return out
+
+
+def reference_expected_ext_dims(model, N):
+    """Reference: the former series bookkeeping, one truncated product of
+    power series per factor."""
+    eps = model.deviations()
+    ell = sum(1 for v in model.variables_of_hdeg(1) if v.intdeg == 1)
+    series = reference_series_pow([1, 1], model.ring.nvars - ell, N)
+    series = reference_series_mul(
+        series, reference_series_pow(reference_geometric(2, N), eps[0] - ell, N), N)
+    for j in range(2, min(len(eps), N - 1) + 1):
+        count = eps[j - 1]
+        if j % 2 == 0:
+            gen = [1] + [0] * N
+            gen[j + 1] = 1
+        else:
+            gen = reference_geometric(j + 1, N)
+        series = reference_series_mul(series, reference_series_pow(gen, count, N), N)
+    return series
+
+
+@pytest.mark.parametrize("field", FUZZ_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_bracket_and_ext_series_match_the_references(field, data):
+    ring, gens = data.draw(homogeneous_ideals(max_vars=3, fields=(field,)))
+    hdeg = 4
+    top = max(g.homogeneous_degree() for g in gens)
+    model = build_minimal_model(gr.Ideal(ring, gens), hdeg, top * hdeg)
+    bracket = compute_pi(model).bracket
+    expected = reference_bracket(model)
+    # insertion order too: check_jacobi reports terms in it
+    assert [(k, list(v.items())) for k, v in bracket.items()] == \
+        [(k, list(v.items())) for k, v in expected.items()]
+    for N in range(hdeg + 3):
+        assert expected_ext_dims(model, N) == reference_expected_ext_dims(model, N)
+
+
+def test_bracket_matches_the_reference_on_squares(R):
+    # at hdeg 5, d(X_5) has terms t_a^2 for t_a in X_2, whose two
+    # contributions to [u_a, u_a] add up; the drawn models stop at hdeg 4
+    for texts in (("x^2", "x*y"), ("x^2", "x*y", "y^2")):
+        model, pi = setup(R, *texts)
+        assert any(len(w) == 1 and e == 2 for d in model.differentials
+                   for (_, w), _ in d.terms.items() for _, e in w)
+        assert pi.bracket == reference_bracket(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ext_series_matches_the_reference_on_any_deviations(data):
+    eps = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    ell = data.draw(st.integers(0, eps[0]))
+    stage1 = [SimpleNamespace(intdeg=1)] * ell + [SimpleNamespace(intdeg=2)] * (eps[0] - ell)
+    model = SimpleNamespace(
+        deviations=lambda: list(eps),
+        variables_of_hdeg=lambda h: stage1 if h == 1 else [],
+        ring=SimpleNamespace(nvars=ell + data.draw(st.integers(0, 4))),
+    )
+    N = data.draw(st.integers(0, len(eps) + 4))
+    assert expected_ext_dims(model, N) == reference_expected_ext_dims(model, N)

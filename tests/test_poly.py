@@ -142,3 +142,55 @@ def test_homogeneous_product_degree(a, b):
     if ta.is_zero() or tb.is_zero():
         return
     assert (ta * tb).homogeneous_degree() == ta.homogeneous_degree() + tb.homogeneous_degree()
+
+
+# -- printing against the former body -------------------------------------------
+
+
+def reference_to_string(p, order):
+    """Reference: the former `Polynomial.to_string` body, which formatted
+    the sign, the coefficient 1 and the joins itself."""
+    if not p.terms:
+        return "0"
+    F = p.ring.field
+    parts = []
+    for m, c in p.sorted_terms(order):
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(p.ring.names, m) if e)
+        cs = F.to_str(c)
+        negative = cs.startswith("-")
+        if negative:
+            cs = cs[1:]
+        if mono and cs == "1":
+            body = mono
+        elif mono:
+            body = f"{cs}*{mono}"
+        else:
+            body = cs
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts)
+
+
+@st.composite
+def printable_polys(draw):
+    """Polynomials in 1-3 variables over Q, GF(7) or GF(32003) with
+    coefficients +-1, other integers and fractions (which print negative
+    over Q only), and exponent 0 allowed everywhere, so constant terms and
+    bare variables occur."""
+    field = draw(st.sampled_from((QQ, GF(7), GF(32003))))
+    ring = PolyRing(field, ["x", "y", "z"][: draw(st.integers(1, 3))])
+    coeff = st.tuples(st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 5)))
+    expt = st.tuples(*[st.integers(0, 3)] * len(ring.names))
+    out = ring.zero()
+    for e, (num, den) in draw(st.dictionaries(expt, coeff, max_size=5)).items():
+        if field.p is None or den % field.p:
+            out = out + ring.monomial(e, field.of_fraction(num, den))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable_polys(), st.sampled_from((DEGREVLEX, DEGLEX, LEX)))
+def test_to_string_matches_the_former_body(p, order):
+    assert p.to_string(order) == reference_to_string(p, order)
