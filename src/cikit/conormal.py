@@ -7,6 +7,9 @@ exact, so the syzygies Z_1 of the minimal generators of I, reduced mod I,
 are its relations.  Route B reads the presentation off the reduced Kaehler
 complex of the minimal model.  Both must agree in Hilbert function and
 minimal generator count; a disagreement is a bug, not a result.
+
+The Jacobi-Zariski check and the evolution criterion read ker(d: I/I^2 ->
+S^n(-1)) off one linear map on R_d (:func:`differential_kernel_slice`).
 """
 
 from __future__ import annotations
@@ -132,30 +135,16 @@ def _square(ideal: Ideal) -> Ideal:
 
 
 def differential_kernel_slice(ideal: Ideal, d: int):
-    """Basis of {v in I_d : all partials of v lie in I_{d-1}}, i.e. the
-    degree-d slice of the kernel of d: I/I^2 -> S^n before dividing by I^2.
-
-    Vectors come back as polynomials.
-    """
+    """{v in I_d : all partials of v lie in I}, the degree-d slice of the
+    kernel of d: I/I^2 -> S^n(-1) before dividing by I^2: the kernel of
+    v -> (v, dv/dx_1, ..., dv/dx_n) into S (+) S^n(-1) in quotient
+    coordinates, one column per monomial of R_d.  Its RREF comes back in
+    the monomial coordinates of R_d, those of ``FreeSlices(ring, [0])``."""
     ring = ideal.ring
-    field = ring.field
-    basis = ideal.slice_rref(d)[0]
-    if not basis:
-        return []
-    candidates = [FreeSlices(ring, [0]).from_coords(vec, d)[0] for vec in basis]
-    # the gradient lands in S^n(-1), in quotient coordinates
-    target = FreeSlices(ring, [1] * ring.nvars, ideal)
-    cols = [target.coords(tuple(v.partial_derivative(i) for i in range(ring.nvars)), d)
-            for v in candidates]
-    coeffs = linalg.kernel(cols, field)
-    out = []
-    for cvec in coeffs:
-        p = ring.zero()
-        for c, v in zip(cvec, candidates):
-            if not field.is_zero(c):
-                p = p + v.scale(c)
-        out.append(p)
-    return out
+    target = FreeSlices(ring, [0] + [1] * ring.nvars, ideal)
+    cols = [target.coords((v, *(v.partial_derivative(i) for i in range(ring.nvars))), d)
+            for v in map(ring.monomial, ring.monomials_of_degree(d))]
+    return linalg.kernel(cols, ring.field)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +176,9 @@ class JacobiZariskiReport:
 def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport:
     """Each of the four modules is computed by its own machinery; the
     alternating slice sums vanishing in every degree is the consistency
-    statement."""
+    statement.  D1_d = dim ker(d)_d - dim I^2_d (I^2 is in ker(d) by the
+    Leibniz rule), with ker(d) read off the gradients of all of R_d, apart
+    from the Jacobian columns that present Omega_{S/K}."""
     ring = ideal.ring
     hf_conormal = conormal_route_a(ideal, degree_bound).hilbert_function(degree_bound)
     hf_s = quotient_hilbert_by_monomials(ideal, degree_bound)
@@ -196,10 +187,8 @@ def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport
     hf_omega = omega.hilbert_function(degree_bound)
 
     sq = _square(ideal)
-    hf_d1 = []
-    for d in range(degree_bound + 1):
-        k = len(differential_kernel_slice(ideal, d))
-        hf_d1.append(k - sq.slice_dim(d) if k else 0)
+    hf_d1 = [len(differential_kernel_slice(ideal, d)) - sq.slice_dim(d)
+             for d in range(degree_bound + 1)]
 
     failures = []
     for d in range(degree_bound + 1):
@@ -231,27 +220,23 @@ class EvolutionVerdict:
 def lenstra_evolution_check(ideal: Ideal) -> EvolutionVerdict:
     """Only trivial evolutions exist iff no minimal generator of I/I^2 is
     killed by d, i.e. ker(d), sliced in the generating degrees, sits inside
-    m_S * (I/I^2)."""
+    m_S * (I/I^2).  For a homogeneous ideal over Q, Euler's identity
+    deg(v) * v = sum_i x_i * dv/dx_i puts every v in ker(d) into m*I, so
+    ``trivial_only`` is the only correct verdict and ``nontrivial_possible``
+    means a defect in the slices."""
     ring = ideal.ring
     if not ring.field.is_rationals:
         raise FieldError("the evolution criterion is applied over char 0")
-    field = ring.field
     gen_degrees = sorted({g.homogeneous_degree() for g in ideal.minimal_generators()})
-    sq = ideal_as_module(_square(ideal))
-    ring_slices = FreeSlices(ring, [0])
+    gens, sq = ideal_as_module(ideal), ideal_as_module(_square(ideal))
     for d in gen_degrees:
-        kernel_vectors = differential_kernel_slice(ideal, d)
-        if not kernel_vectors:
-            continue
-        # m*(I/I^2) + I^2 at degree d: x_i * I_{d-1} plus I^2_d
-        denom = sq.span_slice_rows(d)
-        for w in ideal.slice_rref(d - 1)[0]:
-            for i in range(ring.nvars):
-                denom.append(ring_slices.multiply_coords_by_var(w, d - 1, i))
-        kern_rows = [ring_slices.coords((v,), d) for v in kernel_vectors]
-        stray = linalg.independent_subset(denom, kern_rows, field)
+        # m*(I/I^2) + I^2 at degree d, in the monomial coordinates of R_d
+        denom = gens.span_slice_rows(d, proper_only=True) + sq.span_slice_rows(d)
+        kern_rows = differential_kernel_slice(ideal, d)
+        stray = linalg.independent_subset(denom, kern_rows, ring.field)
         if stray:
-            return EvolutionVerdict("nontrivial_possible", kernel_vectors[stray[0]])
+            witness = FreeSlices(ring, [0]).from_coords(kern_rows[stray[0]], d)[0]
+            return EvolutionVerdict("nontrivial_possible", witness)
     return EvolutionVerdict("trivial_only")
 
 

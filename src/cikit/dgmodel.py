@@ -29,7 +29,7 @@ from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
-    UnitIdeal,
+    _reject_unit,
     compose_is_zero,
     quotient_hilbert_by_monomials,
     scatter_multiples,
@@ -479,8 +479,7 @@ def build_minimal_model(ideal: Ideal, hdeg_bound: int, intdeg_bound: int) -> DgA
         )
     if hdeg_bound < 2:
         raise ModelError("homological bound must be at least 2")
-    if any(g.homogeneous_degree() == 0 for g in ideal.generators):
-        raise UnitIdeal("ideal contains a unit")
+    _reject_unit(ideal)
 
     derived = ext_degree_bound(ideal, hdeg_bound + 1)
     model = DgAlgebraModel(ring, ideal, hdeg_bound, min(derived, intdeg_bound))

@@ -45,6 +45,12 @@ class UnitIdeal(ValueError):
     """The homogeneous ideal contains a unit."""
 
 
+def _reject_unit(ideal: Ideal):
+    """Raise UnitIdeal when the homogeneous ideal holds a nonzero constant."""
+    if any(g.homogeneous_degree() == 0 for g in ideal.generators):
+        raise UnitIdeal("ideal contains a unit")
+
+
 # ---------------------------------------------------------------------------
 # division and Buchberger
 

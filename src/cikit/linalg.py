@@ -6,6 +6,7 @@ of the row-reduction kernel `_rowred_py`: ``rref_int``, ``indep_int``,
 ``rref_fp`` and ``indep_fp``.  There is one kernel.  It is reached through
 `_impl`, and `KERNEL` names it; both stay because the benchmark (`cibench`)
 reads them, to trace the kernel's calls and to record which kernel ran.
+Each eliminates at most once; `kernel` reads its RREF off one `nullspace`.
 
 Over Q a row holds `int` entries where they are integral and `Fraction`
 entries elsewhere (see `fields`).  Integral rows reach the integer kernel
@@ -99,7 +100,12 @@ def nullspace(rows, ncols: int, field: Field):
 
 
 def kernel(cols, field: Field):
-    """Canonical basis (RREF) of {x : sum_i x_i * cols[i] = 0}.
+    """Canonical basis (RREF) of {x : sum_i x_i * cols[i] = 0}, from one
+    elimination.  With the columns reversed, the nullspace vector of free
+    column f has its 1 at f and its other entries at pivot columns left of
+    f, and every other vector is 0 at f.  So each vector read backwards
+    leads with a 1 where the rest are 0, and reversing the list sorts the
+    leads: that is the unique RREF.
 
     ``cols`` are vectors of one length.  Slices of modules over S = R/I
     are taken in the quotient coordinates of
@@ -108,9 +114,8 @@ def kernel(cols, field: Field):
     """
     if not cols:
         return []
-    rows = [r for r in transpose(cols, len(cols[0]), field) if any(r)]
-    basis, _ = rref(nullspace(rows, len(cols), field), field)
-    return basis
+    rows = [r for r in transpose(cols[::-1], len(cols[0]), field) if any(r)]
+    return [v[::-1] for v in reversed(nullspace(rows, len(cols), field))]
 
 
 def transpose(rows, ncols: int, field: Field):

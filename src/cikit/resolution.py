@@ -34,6 +34,7 @@ from functools import partial
 from .groebner import (
     Ideal,
     ModulePresentation,
+    _reject_unit,
     compose_is_zero,
     first_syzygy_degree,
     krull_dimension,
@@ -167,7 +168,8 @@ def minimal_free_resolution(
     zero modulus): step i then stops at the Taylor bound T_i of in(I), and no
     step runs past F_r (see :meth:`Ideal.taylor_degree_bounds`).  Either way
     the result is the one the cap gives, and ``degree_bound`` records the
-    cap."""
+    cap.  Over R/I with 1 in I it raises UnitIdeal."""
+    _reject_unit(pres.modulus)
     pruned = minimalize_presentation(pres)
     if pruned.nrows == 0:
         return FreeResolution(pres.ring, pres.modulus, [], [], ("terminated", 0), degree_bound)

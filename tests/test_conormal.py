@@ -122,6 +122,14 @@ def test_lenstra_examples(R):
     assert lenstra_evolution_check(ideal(R, "x^2", "x*y", "y^2")).kind == "trivial_only"
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(fields=(QQ,)))
+def test_lenstra_is_trivial_on_homogeneous_ideals(ring_gens):
+    # Euler: deg(v) * v = sum x_i dv/dx_i puts every v in ker(d) into m*I
+    ring, gens = ring_gens
+    assert lenstra_evolution_check(gr.Ideal(ring, gens)).kind == "trivial_only"
+
+
 def test_lenstra_requires_char_zero():
     F7 = PolyRing(GF(7), ["x"])
     with pytest.raises(ValueError):
@@ -301,9 +309,17 @@ def _differential_kernel_slice_stacked(ideal, d):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(homogeneous_ideals())
 def test_differential_kernel_slice_matches_the_stacked_construction(ring_gens):
-    # the gradient read in the slices of R^n(-1) modulo I * R^n(-1) gives
-    # the same polynomials as the hand-stacked blocks
+    # the kernel of v -> (v, grad v) read in the slices of S (+) S^n(-1) is
+    # the RREF, in the monomial coordinates of R_d, of the span of the
+    # hand-stacked blocks' polynomials
     ring, gens = ring_gens
     I = gr.Ideal(ring, gens)
     for d in range(max(g.homogeneous_degree() for g in I.generators) + 3):
-        assert differential_kernel_slice(I, d) == _differential_kernel_slice_stacked(I, d), d
+        pos = {m: i for i, m in enumerate(ring.monomials_of_degree(d))}
+        rows = []
+        for p in _differential_kernel_slice_stacked(I, d):
+            row = [ring.field.zero()] * len(pos)
+            for m, c in p.terms.items():
+                row[pos[m]] = c
+            rows.append(row)
+        assert differential_kernel_slice(I, d) == linalg.rref(rows, ring.field)[0], d

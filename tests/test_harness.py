@@ -314,7 +314,10 @@ def test_cli_math_errors_are_one_line(tmp_path):
         (["ci", "--field", "F4", "--ring", "x", "x"], "Error: 4 is not prime"),
         *(([command, *extra, "--ring", "x,y", "1"], "Error: ideal contains a unit")
           for command, extra in (("pi", ()), ("model", ()), ("bracket", ()),
-                                 ("theta", ("--z", "p2_1")), ("radical", ()), ("conormal", ()))),
+                                 ("theta", ("--z", "p2_1")), ("radical", ()), ("conormal", ()),
+                                 ("resolve", ("--module", "k")),
+                                 ("resolve", ("--module", "conormal")),
+                                 ("resolve", ("--module", "h1")))),
         (["lenstra", "--field", "F7", "--ring", "x,y", "x^2, x*y"],
          "Error: the evolution criterion is applied over char 0"),
         (["radical", "--z", "p3_1", "--ring", "x,y", "x^2, x*y"],

@@ -47,6 +47,24 @@ def test_independent_subset_greedy():
     assert linalg.independent_subset([], cands, QQ) == [0, 1]
 
 
+def sparse_columns(rng, field_values, ncols, tdim):
+    """Up to ``ncols`` sparse columns of length ``tdim``: random ones of a
+    random density, with zero columns and repeats (copies or multiples of
+    earlier columns) mixed in."""
+    density = rng.choice([0.1, 0.3, 0.6])
+    cols = []
+    for _ in range(ncols):
+        kind = rng.choice(["random", "random", "zero", "repeat"])
+        if kind == "zero":
+            cols.append([0] * tdim)
+        elif kind == "repeat" and cols:
+            c = rng.choice([1, 1, 2, -3])
+            cols.append([c * v for v in rng.choice(cols)])
+        else:
+            cols.append([field_values() if rng.random() < density else 0 for _ in range(tdim)])
+    return cols
+
+
 def test_kernel_matches_bruteforce():
     # {x : sum x_i cols[i] = 0} against the nullspace reference with W = []:
     # no columns, columns of length zero, then random columns over GF(7) and
@@ -70,6 +88,31 @@ def test_kernel_matches_bruteforce():
         mixed = [[v if rng.random() < 0.5 else canonical(v) for v in col] for col in values]
         for cols in (as_int, values, mixed):
             assert linalg.kernel(cols, QQ) == want, cols
+    # wide sparse draws: up to 12 columns with zero and repeated ones, so
+    # that free columns fall anywhere, over GF(7), GF(32003), GF(2^31 - 1)
+    # and Q; the Q results keep `int` wherever they are integral
+    rng = random.Random(20)
+    for field in (GF(7), GF(32003), GF(2**31 - 1)):
+        p = field.p
+        for _ in range(60):
+            cols = sparse_columns(rng, lambda: rng.randrange(1, p), rng.randrange(1, 13),
+                                  rng.randrange(1, 9))
+            cols = [[v % p for v in col] for col in cols]
+            assert linalg.kernel(cols, field) == bruteforce_kernel(cols, [], field), cols
+
+    def q_value():
+        return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.choice([1, 1, 2, 3, 7]))
+
+    for _ in range(60):
+        values = sparse_columns(rng, q_value, rng.randrange(1, 13), rng.randrange(1, 9))
+        values = [[Fraction(v) for v in col] for col in values]
+        want = bruteforce_kernel(values, [], QQ)
+        as_int = [[canonical(v) for v in col] for col in values]
+        mixed = [[v if rng.random() < 0.5 else canonical(v) for v in col] for col in values]
+        for cols in (as_int, values, mixed):
+            got = linalg.kernel(cols, QQ)
+            assert got == want, cols
+            assert all(type(v) is int or v.denominator != 1 for row in got for v in row)
 
 
 # -- the dense kernel, kept as the reference ----------------------------------
