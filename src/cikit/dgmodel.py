@@ -466,7 +466,9 @@ def build_minimal_model(ideal: Ideal, hdeg_bound: int, intdeg_bound: int) -> DgA
     so Backelin's bound ``ext_degree_bound(ideal, n + 1)`` bounds their
     internal degrees: the model is built to that bound at n = hdeg_bound,
     with ``intdeg_bound`` as a cap, and is ``complete`` unless the cap is
-    below it (then ``warnings`` says so).  After stage n the model kills
+    below it (then ``warnings`` says so).  Stage n searches for new
+    variables only up to its own bound ``ext_degree_bound(ideal, n + 1)``
+    (within the cap), which grows with n.  After stage n the model kills
     H_{n-1}, so on completion H_i vanishes for 0 < i < hdeg_bound within
     the model's ``intdeg_bound``.
     """
@@ -499,7 +501,12 @@ def build_minimal_model(ideal: Ideal, hdeg_bound: int, intdeg_bound: int) -> DgA
 
 
 def _adjoin_stage(model: DgAlgebraModel, n: int):
-    """Adjoin X_n killing minimal generators of H_{n-1} of the current stage."""
+    """Adjoin X_n killing minimal generators of H_{n-1} of the current stage.
+
+    X_n spans pi^{n+1}(S) in Ext^{n+1}_S(k, k), so its internal degrees are
+    at most Backelin's ``ext_degree_bound(ideal, n + 1)``: the search runs
+    over the degrees up to that bound or the model's ``intdeg_bound``,
+    whichever is lower."""
     field = model.field
     nvars = model.ring.nvars
     h = n - 1
@@ -507,8 +514,9 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
     mons = model.dg_monomials(h)
     cycle_slices: dict[int, list] = {}
     new_vars = []  # (intdeg, cycle element)
+    top = min(model.intdeg_bound, ext_degree_bound(model.ideal, n + 1))
 
-    for d in range(0, model.intdeg_bound + 1):
+    for d in range(0, top + 1):
         cycles = linalg.kernel(model.differential_rows(h, d), field)
         cycle_slices[d] = cycles
         if not cycles:
@@ -559,7 +567,13 @@ def verify_model_acyclicity(model: DgAlgebraModel):
     """H_0 = S (against the Groebner standard-monomial count) and H_i = 0
     for 0 < i < hdeg_bound, within the internal degree bound, read off one
     table: rank[i][d] is the rank of d: A_i -> A_{i-1} in internal degree d,
-    for 1 <= i <= hdeg_bound, and H_i = dim A_i - rank[i] - rank[i + 1]."""
+    for 1 <= i <= hdeg_bound, and H_i = dim A_i - rank[i] - rank[i + 1].
+
+    Every H_i is read up to the model's full ``intdeg_bound``, although
+    :func:`_adjoin_stage` searches stage n only up to Backelin's bound at
+    n + 1: a variable missed by that shorter search leaves a class of
+    H_{n-1} alive, which shows here, so the check does not rest on the
+    bound it checks."""
     failures = []
     degrees = range(model.intdeg_bound + 1)
     rank = [None] + [

@@ -2,10 +2,14 @@
 
 Two engines live here.  Buchberger's algorithm provides ideal-level
 normal forms and lead-term data (standard monomials, height).
-Its reductions and every normal form run on :func:`_remainder` over
-divisor data (:func:`_divisor`) computed once per basis element;
+Its reductions and every normal form run on one loop, :func:`_remainder`,
+over divisor data computed once per basis element;
 :func:`multivariate_divide`, the textbook division with quotients, is the
-reference that checks them.
+reference that checks them.  Over Q, Buchberger keeps its elements as
+primitive integer polynomials and reduces without fractions, each
+remainder an integer multiple of the exact one, and makes the final basis
+monic.  Normal forms divide by monic data (:func:`_divisor`), so they are
+exact.
 Module-level work (syzygies, minimal generators, Hilbert functions of
 presented modules) runs degree by degree through exact linear algebra on
 finite-dimensional graded slices, which keeps one code path for modules
@@ -27,6 +31,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import lru_cache
 from heapq import heappop, heappush
+from math import gcd
 
 from . import linalg
 from .poly import (
@@ -103,21 +108,32 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
 
 
 def _divisor(d: Polynomial, order: MonomialOrder):
-    """(lead monomial, inverse of the lead coefficient, tail terms) of a
-    nonzero divisor."""
+    """Monic divisor data of a nonzero divisor d: (lead monomial, 1, tail
+    terms of d divided by its lead coefficient)."""
+    F = d.ring.field
     lm, lc = d.leading_term(order)
-    return lm, d.ring.field.inv(lc), [(m, c) for m, c in d.terms.items() if m != lm]
+    inv = F.inv(lc)
+    return lm, F.one(), [(m, F.mul(c, inv)) for m, c in d.terms.items() if m != lm]
 
 
 def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
-    """Remainder of f on division by the :func:`_divisor` data ``divisors``:
-    the remainder of :func:`multivariate_divide`, without its quotients.
+    """Remainder of f on division by the divisor data ``divisors``, triples
+    (lead monomial, lead coefficient a, tail terms).
 
     Terms wait in ``queue``, sorted by order key, and leave it largest
     first, each going to the first divisor whose lead divides it, as in
-    :func:`multivariate_divide`; so the two remainders are equal.  A term
-    is queued once, when it first appears.  One that cancels stays in
-    ``work`` at zero, where it can come back, and is skipped when popped."""
+    :func:`multivariate_divide`.  A term is queued once, when it first
+    appears.  One that cancels stays in ``work`` at zero, where it can come
+    back, and is skipped when popped.
+
+    A step on term c*m with a = 1 subtracts c*(m/lead)*tail.  On monic data
+    (:func:`_divisor`) every step is such a step, so the result is the
+    remainder of :func:`multivariate_divide`, exactly.  Over Q an integer
+    divisor may have a != 1 (:func:`buchberger`): with g = gcd(a, c) the
+    step scales the waiting and remainder terms by a/g and subtracts
+    (c/g)*(m/lead)*tail, so no fraction appears.  The result is then that
+    remainder times a nonzero integer, and at every step the support is
+    the one the exact division has."""
     F = f.ring.field
     key = order.key
     zero = F.zero()
@@ -129,21 +145,48 @@ def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
         c = work.pop(m)
         if F.is_zero(c):
             continue
-        for lm, inv, tail in divisors:
+        for lm, a, tail in divisors:
             if monomial_divides(lm, m):
                 q_mon = monomial_div(m, lm)
-                q = F.mul(c, inv)
+                if a != 1:
+                    g = gcd(a, c)
+                    s, c = a // g, c // g
+                    if s != 1:
+                        for t in work:
+                            work[t] *= s
+                        for t in remainder:
+                            remainder[t] *= s
                 for dm, dc in tail:
                     t = monomial_mul(dm, q_mon)
                     old = work.get(t)
                     if old is None:
                         old = zero
                         insort(queue, (key(t), t))
-                    work[t] = F.sub(old, F.mul(dc, q))
+                    work[t] = F.sub(old, F.mul(dc, c))
                 break
         else:
             remainder[m] = c
     return Polynomial(f.ring, remainder)
+
+
+def _primitive(g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """The primitive integer polynomial with positive lead coefficient that
+    is a rational multiple of g (over Q): denominators cleared, content
+    divided out."""
+    coeffs = linalg._scale_row_to_int(list(g.terms.values()))
+    content = gcd(*coeffs)
+    if g.leading_term(order)[1] < 0:
+        content = -content
+    return Polynomial(g.ring, {m: c // content for m, c in zip(g.terms, coeffs)})
+
+
+def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
+    """f divided by its lead coefficient, integral quotients as `int`."""
+    F = f.ring.field
+    lc = f.leading_term(order)[1]
+    if lc == 1:
+        return f
+    return Polynomial(f.ring, {m: F.of_fraction(c, lc) for m, c in f.terms.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -195,23 +238,32 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
     divides lcm(lead_i, lead_j) and neither (i, k) nor (j, k) is still
     pending: both of their S-polynomials then have standard
     representations, which combine into one for (i, j).  Each element's
-    lead and divisor data are computed once, when it joins the basis."""
+    lead and divisor data are computed once, when it joins the basis.
+
+    Over GF(p) the elements are monic.  Over Q they are primitive integer
+    polynomials, so no fraction arises: with lead coefficients a_i, a_j
+    and g = gcd(a_i, a_j), the S-pair is (a_j/g)(lcm/lead_i) f_i -
+    (a_i/g)(lcm/lead_j) f_j, and :func:`_remainder` returns an integer
+    multiple of the remainder by the monic elements.  Every element is a
+    nonzero multiple of the one the monic loop would adjoin, with the same
+    support, so the pairs, leads and criteria are the same, and the final
+    basis is made monic."""
     ring = ideal.ring
     F = ring.field
     key = order.key
-    basis: list[Polynomial] = []  # monic
+    basis: list[Polynomial] = []  # monic over GF(p), primitive over Q
     leads: list = []
-    divisors: list = []  # _divisor data of basis
+    divisors: list = []  # (lead, lead coefficient, tail) of basis
     heap: list = []
     pending: set = set()
 
     def adjoin(g: Polynomial):
+        g = _primitive(g, order) if F.is_rationals else _monic(g, order)
         lm, lc = g.leading_term(order)
-        g = g.scale(F.inv(lc))
         j = len(basis)
         basis.append(g)
         leads.append(lm)
-        divisors.append((lm, F.one(), [(m, c) for m, c in g.terms.items() if m != lm]))
+        divisors.append((lm, lc, [(m, c) for m, c in g.terms.items() if m != lm]))
         for i in range(j):
             pending.add((i, j))
             heappush(heap, (sum(monomial_lcm(leads[i], lm)), i, j))
@@ -234,8 +286,10 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
             for k, mk in enumerate(leads)
         ):
             continue  # chain criterion
-        s = basis[i].mul_monomial(monomial_div(lcm, mi)) - basis[j].mul_monomial(
-            monomial_div(lcm, mj))
+        ai, aj = divisors[i][1], divisors[j][1]
+        g = gcd(ai, aj)
+        s = basis[i].mul_monomial(monomial_div(lcm, mi), aj // g) - basis[j].mul_monomial(
+            monomial_div(lcm, mj), ai // g)
         r = _remainder(s, divisors, order)
         if not r.is_zero():
             adjoin(r)
@@ -250,7 +304,8 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
     # pairwise non-dividing, so each lead survives and the result is the
     # unique reduced basis
     final = [
-        _remainder(basis[k], [divisors[h] for h in minimal if h != k], order) for k in minimal
+        _monic(_remainder(basis[k], [divisors[h] for h in minimal if h != k], order), order)
+        for k in minimal
     ]
     return GroebnerBasis(ring, order, final)
 

@@ -427,6 +427,8 @@ class _Parser:
         if kind == "num":
             if "/" in val:
                 num, den = val.split("/")
+                if int(den) == 0:
+                    raise ParseError(f"zero denominator in {val}")
                 return self.ring.constant(self.ring.field.of_fraction(int(num), int(den)))
             return self.ring.constant(self.ring.field.of_int(int(val)))
         if kind == "name":

@@ -2,7 +2,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import homogeneous_ideals
 
@@ -176,6 +176,61 @@ def test_model_ends_at_backelin_bound(ring_gens):
     assert deeper.intdeg_bound == model.intdeg_bound + 2
     assert ([(v.hdeg, v.intdeg) for v in deeper.variables]
             == [(v.hdeg, v.intdeg) for v in model.variables])
+
+
+# -- each stage's search against one that runs to the model's bound -----------
+
+
+def full_range_adjoin_stage(model, n):
+    """_adjoin_stage as it was, searching every stage up to the model's
+    intdeg_bound rather than to Backelin's bound at n + 1."""
+    field = model.field
+    nvars = model.ring.nvars
+    h = n - 1
+    h_slices = model.slices(h)
+    mons = model.dg_monomials(h)
+    cycle_slices = {}
+    new_vars = []
+    for d in range(0, model.intdeg_bound + 1):
+        cycles = linalg.kernel(model.differential_rows(h, d), field)
+        cycle_slices[d] = cycles
+        if not cycles:
+            continue
+        linear_positions = [
+            pos
+            for pos, (i, m) in enumerate(h_slices.basis(d))
+            if not any(m) and model.dgmon_length(mons[i]) == 1
+        ]
+        for z in cycles:
+            for pos in linear_positions:
+                if not field.is_zero(z[pos]):
+                    raise dgmodel.ModelError(
+                        f"cycle with unit linear term at stage {n}, degree {d}"
+                    )
+        denom = list(model.differential_rows(n, d))
+        for zvec in cycle_slices.get(d - 1, []):
+            for var in range(nvars):
+                denom.append(h_slices.multiply_coords_by_var(zvec, d - 1, var))
+        chosen = linalg.independent_subset(denom, cycles, field)
+        for c in chosen:
+            new_vars.append((d, model.element_from_coords(cycles[c], h, d)))
+    for intdeg, cycle in new_vars:
+        model.add_variable(n, intdeg, cycle)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3, max_degree=2), st.integers(4, 5), st.integers(-2, 1))
+def test_stage_bounds_match_the_full_range_search(ring_gens, hdeg, shift):
+    # stage n stops at ext_degree_bound(I, n + 1); a search to the model's
+    # bound finds no more variables, with the cap above or below Backelin's
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    cap = ext_degree_bound(I, hdeg + 1) + shift
+    model = build_minimal_model(I, hdeg, cap)
+    with mock.patch.object(dgmodel, "_adjoin_stage", full_range_adjoin_stage):
+        reference = build_minimal_model(I, hdeg, cap)
+    assert model.dump() == reference.dump()
+    assert model.complete == reference.complete == (shift >= 0)
 
 
 # -- the FreeSlices model against the R[X] slice code it replaced -----------

@@ -477,6 +477,58 @@ def test_buchberger_matches_the_reference(ring_gens):
         assert gr.buchberger(I, order).elements == reference_buchberger(I, order).elements
 
 
+@st.composite
+def rational_ideals(draw):
+    """Generators over Q in up to 3 variables (in 4 the reference's fractions
+    grow to seconds a draw), each scaled by a Fraction that leaves no
+    coefficient integral, so no lead coefficient is 1 or -1 under any order,
+    and each term then divided by 1, 2 or 3, so that the denominators within
+    a generator differ."""
+    ring, gens = draw(homogeneous_ideals(max_vars=3, fields=(QQ,)))
+    scales = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7))
+    scaled = []
+    for g in gens:
+        q = draw(scales.filter(
+            lambda q: all((c * q).denominator != 1 for c in g.terms.values())))
+        scaled.append(Polynomial(ring, {m: c * q / draw(st.integers(1, 3))
+                                        for m, c in g.terms.items()}))
+    return ring, scaled
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_ideals())
+def test_buchberger_on_rational_generators_matches_the_reference(ring_gens):
+    # the primitive integer elements give the reference's monic basis
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    for order in (DEGREVLEX, DEGLEX, LEX):
+        assert gr.buchberger(I, order).elements == reference_buchberger(I, order).elements
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(fields=(QQ,)), st.data())
+def test_reduce_on_integer_data_is_a_multiple_of_the_remainder(ring_gens, data):
+    # a divisor with integer lead a != 1 scales instead of dividing: the
+    # remainder is a nonzero multiple of the exact one, with its support
+    ring, gens = ring_gens
+    mons = ring.monomials_of_degree(data.draw(st.integers(1, 4)))
+    support = data.draw(st.lists(st.sampled_from(mons), min_size=1, max_size=6, unique=True))
+    f = Polynomial(ring, {m: data.draw(st.integers(-5, 5).filter(bool)) for m in support})
+    divisors = [g.scale(data.draw(st.sampled_from((2, -3, 6)))) for g in gens]
+    for order in (DEGREVLEX, DEGLEX, LEX):
+        integer_data = []
+        for d in divisors:
+            lm, lc = d.leading_term(order)
+            integer_data.append((lm, lc, [(m, c) for m, c in d.terms.items() if m != lm]))
+        r = gr._remainder(f, integer_data, order)
+        exact = gr.multivariate_divide(f, divisors, order)[1]
+        assert all(type(c) is int for c in r.terms.values())
+        assert r.terms.keys() == exact.terms.keys()
+        if r:
+            lc_r, lc_exact = r.leading_term(order)[1], exact.leading_term(order)[1]
+            assert r.scale(Fraction(lc_exact, lc_r)) == exact
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(homogeneous_ideals(), st.data())
 def test_reduce_matches_multivariate_divide(ring_gens, data):

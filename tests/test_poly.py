@@ -64,6 +64,8 @@ def test_parse_errors(R):
         R.from_string("w")
     with pytest.raises(ParseError):
         R.from_string("x ^ y")
+    with pytest.raises(ParseError, match="zero denominator in 1/0"):
+        R.from_string("x^2 + 1/0*y^2")
 
 
 def test_leading_terms_per_order():
