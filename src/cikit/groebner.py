@@ -22,6 +22,13 @@ its dg monomials (:mod:`cikit.dgmodel`), and the free-summand probe of
 Koszul H1, which reads Hom(H1, S) off the syzygy slices of the transposed
 presentation (:mod:`cikit.koszul`).
 
+Every Hilbert function of a presented module is a list of slice ranks,
+:meth:`ModulePresentation.image_slice_dim`, and each distinct matrix is
+ranked once per computation: the ranks are kept on the ring, which one
+computation builds and no later one reuses, under the key (modulus
+object, row degrees, columns, d).  Two routes that meet on an identical
+matrix share its rank; a matrix that differs anywhere gets its own.
+
 Degree bounds are explicit everywhere a module is only knowable up to a
 slice: results above the bound are reported as unknown, never guessed.
 """
@@ -452,10 +459,19 @@ class Ideal:
 # graded slices of free modules
 
 
-@lru_cache(maxsize=None)
 def _zero_ideal(ring: PolyRing) -> Ideal:
-    """The zero ideal of the ring, whose quotient slices are the identity."""
-    return Ideal(ring, [])
+    """The zero ideal of the ring, whose quotient slices are the identity.
+
+    One zero ideal serves every equal ring for the whole process, so it is
+    cached by the ring's field and names and built on a ring of its own:
+    holding a caller's ring would keep that computation's memo
+    (:meth:`PolyRing.memo`), and every ideal in its keys, alive."""
+    return _zero_ideal_of(ring.field, ring.names)
+
+
+@lru_cache(maxsize=None)
+def _zero_ideal_of(field, names) -> Ideal:
+    return Ideal(PolyRing(field, names), [])
 
 
 def _support(vec):
@@ -597,7 +613,7 @@ class ModulePresentation:
     """
 
     __slots__ = ("ring", "modulus", "row_degrees", "columns", "col_degrees", "_slices",
-                 "column_ideal")
+                 "column_ideal", "_ranks")
 
     def __init__(self, ring: PolyRing, modulus, row_degrees, columns):
         self.ring = ring
@@ -628,6 +644,9 @@ class ModulePresentation:
         # the Ideal whose generators are the columns, when built from one
         # (:func:`ideal_as_module`), so its memo serves the resolution
         self.column_ideal = None
+        # degree -> rank, shared with every content-identical presentation
+        # over the same ring (:meth:`image_slice_dim`)
+        self._ranks = None
 
     # -- basic views -----------------------------------------------------
 
@@ -662,7 +681,23 @@ class ModulePresentation:
         return self._slices.dim(d) - self.image_slice_dim(d)
 
     def image_slice_dim(self, d: int) -> int:
-        return linalg.rank(self.span_slice_rows(d), self.ring.field)
+        """The rank of :meth:`span_slice_rows` at d, computed once per
+        distinct matrix and computation.
+
+        The ranks are memoized on the ring (:meth:`PolyRing.memo`), so they
+        live as long as one computation, under the key (modulus object,
+        row degrees, columns), with d inside.  The matrix is a function of
+        that key and d, so two presentations share a rank only when they
+        rank the same matrix, and a recomputation would return the same
+        integer.  The modulus is compared by identity and the columns by
+        value; the key is built once per presentation, since nothing
+        changes the columns after ``__init__``."""
+        if self._ranks is None:
+            key = ("image_ranks", self.modulus, tuple(self.row_degrees), tuple(self.columns))
+            self._ranks = self.ring.memo(key, dict)
+        if d not in self._ranks:
+            self._ranks[d] = linalg.rank(self.span_slice_rows(d), self.ring.field)
+        return self._ranks[d]
 
     def hilbert_function(self, bound: int):
         """dim_k of the cokernel in degrees 0..bound."""

@@ -116,7 +116,10 @@ class KoszulH1:
         with both ranks taken from the Koszul complex's own maps.  It reads
         neither Z_1's syzygies nor H1's relations, so it is an independent
         route to the numbers :meth:`hilbert_function` reads off the
-        presentation."""
+        presentation.  It still ranks the Koszul maps themselves; the ranks
+        memo (:meth:`ModulePresentation.image_slice_dim`) shares a value
+        only with an identical matrix, such as d_1 against d_1 of the
+        resolution of R/I, never with H1's presentation."""
         cx = self.complex
         lambda1 = FreeSlices(cx.ideal.ring, cx.gen_degrees)
         return [

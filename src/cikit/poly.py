@@ -96,9 +96,15 @@ def monomial_lcm(a, b):
 
 class PolyRing:
     """A standard graded polynomial ring ``field[names]`` (every variable
-    has internal degree 1)."""
+    has internal degree 1).
 
-    __slots__ = ("field", "names", "_index")
+    A ring is built once per computation: one CLI call, one corpus entry
+    (``CorpusEntry.build``), one benchmark operation.  So its memo
+    (:meth:`memo`) lives exactly as long as that computation, and a later
+    computation on an equal ring starts from an empty one.  Equality and
+    hashing read the field and the names only."""
+
+    __slots__ = ("field", "names", "_index", "_memo")
 
     def __init__(self, field: Field, names):
         names = tuple(names)
@@ -110,6 +116,13 @@ class PolyRing:
         self.field = field
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._memo: dict = {}
+
+    def memo(self, key, compute):
+        """The value of ``compute()``, computed once per key and ring."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def nvars(self) -> int:

@@ -267,6 +267,11 @@ def verify_resolution(res: FreeResolution, module_pres: ModulePresentation | Non
     all-zero row after the last map.  They give exactness at F_1..F_{n-1},
     injectivity of the last map when the resolution terminated, and the
     Hilbert function of coker(d_1) against the resolved module's when given.
+    Each rank comes from the map's own matrix
+    (:meth:`ModulePresentation.image_slice_dim`), never from another route
+    such as ``Ideal.slice_dim``; the ranks memo shares a value only with an
+    identical matrix, so a d_1 that differs from the module's presentation
+    in any column is ranked afresh and the module check keeps its power.
     """
     failures = verify_composites(res)
     degrees = range(res.degree_bound + 1)
