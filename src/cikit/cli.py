@@ -88,7 +88,7 @@ def with_common(fn):
 # line like a bad --bounds value; the theorem tripwires, which mean a bug,
 # keep their traceback
 _MATH_ERRORS = (ParseError, FieldError, AmbientMismatch, InhomogeneousError, UnitIdeal,
-                ModelError, conormal_mod.IllFormedMap)
+                ModelError)
 
 
 class _Main(click.Group):
@@ -321,14 +321,6 @@ def jz(ideal, bounds, as_json):
         return "\n".join(lines)
 
     _emit(payload, as_json, text)
-
-
-@main.command()
-@with_common
-def lenstra(ideal, bounds, as_json):
-    """Evolution criterion: no minimal conormal generator in ker(d)."""
-    verdict = conormal_mod.lenstra_evolution_check(ideal)
-    _emit({"verdict": repr(verdict)}, as_json, lambda v: v["verdict"])
 
 
 @main.group()

@@ -1,6 +1,6 @@
 """The conormal module I/I^2 by two independent routes, Kaehler
-differentials of S over the base field, the four-term Jacobi-Zariski
-sequence, the evolution criterion, and hypothesis checkers.
+differentials of S over the base field, and the four-term Jacobi-Zariski
+sequence.
 
 Route A presents I/I^2 as Z_1 (x) S: I/I^2 = I (x) S and (x) S is right
 exact, so the syzygies Z_1 of the minimal generators of I, reduced mod I,
@@ -8,8 +8,8 @@ are its relations.  Route B reads the presentation off the reduced Kaehler
 complex of the minimal model.  Both must agree in Hilbert function and
 minimal generator count; a disagreement is a bug, not a result.
 
-The Jacobi-Zariski check and the evolution criterion read ker(d: I/I^2 ->
-S^n(-1)) off one linear map on R_d (:func:`differential_kernel_slice`).
+The Jacobi-Zariski check reads ker(d: I/I^2 -> S^n(-1)) off one linear
+map on R_d (:func:`differential_kernel_slice`).
 """
 
 from __future__ import annotations
@@ -18,24 +18,17 @@ import warnings
 
 from . import linalg
 from .dgmodel import DgAlgebraModel, KahlerDgModule, build_minimal_model
-from .fields import FieldError
 from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
-    ideal_as_module,
     minimalize_presentation,
     quotient_hilbert_by_monomials,
 )
 from .koszul import koszul_h1
-from .resolution import projdim_probe
 
 
 class RouteDisagreement(RuntimeError):
-    pass
-
-
-class IllFormedMap(ValueError):
     pass
 
 
@@ -139,7 +132,10 @@ def differential_kernel_slice(ideal: Ideal, d: int):
     kernel of d: I/I^2 -> S^n(-1) before dividing by I^2: the kernel of
     v -> (v, dv/dx_1, ..., dv/dx_n) into S (+) S^n(-1) in quotient
     coordinates, one column per monomial of R_d.  Its RREF comes back in
-    the monomial coordinates of R_d, those of ``FreeSlices(ring, [0])``."""
+    the monomial coordinates of R_d, those of ``FreeSlices(ring, [0])``.
+    Over Q, Euler's identity deg(v) * v = sum_i x_i * dv/dx_i puts every
+    such v into m*I, so the slice lies in (m*I + I^2)_d; in characteristic
+    p it need not ((x^3) over GF(3) in degree 3)."""
     ring = ideal.ring
     target = FreeSlices(ring, [0] + [1] * ring.nvars, ideal)
     cols = [target.coords((v, *(v.partial_derivative(i) for i in range(ring.nvars))), d)
@@ -198,101 +194,6 @@ def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport
     return JacobiZariskiReport(
         list(range(degree_bound + 1)), hf_d1, hf_conormal, hf_free, hf_omega, failures
     )
-
-
-# ---------------------------------------------------------------------------
-# evolutions: the minimal-generator kernel criterion
-
-
-class EvolutionVerdict:
-    __slots__ = ("kind", "witness")
-
-    def __init__(self, kind: str, witness=None):
-        self.kind = kind  # "trivial_only" | "nontrivial_possible"
-        self.witness = witness
-
-    def __repr__(self):
-        if self.kind == "trivial_only":
-            return "TrivialEvolutionsOnly"
-        return f"NontrivialEvolutionPossible(witness={self.witness})"
-
-
-def lenstra_evolution_check(ideal: Ideal) -> EvolutionVerdict:
-    """Only trivial evolutions exist iff no minimal generator of I/I^2 is
-    killed by d, i.e. ker(d), sliced in the generating degrees, sits inside
-    m_S * (I/I^2).  For a homogeneous ideal over Q, Euler's identity
-    deg(v) * v = sum_i x_i * dv/dx_i puts every v in ker(d) into m*I, so
-    ``trivial_only`` is the only correct verdict and ``nontrivial_possible``
-    means a defect in the slices."""
-    ring = ideal.ring
-    if not ring.field.is_rationals:
-        raise FieldError("the evolution criterion is applied over char 0")
-    gen_degrees = sorted({g.homogeneous_degree() for g in ideal.minimal_generators()})
-    gens, sq = ideal_as_module(ideal), ideal_as_module(_square(ideal))
-    for d in gen_degrees:
-        # m*(I/I^2) + I^2 at degree d, in the monomial coordinates of R_d
-        denom = gens.span_slice_rows(d, proper_only=True) + sq.span_slice_rows(d)
-        kern_rows = differential_kernel_slice(ideal, d)
-        stray = linalg.independent_subset(denom, kern_rows, ring.field)
-        if stray:
-            witness = FreeSlices(ring, [0]).from_coords(kern_rows[stray[0]], d)[0]
-            return EvolutionVerdict("nontrivial_possible", witness)
-    return EvolutionVerdict("trivial_only")
-
-
-# ---------------------------------------------------------------------------
-# injective-into-finite-projective-dimension hypothesis check
-
-
-class SharpVCReport:
-    __slots__ = ("alpha_mod_k_injective", "target_probe", "hypotheses_hold")
-
-    def __init__(self, injective, probe, hold):
-        self.alpha_mod_k_injective = injective
-        self.target_probe = probe
-        self.hypotheses_hold = hold
-
-
-def sharpvc_hypothesis_check(
-    ideal: Ideal,
-    alpha,  # matrix: rows over target generators, cols over conormal generators
-    target: ModulePresentation,
-    degree_bound: int,
-) -> SharpVCReport:
-    """Check (a) alpha (x) k injective, (b) target has finite projective
-    dimension, by a certified probe verdict (a bounded one does not
-    count).  When both hold, the conormal rigidity theorem says I is a
-    complete intersection; the harness holds ``hypotheses_hold`` to its CI
-    certificate."""
-    ring = ideal.ring
-    field = ring.field
-    source = conormal_route_a(ideal, degree_bound)
-    if len(alpha) != target.nrows or any(len(r) != source.nrows for r in alpha):
-        raise IllFormedMap("alpha has the wrong shape")
-    # well-formedness: alpha maps every relation of I/I^2 into the target's
-    # relation submodule; the images are homogeneous columns over the
-    # target's row degrees (zero ones dropped)
-    images = [tuple(sum((a * p for a, p in zip(row, col)), ring.zero()) for row in alpha)
-              for col in source.columns]
-    try:
-        image = ModulePresentation(ring, ideal, target.row_degrees, images)
-    except ValueError:
-        raise IllFormedMap("alpha is not degree-homogeneous") from None
-    for col, d in zip(image.columns, image.col_degrees):
-        span = target.span_slice_rows(d)
-        vec = target.slices().coords(col, d)
-        if linalg.independent_subset(span, [vec], field):
-            raise IllFormedMap("alpha does not respect the conormal relations")
-
-    # alpha (x) k: degree-0 entries between generators of equal degree
-    cols_k = [[alpha[i][j].constant_coefficient() if rd == sd else field.zero()
-               for i, rd in enumerate(target.row_degrees)]
-              for j, sd in enumerate(source.row_degrees)]
-    injective = linalg.rank(cols_k, field) == source.nrows
-
-    probe = projdim_probe(target, degree_bound)
-    hold = injective and probe.is_finite() and probe.certified
-    return SharpVCReport(injective, probe, hold)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .dgmodel import (
     verify_model_differential,
 )
 from .fields import Field
-from .groebner import Ideal, ModulePresentation, height, ideal_as_module
+from .groebner import Ideal, height, ideal_as_module
 from .koszul import h1_free_summand_probe, koszul_complex, koszul_h1
 from .poly import PolyRing, parse_poly_list
 from .resolution import projdim_probe, verify_composites, verify_resolution
@@ -31,7 +31,7 @@ from .resolution import projdim_probe, verify_composites, verify_resolution
 SCHEMA = "cikit-report/3"
 # Part of every cache key: bump whenever a fix can change a computed result,
 # so that results cached before the fix are never served after it.
-RESULTS_VERSION = 5
+RESULTS_VERSION = 6
 
 
 class CriteriaDisagree(RuntimeError):
@@ -252,10 +252,6 @@ def _parse_expect_value(key, val):
     except ValueError:
         kind = "an integer" if key == "h1mu" else "comma-separated integers"
         raise CorpusError(f"expect {key} must be {kind}, got {val!r}") from None
-    if key == "lenstra":
-        if val not in ("trivial", "nontrivial"):
-            raise CorpusError(f"expect lenstra must be trivial/nontrivial, got {val!r}")
-        return val
     raise CorpusError(f"unknown expect key {key!r}")
 
 
@@ -527,25 +523,6 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         jz = conormal_mod.jacobi_zariski_check(ideal, cap)
         _check(checks, "jacobi_zariski_exact", jz.exact, detail=jz.failures, bound=cap)
         data["jz_table"] = jz.rows()
-        verdict = conormal_mod.lenstra_evolution_check(ideal)
-        data["lenstra"] = "trivial" if verdict.kind == "trivial_only" else "nontrivial"
-        if "lenstra" in entry.expect:
-            _check(checks, "expected_lenstra", data["lenstra"] == entry.expect["lenstra"],
-                   detail=f"computed {data['lenstra']}")
-
-    # sharp hypotheses on the Jacobian map into the free module force a CI
-    try:
-        gens = ideal.minimal_generators()
-        jac = [tuple(g.partial_derivative(i) for i in range(ring.nvars)) for g in gens]
-        alpha = [[jac[j][i] for j in range(len(gens))] for i in range(ring.nvars)]
-        target = ModulePresentation(ring, ideal, [1] * ring.nvars, [])
-        rep = conormal_mod.sharpvc_hypothesis_check(ideal, alpha, target, cap)
-        data["sharp_jacobian_injective"] = rep.alpha_mod_k_injective
-        if rep.hypotheses_hold and not ci_certificate(ideal, cap)["is_ci"]:
-            raise TheoremViolationSignal("sharp hypotheses hold on a non-CI entry")
-        _check(checks, "sharp_hypothesis_consistency", True)
-    except Exception as exc:
-        _check(checks, "sharp_hypothesis_consistency", False, detail=str(exc))
 
     if "deviations" in entry.expect:
         want = entry.expect["deviations"]

@@ -128,20 +128,14 @@ def test_criterion_4_theorem_consistency(corpus_report, corpus_entries):
     _require("4-theorem-consistency", not failures, f"{failures}" if failures else "")
 
 
-def test_criterion_5_jz_and_lenstra(corpus_report, corpus_entries):
+def test_criterion_5_jacobi_zariski(corpus_report, corpus_entries):
     failures = []
     char0 = {e.name for e in corpus_entries if e.field_spec.strip() in ("Q", "QQ")}
     for name in sorted(char0):
         rep = entry_by_name(corpus_report, name)
         if check_status(rep, "jacobi_zariski_exact") != "pass":
             failures.append(f"{name}: JZ")
-    for name in ("socle_square", "linear_gen"):
-        rep = entry_by_name(corpus_report, name)
-        if rep["data"].get("lenstra") != "trivial":
-            failures.append(f"{name}: lenstra {rep['data'].get('lenstra')}")
-    bad = _all_pass(corpus_report, "expected_lenstra", entries=char0)
-    failures += [f"{n}: frozen lenstra" for n in bad]
-    _require("5-jz-and-lenstra", not failures, f"{failures}" if failures else "")
+    _require("5-jacobi-zariski", not failures, f"{failures}" if failures else "")
 
 
 def test_criterion_6_determinism_and_cache(corpus_report, corpus_entries, tmp_path):

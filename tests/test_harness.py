@@ -80,7 +80,7 @@ def test_corpus_expect_errors_name_the_line():
         ("ext=1,x", "expect ext must be comma-separated integers, got '1,x'"),
         ("deviations=1.5", "expect deviations must be comma-separated integers, got '1.5'"),
         ("ci=maybe", "expect ci must be true/false, got 'maybe'"),
-        ("lenstra=no", "expect lenstra must be trivial/nontrivial, got 'no'"),
+        ("lenstra=trivial", "unknown expect key 'lenstra'"),
         ("colour=red", "unknown expect key 'colour'"),
     ):
         with pytest.raises(CorpusError) as info:
@@ -121,19 +121,6 @@ def test_unit_ideal_entry_fails_model_built():
     entry = parse_corpus("entry u / field Q / ring x, y / ideal 1\n")[0]
     assert harness.evaluate_entry(entry)["checks"] == [
         {"name": "model_built", "status": "fail", "detail": "ideal contains a unit"}]
-
-
-def test_sharp_hypotheses_on_a_non_ci_certificate_raise(monkeypatch):
-    # (x) in k[x, y]: the Jacobian (1, 0) into S^2 is injective mod m and
-    # S^2 is free, so the hypotheses hold and the certificate must say CI
-    real = harness.ci_certificate
-    monkeypatch.setattr(harness, "ci_certificate",
-                        lambda I, cap: {**real(I, cap), "is_ci": False})
-    entry = parse_corpus("entry line / field Q / ring x, y / ideal x\n")[0]
-    checks = {c["name"]: c for c in harness.evaluate_entry(entry)["checks"]}
-    assert checks["sharp_hypothesis_consistency"] == {
-        "name": "sharp_hypothesis_consistency", "status": "fail",
-        "detail": "sharp hypotheses hold on a non-CI entry"}
 
 
 def test_corpus_parse():
@@ -242,11 +229,9 @@ def test_cli_ci_and_verifiers():
     assert payload["is_ci"] is False and payload["gulliksen"] == "NoneFoundWithinBound"
 
 
-def test_cli_jz_and_lenstra():
+def test_cli_jz():
     out = run_cli("jz", "--ring", "x", "x^2")
     assert "exact: True" in out.output
-    out2 = run_cli("lenstra", "--ring", "x", "x^2")
-    assert "TrivialEvolutionsOnly" in out2.output
 
 
 def test_cli_koszul_and_conormal():
@@ -319,8 +304,6 @@ def test_cli_math_errors_are_one_line(tmp_path):
                                  ("resolve", ("--module", "k")),
                                  ("resolve", ("--module", "conormal")),
                                  ("resolve", ("--module", "h1")))),
-        (["lenstra", "--field", "F7", "--ring", "x,y", "x^2, x*y"],
-         "Error: the evolution criterion is applied over char 0"),
         (["radical", "--z", "p3_1", "--ring", "x,y", "x^2, x*y"],
          "Error: the radical probe is defined for degree-2 elements"),
         (["corpus", "run", str(bad)],
@@ -560,7 +543,7 @@ def test_a_crash_fails_only_its_entry(monkeypatch, parallelism):
 
 
 THEOREM_CHECKS = ("ci_criteria_agree", "theorem_conormal_consistency",
-                  "theorem_koszul_consistency", "sharp_hypothesis_consistency")
+                  "theorem_koszul_consistency")
 
 
 @pytest.mark.parametrize("cap", range(1, 12))
