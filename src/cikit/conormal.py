@@ -4,9 +4,12 @@ sequence.
 
 Route A presents I/I^2 as Z_1 (x) S: I/I^2 = I (x) S and (x) S is right
 exact, so the syzygies Z_1 of the minimal generators of I, reduced mod I,
-are its relations.  Route B reads the presentation off the reduced Kaehler
-complex of the minimal model.  Both must agree in Hilbert function and
-minimal generator count; a disagreement is a bug, not a result.
+are its relations.  Route B reads the presentation off the minimal model
+A = R[X]: the coefficients of the bare variables of X_1 in d(X_2), reduced
+mod I, which is the degree-2 map of the reduced Kaehler complex
+S (x)_A Omega_{A|R} (:class:`cikit.dgmodel.KahlerDgModule`).  Both must agree
+in Hilbert function and minimal generator count; a disagreement is a bug,
+not a result.
 
 The Jacobi-Zariski check reads ker(d: I/I^2 -> S^n(-1)) off one linear
 map on R_d (:func:`differential_kernel_slice`).
@@ -207,8 +210,10 @@ def mu_invariant_check(ideal: Ideal, degree_bound: int) -> bool:
 
 
 def koszul_strand_crosscheck(ideal: Ideal, degree_bound: int, model: DgAlgebraModel):
-    """The module presented by the degree-3 strand of the reduced Kaehler
-    complex matches the first Koszul homology in mu and Hilbert function."""
+    """The module presented by the degree-3 map of the reduced Kaehler
+    complex (the coefficients of the bare variables of X_2 in d(X_3),
+    reduced mod I) matches the first Koszul homology in mu and Hilbert
+    function."""
     h1 = koszul_h1(ideal, degree_bound)
     strand = KahlerDgModule(model).koszul_h1_strand()
     mu_h1 = h1.minimal_generator_count()

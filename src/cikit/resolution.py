@@ -168,7 +168,9 @@ def minimal_free_resolution(
     zero modulus): step i then stops at the Taylor bound T_i of in(I), and no
     step runs past F_r (see :meth:`Ideal.taylor_degree_bounds`).  Either way
     the result is the one the cap gives, and ``degree_bound`` records the
-    cap.  Over R/I with 1 in I it raises UnitIdeal."""
+    cap.  Length 0 gives F_0 alone, truncated at 0 unless the pruned
+    presentation has no relations.  Over R/I with 1 in I it raises
+    UnitIdeal."""
     _reject_unit(pres.modulus)
     pruned = minimalize_presentation(pres)
     if pruned.nrows == 0:
@@ -177,10 +179,10 @@ def minimal_free_resolution(
     first = ModulePresentation(
         pres.ring, pres.modulus, pruned.row_degrees, [pruned.columns[j] for j in selected]
     )
-    if first.ncols == 0:
-        return FreeResolution(
-            pres.ring, pres.modulus, pruned.row_degrees, [], ("terminated", 0), degree_bound
-        )
+    if first.ncols == 0 or length_bound == 0:
+        status = ("terminated", 0) if first.ncols == 0 else ("truncated", 0)
+        return FreeResolution(pres.ring, pres.modulus, pruned.row_degrees, [], status,
+                              degree_bound)
     # pruning removes a row with each unit it clears, so with as many rows
     # the columns are the input's and generate its column ideal
     ideal = pres.column_ideal if pruned.nrows == pres.nrows else None

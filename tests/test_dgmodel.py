@@ -18,7 +18,7 @@ from cikit.dgmodel import (
 )
 from cikit import linalg
 from cikit.fields import QQ, GF
-from cikit.poly import PolyRing, monomial_mul
+from cikit.poly import PolyRing, Polynomial, monomial_mul
 from cikit.resolution import ext_degree_bound
 
 
@@ -409,3 +409,106 @@ def test_model_acyclicity_matches_reference(ring_gens):
         broken = without_variable(model, stage2[-1].index)
         ref = reference_model_acyclicity(broken)
         assert ref and verify_model_acyclicity(broken) == ref
+
+
+# -- the reduced Kaehler complex against the full Omega_{A|R} it was cut from --
+
+
+def reference_ring_part(elem):
+    """The variable-free component of a DgElement, as a ring polynomial."""
+    return Polynomial(elem.model.ring, {m: c for (m, w), c in elem.terms.items() if not w})
+
+
+def reference_universal_derivative(model, elem):
+    """d(elem) in Omega_{A/R}, as {variable index: A-coefficient}.
+
+    Terms a*dt are stored with dt on the right; extracting the factor at
+    position j costs the Koszul sign (-1)^(|t| * |suffix|).
+    """
+    F = model.field
+    out = {}
+    for (m, w), c in elem.terms.items():
+        word = model._expand_word(w)
+        suffix_degs = [0] * (len(word) + 1)
+        for pos in range(len(word) - 1, -1, -1):
+            suffix_degs[pos] = suffix_degs[pos + 1] + model.variables[word[pos]].hdeg
+        for pos, v in enumerate(word):
+            vdeg = model.variables[v].hdeg
+            sign = -1 if (vdeg % 2) and (suffix_degs[pos + 1] % 2) else 1
+            rest = model._collapse_word(word[:pos] + word[pos + 1 :])
+            coeff = F.mul(c, F.of_int(sign))
+            entry = out.get(v, model.zero())
+            out[v] = entry + dgmodel.DgElement(model, {(m, rest): coeff})
+    return {v: e for v, e in out.items() if not e.is_zero()}
+
+
+def reference_omega_differential(model, deltas, omega_elem):
+    """Differential of sum(a_t dt): del(a) dt + (-1)^|a| a * d(del t), with
+    ``deltas[t]`` the universal derivative of d(t)."""
+    out = {}
+
+    def add(v, elem):
+        s = out.get(v, model.zero()) + elem
+        if s.is_zero():
+            out.pop(v, None)
+        else:
+            out[v] = s
+
+    for t, a in omega_elem.items():
+        da = model.differential(a)
+        if not da.is_zero():
+            add(t, da)
+        adeg = a.homological_degree()
+        sign = -1 if (adeg >= 0 and adeg % 2) else 1
+        for t2, b in deltas[t].items():
+            term = a * b
+            if sign < 0:
+                term = -term
+            if not term.is_zero():
+                add(t2, term)
+    return out
+
+
+def reference_reduced_matrix(model, deltas, i):
+    """KahlerDgModule.reduced_matrix as it was: the variable-free part of
+    each coefficient of d(del t) in Omega_{A/R}, reduced mod I."""
+    gb = model.ideal.groebner()
+    rows = model.variables_of_hdeg(i - 1)
+    row_pos = {v.index: p for p, v in enumerate(rows)}
+    columns = []
+    for c in model.variables_of_hdeg(i):
+        col = [model.ring.zero()] * len(rows)
+        for tvar, coeff in deltas[c.index].items():
+            if tvar in row_pos:
+                col[row_pos[tvar]] = gb.normal_form(reference_ring_part(coeff))
+        columns.append(tuple(col))
+    return gr.ModulePresentation(model.ring, model.ideal, [v.intdeg for v in rows], columns)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_reduced_matrix_is_the_linear_part_of_omega(ring_gens):
+    ring, gens = ring_gens
+    model = build_minimal_model(gr.Ideal(ring, gens), 4, 8)
+    deltas = {v.index: reference_universal_derivative(model, model.differentials[v.index])
+              for v in model.variables}
+    km = KahlerDgModule(model)
+    for i in range(2, model.hdeg_bound + 1):
+        ref = reference_reduced_matrix(model, deltas, i)
+        got = km.reduced_matrix(i)
+        assert got.row_degrees == ref.row_degrees and got.columns == ref.columns
+    # the full Omega differential squares to zero on each basis element dt,
+    # whose image deltas[t] is the universal derivative of d(t)
+    for v in model.variables:
+        assert reference_omega_differential(model, deltas, deltas[v.index]) == {}
+    assert km.verify() == []
+
+
+def test_reduced_d_squared_check_can_fail():
+    R3 = PolyRing(QQ, ["x", "y", "z"])
+    model = build_minimal_model(ideal(R3, "x*y", "x*z", "y*z"), 3, 8)
+    t2_1 = model.variables_of_hdeg(2)[0]
+    t3_1 = model.variables_of_hdeg(3)[0]
+    z = model.embed(R3.from_string("z"))
+    model.differentials[t3_1.index] += z * model.var_element(t2_1.index)
+    assert KahlerDgModule(model).verify() == ["reduced d^2 != 0 at degree 3"]

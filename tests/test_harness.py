@@ -328,6 +328,19 @@ def test_cli_resolves_the_ideal_one_step_after_r_mod_i(vars_, gens):
     assert i["status"]["at"] == s["status"]["at"] - 1
 
 
+@pytest.mark.parametrize("module, gens, terminated, betti", [
+    ("s", "x^2, x*y", False, [1]), ("h1", "x^2, x*y", False, [1]),
+    ("s", "0", True, [1]), ("h1", "x^2, y^2", True, [0]),
+])
+def test_cli_resolve_to_length_zero_gives_f0_alone(module, gens, terminated, betti):
+    # with relations the resolution is truncated at 0; without, it ends there
+    out = run_cli("resolve", "--ring", "x,y", "--module", module, "--bounds", "reslen=0",
+                  "--json", gens)
+    payload = json.loads(out.output)["result"]
+    assert payload["status"]["terminated"] is terminated and payload["status"]["at"] == 0
+    assert payload["betti_total"] == betti
+
+
 # -- probe verdicts in the theorem checks ------------------------------------
 
 

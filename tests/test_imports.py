@@ -1,11 +1,13 @@
-"""Every name a cikit module imports is read somewhere in that module."""
+"""Every name a cikit module imports is read somewhere in that module, and
+every function it defines is named somewhere in the project."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cikit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cikit"
 
 
 def unused_imports(source: str):
@@ -35,3 +37,44 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_functions(defining: dict, reading: list):
+    """(name, file) for each undecorated, non-dunder function or method
+    defined in the ``defining`` sources ({file name: source}) that no
+    ``Name``, ``Attribute`` or import alias in the ``reading`` sources
+    names, sorted."""
+    named = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return sorted(
+        (node.name, file)
+        for file, source in defining.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.decorator_list
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    )
+
+
+def test_the_scan_finds_an_unreferenced_function():
+    defining = {"m.py": ("def used(): pass\ndef imported(): pass\ndef dead(): pass\n"
+                         "@command\ndef cli(): pass\nclass C:\n    def __init__(self): pass\n"
+                         "    def method(self): pass\n    def unused_method(self): pass\n")}
+    reading = [*defining.values(), "from m import imported\nused()\nC().method()\n"]
+    assert unreferenced_functions(defining, reading) == [("dead", "m.py"),
+                                                         ("unused_method", "m.py")]
+
+
+def test_every_function_under_src_is_named_somewhere():
+    defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    reading = [path.read_text() for top in ("src", "tests", "cibench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert unreferenced_functions(defining, reading) == []
