@@ -24,7 +24,7 @@ from .groebner import (
     ideal_as_module,
     residue_field_presentation,
 )
-from .koszul import koszul_complex, koszul_h1
+from .koszul import koszul_h1
 from .poly import (
     AmbientMismatch,
     InhomogeneousError,
@@ -155,8 +155,8 @@ def resolve(ideal, bounds, as_json, module_opt):
 @with_common
 def koszul(ideal, bounds, as_json):
     """Koszul complex ranks and the first homology module."""
-    cx = koszul_complex(ideal)
     h1 = koszul_h1(ideal, bounds.intdeg)
+    cx = h1.complex
     payload = {
         "rank_profile": cx.rank_profile(),
         "d_squared_zero": cx.verify_d_squared(),

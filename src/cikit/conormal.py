@@ -7,9 +7,9 @@ exact, so the syzygies Z_1 of the minimal generators of I, reduced mod I,
 are its relations.  Route B reads the presentation off the minimal model
 A = R[X]: the coefficients of the bare variables of X_1 in d(X_2), reduced
 mod I, which is the degree-2 map of the reduced Kaehler complex
-S (x)_A Omega_{A|R} (:class:`cikit.dgmodel.KahlerDgModule`).  Both must agree
-in Hilbert function and minimal generator count; a disagreement is a bug,
-not a result.
+S (x)_A Omega_{A|R} (:meth:`cikit.dgmodel.DgAlgebraModel.reduced_kahler_matrix`).
+Both must agree in Hilbert function and minimal generator count; a
+disagreement is a bug, not a result.
 
 The Jacobi-Zariski check reads ker(d: I/I^2 -> S^n(-1)) off one linear
 map on R_d (:func:`differential_kernel_slice`).
@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 
 from . import linalg
-from .dgmodel import DgAlgebraModel, KahlerDgModule, build_minimal_model
+from .dgmodel import DgAlgebraModel, build_minimal_model
 from .groebner import (
     FreeSlices,
     Ideal,
@@ -71,7 +71,7 @@ def conormal(ideal: Ideal, degree_bound: int, model: DgAlgebraModel | None = Non
     route_a = conormal_route_a(ideal, degree_bound)
     if model is None:
         model = build_minimal_model(ideal, 2, degree_bound)
-    route_b = KahlerDgModule(model).conormal_presentation()
+    route_b = model.reduced_kahler_matrix(2)
     hf_a = route_a.hilbert_function(degree_bound)
     hf_b = route_b.hilbert_function(degree_bound)
     mu_a = minimalize_presentation(route_a).nrows
@@ -211,11 +211,11 @@ def mu_invariant_check(ideal: Ideal, degree_bound: int) -> bool:
 
 def koszul_strand_crosscheck(ideal: Ideal, degree_bound: int, model: DgAlgebraModel):
     """The module presented by the degree-3 map of the reduced Kaehler
-    complex (the coefficients of the bare variables of X_2 in d(X_3),
-    reduced mod I) matches the first Koszul homology in mu and Hilbert
-    function."""
+    complex, ``model.reduced_kahler_matrix(3)`` (the coefficients of the
+    bare variables of X_2 in d(X_3), reduced mod I), matches the first
+    Koszul homology in mu and Hilbert function."""
     h1 = koszul_h1(ideal, degree_bound)
-    strand = KahlerDgModule(model).koszul_h1_strand()
+    strand = model.reduced_kahler_matrix(3)
     mu_h1 = h1.minimal_generator_count()
     mu_strand = minimalize_presentation(strand).nrows
     hf_h1 = h1.presentation.hilbert_function(degree_bound)

@@ -125,14 +125,6 @@ class DgElement:
 
     # -- degree bookkeeping ------------------------------------------------
 
-    def homological_degree(self) -> int:
-        degs = {self.model.dgmon_hdeg(w) for (_, w) in self.terms}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise ModelError(f"mixed homological degrees {sorted(degs)}")
-        return degs.pop()
-
     def in_augmentation_square(self) -> bool:
         """Every term in m_R*A + m_A^2 (no unit coefficient on a bare
         variable and no constant term)."""
@@ -236,6 +228,7 @@ class DgAlgebraModel:
         self._dw_cache: dict = {}
         self._dvec_cache: dict = {}
         self._diff_cache: dict = {}
+        self._kahler_cache: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -245,7 +238,8 @@ class DgAlgebraModel:
         var = DgVariable(f"t{hdeg}_{count + 1}", hdeg, intdeg, index)
         self.variables.append(var)
         self.differentials.append(differential)
-        for cache in (self._mon_cache, self._slices, self._dvec_cache, self._diff_cache):
+        for cache in (self._mon_cache, self._slices, self._dvec_cache, self._diff_cache,
+                      self._kahler_cache):
             cache.clear()
         return var
 
@@ -427,6 +421,34 @@ class DgAlgebraModel:
             self._diff_cache[key] = rows
         return self._diff_cache[key]
 
+    # -- reduced Kaehler complex ---------------------------------------------
+
+    def reduced_kahler_matrix(self, i: int) -> ModulePresentation:
+        """S-matrix of (S (x) Omega)_i -> (S (x) Omega)_{i-1}, the degree-i
+        map of the reduced Kaehler complex S (x)_A Omega_{A|R}: rows are
+        X_{i-1}, columns X_i, and the entry at (u, t) is the coefficient of u
+        in d(t), reduced mod I (cached per stage).
+
+        For a semi-free A = R[X], Omega_{A|R} is the free A-module on dX and
+        its differential reduced to S is the linear part of d (Avramov,
+        "Infinite free resolutions", 1998).  The degree-2 cokernel presents
+        I/I^2, the degree-3 cokernel the first Koszul homology."""
+        if i in self._kahler_cache:
+            return self._kahler_cache[i]
+        gb = self.ideal.groebner()
+        rows = self.variables_of_hdeg(i - 1)
+        row_pos = {v.index: p for p, v in enumerate(rows)}
+        columns = []
+        for c in self.variables_of_hdeg(i):
+            linear = [{} for _ in rows]
+            for (m, w), coeff in self.differentials[c.index].terms.items():
+                if len(w) == 1 and w[0][1] == 1:
+                    linear[row_pos[w[0][0]]][m] = coeff
+            columns.append(tuple(gb.normal_form(Polynomial(self.ring, t)) for t in linear))
+        pres = ModulePresentation(self.ring, self.ideal, [v.intdeg for v in rows], columns)
+        self._kahler_cache[i] = pres
+        return pres
+
     # -- variable bookkeeping ------------------------------------------------
 
     def variables_of_hdeg(self, h: int):
@@ -587,66 +609,15 @@ def verify_model_acyclicity(model: DgAlgebraModel):
     return failures
 
 
-# ---------------------------------------------------------------------------
-# Kaehler dg module
 
-
-class KahlerDgModule:
-    """The reduced Kaehler complex S (x)_A Omega_{A|R} of the model A = R[X].
-
-    For a semi-free A, Omega_{A|R} is the free A-module on dX, and its
-    differential reduced to S is the linear part of d: the coefficient of
-    du in the image of dt is the coefficient of the bare variable u in d(t),
-    reduced mod I (Avramov, "Infinite free resolutions", 1998).
-
-    ``reduced_matrix(i)`` is the degree-i differential of that complex: a
-    matrix over S with rows indexed by X_{i-1} and columns by X_i.  Its
-    homological degree-1 cokernel presents I/I^2; the degree-2 cokernel
-    presents the first Koszul homology.
-    """
-
-    __slots__ = ("model", "_matrices")
-
-    def __init__(self, model: DgAlgebraModel):
-        self.model = model
-        self._matrices: dict = {}
-
-    def reduced_matrix(self, i: int) -> ModulePresentation:
-        """S-matrix of (S (x) Omega)_i -> (S (x) Omega)_{i-1}: the entry at
-        (u, t) is the coefficient of u in d(t), reduced mod I."""
-        if i in self._matrices:
-            return self._matrices[i]
-        model = self.model
-        gb = model.ideal.groebner()
-        rows = model.variables_of_hdeg(i - 1)
-        row_pos = {v.index: p for p, v in enumerate(rows)}
-        columns = []
-        for c in model.variables_of_hdeg(i):
-            linear = [{} for _ in rows]
-            for (m, w), coeff in model.differentials[c.index].terms.items():
-                if len(w) == 1 and w[0][1] == 1:
-                    linear[row_pos[w[0][0]]][m] = coeff
-            columns.append(tuple(gb.normal_form(Polynomial(model.ring, t)) for t in linear))
-        pres = ModulePresentation(
-            model.ring, model.ideal, [v.intdeg for v in rows], columns
-        )
-        self._matrices[i] = pres
-        return pres
-
-    def conormal_presentation(self) -> ModulePresentation:
-        """(S(x)Omega)_2 -> (S(x)Omega)_1, a minimal presentation of I/I^2."""
-        return self.reduced_matrix(2)
-
-    def koszul_h1_strand(self) -> ModulePresentation:
-        """(S(x)Omega)_3 -> (S(x)Omega)_2, presenting the first Koszul homology."""
-        return self.reduced_matrix(3)
-
-    def verify(self):
-        """d^2 = 0 on the reduced complex.  Its minimality needs no check of
-        its own: a unit entry is a unit coefficient on a bare variable of
-        some d(t), which :func:`verify_model_differential` rejects."""
-        return [
-            f"reduced d^2 != 0 at degree {i}"
-            for i in range(3, self.model.hdeg_bound + 1)
-            if not compose_is_zero(self.reduced_matrix(i - 1), self.reduced_matrix(i))
-        ]
+def verify_kahler_complex(model: DgAlgebraModel):
+    """d^2 = 0 on the reduced Kaehler complex
+    (:meth:`DgAlgebraModel.reduced_kahler_matrix`).  Its minimality needs no
+    check of its own: a unit entry is a unit coefficient on a bare variable
+    of some d(t), which :func:`verify_model_differential` rejects."""
+    matrix = model.reduced_kahler_matrix
+    return [
+        f"reduced d^2 != 0 at degree {i}"
+        for i in range(3, model.hdeg_bound + 1)
+        if not compose_is_zero(matrix(i - 1), matrix(i))
+    ]

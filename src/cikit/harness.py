@@ -17,14 +17,14 @@ import time
 from . import conormal as conormal_mod
 from . import homlie as homlie_mod
 from .dgmodel import (
-    KahlerDgModule,
     build_minimal_model,
+    verify_kahler_complex,
     verify_model_acyclicity,
     verify_model_differential,
 )
 from .fields import Field
 from .groebner import Ideal, height, ideal_as_module
-from .koszul import h1_free_summand_probe, koszul_complex, koszul_h1
+from .koszul import h1_free_summand_probe, koszul_h1
 from .poly import PolyRing, parse_poly_list
 from .resolution import projdim_probe, verify_composites, verify_resolution
 
@@ -391,12 +391,12 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     fails = verify_model_acyclicity(model)
     _check(checks, "model_acyclicity", not fails, detail=fails, bound=model.intdeg_bound)
 
-    cx = koszul_complex(ideal)
+    h1 = koszul_h1(ideal, cap)
+    cx = h1.complex
     _check(checks, "koszul_d2", cx.verify_d_squared())
     data["koszul_ranks"] = cx.rank_profile()
 
-    km = KahlerDgModule(model)
-    fails = km.verify()
+    fails = verify_kahler_complex(model)
     _check(checks, "kahler_complex", not fails, detail=fails)
 
     pi = homlie_mod.compute_pi(model)
@@ -427,7 +427,6 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
 
     _check(checks, "mu_conormal_equals_mu_ideal", conormal_mod.mu_invariant_check(ideal, cap))
 
-    h1 = koszul_h1(ideal, cap)
     data["h1_mu"] = h1.minimal_generator_count()
     eps = model.deviations()
     x2 = eps[1] if len(eps) > 1 else 0

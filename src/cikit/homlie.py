@@ -214,11 +214,10 @@ class ThetaDerivation:
     """theta_z = [d, d/dz] for z in pi^2, a chain derivation of degree -2
     landing in the augmentation ideal."""
 
-    __slots__ = ("z", "lift", "derivation")
+    __slots__ = ("z", "derivation")
 
-    def __init__(self, z: PiBasisElement, lift: dict, derivation: DgDerivation):
+    def __init__(self, z: PiBasisElement, derivation: DgDerivation):
         self.z = z
-        self.lift = lift
         self.derivation = derivation
 
     def value_on(self, var_index: int) -> DgElement:
@@ -252,7 +251,7 @@ def theta(model: DgAlgebraModel, z: PiBasisElement, lift: dict | None = None) ->
         raise ModelError("theta_z failed the chain-derivation check")
     if not deriv.lands_in_augmentation():
         raise ModelError("theta_z does not land in the augmentation ideal")
-    return ThetaDerivation(z, lift, deriv)
+    return ThetaDerivation(z, deriv)
 
 
 def induced_ad(theta_z: ThetaDerivation, pi: HomotopyLieTruncation) -> dict:

@@ -478,6 +478,41 @@ def test_evaluate_entry_builds_route_a_and_h1_once_per_bound(corpus_entries, mon
         assert "conormal_route_a" not in syzygy_owners, entry.name
 
 
+def test_evaluate_entry_builds_each_reduced_kahler_matrix_and_koszul_complex_once(
+        corpus_entries, monkeypatch):
+    # The kahler_complex check, route B and the H1 strand read the reduced
+    # Kaehler matrices from one cache on the model, and koszul_d2 reads H1's
+    # own Koszul complex.  A matrix build is recorded under the degree last
+    # asked for when its presentation is constructed.
+    from cikit import dgmodel, koszul
+
+    asked, builds, complexes = [], [], []
+    reduced = dgmodel.DgAlgebraModel.reduced_kahler_matrix
+    presentation = dgmodel.ModulePresentation
+    complex_init = koszul.KoszulComplex.__init__
+
+    def recording_matrix(self, i):
+        asked.append(i)
+        return reduced(self, i)
+
+    def recording_presentation(*args):
+        builds.append(asked[-1])
+        return presentation(*args)
+
+    def recording_init(self, *args):
+        complexes.append(args)
+        complex_init(self, *args)
+
+    monkeypatch.setattr(dgmodel.DgAlgebraModel, "reduced_kahler_matrix", recording_matrix)
+    monkeypatch.setattr(dgmodel, "ModulePresentation", recording_presentation)
+    monkeypatch.setattr(koszul.KoszulComplex, "__init__", recording_init)
+    entry = next(e for e in corpus_entries if e.name == "aci_x2_xy")
+    assert entry.bounds.hdeg == 5
+    assert harness.evaluate_entry(entry)["ok"]
+    assert sorted(builds) == [2, 3, 4, 5]
+    assert len(complexes) == 1
+
+
 def test_results_keyed_by_position_not_name():
     entries = parse_corpus(
         "entry a / field Q / ring x, y / ideal x^2\n"
@@ -519,10 +554,10 @@ def test_each_distinct_entry_is_computed_once_per_call(monkeypatch, tmp_path, pa
 
 
 def test_a_crashed_entry_and_its_copies_are_not_cached(monkeypatch, tmp_path):
-    def crashing(ideal):
+    def crashing(ideal, degree_bound):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(harness, "koszul_complex", crashing)
+    monkeypatch.setattr(harness, "koszul_h1", crashing)
     entries = parse_corpus("entry a / field Q / ring x / ideal x^2\n" * 2)
     report = run_corpus(entries, cache_dir=str(tmp_path))
     assert [r["ok"] for r in report["entries"]] == [False, False]
@@ -531,14 +566,14 @@ def test_a_crashed_entry_and_its_copies_are_not_cached(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_a_crash_fails_only_its_entry(monkeypatch, parallelism):
-    original = harness.koszul_complex
+    original = harness.koszul_h1
 
-    def crashing(ideal):
+    def crashing(ideal, degree_bound):
         if ideal.ring.nvars == 2:
             raise RuntimeError("boom")
-        return original(ideal)
+        return original(ideal, degree_bound)
 
-    monkeypatch.setattr(harness, "koszul_complex", crashing)
+    monkeypatch.setattr(harness, "koszul_h1", crashing)
     entries = parse_corpus(
         "entry one_var / field Q / ring x / ideal x^2 / expect ci=true\n"
         "entry two_vars / field Q / ring x, y / ideal x^2, y^2 / expect ci=true\n"

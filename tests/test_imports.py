@@ -1,5 +1,6 @@
-"""Every name a cikit module imports is read somewhere in that module, and
-every function it defines is named somewhere in the project."""
+"""Every name a cikit module imports is read somewhere in that module, every
+function it defines is named somewhere in the project, and every slot of its
+classes is read somewhere in the project."""
 
 import ast
 import pathlib
@@ -78,3 +79,38 @@ def test_every_function_under_src_is_named_somewhere():
     reading = [path.read_text() for top in ("src", "tests", "cibench")
                for path in sorted((ROOT / top).rglob("*.py"))]
     assert unreferenced_functions(defining, reading) == []
+
+
+def write_only_slots(defining: dict, reading: list):
+    """(class, slot, file) for each ``__slots__`` name of a class defined in
+    the ``defining`` sources ({file name: source}) that no attribute load in
+    the ``reading`` sources reads, sorted."""
+    read = {node.attr for source in reading for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        (cls.name, slot.value, file)
+        for file, source in defining.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        for slot in stmt.value.elts
+        if isinstance(slot, ast.Constant) and slot.value not in read
+    )
+
+
+def test_the_scan_finds_a_write_only_slot():
+    defining = {"m.py": ("class C:\n    __slots__ = ('kept', 'stored', 'elsewhere')\n"
+                         "    def __init__(self):\n        self.kept = self.stored = 1\n"
+                         "        self.elsewhere = 2\n    def get(self):\n"
+                         "        return self.kept\n")}
+    reading = [*defining.values(), "print(C().elsewhere)\n"]
+    assert write_only_slots(defining, reading) == [("C", "stored", "m.py")]
+
+
+def test_every_slot_under_src_is_read_somewhere():
+    defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    reading = [path.read_text() for top in ("src", "tests", "cibench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    assert write_only_slots(defining, reading) == []
