@@ -330,7 +330,8 @@ def corpus():
 
 @corpus.command(name="run")
 @click.argument("path", type=click.Path(exists=True))
-@click.option("--parallel", default=1, show_default=True)
+@click.option("--parallel", default=1, show_default=True,
+              help="number of worker processes; 1 runs the entries in this process")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--cache-dir", default=None, help="result cache directory (insert-only)")
 @click.option("--bounds", default="", callback=_bounds, help="override default bounds (hdeg >= 3)")

@@ -259,9 +259,6 @@ class DgAlgebraModel:
 
     # -- monomial algebra ----------------------------------------------------
 
-    def dgmon_hdeg(self, w) -> int:
-        return sum(self.variables[v].hdeg * e for v, e in w)
-
     def dgmon_intdeg(self, w) -> int:
         return sum(self.variables[v].intdeg * e for v, e in w)
 

@@ -604,6 +604,80 @@ def cache_insert(cache_dir: str | None, key: str, value: dict):
 # corpus runs
 
 
+# The process pool of parallel corpus runs, kept across calls as
+# (parallelism, executor), or None before the first parallel call.
+_pool = None
+
+
+def _kept_pool(parallelism: int):
+    """The kept pool with ``parallelism`` workers, built on first use.  A
+    pool of another size is shut down first: forking while its threads run
+    is unsafe.  The class is looked up at build time, so that a patched
+    ``concurrent.futures.ProcessPoolExecutor`` is the one built."""
+    global _pool
+    if _pool is not None and _pool[0] != parallelism:
+        _close_pool()
+    if _pool is None:
+        _pool = (parallelism, concurrent.futures.ProcessPoolExecutor(max_workers=parallelism))
+    return _pool[1]
+
+
+def _close_pool():
+    """Shut the kept pool down and join its workers; the next parallel call
+    builds a fresh one."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+def _crashed_result(name, exc) -> dict:
+    checks: list = []
+    _crashed(checks, exc)
+    return _result(name, checks, {})
+
+
+def _run_in_pool(entries, to_compute, parallelism, finish):
+    """Evaluate ``to_compute`` ((position, key) pairs) in the kept pool.  A
+    pool broken by a dead worker, found at submit or by a future, is closed,
+    and the entries it failed run once more on a fresh pool; those that fail
+    again are crashed.  Any other exception closes the pool too, so that no
+    later call queues behind this call's work."""
+    try:
+        for last in (False, True):
+            pool = _kept_pool(parallelism)
+            futures = {}
+            broken = []  # (position, key, t0, exception)
+            for n, (i, key) in enumerate(to_compute):
+                t0 = time.monotonic()
+                try:
+                    fut = pool.submit(_evaluate_entry_dict, entries[i].to_dict())
+                except concurrent.futures.BrokenExecutor as exc:
+                    broken += [(j, k, t0, exc) for j, k in to_compute[n:]]
+                    break
+                futures[fut] = (i, key, t0)
+            for fut in concurrent.futures.as_completed(futures):
+                i, key, t0 = futures[fut]
+                try:
+                    result = fut.result()
+                except concurrent.futures.BrokenExecutor as exc:
+                    broken.append((i, key, t0, exc))
+                    continue
+                except Exception as exc:  # the task or its result could not be sent
+                    result = _crashed_result(entries[i].name, exc)
+                finish(i, key, t0, result)
+            if not broken:
+                return
+            _close_pool()
+            if last:
+                for i, key, t0, exc in broken:
+                    finish(i, key, t0, _crashed_result(entries[i].name, exc))
+            to_compute = [(i, key) for i, key, _, _ in broken]
+    except BaseException:
+        _close_pool()
+        raise
+
+
 def run_corpus(
     entries,
     parallelism: int = 1,
@@ -611,11 +685,14 @@ def run_corpus(
 ) -> dict:
     """Evaluate all entries; returns the aggregate report, with results and
     timings (ms, 0.0 for a cache hit or a repeat) in entry order.  Entries
-    are independent; with parallelism > 1 they run in separate processes.
+    are independent; with parallelism > 1 and more than one entry to
+    compute they run in a process pool.  The pool is kept for the process
+    and reused by later calls; it is replaced when it breaks or when
+    ``parallelism`` changes, and its workers are joined at interpreter exit.
     Entries with one cache key are evaluated once, and every copy gets that
     result.  Cached and uncached runs produce identical reports.  A crashed
-    entry (see :func:`evaluate_entry`, or a pool worker that died) is
-    reported, not cached."""
+    entry (see :func:`evaluate_entry`, and :func:`_run_in_pool` for a pool
+    worker that died) is reported, not cached."""
     entries = list(entries)
     keys = [cache_key(entry) for entry in entries]
     first: dict = {}  # cache key -> position of its first entry
@@ -638,21 +715,7 @@ def run_corpus(
         ordered[i] = result
 
     if parallelism > 1 and len(to_compute) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {}
-            for i, key in to_compute:
-                t0 = time.monotonic()
-                fut = pool.submit(_evaluate_entry_dict, entries[i].to_dict())
-                futures[fut] = (i, key, t0)
-            for fut in concurrent.futures.as_completed(futures):
-                i, key, t0 = futures[fut]
-                try:
-                    result = fut.result()
-                except Exception as exc:  # the worker process failed
-                    checks: list = []
-                    _crashed(checks, exc)
-                    result = _result(entries[i].name, checks, {})
-                finish(i, key, t0, result)
+        _run_in_pool(entries, to_compute, parallelism, finish)
     else:
         for i, key in to_compute:
             t0 = time.monotonic()

@@ -37,7 +37,8 @@ def model_for(ring, *texts, hdeg=4, intdeg=12):
 
 def homological_degree(elem):
     """The homological degree of a homogeneous dg element, -1 for zero."""
-    degs = {elem.model.dgmon_hdeg(w) for (_, w) in elem.terms}
+    variables = elem.model.variables
+    degs = {sum(variables[v].hdeg * e for v, e in w) for (_, w) in elem.terms}
     if not degs:
         return -1
     assert len(degs) == 1, f"mixed homological degrees {sorted(degs)}"

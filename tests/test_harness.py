@@ -1,4 +1,10 @@
+import concurrent.futures
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -437,6 +443,16 @@ def test_json_that_is_not_a_result_is_a_miss_and_is_replaced(tmp_path, stored, p
 # -- one computation per invariant, positional results, contained crashes --------
 
 
+@pytest.fixture
+def fresh_pool():
+    """Closes the kept pool before the test and after it: the test's
+    parallel calls fork their workers after its patches, and no later test
+    gets workers forked with them."""
+    harness._close_pool()
+    yield
+    harness._close_pool()
+
+
 def test_evaluate_entry_builds_route_a_and_h1_once_per_bound(corpus_entries, monkeypatch):
     # Every memoized computation of an entry is recorded with the syzygy
     # computations it runs itself (not inside a nested memoized one).  Each
@@ -524,7 +540,8 @@ def test_results_keyed_by_position_not_name():
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
-def test_each_distinct_entry_is_computed_once_per_call(monkeypatch, tmp_path, parallelism):
+def test_each_distinct_entry_is_computed_once_per_call(monkeypatch, fresh_pool, tmp_path,
+                                                      parallelism):
     # pool workers are forked, so they count into a file, not a variable
     log = tmp_path / "evaluated"
     original = harness.evaluate_entry
@@ -565,7 +582,7 @@ def test_a_crashed_entry_and_its_copies_are_not_cached(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
-def test_a_crash_fails_only_its_entry(monkeypatch, parallelism):
+def test_a_crash_fails_only_its_entry(monkeypatch, fresh_pool, parallelism):
     original = harness.koszul_h1
 
     def crashing(ideal, degree_bound):
@@ -585,6 +602,128 @@ def test_a_crash_fails_only_its_entry(monkeypatch, parallelism):
     crashed = [c for c in bad["checks"] if c["name"] == "crashed"]
     assert crashed == [{"name": "crashed", "status": "fail", "detail": "RuntimeError: boom"}]
     assert report["summary"] == {"total": 2, "ok": 1, "failed": 1}
+
+
+# -- the kept process pool -------------------------------------------------------
+
+
+@pytest.fixture
+def pool_builds(monkeypatch, fresh_pool):
+    """The sizes of the pools built during the test, counted by a subclass
+    patched in as ``concurrent.futures.ProcessPoolExecutor``."""
+    sizes = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return sizes
+
+
+def test_parallel_calls_share_one_pool_until_parallelism_changes(pool_builds):
+    entries = parse_corpus(MINI_CORPUS)
+    run_corpus(entries, parallelism=2)
+    first = harness._pool[1]
+    run_corpus(entries, parallelism=2)
+    assert pool_builds == [2]
+    assert run_corpus(entries, parallelism=3)["summary"]["failed"] == 0
+    assert pool_builds == [2, 3]
+    assert first._processes is None  # shut down before the new pool forked
+
+
+def test_serial_and_single_entry_calls_build_no_pool(pool_builds, tmp_path):
+    entries = parse_corpus(MINI_CORPUS)
+    cache_dir = str(tmp_path / "cache")
+    run_corpus(entries, parallelism=1, cache_dir=cache_dir)
+    run_corpus(entries[:1], parallelism=2)
+    run_corpus(entries[:1] * 2, parallelism=2)  # one cache key, one computation
+    run_corpus(entries, parallelism=2, cache_dir=cache_dir)  # all cache hits
+    assert pool_builds == []
+    assert harness._pool is None
+
+
+@pytest.mark.parametrize("noticed", [False, True])
+def test_a_worker_killed_while_idle_fails_no_entry_of_the_next_call(fresh_pool, noticed):
+    entries = parse_corpus(MINI_CORPUS)
+    assert run_corpus(entries, parallelism=2)["summary"]["failed"] == 0
+    pool = harness._pool[1]
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    if noticed:  # once the pool has seen the death, submit raises
+        deadline = time.monotonic() + 60
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+    report = run_corpus(entries, parallelism=2)
+    assert [r["ok"] for r in report["entries"]] == [True, True]
+    if noticed:
+        assert harness._pool[1] is not pool
+
+
+def test_an_entry_that_kills_its_worker_is_crashed_and_not_cached(monkeypatch, fresh_pool,
+                                                                   tmp_path):
+    original = harness.koszul_h1
+    main_pid = os.getpid()
+
+    def dying(ideal, degree_bound):
+        if os.getpid() == main_pid:
+            raise RuntimeError("meant for pool workers only")
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "koszul_h1", dying)
+    entries = parse_corpus(MINI_CORPUS)
+    cache_dir = tmp_path / "cache"
+    report = run_corpus(entries, parallelism=2, cache_dir=str(cache_dir))
+    for result in report["entries"]:
+        [crashed] = result["checks"]
+        assert crashed["name"] == "crashed" and crashed["status"] == "fail"
+        assert crashed["detail"].startswith("BrokenProcessPool: ")
+    assert report["summary"] == {"total": 2, "ok": 0, "failed": 2}
+    assert not cache_dir.exists() or not list(cache_dir.iterdir())
+    monkeypatch.setattr(harness, "koszul_h1", original)
+    report = run_corpus(entries, parallelism=2, cache_dir=str(cache_dir))
+    assert [r["ok"] for r in report["entries"]] == [True, True]
+    assert len(list(cache_dir.iterdir())) == 2
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _python(code, *args):
+    """Runs ``code`` in a fresh interpreter that imports cikit from its sources."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_a_parallel_run_exits_cleanly_and_leaves_no_worker():
+    proc = _python("import sys\n"
+                   "from cikit import harness\n"
+                   "report = harness.run_corpus(harness.parse_corpus(sys.argv[1]), parallelism=2)\n"
+                   "assert report['summary']['failed'] == 0\n"
+                   "print(*harness._pool[1]._processes)\n", MINI_CORPUS)
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(pids) == 2
+    assert [pid for pid in pids if _running(pid)] == []
+
+
+def test_importing_cikit_loads_no_process_pool_machinery():
+    # multiprocessing costs every CLI start its import time; only a pool needs it
+    proc = _python("import importlib, pkgutil, sys, cikit\n"
+                   "for m in pkgutil.iter_modules(cikit.__path__):\n"
+                   "    importlib.import_module('cikit.' + m.name)\n"
+                   "print(*[m for m in sys.modules if m.startswith('multiprocessing')\n"
+                   "        or m == 'concurrent.futures.process'])\n")
+    assert proc.stdout.split() == []
 
 
 # -- intdeg is a cap, not a verdict ---------------------------------------------
