@@ -1,34 +1,34 @@
 """The row-reduction kernel: ``rref_int``, ``indep_int``, ``rref_fp`` and
 ``indep_fp``, in pure Python.
 
+Rows are sparse: a dict from column index to entry, a missing column being
+zero.  Over GF(p) an entry is any int, read mod p; over the integers an int.
+The rows met in practice are wide and very sparse (a few percent nonzero),
+so a step here touches only nonzero entries, and no row length is needed.
+
 Every output is canonical: the reduced row echelon form (unit pivots over
-GF(p); content 1 and a positive pivot over the integers) and the greedy
-list of independent row indices.  None of them depends on the order in
-which the elimination is carried out, so any correct elimination is
-interchangeable with any other.  The reference is the dense kernel kept in
+GF(p); content 1 and a positive pivot over the integers), as dict rows
+holding only nonzero entries, and the greedy list of independent row
+indices.  None of them depends on the order in which the elimination is
+carried out.  The reference is the dense kernel kept in
 ``tests/test_linalg.py``, which this module must match exactly.
 
-The rows met in practice are wide and very sparse (a few percent nonzero),
-so a step here touches only nonzero entries:
-
-* The echelon is a dict from pivot column to the pivot row in sparse form:
-  the list of its nonzero ``(column, value)`` pairs, pivot first.  Dense
-  rows are built only for the backward pass and the output of ``rref_*``.
-* A new row is reduced by one left-to-right scan of a dense copy, which
-  skips zeros in C (``itertools.compress``).  At a nonzero column that holds
-  a pivot it subtracts a multiple of that pivot row, walking only the pivot
-  row's nonzeros; the first nonzero column without a pivot is the row's
-  lead.  No echelon list is walked and nothing is sorted until ``rref_*``
-  returns.
-* The backward (Jordan) pass of ``rref_*`` runs from the last pivot to the
-  first and clears a row at the later pivot columns it meets among its own
-  nonzeros; only a row that meets one is rebuilt.
-* Over GF(p) reduction mod p is lazy: an entry is reduced only when it is
-  read as a multiplier and once more when its row is normalised (Python
-  ints cannot overflow).  Input entries may be any ints, negative or >= p.
+* The echelon is a dict from pivot column to the pivot row.  A new row is
+  reduced on a copy: its lead column is taken, and while that column holds
+  a pivot a multiple of the pivot row is subtracted, which walks only the
+  pivot row's nonzeros; the first lead without a pivot is the row's pivot.
+* ``indep_*`` lead with the last nonzero column: rank and the greedy subset
+  do not depend on the pivot columns.  ``rref_*`` lead with the first, for
+  the canonical RREF, and then run the backward (Jordan) pass from the last
+  pivot to the first, clearing a row only at the later pivot columns among
+  its own nonzeros.
+* Over GF(p) a pivot row is stored without its pivot, which is 1, and with
+  entries in [1, p).  Reduction mod p is lazy: an entry is reduced when it
+  is read as a multiplier and once more when its row is normalised (Python
+  ints cannot overflow).
 * Over the integers a step scales the row by a/g (a the pivot, g its gcd
-  with the entry to clear) before subtracting; the scaling skips zeros and
-  is left out when a/g = 1.
+  with the entry to clear) before subtracting; the scaling is left out when
+  a/g = 1.
 
 Rational matrices are handled fraction-free: callers scale each row to
 integers, the kernel keeps rows as integer vectors with content 1 and
@@ -37,63 +37,51 @@ positive pivot, and the caller divides by the pivot afterwards.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
-
-
-def _nonzero(row, start=0):
-    """Columns of the nonzero entries of ``row`` from ``start`` on, zeros
-    skipped in C.  From column 0 the live row is read, each entry when the
-    iterator reaches it, so a left-to-right scan sees what a step writes
-    right of the column it stands on."""
-    return compress(range(start, len(row)), row[start:] if start else row)
-
-
-def _dense(srow, n):
-    row = [0] * n
-    for k, v in srow:
-        row[k] = v
-    return row
-
 
 # -- integers ----------------------------------------------------------------
 
 
-def _clear_int(row, j, srow):
-    """row := (a/g)*row - (v/g)*srow, a = srow's pivot, v = row[j], g their
-    gcd; this makes row[j] zero."""
-    a = srow[0][1]
-    v = row[j]
+def _content_one(row, j):
+    """``row`` without its zero entries, divided by its content, with a
+    positive entry at j."""
+    g = gcd(*row.values())
+    if row[j] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items() if v}
+
+
+def _clear_int(row, srow, j, v):
+    """row := (a/g)*row - (v/g)*srow, a = srow[j], g = gcd(a, v), for the
+    entry v that ``row`` held at j and no longer holds."""
+    a = srow[j]
     g = gcd(a, v)
     ca = a // g
     cb = v // g
     if ca != 1:
-        for k in _nonzero(row):
+        for k in row:
             row[k] *= ca
-    for k, w in srow:
-        row[k] -= cb * w
+    for k, w in srow.items():
+        if k != j:
+            row[k] = row.get(k, 0) - cb * w
 
 
-def _content_one(row, j):
-    """The sparse form, from column j on, of ``row`` divided by its content,
-    with a positive entry at j."""
-    g = gcd(*row)
-    if row[j] < 0:
-        g = -g
-    return [(k, row[k] // g) for k in _nonzero(row, j)]
-
-
-def _insert_int(pivots, src):
-    """Reduce a copy of ``src`` modulo the pivot map.  If a nonzero row is
-    left, add it to the map with content 1 and a positive pivot and return
-    True."""
-    row = list(src)
-    for j in _nonzero(row):
+def _insert_int(pivots, src, lead):
+    """Reduce a copy of ``src`` modulo the pivot map, taking the lead column
+    with ``lead`` (min or max).  If a nonzero row is left, add it to the map
+    with content 1 and a positive pivot and return True."""
+    row = dict(src)
+    while row:
+        j = lead(row)
+        v = row.pop(j)
+        if not v:
+            continue
         srow = pivots.get(j)
         if srow is None:
+            row[j] = v
             pivots[j] = _content_one(row, j)
             return True
-        _clear_int(row, j, srow)
+        _clear_int(row, srow, j, v)
     return False
 
 
@@ -106,69 +94,72 @@ def rref_int(rows):
     """
     pivots = {}
     for src in rows:
-        _insert_int(pivots, src)
+        _insert_int(pivots, src, min)
     order = sorted(pivots)
-    n = len(rows[0]) if order else 0
     for pc in reversed(order):
-        hits = [k for k, _ in pivots[pc][1:] if k in pivots]
+        row = pivots[pc]
+        hits = [k for k in row if k != pc and k in pivots]
         if hits:
-            row = _dense(pivots[pc], n)
+            row = dict(row)
             for qc in hits:
-                _clear_int(row, qc, pivots[qc])
+                _clear_int(row, pivots[qc], qc, row.pop(qc))
             pivots[pc] = _content_one(row, pc)
-    return [_dense(pivots[pc], n) for pc in order], order
+    return [pivots[pc] for pc in order], order
 
 
 def indep_int(d_rows, c_rows):
     """Indices of candidate rows independent modulo span(d_rows), greedily."""
     pivots = {}
     for src in d_rows:
-        _insert_int(pivots, src)
-    return [idx for idx, src in enumerate(c_rows) if _insert_int(pivots, src)]
+        _insert_int(pivots, src, max)
+    return [idx for idx, src in enumerate(c_rows) if _insert_int(pivots, src, max)]
 
 
 # -- prime field -------------------------------------------------------------
 
 
-def _insert_fp(pivots, src, p):
-    """Reduce a copy of ``src`` modulo the pivot map over GF(p).  If a
-    nonzero row is left, add it to the map with a unit pivot and entries in
-    [0, p) and return True."""
-    row = list(src)
-    for j in _nonzero(row):
-        b = row[j] % p
+def _insert_fp(pivots, src, p, lead):
+    """Reduce a copy of ``src`` modulo the pivot map over GF(p), taking the
+    lead column with ``lead`` (min or max).  If a nonzero row is left, add
+    it to the map, normalised to pivot 1 (not stored) and entries in
+    [1, p), and return True."""
+    row = dict(src)
+    while row:
+        j = lead(row)
+        b = row.pop(j) % p
         if not b:
             continue
         srow = pivots.get(j)
         if srow is None:
             inv = pow(b, -1, p)
-            pivots[j] = [(k, w) for k in _nonzero(row, j) if (w := row[k] * inv % p)]
+            pivots[j] = {k: w for k, v in row.items() if (w := v * inv % p)}
             return True
-        for k, w in srow:
-            row[k] -= b * w
+        for k, w in srow.items():
+            row[k] = row.get(k, 0) - b * w
     return False
 
 
 def rref_fp(rows, p):
     """Gauss-Jordan over GF(p).  Input entries are any ints, read mod p;
-    returns (rows with unit pivots and entries in [0, p), sorted by pivot
+    returns (rows with unit pivots and entries in [1, p), sorted by pivot
     column, pivot columns)."""
     pivots = {}
     for src in rows:
-        _insert_fp(pivots, src, p)
+        _insert_fp(pivots, src, p, min)
     order = sorted(pivots)
-    n = len(rows[0]) if order else 0
     for pc in reversed(order):
-        hits = [(k, b) for k, b in pivots[pc][1:] if k in pivots]
+        row = pivots[pc]
+        hits = [k for k in row if k in pivots]
         if hits:
             # later rows are reduced already: they are zero at every other
-            # pivot column, so the multipliers read here stay put
-            row = _dense(pivots[pc], n)
-            for qc, b in hits:
-                for k, w in pivots[qc]:
-                    row[k] -= b * w
-            pivots[pc] = [(k, w) for k in _nonzero(row) if (w := row[k] % p)]
-    return [_dense(pivots[pc], n) for pc in order], order
+            # pivot column, so the multipliers popped here stay put
+            row = dict(row)
+            for qc in hits:
+                b = row.pop(qc)
+                for k, w in pivots[qc].items():
+                    row[k] = row.get(k, 0) - b * w
+            pivots[pc] = {k: w for k, v in row.items() if (w := v % p)}
+    return [{pc: 1, **pivots[pc]} for pc in order], order
 
 
 def indep_fp(d_rows, c_rows, p):
@@ -176,5 +167,5 @@ def indep_fp(d_rows, c_rows, p):
     greedily."""
     pivots = {}
     for src in d_rows:
-        _insert_fp(pivots, src, p)
-    return [idx for idx, src in enumerate(c_rows) if _insert_fp(pivots, src, p)]
+        _insert_fp(pivots, src, p, max)
+    return [idx for idx, src in enumerate(c_rows) if _insert_fp(pivots, src, p, max)]

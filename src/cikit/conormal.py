@@ -11,8 +11,8 @@ S (x)_A Omega_{A|R} (:meth:`cikit.dgmodel.DgAlgebraModel.reduced_kahler_matrix`)
 Both must agree in Hilbert function and minimal generator count; a
 disagreement is a bug, not a result.
 
-The Jacobi-Zariski check reads ker(d: I/I^2 -> S^n(-1)) off one linear
-map on R_d (:func:`differential_kernel_slice`).
+The Jacobi-Zariski check reads the dimension of ker(d: I/I^2 -> S^n(-1))
+off the rank of one linear map on R_d (:func:`differential_columns`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .groebner import (
     FreeSlices,
     Ideal,
     ModulePresentation,
+    ideal_as_module,
     minimalize_presentation,
     quotient_hilbert_by_monomials,
 )
@@ -130,20 +131,15 @@ def _square(ideal: Ideal) -> Ideal:
         ideal.ring, [g * h for i, g in enumerate(gens) for h in gens[i:]]))
 
 
-def differential_kernel_slice(ideal: Ideal, d: int):
-    """{v in I_d : all partials of v lie in I}, the degree-d slice of the
-    kernel of d: I/I^2 -> S^n(-1) before dividing by I^2: the kernel of
-    v -> (v, dv/dx_1, ..., dv/dx_n) into S (+) S^n(-1) in quotient
-    coordinates, one column per monomial of R_d.  Its RREF comes back in
-    the monomial coordinates of R_d, those of ``FreeSlices(ring, [0])``.
-    Over Q, Euler's identity deg(v) * v = sum_i x_i * dv/dx_i puts every
-    such v into m*I, so the slice lies in (m*I + I^2)_d; in characteristic
-    p it need not ((x^3) over GF(3) in degree 3)."""
+def differential_columns(ideal: Ideal, d: int):
+    """The map v -> (v, dv/dx_1, ..., dv/dx_n) from R_d into S (+) S^n(-1),
+    one column per monomial of R_d, in quotient coordinates.  Its kernel is
+    {v in I_d : all partials of v lie in I}, the degree-d slice of the
+    kernel of d: I/I^2 -> S^n(-1) before dividing by I^2."""
     ring = ideal.ring
     target = FreeSlices(ring, [0] + [1] * ring.nvars, ideal)
-    cols = [target.coords((v, *(v.partial_derivative(i) for i in range(ring.nvars))), d)
+    return [target.coords((v, *(v.partial_derivative(i) for i in range(ring.nvars))), d)
             for v in map(ring.monomial, ring.monomials_of_degree(d))]
-    return linalg.kernel(cols, ring.field)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +172,10 @@ def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport
     """Each of the four modules is computed by its own machinery; the
     alternating slice sums vanishing in every degree is the consistency
     statement.  D1_d = dim ker(d)_d - dim I^2_d (I^2 is in ker(d) by the
-    Leibniz rule), with ker(d) read off the gradients of all of R_d, apart
-    from the Jacobian columns that present Omega_{S/K}."""
+    Leibniz rule), with dim ker(d)_d = dim R_d - rank of the gradients of
+    all of R_d (:func:`differential_columns`), apart from the Jacobian
+    columns that present Omega_{S/K}, and dim I^2_d the rank of the
+    products of the generators."""
     ring = ideal.ring
     hf_conormal = conormal_route_a(ideal, degree_bound).hilbert_function(degree_bound)
     hf_s = quotient_hilbert_by_monomials(ideal, degree_bound)
@@ -185,9 +183,9 @@ def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport
     omega = kahler_s_over_k(ideal)
     hf_omega = omega.hilbert_function(degree_bound)
 
-    sq = _square(ideal)
-    hf_d1 = [len(differential_kernel_slice(ideal, d)) - sq.slice_dim(d)
-             for d in range(degree_bound + 1)]
+    sq = ideal_as_module(_square(ideal))
+    hf_d1 = [ring.slice_dim(d) - linalg.rank(differential_columns(ideal, d), ring.field)
+             - sq.image_slice_dim(d) for d in range(degree_bound + 1)]
 
     failures = []
     for d in range(degree_bound + 1):

@@ -543,7 +543,7 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
         ]
         for z in cycles:
             for pos in linear_positions:
-                if not field.is_zero(z[pos]):
+                if pos in z:
                     raise ModelError(
                         f"cycle with unit linear term at stage {n}, degree {d}"
                     )

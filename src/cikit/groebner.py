@@ -180,11 +180,11 @@ def _primitive(g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The primitive integer polynomial with positive lead coefficient that
     is a rational multiple of g (over Q): denominators cleared, content
     divided out."""
-    coeffs = linalg._scale_row_to_int(list(g.terms.values()))
-    content = gcd(*coeffs)
+    coeffs = linalg._scale_row_to_int(g.terms)
+    content = gcd(*coeffs.values())
     if g.leading_term(order)[1] < 0:
         content = -content
-    return Polynomial(g.ring, {m: c // content for m, c in zip(g.terms, coeffs)})
+    return Polynomial(g.ring, {m: c // content for m, c in coeffs.items()})
 
 
 def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -446,7 +446,7 @@ class Ideal:
             table = {mons[j]: ((pos, field.one()),) for j, pos in position.items()}
             for row, j in zip(rows, pivots):
                 table[mons[j]] = tuple(
-                    (position[k], field.neg(v)) for k, v in enumerate(row) if v and k != j)
+                    (position[k], field.neg(v)) for k, v in row.items() if k != j)
             return tuple(mons[j] for j in free), table
 
         return self.memo(("quotient_slice", e), compute)
@@ -480,18 +480,23 @@ def _support(vec):
 
 
 def _add_multiple(row, blocks, support, m, c, p):
-    """row += c * m * vec in quotient coordinates, vec given by its
-    :func:`_support`, so that zero entries cost nothing (``blocks`` as in
-    :meth:`FreeSlices._slice`): every product monomial goes through its
-    row's quotient table.  Entries stay reduced mod p over GF(p); p is None
-    over Q."""
+    """row += c * m * vec in quotient coordinates, for a sparse row (see
+    :class:`FreeSlices`) and vec given by its :func:`_support` (``blocks``
+    as in :meth:`FreeSlices._slice`): every product monomial goes through
+    its row's quotient table.  Entries stay reduced mod p over GF(p); p is
+    None over Q.  Entries that cancel stay, as zeros (:func:`_drop_zeros`)."""
     for i, terms in support:
         offset, table = blocks[i]
         for pm, pc in terms.items():
             pc *= c
             for pos, a in table[monomial_mul(pm, m)]:
                 k = offset + pos
-                row[k] = (row[k] + pc * a) % p if p else row[k] + pc * a
+                row[k] = (row.get(k, 0) + pc * a) % p if p else row.get(k, 0) + pc * a
+
+
+def _drop_zeros(row):
+    """The sparse row without the zero entries that cancellation left."""
+    return {k: v for k, v in row.items() if v} if 0 in row.values() else row
 
 
 class FreeSlices:
@@ -504,7 +509,11 @@ class FreeSlices:
     are those of its class in F/IF: each monomial goes through the ideal's
     table.  So I*F is zero in these coordinates, and slice sizes follow
     HF_S, not HF_R.  Over R the table is the identity and the basis is
-    every monomial, in ring monomial order."""
+    every monomial, in ring monomial order.
+
+    Coordinates are sparse, in the row format of :mod:`cikit.linalg`: a
+    dict from basis position to its nonzero coefficient.  Slices met in
+    practice are a few percent nonzero, so no row is built at full width."""
 
     __slots__ = ("ring", "modulus", "row_degrees", "_slices")
 
@@ -536,14 +545,14 @@ class FreeSlices:
     def multiples(self, vec, monomials, d: int):
         """Coordinate rows of m*vec, one per monomial m, for a homogeneous
         vector (tuple of polynomials) with m*vec of internal degree d."""
-        basis, blocks = self._slice(d)
+        blocks = self._slice(d)[1]
         p = self.ring.field.p
         support = _support(vec)
         rows = []
         for m in monomials:
-            row = [0] * len(basis)
+            row = {}
             _add_multiple(row, blocks, support, m, 1, p)
-            rows.append(row)
+            rows.append(_drop_zeros(row))
         return rows
 
     def coords(self, vec, d: int):
@@ -554,32 +563,28 @@ class FreeSlices:
     def from_coords(self, coords, d: int):
         """The vector with these coordinates, written on the basis monomials
         (so in the normal form the quotient basis defines)."""
-        F = self.ring.field
+        basis = self.basis(d)
         polys = [dict() for _ in self.row_degrees]
-        for pos, c in enumerate(coords):
-            if F.is_zero(c):
-                continue
-            i, m = self.basis(d)[pos]
+        for pos, c in coords.items():
+            i, m = basis[pos]
             polys[i][m] = c
         return tuple(Polynomial(self.ring, t) for t in polys)
 
     def multiply_coords_by_var(self, coords, d: int, var: int):
         """Coordinates of x_var * v for v given in degree-d coordinates."""
         src = self.basis(d)
-        basis, blocks = self._slice(d + 1)
+        blocks = self._slice(d + 1)[1]
         p = self.ring.field.p
-        out = [0] * len(basis)
-        for pos, c in enumerate(coords):
-            if not c:
-                continue
+        out = {}
+        for pos, c in coords.items():
             i, m = src[pos]
             mm = list(m)
             mm[var] += 1
             offset, table = blocks[i]
             for q, a in table[tuple(mm)]:
                 k = offset + q
-                out[k] = (out[k] + c * a) % p if p else out[k] + c * a
-        return out
+                out[k] = (out.get(k, 0) + c * a) % p if p else out.get(k, 0) + c * a
+        return _drop_zeros(out)
 
 
 def scatter_multiples(slices: FreeSlices, vec, vec_degree: int, d: int, proper_only=False):
@@ -817,12 +822,12 @@ def compose_is_zero(upper: ModulePresentation, lower: ModulePresentation) -> boo
     target = upper.slices()
     supports = [_support(ucol) for ucol in upper.columns]
     for col, cd in zip(lower.columns, lower.col_degrees):
-        basis, blocks = target._slice(cd)
-        image = [0] * len(basis)
+        blocks = target._slice(cd)[1]
+        image = {}
         for entry, support in zip(col, supports):
             for m, c in entry.terms.items():
                 _add_multiple(image, blocks, support, m, c, p)
-        if any(image):
+        if any(image.values()):
             return False
     return True
 

@@ -638,44 +638,49 @@ def _crashed_result(name, exc) -> dict:
 
 
 def _run_in_pool(entries, to_compute, parallelism, finish):
-    """Evaluate ``to_compute`` ((position, key) pairs) in the kept pool.  A
-    pool broken by a dead worker, found at submit or by a future, is closed,
-    and the entries it failed run once more on a fresh pool; those that fail
-    again are crashed.  Any other exception closes the pool too, so that no
-    later call queues behind this call's work."""
+    """Evaluate ``to_compute`` ((position, key) pairs) in the kept pool.  The
+    entries a broken pool failed run once more, each alone, so that an entry
+    that kills its worker fails no other; one that fails alone is crashed.
+    Any other exception closes the pool, so that no later call queues
+    behind this call's work."""
     try:
-        for last in (False, True):
-            pool = _kept_pool(parallelism)
-            futures = {}
-            broken = []  # (position, key, t0, exception)
-            for n, (i, key) in enumerate(to_compute):
-                t0 = time.monotonic()
-                try:
-                    fut = pool.submit(_evaluate_entry_dict, entries[i].to_dict())
-                except concurrent.futures.BrokenExecutor as exc:
-                    broken += [(j, k, t0, exc) for j, k in to_compute[n:]]
-                    break
-                futures[fut] = (i, key, t0)
-            for fut in concurrent.futures.as_completed(futures):
-                i, key, t0 = futures[fut]
-                try:
-                    result = fut.result()
-                except concurrent.futures.BrokenExecutor as exc:
-                    broken.append((i, key, t0, exc))
-                    continue
-                except Exception as exc:  # the task or its result could not be sent
-                    result = _crashed_result(entries[i].name, exc)
-                finish(i, key, t0, result)
-            if not broken:
-                return
-            _close_pool()
-            if last:
-                for i, key, t0, exc in broken:
-                    finish(i, key, t0, _crashed_result(entries[i].name, exc))
-            to_compute = [(i, key) for i, key, _, _ in broken]
+        for i, key, _, _ in _pool_round(entries, to_compute, parallelism, finish):
+            for j, k, t0, exc in _pool_round(entries, [(i, key)], parallelism, finish):
+                finish(j, k, t0, _crashed_result(entries[j].name, exc))
     except BaseException:
         _close_pool()
         raise
+
+
+def _pool_round(entries, to_compute, parallelism, finish):
+    """Submit ``to_compute`` to the kept pool (a fresh one if the last was
+    closed) and finish each entry it evaluates.  Returns the entries a
+    broken pool failed, found at submit or by a future, as (position, key,
+    t0, exception); the broken pool is closed."""
+    pool = _kept_pool(parallelism)
+    futures = {}
+    broken = []
+    for n, (i, key) in enumerate(to_compute):
+        t0 = time.monotonic()
+        try:
+            fut = pool.submit(_evaluate_entry_dict, entries[i].to_dict())
+        except concurrent.futures.BrokenExecutor as exc:
+            broken += [(j, k, t0, exc) for j, k in to_compute[n:]]
+            break
+        futures[fut] = (i, key, t0)
+    for fut in concurrent.futures.as_completed(futures):
+        i, key, t0 = futures[fut]
+        try:
+            result = fut.result()
+        except concurrent.futures.BrokenExecutor as exc:
+            broken.append((i, key, t0, exc))
+            continue
+        except Exception as exc:  # the task or its result could not be sent
+            result = _crashed_result(entries[i].name, exc)
+        finish(i, key, t0, result)
+    if broken:
+        _close_pool()
+    return broken
 
 
 def run_corpus(

@@ -233,6 +233,6 @@ def h1_free_summand_probe(h1: KoszulH1) -> str:
         homs = _syzygy_slice(transposed, -a)
         basis = domain.basis(-a)
         units = [basis.index((i, unit)) for i in gens if h1.cycle_degrees[i] == a]
-        if any(v[p] for v in homs for p in units):
+        if any(p in v for v in homs for p in units):
             return "FreeSummand"
     return "NoneFoundWithinBound"

@@ -8,11 +8,11 @@ extrapolated.
 
 Four resolutions stop where a theorem says they may, not at a user bound:
 
-* ``ext_betti`` resolves k over S = R/I to internal degree 1 + r(n-1) with
-  r = max(1, m-1), m the top degree of the reduced Groebner basis of I.
-  Backelin (LNM 1183, 1986) bounds rate(S) by m-1 when m >= 2, and a
-  polynomial ring has rate 1, so the i-th free module of k is generated in
-  degrees <= 1 + r(i-1) and the Ext dimensions are exact.
+* ``ext_betti`` resolves k over S = R/I, step i to internal degree
+  1 + r(i-1) with r = max(1, m-1), m the top degree of the reduced Groebner
+  basis of I.  Backelin (LNM 1183, 1986) bounds rate(S) by m-1 when m >= 2,
+  and a polynomial ring has rate 1, so the i-th free module of k is
+  generated in degrees <= 1 + r(i-1) and the Ext dimensions are exact.
 * ``projdim_probe`` runs at most dim S + 1 steps: by Auslander-Buchsbaum
   (Bruns-Herzog, Thm 1.3.3) a finite pd_S M is at most depth S <= dim S, so
   a nonzero F_{dim S + 1} certifies infinite projective dimension.
@@ -171,6 +171,12 @@ def minimal_free_resolution(
     cap.  Length 0 gives F_0 alone, truncated at 0 unless the pruned
     presentation has no relations.  Over R/I with 1 in I it raises
     UnitIdeal."""
+    return _resolve(pres, length_bound, degree_bound, None)
+
+
+def _resolve(pres: ModulePresentation, length_bound: int, degree_bound: int, caps):
+    """:func:`minimal_free_resolution`, with the generators of F_i capped at
+    caps[i] (length at least length_bound + 2) when ``caps`` is given."""
     _reject_unit(pres.modulus)
     pruned = minimalize_presentation(pres)
     if pruned.nrows == 0:
@@ -183,10 +189,11 @@ def minimal_free_resolution(
         status = ("terminated", 0) if first.ncols == 0 else ("truncated", 0)
         return FreeResolution(pres.ring, pres.modulus, pruned.row_degrees, [], status,
                               degree_bound)
-    # pruning removes a row with each unit it clears, so with as many rows
-    # the columns are the input's and generate its column ideal
-    ideal = pres.column_ideal if pruned.nrows == pres.nrows else None
-    caps = _generator_degree_caps(first, ideal, length_bound, degree_bound)
+    if caps is None:
+        # pruning removes a row with each unit it clears, so with as many
+        # rows the columns are the input's and generate its column ideal
+        ideal = pres.column_ideal if pruned.nrows == pres.nrows else None
+        caps = _generator_degree_caps(first, ideal, length_bound, degree_bound)
     maps = [first]
     while len(maps) < length_bound and len(maps) + 1 < len(caps):
         nxt = syzygies(maps[-1], caps[len(maps) + 1])
@@ -234,11 +241,11 @@ def ext_degree_bound(modulus, n: int) -> int:
 
 
 def ext_betti(ring, modulus, n: int):
-    """dim_k Ext^i_S(k, k) for i <= n, read off the minimal resolution of k
-    resolved to ``ext_degree_bound`` (exact, not truncated)."""
-    res = minimal_free_resolution(
-        residue_field_presentation(ring, modulus), n, ext_degree_bound(modulus, n)
-    )
+    """dim_k Ext^i_S(k, k) for i <= n, read off the minimal resolution of k,
+    step i resolved to ``ext_degree_bound(modulus, i)`` (exact, not
+    truncated)."""
+    caps = [ext_degree_bound(modulus, i) for i in range(n + 2)]
+    res = _resolve(residue_field_presentation(ring, modulus), n, caps[n], caps)
     totals = res.betti_totals()
     totals = totals + [0] * (n + 1 - len(totals))
     return totals[: n + 1]

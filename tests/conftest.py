@@ -38,9 +38,27 @@ def check_status(entry, check_name):
     return None
 
 
+def sparse(rows):
+    """Dense rows as sparse ones, the row format of `cikit.linalg`: a dict
+    from column to entry for the nonzero entries."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def dense(rows, ncols):
+    """Sparse rows as dense lists of length ``ncols``."""
+    out = []
+    for row in rows:
+        full = [0] * ncols
+        for j, v in row.items():
+            full[j] = v
+        out.append(full)
+    return out
+
+
 def bruteforce_kernel(cols, W, field):
-    """Reference for {x : sum_i x_i * cols[i] in span(W)}: the x-parts of
-    the nullspace of the matrix [cols | W], in RREF."""
+    """Reference for {x : sum_i x_i * cols[i] in span(W)}, for dense
+    vectors: the x-parts of the nullspace of the matrix [cols | W], in RREF,
+    as dense rows."""
     if not cols:
         return []
     n = len(cols)
@@ -48,8 +66,8 @@ def bruteforce_kernel(cols, W, field):
     for j, col in enumerate(list(cols) + list(W)):
         for t, v in enumerate(col):
             rows[t][j] = v
-    kernel = linalg.nullspace(rows, n + len(W), field)
-    return linalg.rref([v[:n] for v in kernel], field)[0]
+    kernel = dense(linalg.nullspace(sparse(rows), n + len(W), field), n + len(W))
+    return dense(linalg.rref(sparse([v[:n] for v in kernel]), field)[0], n)
 
 
 FUZZ_FIELDS = (QQ, GF(32003))

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import homogeneous_ideals
+from conftest import homogeneous_ideals, sparse
 
 from cikit import dgmodel
 from cikit import groebner as gr
@@ -212,7 +212,7 @@ def full_range_adjoin_stage(model, n):
         ]
         for z in cycles:
             for pos in linear_positions:
-                if not field.is_zero(z[pos]):
+                if not field.is_zero(z.get(pos, field.zero())):
                     raise dgmodel.ModelError(
                         f"cycle with unit linear term at stage {n}, degree {d}"
                     )
@@ -271,7 +271,7 @@ def reference_element_coords(model, elem, hdeg, d):
 def reference_element_from_coords(model, coords, hdeg, d):
     basis, _ = reference_slice_basis(model, hdeg, d)
     return dgmodel.DgElement(
-        model, {basis[p]: c for p, c in enumerate(coords) if not model.field.is_zero(c)})
+        model, {basis[p]: c for p, c in coords.items() if not model.field.is_zero(c)})
 
 
 def reference_differential_rows(model, hdeg, d):
@@ -283,7 +283,7 @@ def reference_differential_rows(model, hdeg, d):
             {(monomial_mul(m, dm), dww): dc for (dm, dww), dc in model._dw(w).terms.items()},
         )
         rows.append(reference_element_coords(model, shifted, hdeg - 1, d))
-    return rows
+    return sparse(rows)
 
 
 def reference_cycle_slice(model, hdeg, d):
@@ -291,7 +291,7 @@ def reference_cycle_slice(model, hdeg, d):
     if not basis:
         return []
     rows = reference_differential_rows(model, hdeg, d)
-    matrix = linalg.transpose(rows, reference_slice_dim(model, hdeg - 1, d), model.field)
+    matrix = linalg.transpose(rows, reference_slice_dim(model, hdeg - 1, d))
     return linalg.nullspace(matrix, len(basis), model.field)
 
 
@@ -299,7 +299,7 @@ def reference_boundary_rows(model, hdeg, d):
     if reference_slice_dim(model, hdeg + 1, d) == 0:
         return []
     rows = reference_differential_rows(model, hdeg + 1, d)
-    return [r for r in rows if any(not model.field.is_zero(v) for v in r)]
+    return [r for r in rows if any(not model.field.is_zero(v) for v in r.values())]
 
 
 def reference_adjoin_stage(model, n):
@@ -327,7 +327,7 @@ def reference_adjoin_stage(model, n):
         ]
         for z in cycles:
             for pos in linear_positions:
-                if not field.is_zero(z[pos]):
+                if not field.is_zero(z.get(pos, field.zero())):
                     raise dgmodel.ModelError(
                         f"cycle with unit linear term at stage {n}, degree {d}"
                     )

@@ -687,6 +687,35 @@ def test_an_entry_that_kills_its_worker_is_crashed_and_not_cached(monkeypatch, f
     assert len(list(cache_dir.iterdir())) == 2
 
 
+def test_an_entry_that_kills_its_worker_crashes_no_other_entry(monkeypatch, fresh_pool,
+                                                               tmp_path):
+    # the killer breaks the pool, which fails every entry pending with it;
+    # those are rerun one by one, so only the killer is crashed
+    original = harness.koszul_h1
+    main_pid = os.getpid()
+
+    def dying(ideal, degree_bound):
+        if os.getpid() == main_pid:
+            raise RuntimeError("meant for pool workers only")
+        if ideal.ring.nvars == 2:
+            os._exit(1)
+        return original(ideal, degree_bound)
+
+    monkeypatch.setattr(harness, "koszul_h1", dying)
+    entries = parse_corpus(
+        "entry killer / field Q / ring x, y / ideal x^2, y^2 / expect ci=true\n"
+        + "".join(f"entry power{e} / field Q / ring x / ideal x^{e} / expect ci=true\n"
+                  for e in range(2, 8)))
+    cache_dir = tmp_path / "cache"
+    report = run_corpus(entries, parallelism=2, cache_dir=str(cache_dir))
+    killer, *innocent = report["entries"]
+    [crashed] = killer["checks"]
+    assert crashed["name"] == "crashed" and crashed["detail"].startswith("BrokenProcessPool: ")
+    assert [r["ok"] for r in innocent] == [True] * 6
+    assert report["summary"] == {"total": 7, "ok": 6, "failed": 1}
+    assert len(list(cache_dir.iterdir())) == 6
+
+
 def _running(pid):
     """Whether process ``pid`` exists and is not a zombie."""
     try:

@@ -204,6 +204,19 @@ def test_dimension_mismatch_detected(R):
         ext_crosscheck(doctored)
 
 
+def test_ext_caps_below_backelin_fail_the_crosscheck(R, monkeypatch):
+    # ext_betti resolves step i of k to Backelin's bound at i; caps one below
+    # it miss generators of the resolution, and the crosscheck must say so
+    from cikit import resolution
+
+    model, _ = setup(R, "x^2", "x*y")
+    assert ext_crosscheck(model) == [1, 2, 3, 5, 8, 13]
+    real = resolution.ext_degree_bound
+    monkeypatch.setattr(resolution, "ext_degree_bound", lambda modulus, n: real(modulus, n) - 1)
+    with pytest.raises(DimensionMismatch):
+        ext_crosscheck(model)
+
+
 def test_bracket_table_dump_is_canonical(R):
     _, pi = setup(R, "x^2", "x*y")
     dump1 = pi.bracket_table_dump()

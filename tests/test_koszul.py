@@ -2,7 +2,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_ideals
+from conftest import dense, homogeneous_ideals, sparse
 
 from cikit import groebner as gr
 from cikit import linalg
@@ -249,7 +249,8 @@ def test_h1_hilbert_routes_agree(ring_gens):
 def reference_solve(rows, ncols, rhs, field):
     """One solution x of M x = rhs, or None (free variables zero)."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = linalg.rref(aug, field)
+    red, pivots = linalg.rref(sparse(aug), field)
+    red = dense(red, ncols + 1)
     zero = field.zero()
     x = [zero] * ncols
     for i, pc in enumerate(pivots):

@@ -5,7 +5,7 @@ check the quotient path."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import bruteforce_kernel, homogeneous_ideals
+from conftest import bruteforce_kernel, dense, homogeneous_ideals, sparse
 
 from cikit import groebner as gr
 from cikit import linalg
@@ -87,7 +87,7 @@ def _ideal_echelon(pres, slices, d):
         width = pres.ring.slice_dim(e)
         if width:
             local_rows, local_pivs = pres.modulus.slice_rref(e)
-            for lr, lp in zip(local_rows, local_pivs):
+            for lr, lp in zip(dense(local_rows, width), local_pivs):
                 row = [zero] * total
                 row[offset: offset + width] = lr
                 out_rows.append(row)
@@ -123,7 +123,7 @@ def _span_slice_rows(pres, slices, d, proper_only=False):
 
 def _hilbert_function(pres, bound):
     slices = _RingSlices(pres.ring, pres.row_degrees)
-    return [slices.dim(d) - linalg.rank(_span_slice_rows(pres, slices, d), pres.ring.field)
+    return [slices.dim(d) - linalg.rank(sparse(_span_slice_rows(pres, slices, d)), pres.ring.field)
             for d in range(bound + 1)]
 
 
@@ -135,7 +135,8 @@ def _minimal_generators(pres):
         denom = _span_slice_rows(pres, slices, d, proper_only=True)
         cand_idx = [j for j, cd in enumerate(pres.col_degrees) if cd == d]
         candidates = [slices.coords(pres.columns[j], d) for j in cand_idx]
-        selected.extend(cand_idx[c] for c in linalg.independent_subset(denom, candidates, field))
+        selected.extend(cand_idx[c] for c in linalg.independent_subset(
+            sparse(denom), sparse(candidates), field))
     selected.sort()
     return len(selected), selected
 
@@ -174,7 +175,7 @@ def _syzygies(pres, degree_bound):
                 denom = [domain.multiply_coords_by_var(v, d - 1, var)
                          for v in prev for var in range(ring.nvars)]
                 denom.extend(_ideal_echelon(dom_pres, domain, d)[0])
-                chosen = linalg.independent_subset(denom, basis_rows, field)
+                chosen = linalg.independent_subset(sparse(denom), sparse(basis_rows), field)
                 gens.extend(domain.from_coords(basis_rows[c], d) for c in chosen)
             prev = basis_rows
     return gr.ModulePresentation(ring, pres.modulus, pres.col_degrees, gens)
@@ -200,7 +201,8 @@ def _compose_is_zero(upper, lower):
                             pos = idx[(i, monomial_mul(qm, pm))]
                             w[pos] = field.add(w[pos], field.mul(pc, qc))
             images.append(w)
-        if linalg.independent_subset(_ideal_echelon(upper, target, d)[0], images, field):
+        if linalg.independent_subset(sparse(_ideal_echelon(upper, target, d)[0]), sparse(images),
+                                     field):
             return False
     return True
 
@@ -272,6 +274,80 @@ def test_quotient_coordinates_match_ring_coordinates(ring_gens, data):
                 assert gr.compose_is_zero(pres, lower) == _compose_is_zero(pres, lower)
 
 
+# -- the sparse slice rows against the dense rows they replaced ------------------
+
+
+def dense_add_multiple(row, blocks, support, m, c, p):
+    """Reference: the former _add_multiple, on a dense row."""
+    for i, terms in support:
+        offset, table = blocks[i]
+        for pm, pc in terms.items():
+            pc *= c
+            for pos, a in table[monomial_mul(pm, m)]:
+                k = offset + pos
+                row[k] = (row[k] + pc * a) % p if p else row[k] + pc * a
+
+
+def dense_multiples(slices, vec, monomials, d):
+    """Reference: the former FreeSlices.multiples, one dense row per
+    monomial."""
+    basis, blocks = slices._slice(d)
+    p = slices.ring.field.p
+    support = gr._support(vec)
+    rows = []
+    for m in monomials:
+        row = [0] * len(basis)
+        dense_add_multiple(row, blocks, support, m, 1, p)
+        rows.append(row)
+    return rows
+
+
+def dense_multiply_coords_by_var(slices, coords, d, var):
+    """Reference: the former FreeSlices.multiply_coords_by_var, dense."""
+    src = slices.basis(d)
+    basis, blocks = slices._slice(d + 1)
+    p = slices.ring.field.p
+    out = [0] * len(basis)
+    for pos, c in enumerate(coords):
+        if not c:
+            continue
+        i, m = src[pos]
+        mm = list(m)
+        mm[var] += 1
+        offset, table = blocks[i]
+        for q, a in table[tuple(mm)]:
+            k = offset + q
+            out[k] = (out[k] + c * a) % p if p else out[k] + c * a
+    return out
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals())
+def test_sparse_slice_rows_match_the_dense_rows(ring_gens):
+    # every multiple m*col of every column, over S and over R, with m over
+    # all ring monomials (so that products reduce through the tables), is
+    # the dense row written sparsely, with no zero entry; so are its
+    # products with each variable, and from_coords inverts coords
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    bound = max(g.homogeneous_degree() for g in I.generators) + 2
+    for pres in _modules_over_s(I, bound) + [gr.ideal_as_module(I)]:
+        slices = pres.slices()
+        for col, cd in zip(pres.columns, pres.col_degrees):
+            for d in range(cd, bound + 1):
+                mons = ring.monomials_of_degree(d - cd)
+                rows = slices.multiples(col, mons, d)
+                want = dense_multiples(slices, col, mons, d)
+                assert rows == sparse(want) and all(v for r in rows for v in r.values())
+                for row, full in zip(rows, want):
+                    assert slices.coords(slices.from_coords(row, d), d) == row
+                    for var in range(ring.nvars):
+                        got = slices.multiply_coords_by_var(row, d, var)
+                        assert dense([got], slices.dim(d + 1)) == \
+                            [dense_multiply_coords_by_var(slices, full, d, var)]
+                        assert all(got.values())
+
+
 def test_quotient_slice_is_the_rref_complement():
     # S = Q[x, y]/(x^2 - y^2, x*y): S_2 has basis y^2, x^2 = y^2 in S, and
     # x*y = 0; over R the table is the identity
@@ -284,9 +360,9 @@ def test_quotient_slice_is_the_rref_complement():
     F = gr.FreeSlices(R, [0, 1], I)
     assert F.basis(2) == [(0, (0, 2)), (1, (1, 0)), (1, (0, 1))]
     x, y = R.gens()
-    assert F.coords((x * x + x * y, x + y), 2) == [1, 1, 1]
+    assert F.coords((x * x + x * y, x + y), 2) == {0: 1, 1: 1, 2: 1}
     assert gr.FreeSlices(R, [0]).basis(2) == [(0, m) for m in R.monomials_of_degree(2)]
     # over GF(7), x^2 = -y^2 in S, so 3x^2 + y^2 = -2y^2 = 5y^2
     R7 = PolyRing(GF(7), ["x", "y"])
     F7 = gr.FreeSlices(R7, [0], gr.Ideal(R7, [R7.from_string("x^2 + y^2")]))
-    assert F7.coords((R7.from_string("3*x^2 + y^2"),), 2) == [0, 5]
+    assert F7.coords((R7.from_string("3*x^2 + y^2"),), 2) == {1: 5}

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import homogeneous_ideals
 
@@ -180,6 +181,19 @@ def test_only_r_mod_i_over_r_stops_below_the_cap(R, monkeypatch):
         bounds.clear()
         minimal_free_resolution(pres, 6, 12)
         assert bounds and set(bounds) == {12}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3), st.integers(1, 4))
+def test_ext_betti_per_step_caps_match_the_uniform_bound(ring_gens, n):
+    # step i of k's resolution capped at Backelin's bound at i gives the
+    # totals of the resolution with every step run to the bound at n
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    res = minimal_free_resolution(gr.residue_field_presentation(ring, I), n,
+                                  ext_degree_bound(I, n))
+    totals = res.betti_totals() + [0] * (n + 1 - len(res.betti_totals()))
+    assert ext_betti(ring, I, n) == totals[: n + 1]
 
 
 def test_only_status_readers_pay_for_the_termination_scan(R, monkeypatch):
