@@ -250,11 +250,8 @@ def theta(ideal, bounds, as_json, z_name):
     p = homlie_mod.compute_pi(m)
     z = p.element_by_name(z_name)
     th = homlie_mod.theta(m, z)
-    values = {
-        v.name: th.value_on(v.index).to_string()
-        for v in m.variables
-        if not th.value_on(v.index).is_zero()
-    }
+    values = {v.name: th.values[v.index].to_string() for v in m.variables
+              if v.index in th.values}
     payload = {"z": z_name, "chain": True, "values": values}
 
     def text(pp):

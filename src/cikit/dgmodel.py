@@ -101,9 +101,9 @@ class DgElement:
         return self + (-other)
 
     def scale(self, c):
-        F = self.model.field
-        if F.is_zero(c):
+        if not c:
             return self.model.zero()
+        F = self.model.field
         return DgElement(self.model, {k: F.mul(c, v) for k, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -149,7 +149,7 @@ class DgElement:
             self.terms.items(),
             key=lambda kv: (kv[0][1], tuple(-e for e in kv[0][0])),
         )
-        return _join_terms((factors(m, w), model.field.to_str(c)) for (m, w), c in items)
+        return _join_terms((factors(m, w), str(c)) for (m, w), c in items)
 
     def __repr__(self):
         return f"<dg {self.to_string()}>"
@@ -221,14 +221,11 @@ class DgAlgebraModel:
         self.differentials: list[DgElement] = []
         self.complete = True
         self.warnings: list[str] = []
-        # the current stage's data by degree, cleared by add_variable; d of
-        # a dg monomial never changes, so _dw_cache is kept for the model
-        self._mon_cache: dict = {}
-        self._slices: dict = {}
+        # the current stage's data under (kind, degree...) keys, cleared at
+        # once by add_variable, so no cache serves rows of an earlier stage;
+        # d of a dg monomial never changes, so _dw_cache is kept for the model
+        self._stage: dict = {}
         self._dw_cache: dict = {}
-        self._dvec_cache: dict = {}
-        self._diff_cache: dict = {}
-        self._kahler_cache: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -238,24 +235,20 @@ class DgAlgebraModel:
         var = DgVariable(f"t{hdeg}_{count + 1}", hdeg, intdeg, index)
         self.variables.append(var)
         self.differentials.append(differential)
-        for cache in (self._mon_cache, self._slices, self._dvec_cache, self._diff_cache,
-                      self._kahler_cache):
-            cache.clear()
+        self._stage.clear()
         return var
 
     def zero(self) -> DgElement:
         return DgElement(self, {})
 
     def one(self) -> DgElement:
-        return DgElement(self, {((0,) * self.ring.nvars, ()): self.field.one()})
+        return DgElement(self, {((0,) * self.ring.nvars, ()): 1})
 
     def embed(self, p: Polynomial) -> DgElement:
         return DgElement(self, {(m, ()): c for m, c in p.terms.items()})
 
     def var_element(self, index: int) -> DgElement:
-        return DgElement(
-            self, {((0,) * self.ring.nvars, ((index, 1),)): self.field.one()}
-        )
+        return DgElement(self, {((0,) * self.ring.nvars, ((index, 1),)): 1})
 
     # -- monomial algebra ----------------------------------------------------
 
@@ -314,9 +307,9 @@ class DgAlgebraModel:
         for pos, v in enumerate(word):
             val = value_of(v)
             if val is not None and val.terms:
-                coeff = F.neg(F.one()) if (odd and prefix_deg % 2) else F.one()
+                coeff = F.neg(1) if (odd and prefix_deg % 2) else 1
                 head = DgElement(self, {(unit, self._collapse_word(word[:pos])): coeff})
-                tail = DgElement(self, {(unit, self._collapse_word(word[pos + 1 :])): F.one()})
+                tail = DgElement(self, {(unit, self._collapse_word(word[pos + 1 :])): 1})
                 out = out + head * val * tail
             prefix_deg += self.variables[v].hdeg
         return out
@@ -348,12 +341,13 @@ class DgAlgebraModel:
     def dg_monomials(self, hdeg: int):
         """All dg monomials of the given homological degree with internal
         degree within the truncation, over the current variables."""
-        if hdeg not in self._mon_cache:
+        key = ("monomials", hdeg)
+        if key not in self._stage:
             out = []
             self._gen_monomials(0, hdeg, self.intdeg_bound, [], out)
             out.sort()
-            self._mon_cache[hdeg] = tuple(out)
-        return self._mon_cache[hdeg]
+            self._stage[key] = tuple(out)
+        return self._stage[key]
 
     def _gen_monomials(self, i, h_left, d_left, current, out):
         if h_left == 0:
@@ -379,10 +373,11 @@ class DgAlgebraModel:
         """A_hdeg as a free R-module on the dg monomials of that degree, one
         row each in its internal degree, sliced by internal degree (cached
         per stage)."""
-        if hdeg not in self._slices:
-            self._slices[hdeg] = FreeSlices(
+        key = ("slices", hdeg)
+        if key not in self._stage:
+            self._stage[key] = FreeSlices(
                 self.ring, [self.dgmon_intdeg(w) for w in self.dg_monomials(hdeg)])
-        return self._slices[hdeg]
+        return self._stage[key]
 
     def element_from_coords(self, coords, hdeg: int, d: int) -> DgElement:
         """The element of A_hdeg with these coordinates in the degree-d slice."""
@@ -393,7 +388,8 @@ class DgAlgebraModel:
     def _differential_vectors(self, hdeg: int):
         """d(w) for each dg monomial w of degree hdeg, as a vector over the
         dg monomials of degree hdeg - 1 (cached per stage)."""
-        if hdeg not in self._dvec_cache:
+        key = ("vectors", hdeg)
+        if key not in self._stage:
             position = {w: i for i, w in enumerate(self.dg_monomials(hdeg - 1))}
             vecs = []
             for w in self.dg_monomials(hdeg):
@@ -401,22 +397,22 @@ class DgAlgebraModel:
                 for (m, ww), c in self._dw(w).terms.items():
                     polys[position[ww]][m] = c
                 vecs.append(tuple(Polynomial(self.ring, t) for t in polys))
-            self._dvec_cache[hdeg] = vecs
-        return self._dvec_cache[hdeg]
+            self._stage[key] = vecs
+        return self._stage[key]
 
     def differential_rows(self, hdeg: int, d: int):
         """Images of the (hdeg, d) slice basis under d, as coordinate rows in
         the (hdeg-1, d) slice (cached per stage)."""
-        key = (hdeg, d)
-        if key not in self._diff_cache:
+        key = ("rows", hdeg, d)
+        if key not in self._stage:
             target = self.slices(hdeg - 1)
             rows = []
             for w, vec in zip(self.dg_monomials(hdeg), self._differential_vectors(hdeg)):
                 wd = self.dgmon_intdeg(w)
                 if wd <= d:
                     rows.extend(scatter_multiples(target, vec, wd, d))
-            self._diff_cache[key] = rows
-        return self._diff_cache[key]
+            self._stage[key] = rows
+        return self._stage[key]
 
     # -- reduced Kaehler complex ---------------------------------------------
 
@@ -430,8 +426,9 @@ class DgAlgebraModel:
         its differential reduced to S is the linear part of d (Avramov,
         "Infinite free resolutions", 1998).  The degree-2 cokernel presents
         I/I^2, the degree-3 cokernel the first Koszul homology."""
-        if i in self._kahler_cache:
-            return self._kahler_cache[i]
+        key = ("kahler", i)
+        if key in self._stage:
+            return self._stage[key]
         gb = self.ideal.groebner()
         rows = self.variables_of_hdeg(i - 1)
         row_pos = {v.index: p for p, v in enumerate(rows)}
@@ -443,7 +440,7 @@ class DgAlgebraModel:
                     linear[row_pos[w[0][0]]][m] = coeff
             columns.append(tuple(gb.normal_form(Polynomial(self.ring, t)) for t in linear))
         pres = ModulePresentation(self.ring, self.ideal, [v.intdeg for v in rows], columns)
-        self._kahler_cache[i] = pres
+        self._stage[key] = pres
         return pres
 
     # -- variable bookkeeping ------------------------------------------------

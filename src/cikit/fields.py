@@ -1,7 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 Field elements are plain Python values; a :class:`Field` object only
-bundles the arithmetic.  Over GF(p) an element is an `int` in ``[0, p)``.
+bundles the arithmetic, and has no constant methods: zero and one are the
+literals ``0`` and ``1``, ``not a`` tests zero and ``str(a)`` prints an
+element.  Over GF(p) an element is an `int` in ``[0, p)``.
 Over the rationals it is an `int` when integral and a `fractions.Fraction`
 otherwise, never a float.  The constructors and `inv` keep to that; sums
 and products of `Fraction`s can be integral `Fraction`s, which compare,
@@ -102,12 +104,6 @@ class Field:
 
     # -- arithmetic ----------------------------------------------------
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def of_int(self, n: int):
         return n if self.p is None else n % self.p
 
@@ -141,9 +137,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     def add_into(self, terms: dict, key, c):
         """terms[key] += c in a sparse dict of nonzero elements: the key is
         dropped when the sum is zero."""
@@ -156,9 +149,6 @@ class Field:
             terms.pop(key, None)
 
     # -- text ------------------------------------------------------------
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     @staticmethod
     def parse(text: str) -> "Field":

@@ -97,20 +97,20 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
                 q_mon = monomial_div(m, lm)
                 q_coeff = F.div(c, lc)
                 qd = quotients[i]
-                qd[q_mon] = F.add(qd.get(q_mon, F.zero()), q_coeff)
+                qd[q_mon] = F.add(qd.get(q_mon, 0), q_coeff)
                 for dm, dc in divisors[i].terms.items():
                     if dm == lm:
                         continue
                     t = monomial_mul(dm, q_mon)
-                    s = F.sub(work.get(t, F.zero()), F.mul(dc, q_coeff))
-                    if F.is_zero(s):
+                    s = F.sub(work.get(t, 0), F.mul(dc, q_coeff))
+                    if not s:
                         work.pop(t, None)
                     else:
                         work[t] = s
                 break
         else:
             remainder[m] = c
-    qs = [Polynomial(ring, {m: c for m, c in q.items() if not F.is_zero(c)}) for q in quotients]
+    qs = [Polynomial(ring, {m: c for m, c in q.items() if c}) for q in quotients]
     return qs, Polynomial(ring, remainder)
 
 
@@ -120,7 +120,7 @@ def _divisor(d: Polynomial, order: MonomialOrder):
     F = d.ring.field
     lm, lc = d.leading_term(order)
     inv = F.inv(lc)
-    return lm, F.one(), [(m, F.mul(c, inv)) for m, c in d.terms.items() if m != lm]
+    return lm, 1, [(m, F.mul(c, inv)) for m, c in d.terms.items() if m != lm]
 
 
 def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
@@ -143,14 +143,13 @@ def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
     the one the exact division has."""
     F = f.ring.field
     key = order.key
-    zero = F.zero()
     work = dict(f.terms)
     queue = sorted((key(m), m) for m in work)
     remainder = {}
     while queue:
         m = queue.pop()[1]
         c = work.pop(m)
-        if F.is_zero(c):
+        if not c:
             continue
         for lm, a, tail in divisors:
             if monomial_divides(lm, m):
@@ -167,7 +166,7 @@ def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
                     t = monomial_mul(dm, q_mon)
                     old = work.get(t)
                     if old is None:
-                        old = zero
+                        old = 0
                         insort(queue, (key(t), t))
                     work[t] = F.sub(old, F.mul(dc, c))
                 break
@@ -443,7 +442,7 @@ class Ideal:
             pivot_set = set(pivots)
             free = [j for j in range(len(mons)) if j not in pivot_set]
             position = {j: pos for pos, j in enumerate(free)}
-            table = {mons[j]: ((pos, field.one()),) for j, pos in position.items()}
+            table = {mons[j]: ((pos, 1),) for j, pos in position.items()}
             for row, j in zip(rows, pivots):
                 table[mons[j]] = tuple(
                     (position[k], field.neg(v)) for k, v in row.items() if k != j)
@@ -618,7 +617,7 @@ class ModulePresentation:
     """
 
     __slots__ = ("ring", "modulus", "row_degrees", "columns", "col_degrees", "_slices",
-                 "column_ideal", "_ranks")
+                 "_ranks")
 
     def __init__(self, ring: PolyRing, modulus, row_degrees, columns):
         self.ring = ring
@@ -646,9 +645,6 @@ class ModulePresentation:
         self.columns = cols
         self.col_degrees = degs
         self._slices = FreeSlices(ring, self.row_degrees, self.modulus)
-        # the Ideal whose generators are the columns, when built from one
-        # (:func:`ideal_as_module`), so its memo serves the resolution
-        self.column_ideal = None
         # degree -> rank, shared with every content-identical presentation
         # over the same ring (:meth:`image_slice_dim`)
         self._ranks = None
@@ -711,9 +707,7 @@ class ModulePresentation:
 
 def ideal_as_module(ideal: Ideal) -> ModulePresentation:
     """The ideal's generators as columns of a rank-one free module over R."""
-    pres = ModulePresentation(ideal.ring, None, [0], [(g,) for g in ideal.generators])
-    pres.column_ideal = ideal
-    return pres
+    return ModulePresentation(ideal.ring, None, [0], [(g,) for g in ideal.generators])
 
 
 def residue_field_presentation(ring: PolyRing, modulus) -> ModulePresentation:

@@ -65,7 +65,8 @@ class Bounds:
     in(I) (:meth:`Ideal.taylor_degree_bounds`), and H1's own relations run
     to a bound derived from it (see :mod:`cikit.koszul`), each capped by
     ``intdeg``.  The syzygy steps of the probes over S and the compared
-    Hilbert lists run to ``intdeg`` itself.  Every probe stops at dim S + 1
+    Hilbert lists run to ``intdeg`` itself, except that a resolution of k
+    stops at Backelin's bound when that is lower.  Every probe stops at dim S + 1
     steps, where Auslander-Buchsbaum decides.  ``reslen`` is read by no
     check: it is the length bound of ``cikit resolve`` only.
     """
@@ -136,7 +137,7 @@ def _evidence(probe, complete: bool, is_ci: bool, module: str) -> dict:
     projective dimension iff the ideal is a complete intersection, and a
     non-CI resolution has no zero Betti number."""
     if not (probe.is_infinite() or (complete and probe.certified)):
-        return {"status": "inconclusive", "bound": probe.degree_bound}
+        return {"status": "inconclusive", "bound": probe.resolution.degree_bound}
     if probe.is_finite() != is_ci:
         raise TheoremViolationSignal(
             f"non-CI entry with finite {module} projective dimension" if probe.is_finite()
@@ -408,8 +409,7 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
 
     try:
         for z in pi.by_degree.get(2, []):
-            th = homlie_mod.theta(model, z)
-            homlie_mod.induced_ad(th, pi)
+            homlie_mod.induced_ad(homlie_mod.theta(model, z), z, pi)
         _check(checks, "theta_induces_minus_ad", True)
     except Exception as exc:
         _check(checks, "theta_induces_minus_ad", False, detail=str(exc))
@@ -539,18 +539,6 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
                  cap, detail=f"computed {data['h1_mu']}")
 
 
-def _evaluate_entry_dict(entry_dict: dict) -> dict:
-    entry = CorpusEntry(
-        entry_dict["name"],
-        entry_dict["field"],
-        tuple(entry_dict["ring"]),
-        tuple(entry_dict["ideal"]),
-        Bounds(**entry_dict["bounds"]),
-        entry_dict["expect"],
-    )
-    return evaluate_entry(entry)
-
-
 # ---------------------------------------------------------------------------
 # result cache (content-addressed, insert-only)
 
@@ -663,7 +651,7 @@ def _pool_round(entries, to_compute, parallelism, finish):
     for n, (i, key) in enumerate(to_compute):
         t0 = time.monotonic()
         try:
-            fut = pool.submit(_evaluate_entry_dict, entries[i].to_dict())
+            fut = pool.submit(evaluate_entry, entries[i])
         except concurrent.futures.BrokenExecutor as exc:
             broken += [(j, k, t0, exc) for j, k in to_compute[n:]]
             break

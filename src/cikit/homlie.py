@@ -17,7 +17,7 @@ with this grading the bracket satisfies [u,v] = -(-1)^{ij} [v,u].
 
 from __future__ import annotations
 
-from .dgmodel import DgAlgebraModel, DgDerivation, DgElement, ModelError
+from .dgmodel import DgAlgebraModel, DgDerivation, ModelError
 from .resolution import ext_betti
 
 
@@ -71,11 +71,10 @@ class HomotopyLieTruncation:
     def ad_block(self, z: PiBasisElement, m: int):
         """Matrix of [z, -]: pi^m -> pi^(m+z.degree), rows = target basis,
         cols = source basis."""
-        F = self.model.field
         src = self.by_degree.get(m, [])
         tgt = self.by_degree.get(m + z.degree, [])
         tpos = {e.var_index: p for p, e in enumerate(tgt)}
-        mat = [[F.zero()] * len(src) for _ in tgt]
+        mat = [[0] * len(src) for _ in tgt]
         for c, s in enumerate(src):
             for tv, coeff in self.bracket_of(z, s).items():
                 mat[tpos[tv]][c] = coeff
@@ -83,7 +82,6 @@ class HomotopyLieTruncation:
 
     def bracket_table_dump(self) -> str:
         """Canonical text form: one `[u, v] = ...` line per ordered pair."""
-        F = self.model.field
         lines = []
         elems = [self.basis[v.index] for v in self.model.variables if v.index in self.basis]
         for u in elems:
@@ -97,8 +95,7 @@ class HomotopyLieTruncation:
                 else:
                     parts = []
                     for tv in sorted(val, key=lambda t: self.basis[t].name):
-                        c = F.to_str(val[tv])
-                        parts.append(f"{c}*{self.basis[tv].name}")
+                        parts.append(f"{val[tv]}*{self.basis[tv].name}")
                     rhs = " + ".join(parts).replace("+ -", "- ")
                 lines.append(f"[{u.name}, {v.name}] = {rhs}")
         return "\n".join(lines)
@@ -159,8 +156,8 @@ def check_antisymmetry(pi: HomotopyLieTruncation):
         other = pi.bracket.get((vv, uv), {})
         sign = -1 if (u.degree * v.degree) % 2 == 0 else 1
         for t in set(tbl) | set(other):
-            lhs = tbl.get(t, F.zero())
-            rhs = F.mul(F.of_int(sign), other.get(t, F.zero()))
+            lhs = tbl.get(t, 0)
+            rhs = F.mul(F.of_int(sign), other.get(t, 0))
             if lhs != rhs:
                 failures.append(f"antisymmetry fails for [{u.name},{v.name}] at {t}")
     return failures
@@ -177,9 +174,9 @@ def check_jacobi(pi: HomotopyLieTruncation):
             for w in elems:
                 if u.degree + v.degree + w.degree > pi.N:
                     continue
-                lhs = _bracket_combos(pi, {u.var_index: F.one()}, pi.bracket_of(v, w))
-                t1 = _bracket_combos(pi, pi.bracket_of(u, v), {w.var_index: F.one()})
-                t2 = _bracket_combos(pi, {v.var_index: F.one()}, pi.bracket_of(u, w))
+                lhs = _bracket_combos(pi, {u.var_index: 1}, pi.bracket_of(v, w))
+                t1 = _bracket_combos(pi, pi.bracket_of(u, v), {w.var_index: 1})
+                t2 = _bracket_combos(pi, {v.var_index: 1}, pi.bracket_of(u, w))
                 sign = F.of_int(-1 if (u.degree * v.degree) % 2 else 1)
                 total: dict = {}
                 for src, sgn in ((lhs, F.of_int(1)), (t1, F.of_int(-1)),
@@ -210,23 +207,13 @@ def _bracket_combos(pi, left: dict, right: dict) -> dict:
 # the commutator derivation theta_z
 
 
-class ThetaDerivation:
-    """theta_z = [d, d/dz] for z in pi^2, a chain derivation of degree -2
-    landing in the augmentation ideal."""
-
-    __slots__ = ("z", "derivation")
-
-    def __init__(self, z: PiBasisElement, derivation: DgDerivation):
-        self.z = z
-        self.derivation = derivation
-
-    def value_on(self, var_index: int) -> DgElement:
-        return self.derivation.values.get(var_index, self.derivation.model.zero())
-
-
-def theta(model: DgAlgebraModel, z: PiBasisElement, lift: dict | None = None) -> ThetaDerivation:
-    """Construct theta_z.  ``lift`` maps stage-1 variable indices to ring
-    polynomials; the default sends z's variable to 1 and the rest to 0.
+def theta(model: DgAlgebraModel, z: PiBasisElement, lift: dict | None = None) -> DgDerivation:
+    """theta_z = [d, d/dz] for z in pi^2: a chain derivation of degree -2
+    landing in the augmentation ideal, whose ``values`` hold its nonzero
+    values by variable index (a variable missing there maps to 0).
+    ``lift`` maps stage-1 variable indices to ring polynomials; the default
+    sends z's variable to 1 and the rest to 0.  The result does not record
+    z: :func:`induced_ad` takes it beside the derivation.
     """
     if z.degree != 2:
         raise ModelError("theta is defined for degree-2 elements")
@@ -251,12 +238,13 @@ def theta(model: DgAlgebraModel, z: PiBasisElement, lift: dict | None = None) ->
         raise ModelError("theta_z failed the chain-derivation check")
     if not deriv.lands_in_augmentation():
         raise ModelError("theta_z does not land in the augmentation ideal")
-    return ThetaDerivation(z, deriv)
+    return deriv
 
 
-def induced_ad(theta_z: ThetaDerivation, pi: HomotopyLieTruncation) -> dict:
-    """Pass theta_z to the derived fiber, take indecomposables, dualise:
-    the blocks {m: matrix of pi^m -> pi^(m+2)} for 2 <= m <= N-2.
+def induced_ad(theta_z: DgDerivation, z: PiBasisElement, pi: HomotopyLieTruncation) -> dict:
+    """Pass theta_z (:func:`theta` of z) to the derived fiber, take
+    indecomposables, dualise: the blocks {m: matrix of pi^m -> pi^(m+2)}
+    for 2 <= m <= N-2.
 
     Each block is asserted equal to -ad(z) (:meth:`HomotopyLieTruncation.ad_block`)
     entry-exact; a mismatch signals a sign-convention bug.
@@ -266,29 +254,28 @@ def induced_ad(theta_z: ThetaDerivation, pi: HomotopyLieTruncation) -> dict:
     # linear fiber coefficients: theta(t) = sum c[t, t'] t' modulo m_R and
     # decomposables
     lin: dict = {}
-    for v in model.variables:
-        val = theta_z.value_on(v.index)
+    for v, val in theta_z.values.items():
         for (m, w), c in val.terms.items():
             if any(m):
                 continue
             if model.dgmon_length(w) != 1:
                 continue
-            lin[(v.index, w[0][0])] = c
+            lin[(v, w[0][0])] = c
 
     blocks = {}
     for m in range(2, pi.N - 1):
         src = pi.by_degree.get(m, [])       # duals of X_{m-1}
         tgt = pi.by_degree.get(m + 2, [])   # duals of X_{m+1}
-        mat = [[F.zero()] * len(src) for _ in tgt]
+        mat = [[0] * len(src) for _ in tgt]
         for r, te in enumerate(tgt):
             for c, se in enumerate(src):
                 v = lin.get((te.var_index, se.var_index))
                 if v is not None:
                     mat[r][c] = v
-        neg_ad = [[F.neg(v) for v in row] for row in pi.ad_block(theta_z.z, m)]
+        neg_ad = [[F.neg(v) for v in row] for row in pi.ad_block(z, m)]
         if mat != neg_ad:
             raise MismatchWithBracket(
-                f"induced map of theta_{theta_z.z.name} differs from -ad at pi^{m}"
+                f"induced map of theta_{z.name} differs from -ad at pi^{m}"
             )
         blocks[m] = mat
     return blocks
@@ -318,7 +305,6 @@ def radical_probe(pi: HomotopyLieTruncation, z: PiBasisElement | None) -> Radica
     """Bounded radical test for z in pi^2 via the vanishing of ad(z) in
     high degrees.  z = None means the zero element."""
     N = pi.N
-    F = pi.model.field
     if z is None:
         return RadicalVerdict("radical_witness", 1, N)
     if z.degree != 2:
@@ -326,7 +312,7 @@ def radical_probe(pi: HomotopyLieTruncation, z: PiBasisElement | None) -> Radica
     nonzero_degrees = []
     for m in range(2, N - 1):
         block = pi.ad_block(z, m)
-        if any(not F.is_zero(v) for row in block for v in row):
+        if any(v for row in block for v in row):
             nonzero_degrees.append(m)
     tail_empty = all(pi.dim(m) == 0 for m in (N - 1, N))
     if not nonzero_degrees:

@@ -85,18 +85,16 @@ class KoszulH1:
 
     ``cycle_reps`` are vectors a with sum(a_j f_j) = 0 representing the
     chosen minimal generators; ``presentation`` has one row per chosen
-    cycle and columns generating all relations among their classes.
+    cycle, in its degree, and columns generating all relations among their
+    classes.
     ``complete`` says the relations reached :func:`_h1_relation_bound`.
     """
 
-    __slots__ = ("complex", "cycle_reps", "cycle_degrees", "presentation", "degree_bound",
-                 "complete")
+    __slots__ = ("complex", "cycle_reps", "presentation", "degree_bound", "complete")
 
-    def __init__(self, complex, cycle_reps, cycle_degrees, presentation, degree_bound,
-                 complete):
+    def __init__(self, complex, cycle_reps, presentation, degree_bound, complete):
         self.complex = complex
         self.cycle_reps = cycle_reps
-        self.cycle_degrees = cycle_degrees
         self.presentation = presentation
         self.degree_bound = degree_bound
         self.complete = complete
@@ -173,7 +171,7 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     c = len(cx.generators)
     if c == 0:
         pres = ModulePresentation(ring, ideal, [], [])
-        return KoszulH1(cx, [], [], pres, degree_bound, True)
+        return KoszulH1(cx, [], pres, degree_bound, True)
 
     # the cycles Z_1 live in the free module on the generator degrees
     cycles = ideal.generator_syzygies(degree_bound)
@@ -201,7 +199,7 @@ def _koszul_h1(ideal: Ideal, degree_bound: int) -> KoszulH1:
     gb = ideal.groebner()
     heads = [tuple(gb.normal_form(p) for p in col[:len(reps)]) for col in rel.columns]
     presentation = ModulePresentation(ring, ideal, rep_degs, heads)
-    return KoszulH1(cx, reps, rep_degs, presentation, degree_bound, bound <= degree_bound)
+    return KoszulH1(cx, reps, presentation, degree_bound, bound <= degree_bound)
 
 
 def h1_free_summand_probe(h1: KoszulH1) -> str:
@@ -219,7 +217,8 @@ def h1_free_summand_probe(h1: KoszulH1) -> str:
         return "NoneFoundWithinBound"
     pres = h1.presentation
     ring = pres.ring
-    gens = range(len(h1.cycle_degrees))
+    degrees = pres.row_degrees
+    gens = range(len(degrees))
     # a generator in no relation is a summand by itself (and P^T would drop
     # its zero column)
     if any(all(col[j].is_zero() for col in pres.columns) for j in gens):
@@ -229,10 +228,10 @@ def h1_free_summand_probe(h1: KoszulH1) -> str:
         [tuple(col[j] for col in pres.columns) for j in gens])
     domain = FreeSlices(ring, transposed.col_degrees, pres.modulus)
     unit = (0,) * ring.nvars
-    for a in sorted(set(h1.cycle_degrees)):
+    for a in sorted(set(degrees)):
         homs = _syzygy_slice(transposed, -a)
         basis = domain.basis(-a)
-        units = [basis.index((i, unit)) for i in gens if h1.cycle_degrees[i] == a]
+        units = [basis.index((i, unit)) for i in gens if degrees[i] == a]
         if any(p in v for v in homs for p in units):
             return "FreeSummand"
     return "NoneFoundWithinBound"

@@ -90,8 +90,7 @@ def nullspace(rows, ncols: int, field: Field):
             if k != pc:
                 entries.setdefault(k, {})[pc] = field.neg(v)
     pivot_set = set(pivots)
-    one = field.one()
-    return [{f: one, **entries.get(f, {})} for f in range(ncols) if f not in pivot_set]
+    return [{f: 1, **entries.get(f, {})} for f in range(ncols) if f not in pivot_set]
 
 
 def kernel(cols, field: Field):

@@ -147,25 +147,25 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one()})
+        return Polynomial(self, {(0,) * self.nvars: 1})
 
     def constant(self, c) -> "Polynomial":
-        if self.field.is_zero(c):
+        if not c:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
 
     def gen(self, i: int) -> "Polynomial":
         e = [0] * self.nvars
         e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.one()})
+        return Polynomial(self, {tuple(e): 1})
 
     def gens(self):
         return [self.gen(i) for i in range(self.nvars)]
 
     def monomial(self, expts, coeff=None) -> "Polynomial":
         if coeff is None:
-            coeff = self.field.one()
-        if self.field.is_zero(coeff):
+            coeff = 1
+        if not coeff:
             return self.zero()
         return Polynomial(self, {tuple(expts): coeff})
 
@@ -222,7 +222,7 @@ class Polynomial:
         return degs.pop()
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero())
+        return self.terms.get((0,) * self.ring.nvars, 0)
 
     def leading_term(self, order: MonomialOrder = DEGREVLEX):
         """(exponent tuple, coefficient) of the order-largest term."""
@@ -275,16 +275,16 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def scale(self, c):
-        F = self.ring.field
-        if F.is_zero(c):
+        if not c:
             return self.ring.zero()
+        F = self.ring.field
         return Polynomial(self.ring, {m: F.mul(c, v) for m, v in self.terms.items()})
 
     def mul_monomial(self, expts, coeff=None):
         F = self.ring.field
         if coeff is None:
-            coeff = F.one()
-        if F.is_zero(coeff):
+            coeff = 1
+        if not coeff:
             return self.ring.zero()
         expts = tuple(expts)
         return Polynomial(
@@ -313,7 +313,7 @@ class Polynomial:
             if e == 0:
                 continue
             coeff = F.mul(c, F.of_int(e))
-            if F.is_zero(coeff):
+            if not coeff:
                 continue  # characteristic divides the exponent
             mm = list(m)
             mm[i] -= 1
@@ -332,10 +332,8 @@ class Polynomial:
         return f"<{self.to_string()}>"
 
     def to_string(self, order: MonomialOrder = DEGREVLEX) -> str:
-        F = self.ring.field
         return _join_terms(
-            ([n if e == 1 else f"{n}^{e}" for n, e in zip(self.ring.names, m) if e],
-             F.to_str(c))
+            ([n if e == 1 else f"{n}^{e}" for n, e in zip(self.ring.names, m) if e], str(c))
             for m, c in self.sorted_terms(order)
         )
 

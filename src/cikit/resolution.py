@@ -8,11 +8,14 @@ extrapolated.
 
 Four resolutions stop where a theorem says they may, not at a user bound:
 
-* ``ext_betti`` resolves k over S = R/I, step i to internal degree
-  1 + r(i-1) with r = max(1, m-1), m the top degree of the reduced Groebner
-  basis of I.  Backelin (LNM 1183, 1986) bounds rate(S) by m-1 when m >= 2,
-  and a polynomial ring has rate 1, so the i-th free module of k is
-  generated in degrees <= 1 + r(i-1) and the Ext dimensions are exact.
+* ``minimal_free_resolution`` of k over S = R/I runs step i only to
+  internal degree 1 + r(i-1) with r = max(1, m-1), m the top degree of the
+  reduced Groebner basis of I (:func:`ext_degree_bound`).  Backelin (LNM
+  1183, 1986) bounds rate(S) by m-1 when m >= 2, and a polynomial ring has
+  rate 1, so the i-th free module of k is generated in degrees
+  <= 1 + r(i-1).  :func:`_generator_degree_caps` derives these caps, and
+  ``ext_betti``, the probes and ``cikit resolve --module k`` all resolve k
+  through :func:`minimal_free_resolution` itself.
 * ``projdim_probe`` runs at most dim S + 1 steps: by Auslander-Buchsbaum
   (Bruns-Herzog, Thm 1.3.3) a finite pd_S M is at most depth S <= dim S, so
   a nonzero F_{dim S + 1} certifies infinite projective dimension.
@@ -103,8 +106,8 @@ class FreeResolution:
 class ProjDimCertificate:
     """Projective dimension verdict of a probe, one of two:
 
-    * ``finite``: the resolution terminated at step ``value`` within the
-      recorded internal degree bound;
+    * ``finite``: the resolution terminated at step ``value`` within its
+      recorded internal degree bound (``resolution.degree_bound``);
     * ``infinite``: F_value != 0 with value = dim S + 1, which
       Auslander-Buchsbaum certifies (no bound involved).
 
@@ -112,13 +115,12 @@ class ProjDimCertificate:
     without a degree bound (see its docstring).
     """
 
-    __slots__ = ("verdict", "value", "resolution", "degree_bound")
+    __slots__ = ("verdict", "value", "resolution")
 
-    def __init__(self, verdict: str, value: int, resolution: FreeResolution, degree_bound: int):
+    def __init__(self, verdict: str, value: int, resolution: FreeResolution):
         self.verdict = verdict  # "finite" | "infinite"
         self.value = value
         self.resolution = resolution
-        self.degree_bound = degree_bound
 
     def is_finite(self) -> bool:
         return self.verdict == "finite"
@@ -132,30 +134,37 @@ class ProjDimCertificate:
         presentation complete to the bound is exact); a finite one over R
         (Hilbert's syzygy theorem), or at step 0, where no degree-bounded
         syzygy step ran: the pruned presentation has no relations.  Any
-        other finite verdict is bounded by ``degree_bound``."""
+        other finite verdict is bounded by ``resolution.degree_bound``."""
         if self.is_infinite():
             return True
         return self.resolution.modulus.is_zero() or self.value == 0
 
     def __repr__(self):
         if self.is_finite():
-            return f"Finite({self.value}; intdeg<={self.degree_bound})"
+            return f"Finite({self.value}; intdeg<={self.resolution.degree_bound})"
         return f"Infinite(F_{self.value} != 0; dim={self.value - 1})"
 
 
-def _generator_degree_caps(first: ModulePresentation, ideal, length_bound: int,
-                           degree_bound: int):
+def _generator_degree_caps(first: ModulePresentation, length_bound: int, degree_bound: int):
     """caps[i] bounds the generator degrees of F_i in the resolution of
-    coker(first), and F_i = 0 for i >= len(caps).  Over R with one row the
-    cokernel is R/I up to a shift, and :meth:`Ideal.taylor_degree_bounds`,
-    capped, gives both; otherwise every step runs to the cap.  ``ideal`` is
-    the Ideal the columns generate when the caller has it, so that its
-    memoized Groebner basis serves, else None."""
-    if first.nrows == 1 and not first.over_quotient():
-        if ideal is None:
-            ideal = Ideal(first.ring, [col[0] for col in first.columns])
+    coker(first), a minimal presentation, and F_i = 0 for i >= len(caps);
+    no cap exceeds ``degree_bound``.  With one row, in degree a:
+
+    * over R the cokernel is R/I(-a), and :meth:`Ideal.taylor_degree_bounds`
+      of the column ideal, shifted by a, gives both;
+    * over S, when the columns span S_1 in degree a + 1, the cokernel is
+      k(-a), and F_i is generated at or below a + ``ext_degree_bound``
+      (Backelin); the resolution need not end.
+
+    Otherwise every step runs to ``degree_bound``."""
+    if first.nrows == 1:
         shift = first.row_degrees[0]
-        return [min(degree_bound, t + shift) for t in ideal.taylor_degree_bounds()]
+        if not first.over_quotient():
+            ideal = Ideal(first.ring, [col[0] for col in first.columns])
+            return [min(degree_bound, t + shift) for t in ideal.taylor_degree_bounds()]
+        if first.cokernel_slice_dim(shift + 1) == 0:
+            return [min(degree_bound, shift + ext_degree_bound(first.modulus, i))
+                    for i in range(length_bound + 2)]
     return [degree_bound] * (length_bound + 2)
 
 
@@ -164,19 +173,14 @@ def minimal_free_resolution(
 ) -> FreeResolution:
     """Minimal resolution of coker(pres) up to the given bounds.
 
-    A syzygy step runs to ``degree_bound``, except for R/I over R (one row,
-    zero modulus): step i then stops at the Taylor bound T_i of in(I), and no
-    step runs past F_r (see :meth:`Ideal.taylor_degree_bounds`).  Either way
-    the result is the one the cap gives, and ``degree_bound`` records the
-    cap.  Length 0 gives F_0 alone, truncated at 0 unless the pruned
-    presentation has no relations.  Over R/I with 1 in I it raises
-    UnitIdeal."""
-    return _resolve(pres, length_bound, degree_bound, None)
-
-
-def _resolve(pres: ModulePresentation, length_bound: int, degree_bound: int, caps):
-    """:func:`minimal_free_resolution`, with the generators of F_i capped at
-    caps[i] (length at least length_bound + 2) when ``caps`` is given."""
+    A syzygy step runs to ``degree_bound``, except where a theorem bounds
+    it lower (:func:`_generator_degree_caps`): for R/I over R (one row, zero
+    modulus) step i stops at the Taylor bound T_i of in(I), and no step runs
+    past F_r (see :meth:`Ideal.taylor_degree_bounds`); for k over S step i
+    stops at Backelin's bound :func:`ext_degree_bound`.  Either way the
+    result is the one the cap gives, and ``degree_bound`` records the cap.
+    Length 0 gives F_0 alone, truncated at 0 unless the pruned presentation
+    has no relations.  Over R/I with 1 in I it raises UnitIdeal."""
     _reject_unit(pres.modulus)
     pruned = minimalize_presentation(pres)
     if pruned.nrows == 0:
@@ -189,11 +193,7 @@ def _resolve(pres: ModulePresentation, length_bound: int, degree_bound: int, cap
         status = ("terminated", 0) if first.ncols == 0 else ("truncated", 0)
         return FreeResolution(pres.ring, pres.modulus, pruned.row_degrees, [], status,
                               degree_bound)
-    if caps is None:
-        # pruning removes a row with each unit it clears, so with as many
-        # rows the columns are the input's and generate its column ideal
-        ideal = pres.column_ideal if pruned.nrows == pres.nrows else None
-        caps = _generator_degree_caps(first, ideal, length_bound, degree_bound)
+    caps = _generator_degree_caps(first, length_bound, degree_bound)
     maps = [first]
     while len(maps) < length_bound and len(maps) + 1 < len(caps):
         nxt = syzygies(maps[-1], caps[len(maps) + 1])
@@ -226,8 +226,8 @@ def projdim_probe(pres: ModulePresentation, degree_bound: int) -> ProjDimCertifi
     # come back empty there because syzygies lie above the degree bound, so
     # this reads no status there
     if res.length > dim:
-        return ProjDimCertificate("infinite", res.length, res, degree_bound)
-    return ProjDimCertificate("finite", res.status[1], res, degree_bound)
+        return ProjDimCertificate("infinite", res.length, res)
+    return ProjDimCertificate("finite", res.status[1], res)
 
 
 def ext_degree_bound(modulus, n: int) -> int:
@@ -241,11 +241,12 @@ def ext_degree_bound(modulus, n: int) -> int:
 
 
 def ext_betti(ring, modulus, n: int):
-    """dim_k Ext^i_S(k, k) for i <= n, read off the minimal resolution of k,
-    step i resolved to ``ext_degree_bound(modulus, i)`` (exact, not
-    truncated)."""
-    caps = [ext_degree_bound(modulus, i) for i in range(n + 2)]
-    res = _resolve(residue_field_presentation(ring, modulus), n, caps[n], caps)
+    """dim_k Ext^i_S(k, k) for i <= n, read off the minimal resolution of k
+    with Backelin's bound at n as the cap: step i runs to
+    ``ext_degree_bound(modulus, i)``, so the dimensions are exact, not
+    truncated."""
+    res = minimal_free_resolution(residue_field_presentation(ring, modulus), n,
+                                  ext_degree_bound(modulus, n))
     totals = res.betti_totals()
     totals = totals + [0] * (n + 1 - len(totals))
     return totals[: n + 1]

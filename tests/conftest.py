@@ -62,7 +62,7 @@ def bruteforce_kernel(cols, W, field):
     if not cols:
         return []
     n = len(cols)
-    rows = [[field.zero()] * (n + len(W)) for _ in cols[0]]
+    rows = [[0] * (n + len(W)) for _ in cols[0]]
     for j, col in enumerate(list(cols) + list(W)):
         for t, v in enumerate(col):
             rows[t][j] = v

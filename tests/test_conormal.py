@@ -247,11 +247,11 @@ def _differential_kernel_slice_stacked(ideal, d):
 
     def to_poly(coords, e):
         mons = ring.monomials_of_degree(e)
-        return Polynomial(ring, {m: c for m, c in zip(mons, coords) if not field.is_zero(c)})
+        return Polynomial(ring, {m: c for m, c in zip(mons, coords) if c})
 
     def to_coords(p, e):
         pos = {m: i for i, m in enumerate(ring.monomials_of_degree(e))}
-        row = [field.zero()] * len(pos)
+        row = [0] * len(pos)
         for m, c in p.terms.items():
             row[pos[m]] = c
         return row
@@ -271,14 +271,14 @@ def _differential_kernel_slice_stacked(ideal, d):
     subspace = []
     for w in lower:
         for i in range(ring.nvars):
-            row = [field.zero()] * (ring.nvars * lower_dim)
+            row = [0] * (ring.nvars * lower_dim)
             row[i * lower_dim : (i + 1) * lower_dim] = w
             subspace.append(row)
     out = []
     for cvec in bruteforce_kernel(cols, subspace, field):
         p = ring.zero()
         for c, bvec in zip(cvec, basis):
-            if not field.is_zero(c):
+            if c:
                 p = p + to_poly(bvec, d).scale(c)
         out.append(p)
     return out
@@ -296,7 +296,7 @@ def test_differential_kernel_slice_matches_the_stacked_construction(ring_gens):
         pos = {m: i for i, m in enumerate(ring.monomials_of_degree(d))}
         rows = []
         for p in _differential_kernel_slice_stacked(I, d):
-            row = [ring.field.zero()] * len(pos)
+            row = [0] * len(pos)
             for m, c in p.terms.items():
                 row[pos[m]] = c
             rows.append(row)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -377,7 +378,7 @@ def _certified_finite(pres, degree_bound):
     give it."""
     free = ModulePresentation(pres.ring, pres.modulus, [0], [])
     res = minimal_free_resolution(free, 1, degree_bound)
-    return ProjDimCertificate("finite", 0, res, degree_bound)
+    return ProjDimCertificate("finite", 0, res)
 
 
 @pytest.mark.parametrize("verify", [harness.verify_conormal_rigidity,
@@ -396,6 +397,8 @@ def test_a_certified_finite_verdict_on_a_non_ci_entry_raises(monkeypatch, R, ver
 def test_cache_key_covers_schema_and_results_version(monkeypatch):
     entry = parse_corpus(MINI_CORPUS)[0]
     key = cache_key(entry)
+    # the pool is sent the entry itself, pickled
+    assert cache_key(pickle.loads(pickle.dumps(entry))) == key
     monkeypatch.setattr(harness, "RESULTS_VERSION", harness.RESULTS_VERSION + 1)
     assert cache_key(entry) != key
     monkeypatch.undo()
@@ -542,16 +545,18 @@ def test_results_keyed_by_position_not_name():
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_each_distinct_entry_is_computed_once_per_call(monkeypatch, fresh_pool, tmp_path,
                                                       parallelism):
-    # pool workers are forked, so they count into a file, not a variable
+    # pool workers are forked, so they count into a file, not a variable;
+    # the count is taken inside evaluate_entry, which the pool is sent by
+    # name, so the counter itself is never pickled
     log = tmp_path / "evaluated"
-    original = harness.evaluate_entry
+    original = harness._run_checks
 
-    def counting(entry):
+    def counting(entry, checks, data):
         with open(log, "a") as fh:
             fh.write(entry.name + "\n")
-        return original(entry)
+        return original(entry, checks, data)
 
-    monkeypatch.setattr(harness, "evaluate_entry", counting)
+    monkeypatch.setattr(harness, "_run_checks", counting)
     entries = parse_corpus(
         "entry a / field Q / ring x, y / ideal x^2\n"
         "entry b / field Q / ring x, y / ideal x^2, x*y\n"

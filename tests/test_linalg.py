@@ -308,12 +308,10 @@ def ref_nullspace(rows, ncols, field):
     red, pivots = ref_rref(rows, field)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
-    zero = field.zero()
-    one = field.one()
     basis = []
     for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
+        vec = [0] * ncols
+        vec[f] = 1
         for i, pc in enumerate(pivots):
             vec[pc] = field.neg(red[i][f])
         basis.append(vec)
@@ -330,8 +328,7 @@ def ref_kernel(cols, field):
 def ref_transpose(rows, ncols, field):
     if not rows:
         return [[] for _ in range(ncols)]
-    zero = field.zero()
-    out = [[zero] * len(rows) for _ in range(ncols)]
+    out = [[0] * len(rows) for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if v:

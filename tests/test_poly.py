@@ -154,11 +154,10 @@ def reference_to_string(p, order):
     the sign, the coefficient 1 and the joins itself."""
     if not p.terms:
         return "0"
-    F = p.ring.field
     parts = []
     for m, c in p.sorted_terms(order):
         mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(p.ring.names, m) if e)
-        cs = F.to_str(c)
+        cs = str(c)
         negative = cs.startswith("-")
         if negative:
             cs = cs[1:]

@@ -43,17 +43,16 @@ class _RingSlices:
 
     def coords(self, vec, d):
         idx = self.index(d)
-        row = [self.ring.field.zero()] * len(self.basis(d))
+        row = [0] * len(self.basis(d))
         for i, p in enumerate(vec):
             for m, c in p.terms.items():
                 row[idx[(i, m)]] = c
         return row
 
     def from_coords(self, coords, d):
-        F = self.ring.field
         polys = [dict() for _ in self.row_degrees]
         for pos, c in enumerate(coords):
-            if not F.is_zero(c):
+            if c:
                 i, m = self.basis(d)[pos]
                 polys[i][m] = c
         return tuple(Polynomial(self.ring, t) for t in polys)
@@ -61,10 +60,9 @@ class _RingSlices:
     def multiply_coords_by_var(self, coords, d, var):
         src = self.basis(d)
         idx = self.index(d + 1)
-        F = self.ring.field
-        out = [F.zero()] * self.dim(d + 1)
+        out = [0] * self.dim(d + 1)
         for pos, c in enumerate(coords):
-            if F.is_zero(c):
+            if not c:
                 continue
             i, m = src[pos]
             mm = list(m)
@@ -78,7 +76,6 @@ def _ideal_echelon(pres, slices, d):
     (I*F)_d assembled from the ideal's slice echelons."""
     if not pres.over_quotient():
         return [], []
-    zero = pres.ring.field.zero()
     total = slices.dim(d)
     out_rows, out_pivs = [], []
     offset = 0
@@ -88,7 +85,7 @@ def _ideal_echelon(pres, slices, d):
         if width:
             local_rows, local_pivs = pres.modulus.slice_rref(e)
             for lr, lp in zip(dense(local_rows, width), local_pivs):
-                row = [zero] * total
+                row = [0] * total
                 row[offset: offset + width] = lr
                 out_rows.append(row)
                 out_pivs.append(offset + lp)
@@ -100,12 +97,11 @@ def _scatter_multiples(slices, vec, vec_degree, d, proper_only=False):
     """Reference: the former scatter_multiples, over every ring monomial."""
     ring = slices.ring
     idx = slices.index(d)
-    F = ring.field
     rows = []
     for m in ring.monomials_of_degree(d - vec_degree):
         if proper_only and not any(m):
             continue
-        row = [F.zero()] * slices.dim(d)
+        row = [0] * slices.dim(d)
         for i, p in enumerate(vec):
             for pm, pc in p.terms.items():
                 row[idx[(i, monomial_mul(pm, m))]] = pc
@@ -150,7 +146,7 @@ def _syzygy_slice(pres, target, domain, d):
     idx = target.index(d)
     cols = []
     for j, m in dom_basis:
-        row = [field.zero()] * target.dim(d)
+        row = [0] * target.dim(d)
         for i, p in enumerate(pres.columns[j]):
             for pm, pc in p.terms.items():
                 pos = idx[(i, monomial_mul(pm, m))]
@@ -193,7 +189,7 @@ def _compose_is_zero(upper, lower):
         idx = target.index(d)
         images = []
         for col in cols:
-            w = [field.zero()] * target.dim(d)
+            w = [0] * target.dim(d)
             for p, ucol in zip(col, upper.columns):
                 for pm, pc in p.terms.items():
                     for i, q in enumerate(ucol):

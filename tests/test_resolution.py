@@ -163,7 +163,7 @@ def test_taylor_degree_bounds_examples(vars_, gens, taylor, betti):
     assert verify_resolution(res, gr.ideal_as_module(I)) == []
 
 
-def test_only_r_mod_i_over_r_stops_below_the_cap(R, monkeypatch):
+def test_only_theorem_bounded_resolutions_stop_below_the_cap(R, monkeypatch):
     from cikit import resolution
 
     bounds = []
@@ -174,13 +174,31 @@ def test_only_r_mod_i_over_r_stops_below_the_cap(R, monkeypatch):
     I = ideal(R, "x^2", "y^3")
     minimal_free_resolution(gr.ideal_as_module(I), 6, 12)
     assert bounds == [5]  # F_2 to T_2; F_3 = 0 needs no scan
+    bounds.clear()
+    minimal_free_resolution(gr.residue_field_presentation(R, I), 6, 12)
+    # k over S: F_i to Backelin's 1 + 2(i - 1), the cubic's rate bound
+    assert bounds == [ext_degree_bound(I, i) for i in range(2, 7)] == [3, 5, 7, 9, 11]
     for pres in (
-        gr.residue_field_presentation(R, I),  # one row, over S
+        gr.ModulePresentation(R, I, [0], [(R.gen(0),)]),  # one row over S, S/(x), not k
         gr.ModulePresentation(R, None, [0, 0], [(R.gen(0), R.gen(1))]),  # two rows, over R
     ):
         bounds.clear()
         minimal_free_resolution(pres, 6, 12)
         assert bounds and set(bounds) == {12}
+
+
+def uniform_betti_totals(pres, n, bound):
+    """Reference: b_0..b_n of coker(pres), every syzygy step run to
+    ``bound``, by iterating :func:`gr.syzygies` on the minimal
+    presentation, with no per-step cap."""
+    pruned = gr.minimalize_presentation(pres)
+    _, selected = gr.minimal_generators(pruned)
+    maps = [gr.ModulePresentation(pres.ring, pres.modulus, pruned.row_degrees,
+                                  [pruned.columns[j] for j in selected])]
+    while len(maps) < n and maps[-1].ncols:
+        maps.append(gr.syzygies(maps[-1], bound))
+    totals = [pruned.nrows] + [m.ncols for m in maps]
+    return (totals + [0] * n)[: n + 1]
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -190,10 +208,8 @@ def test_ext_betti_per_step_caps_match_the_uniform_bound(ring_gens, n):
     # totals of the resolution with every step run to the bound at n
     ring, gens = ring_gens
     I = gr.Ideal(ring, gens)
-    res = minimal_free_resolution(gr.residue_field_presentation(ring, I), n,
-                                  ext_degree_bound(I, n))
-    totals = res.betti_totals() + [0] * (n + 1 - len(res.betti_totals()))
-    assert ext_betti(ring, I, n) == totals[: n + 1]
+    k = gr.residue_field_presentation(ring, I)
+    assert ext_betti(ring, I, n) == uniform_betti_totals(k, n, ext_degree_bound(I, n))
 
 
 def test_only_status_readers_pay_for_the_termination_scan(R, monkeypatch):
@@ -210,8 +226,9 @@ def test_only_status_readers_pay_for_the_termination_scan(R, monkeypatch):
     cert = projdim_probe(gr.residue_field_presentation(R, I), 8)
     assert cert.is_infinite() and calls == []
     assert ext_betti(R, I, 4) == [1, 2, 4, 8, 16] and calls == []
-    assert cert.resolution.status == ("truncated", 1) and calls == [8]
-    assert cert.resolution.is_terminated() is False and calls == [8]
+    # k over S: the scan for F_2 stops at Backelin's bound, below the cap 8
+    assert cert.resolution.status == ("truncated", 1) and calls == [ext_degree_bound(I, 2)] == [2]
+    assert cert.resolution.is_terminated() is False and calls == [2]
 
 
 def test_conormal_probes(R):
