@@ -51,6 +51,17 @@ def _emit(data, as_json: bool, text_fn):
         click.echo(text_fn(data))
 
 
+def _emit_model_result(data, model, as_json: bool, text_fn):
+    """_emit for a result read off a minimal model: the JSON payload carries
+    its ``warnings``, which text mode prints to stderr, leaving stdout as is."""
+    if as_json:
+        data = {**data, "warnings": model.warnings}
+    else:
+        for warning in model.warnings:
+            click.echo(f"warning: {warning}", err=True)
+    _emit(data, as_json, text_fn)
+
+
 common_options = [
     click.argument("ideal_arg"),
     click.option("--ring", "ring_opt", required=True, help="comma-separated variable names"),
@@ -205,9 +216,8 @@ def conormal(ideal, bounds, as_json):
 def model(ideal, bounds, as_json):
     """Minimal model dump: `name : hdeg intdeg : differential` per line."""
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
-    payload = {"dump": m.dump().splitlines(), "deviations": m.deviations(),
-               "warnings": m.warnings}
-    _emit(payload, as_json, lambda p: "\n".join(p["dump"]))
+    payload = {"dump": m.dump().splitlines(), "deviations": m.deviations()}
+    _emit_model_result(payload, m, as_json, lambda p: "\n".join(p["dump"]))
 
 
 @main.command()
@@ -228,7 +238,7 @@ def pi(ideal, bounds, as_json):
             for i in range(2, p.N + 1)
         )
 
-    _emit(payload, as_json, text)
+    _emit_model_result(payload, m, as_json, text)
 
 
 @main.command()
@@ -238,7 +248,7 @@ def bracket(ideal, bounds, as_json):
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     dump = p.bracket_table_dump()
-    _emit({"table": dump.splitlines()}, as_json, lambda pp: dump or "(empty)")
+    _emit_model_result({"table": dump.splitlines()}, m, as_json, lambda pp: dump or "(empty)")
 
 
 @main.command()
@@ -259,7 +269,7 @@ def theta(ideal, bounds, as_json, z_name):
             return f"theta_{z_name} = 0"
         return "\n".join(f"theta_{z_name}({k}) = {v}" for k, v in values.items())
 
-    _emit(payload, as_json, text)
+    _emit_model_result(payload, m, as_json, text)
 
 
 @main.command()
@@ -273,8 +283,8 @@ def radical(ideal, bounds, as_json, z_name):
         [p.element_by_name(z_name)] if z_name else p.by_degree.get(2, [])
     )
     verdicts = {z.name: repr(homlie_mod.radical_probe(p, z)) for z in targets}
-    _emit(verdicts, as_json,
-          lambda v: "\n".join(f"{k}: {val}" for k, val in v.items()) or "(no pi^2)")
+    _emit_model_result(verdicts, m, as_json, lambda v: "\n".join(
+        f"{k}: {val}" for k, val in v.items()) or "(no pi^2)")
 
 
 @main.command()

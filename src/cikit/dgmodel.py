@@ -9,11 +9,11 @@ monomial merge :meth:`DgAlgebraModel.dgmon_mul` (products) and the prefix
 sign in :meth:`DgAlgebraModel._leibniz` (derivations, d among them).
 
 Each A_h is a free R-module on the dg monomials of homological degree h, one
-row each in its internal degree, and is sliced by internal degree through
-:class:`cikit.groebner.FreeSlices` (:meth:`DgAlgebraModel.slices`).  The
-differential's slice rows are the multiples of each d(w), so cycles, the
-Nakayama selection of new variables and the acyclicity ranks are all read in
-those coordinates.
+row each in its internal degree, and d: A_h -> A_{h-1} is a
+:class:`cikit.groebner.ModulePresentation` over R with one column d(w) per
+dg monomial w (:meth:`DgAlgebraModel.differential_matrix`).  Cycles are its
+syzygy slices, boundaries the span of the next one, and the acyclicity ranks
+its image ranks, all in the slice coordinates every other matrix uses.
 
 The construction refuses characteristic 2 (globally) and prime fields with
 p <= the homological bound: even-variable p-th powers would create spurious
@@ -27,13 +27,12 @@ from bisect import bisect_right
 from . import linalg
 from .fields import Field
 from .groebner import (
-    FreeSlices,
     Ideal,
     ModulePresentation,
     _reject_unit,
+    _syzygy_slice,
     compose_is_zero,
     quotient_hilbert_by_monomials,
-    scatter_multiples,
 )
 from .poly import PolyRing, Polynomial, _join_terms, monomial_mul
 from .resolution import ext_degree_bound
@@ -222,7 +221,7 @@ class DgAlgebraModel:
         self.complete = True
         self.warnings: list[str] = []
         # the current stage's data under (kind, degree...) keys, cleared at
-        # once by add_variable, so no cache serves rows of an earlier stage;
+        # once by add_variable, so no cache serves a matrix of an earlier stage;
         # d of a dg monomial never changes, so _dw_cache is kept for the model
         self._stage: dict = {}
         self._dw_cache: dict = {}
@@ -369,50 +368,35 @@ class DgAlgebraModel:
             if e:
                 current.pop()
 
-    def slices(self, hdeg: int) -> FreeSlices:
-        """A_hdeg as a free R-module on the dg monomials of that degree, one
-        row each in its internal degree, sliced by internal degree (cached
-        per stage)."""
-        key = ("slices", hdeg)
+    def differential_matrix(self, h: int) -> ModulePresentation:
+        """d: A_h -> A_{h-1} over R: a row per dg monomial of degree h - 1 in
+        its internal degree, a column d(w) per dg monomial w of degree h, in
+        :meth:`dg_monomials` order (cached per stage).  No column is zero, so
+        none is dropped: for w = u*v^e, v its variable of largest index, the
+        terms d(u)*v^e and e*u*v^(e-1)*d(v) differ in v-exponent, and
+        d(v) != 0.  A model where a column vanishes raises ModelError."""
+        key = ("d", h)
         if key not in self._stage:
-            self._stage[key] = FreeSlices(
-                self.ring, [self.dgmon_intdeg(w) for w in self.dg_monomials(hdeg)])
+            rows = self.dg_monomials(h - 1)
+            position = {w: i for i, w in enumerate(rows)}
+            columns = []
+            for w in self.dg_monomials(h):
+                col = [{} for _ in rows]
+                for (m, ww), c in self._dw(w).terms.items():
+                    col[position[ww]][m] = c
+                columns.append(tuple(Polynomial(self.ring, t) for t in col))
+            pres = ModulePresentation(
+                self.ring, None, [self.dgmon_intdeg(w) for w in rows], columns)
+            if pres.ncols != len(columns):
+                raise ModelError(f"d vanishes on a dg monomial of degree {h}")
+            self._stage[key] = pres
         return self._stage[key]
 
     def element_from_coords(self, coords, hdeg: int, d: int) -> DgElement:
         """The element of A_hdeg with these coordinates in the degree-d slice."""
-        vec = self.slices(hdeg).from_coords(coords, d)
+        vec = self.differential_matrix(hdeg + 1).slices().from_coords(coords, d)
         return DgElement(self, {(m, w): c for w, p in zip(self.dg_monomials(hdeg), vec)
                                 for m, c in p.terms.items()})
-
-    def _differential_vectors(self, hdeg: int):
-        """d(w) for each dg monomial w of degree hdeg, as a vector over the
-        dg monomials of degree hdeg - 1 (cached per stage)."""
-        key = ("vectors", hdeg)
-        if key not in self._stage:
-            position = {w: i for i, w in enumerate(self.dg_monomials(hdeg - 1))}
-            vecs = []
-            for w in self.dg_monomials(hdeg):
-                polys = [{} for _ in position]
-                for (m, ww), c in self._dw(w).terms.items():
-                    polys[position[ww]][m] = c
-                vecs.append(tuple(Polynomial(self.ring, t) for t in polys))
-            self._stage[key] = vecs
-        return self._stage[key]
-
-    def differential_rows(self, hdeg: int, d: int):
-        """Images of the (hdeg, d) slice basis under d, as coordinate rows in
-        the (hdeg-1, d) slice (cached per stage)."""
-        key = ("rows", hdeg, d)
-        if key not in self._stage:
-            target = self.slices(hdeg - 1)
-            rows = []
-            for w, vec in zip(self.dg_monomials(hdeg), self._differential_vectors(hdeg)):
-                wd = self.dgmon_intdeg(w)
-                if wd <= d:
-                    rows.extend(scatter_multiples(target, vec, wd, d))
-            self._stage[key] = rows
-        return self._stage[key]
 
     # -- reduced Kaehler complex ---------------------------------------------
 
@@ -520,15 +504,15 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
     field = model.field
     nvars = model.ring.nvars
     h = n - 1
-    h_slices = model.slices(h)
+    boundaries = model.differential_matrix(n)
+    h_slices = boundaries.slices()
     mons = model.dg_monomials(h)
-    cycle_slices: dict[int, list] = {}
+    cycles: list = []
     new_vars = []  # (intdeg, cycle element)
     top = min(model.intdeg_bound, ext_degree_bound(model.ideal, n + 1))
 
     for d in range(0, top + 1):
-        cycles = linalg.kernel(model.differential_rows(h, d), field)
-        cycle_slices[d] = cycles
+        prev, cycles = cycles, _syzygy_slice(model.differential_matrix(h), d)
         if not cycles:
             continue
         # a minimal model never produces cycles through a bare variable (unit
@@ -538,16 +522,11 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
             for pos, (i, m) in enumerate(h_slices.basis(d))
             if not any(m) and model.dgmon_length(mons[i]) == 1
         ]
-        for z in cycles:
-            for pos in linear_positions:
-                if pos in z:
-                    raise ModelError(
-                        f"cycle with unit linear term at stage {n}, degree {d}"
-                    )
-        denom = list(model.differential_rows(n, d))
-        for zvec in cycle_slices.get(d - 1, []):
-            for var in range(nvars):
-                denom.append(h_slices.multiply_coords_by_var(zvec, d - 1, var))
+        if any(pos in z for z in cycles for pos in linear_positions):
+            raise ModelError(f"cycle with unit linear term at stage {n}, degree {d}")
+        denom = boundaries.span_slice_rows(d) + [
+            h_slices.multiply_coords_by_var(z, d - 1, var)
+            for z in prev for var in range(nvars)]
         chosen = linalg.independent_subset(denom, cycles, field)
         for c in chosen:
             new_vars.append((d, model.element_from_coords(cycles[c], h, d)))
@@ -575,33 +554,28 @@ def verify_model_differential(model: DgAlgebraModel):
 
 def verify_model_acyclicity(model: DgAlgebraModel):
     """H_0 = S (against the Groebner standard-monomial count) and H_i = 0
-    for 0 < i < hdeg_bound, within the internal degree bound, read off one
-    table: rank[i][d] is the rank of d: A_i -> A_{i-1} in internal degree d,
-    for 1 <= i <= hdeg_bound, and H_i = dim A_i - rank[i] - rank[i + 1].
+    for 0 < i < hdeg_bound, within the internal degree bound, on the maps
+    d_i of :meth:`DgAlgebraModel.differential_matrix`: H_0 = coker d_1 and
+    H_i = dim A_i - rank d_{i+1} - rank d_i, each rank read once from the
+    ranks memo (:meth:`cikit.groebner.ModulePresentation.image_slice_dim`).
 
     Every H_i is read up to the model's full ``intdeg_bound``, although
     :func:`_adjoin_stage` searches stage n only up to Backelin's bound at
     n + 1: a variable missed by that shorter search leaves a class of
     H_{n-1} alive, which shows here, so the check does not rest on the
     bound it checks."""
-    failures = []
-    degrees = range(model.intdeg_bound + 1)
-    rank = [None] + [
-        [linalg.rank(model.differential_rows(i, d), model.field) for d in degrees]
-        for i in range(1, model.hdeg_bound + 1)
-    ]
-    target_hf = quotient_hilbert_by_monomials(model.ideal, model.intdeg_bound)
-    for d in degrees:
-        h0 = model.slices(0).dim(d) - rank[1][d]
-        if h0 != target_hf[d]:
-            failures.append(f"H_0 mismatch at degree {d}: {h0} vs {target_hf[d]}")
+    bound = model.intdeg_bound
+    matrix = model.differential_matrix
+    h0 = matrix(1).hilbert_function(bound)
+    target_hf = quotient_hilbert_by_monomials(model.ideal, bound)
+    failures = [f"H_0 mismatch at degree {d}: {a} vs {b}"
+                for d, (a, b) in enumerate(zip(h0, target_hf)) if a != b]
     for i in range(1, model.hdeg_bound):
-        for d in degrees:
-            hd = model.slices(i).dim(d) - rank[i][d] - rank[i + 1][d]
+        for d in range(bound + 1):
+            hd = matrix(i + 1).cokernel_slice_dim(d) - matrix(i).image_slice_dim(d)
             if hd != 0:
                 failures.append(f"H_{i} nonzero at degree {d}: dim {hd}")
     return failures
-
 
 
 def verify_kahler_complex(model: DgAlgebraModel):

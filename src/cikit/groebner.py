@@ -17,10 +17,11 @@ over R and over quotients S = R/I: a slice is taken in quotient
 coordinates, on a k-basis of S_e read off the RREF of I_e
 (:meth:`Ideal.quotient_slice`), so slice sizes follow HF_S.  Over R the
 ideal is zero and the coordinates are the monomial ones.  The same
-:class:`FreeSlices` serve the minimal model, whose A_h is a free R-module on
-its dg monomials (:mod:`cikit.dgmodel`), and the free-summand probe of
-Koszul H1, which reads Hom(H1, S) off the syzygy slices of the transposed
-presentation (:mod:`cikit.koszul`).
+:class:`ModulePresentation` slices serve the minimal model, whose differential
+d: A_h -> A_{h-1} is a matrix over R on its dg monomials
+(:mod:`cikit.dgmodel`), and the free-summand probe of Koszul H1, which
+reads Hom(H1, S) off the syzygy slices of the transposed presentation
+(:mod:`cikit.koszul`).
 
 Every Hilbert function of a presented module is a list of slice ranks,
 :meth:`ModulePresentation.image_slice_dim`, and each distinct matrix is
@@ -586,17 +587,6 @@ class FreeSlices:
         return _drop_zeros(out)
 
 
-def scatter_multiples(slices: FreeSlices, vec, vec_degree: int, d: int, proper_only=False):
-    """Coordinate rows of the multiples m*vec landing in degree d, m over
-    the quotient basis of S_{d - vec_degree} (of positive degree when
-    ``proper_only``): every other monomial is a combination of those
-    modulo I, so the rows span the degree-d slice of S*vec (of m_S*vec)."""
-    if proper_only and d == vec_degree:
-        return []
-    monomials, _ = slices.modulus.quotient_slice(d - vec_degree)
-    return slices.multiples(vec, monomials, d)
-
-
 # ---------------------------------------------------------------------------
 # module presentations
 
@@ -666,14 +656,17 @@ class ModulePresentation:
         return self._slices
 
     def span_slice_rows(self, d: int, proper_only=False):
-        """Rows spanning the degree-d slice of the column span, in the
-        slices' quotient coordinates; row k is the k-th basis element of
-        the free module on the columns mapped through the matrix."""
+        """Rows spanning the degree-d slice of the column span (of m_S times
+        it when ``proper_only``), in the slices' quotient coordinates: each
+        column of degree cd times the quotient basis of S_{d - cd}.  Row k
+        is the k-th basis element of the free module on the columns mapped
+        through the matrix."""
         rows = []
         for col, cd in zip(self.columns, self.col_degrees):
-            if cd > d:
+            if cd > d or (proper_only and cd == d):
                 continue
-            rows.extend(scatter_multiples(self._slices, col, cd, d, proper_only))
+            monomials, _ = self.modulus.quotient_slice(d - cd)
+            rows.extend(self._slices.multiples(col, monomials, d))
         return rows
 
     # -- module data -------------------------------------------------------

@@ -137,13 +137,25 @@ def test_zero_ideal_has_no_variables(R):
 
 
 def test_stage_caches_end_with_their_stage(R):
-    # the last stage adjoins X_5, which clears the slices of the stage
+    # the last stage adjoins X_5, which clears the matrices of the stage
     # before; acyclicity then rebuilds them over every variable
     m = model_for(R, "x^2", "x*y", hdeg=5)
     assert m.variables_of_hdeg(5)
     assert not m._stage
     assert verify_model_acyclicity(m) == []
-    assert {"monomials", "rows"} <= {key[0] for key in m._stage}
+    assert {"monomials", "d"} <= {key[0] for key in m._stage}
+
+
+def test_a_zero_differential_is_refused(R):
+    # ModulePresentation drops zero columns, which would shift cycle
+    # coordinates against the dg monomials; a model with d(v) = 0 raises
+    I = ideal(R, "x^2")
+    m = dgmodel.DgAlgebraModel(R, I, 3, 6)
+    m.add_variable(1, 2, m.embed(I.generators[0]))
+    assert m.differential_matrix(1).ncols == 1
+    m.add_variable(2, 3, m.zero())
+    with pytest.raises(dgmodel.ModelError):
+        m.differential_matrix(2)
 
 
 def test_kahler_module(R):
@@ -195,12 +207,12 @@ def full_range_adjoin_stage(model, n):
     field = model.field
     nvars = model.ring.nvars
     h = n - 1
-    h_slices = model.slices(h)
+    h_slices = model.differential_matrix(n).slices()
     mons = model.dg_monomials(h)
     cycle_slices = {}
     new_vars = []
     for d in range(0, model.intdeg_bound + 1):
-        cycles = linalg.kernel(model.differential_rows(h, d), field)
+        cycles = linalg.kernel(model.differential_matrix(h).span_slice_rows(d), field)
         cycle_slices[d] = cycles
         if not cycles:
             continue
@@ -215,7 +227,7 @@ def full_range_adjoin_stage(model, n):
                     raise dgmodel.ModelError(
                         f"cycle with unit linear term at stage {n}, degree {d}"
                     )
-        denom = list(model.differential_rows(n, d))
+        denom = model.differential_matrix(n).span_slice_rows(d)
         for zvec in cycle_slices.get(d - 1, []):
             for var in range(nvars):
                 denom.append(h_slices.multiply_coords_by_var(zvec, d - 1, var))
@@ -353,7 +365,8 @@ def test_model_matches_the_r_x_slice_reference(ring_gens):
     assert model.dump() == reference.dump()
     for h in range(1, model.hdeg_bound + 2):
         for d in range(model.intdeg_bound + 1):
-            assert model.differential_rows(h, d) == reference_differential_rows(model, h, d)
+            assert (model.differential_matrix(h).span_slice_rows(d)
+                    == reference_differential_rows(model, h, d))
 
 
 # -- the rank-table acyclicity check against the body it replaced -------------

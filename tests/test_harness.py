@@ -226,6 +226,24 @@ def test_cli_theta_and_radical():
     assert "RadicalWitness(1" in out2.output
 
 
+def test_cli_labels_answers_from_a_truncated_model():
+    # intdeg=10 is below Backelin's bound 13 for this ideal, and pi^5 comes
+    # out with dim 3 rather than 6: every command read off the model says so
+    # in its JSON and on stderr, and stdout stays the answer alone
+    ideal_args = ["--ring", "x,y", "x^4, x^3*y, y^4"]
+    warning = ("internal degree cap 10 is below Backelin's bound 13; "
+               "variables above the cap are missing")
+    out = run_cli("pi", "--bounds", "hdeg=4 intdeg=10", *ideal_args)
+    assert "pi^5: dim 3 " in out.stdout and "warning" not in out.stdout
+    assert out.stderr == f"warning: {warning}\n"
+    full = run_cli("pi", "--bounds", "hdeg=4 intdeg=13", *ideal_args)
+    assert "pi^5: dim 6 " in full.stdout and full.stderr == ""
+    for command in (["model"], ["pi"], ["bracket"], ["theta", "--z", "p2_1"], ["radical"]):
+        capped = run_cli(*command, "--json", "--bounds", "hdeg=4 intdeg=10", *ideal_args)
+        assert json.loads(capped.stdout)["result"]["warnings"] == [warning], command
+        assert capped.stderr == "", command
+
+
 def test_cli_ci_and_verifiers():
     out = run_cli("ci", "--ring", "x,y", "x^2, x*y, y^2")
     assert "complete intersection: False" in out.output
@@ -501,8 +519,9 @@ def test_evaluate_entry_builds_each_reduced_kahler_matrix_and_koszul_complex_onc
         corpus_entries, monkeypatch):
     # The kahler_complex check, route B and the H1 strand read the reduced
     # Kaehler matrices from one cache on the model, and koszul_d2 reads H1's
-    # own Koszul complex.  A matrix build is recorded under the degree last
-    # asked for when its presentation is constructed.
+    # own Koszul complex.  A matrix build is recorded under the degree asked
+    # for when its presentation is constructed inside reduced_kahler_matrix;
+    # the model's differential matrices are built outside it.
     from cikit import dgmodel, koszul
 
     asked, builds, complexes = [], [], []
@@ -512,10 +531,14 @@ def test_evaluate_entry_builds_each_reduced_kahler_matrix_and_koszul_complex_onc
 
     def recording_matrix(self, i):
         asked.append(i)
-        return reduced(self, i)
+        try:
+            return reduced(self, i)
+        finally:
+            asked.pop()
 
     def recording_presentation(*args):
-        builds.append(asked[-1])
+        if asked:
+            builds.append(asked[-1])
         return presentation(*args)
 
     def recording_init(self, *args):

@@ -143,10 +143,10 @@ def _h1_cycle_reps_by_hand(ideal, degree_bound):
             bd = next(p.homogeneous_degree() + rd
                       for p, rd in zip(b, cx.gen_degrees) if not p.is_zero())
             if bd <= d:
-                denom.extend(gr.scatter_multiples(dom, b, bd, d))
+                denom.extend(dom.multiples(b, ring.monomials_of_degree(d - bd), d))
         for col, cd in zip(cycles.columns, cycles.col_degrees):
-            if cd <= d:
-                denom.extend(gr.scatter_multiples(dom, col, cd, d, proper_only=True))
+            if cd < d:
+                denom.extend(dom.multiples(col, ring.monomials_of_degree(d - cd), d))
         cand_idx = [j for j, cd in enumerate(cycles.col_degrees) if cd == d]
         cands = [dom.coords(cycles.columns[j], d) for j in cand_idx]
         chosen.extend(cand_idx[c] for c in linalg.independent_subset(denom, cands, field))
