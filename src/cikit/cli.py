@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import warnings
 
 import click
 
@@ -51,14 +52,15 @@ def _emit(data, as_json: bool, text_fn):
         click.echo(text_fn(data))
 
 
-def _emit_model_result(data, model, as_json: bool, text_fn):
-    """_emit for a result read off a minimal model: the JSON payload carries
-    its ``warnings``, which text mode prints to stderr, leaving stdout as is."""
+def _emit_warned(data, notes, as_json: bool, text_fn):
+    """_emit for a result that comes with warnings (a minimal model's, or
+    those its computation raised): the JSON payload carries them under
+    ``warnings``, and text mode prints them to stderr, leaving stdout as is."""
     if as_json:
-        data = {**data, "warnings": model.warnings}
+        data = {**data, "warnings": notes}
     else:
-        for warning in model.warnings:
-            click.echo(f"warning: {warning}", err=True)
+        for note in notes:
+            click.echo(f"warning: {note}", err=True)
     _emit(data, as_json, text_fn)
 
 
@@ -217,7 +219,7 @@ def model(ideal, bounds, as_json):
     """Minimal model dump: `name : hdeg intdeg : differential` per line."""
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     payload = {"dump": m.dump().splitlines(), "deviations": m.deviations()}
-    _emit_model_result(payload, m, as_json, lambda p: "\n".join(p["dump"]))
+    _emit_warned(payload, m.warnings, as_json, lambda p: "\n".join(p["dump"]))
 
 
 @main.command()
@@ -238,7 +240,7 @@ def pi(ideal, bounds, as_json):
             for i in range(2, p.N + 1)
         )
 
-    _emit_model_result(payload, m, as_json, text)
+    _emit_warned(payload, m.warnings, as_json, text)
 
 
 @main.command()
@@ -248,7 +250,7 @@ def bracket(ideal, bounds, as_json):
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
     p = homlie_mod.compute_pi(m)
     dump = p.bracket_table_dump()
-    _emit_model_result({"table": dump.splitlines()}, m, as_json, lambda pp: dump or "(empty)")
+    _emit_warned({"table": dump.splitlines()}, m.warnings, as_json, lambda pp: dump or "(empty)")
 
 
 @main.command()
@@ -269,7 +271,7 @@ def theta(ideal, bounds, as_json, z_name):
             return f"theta_{z_name} = 0"
         return "\n".join(f"theta_{z_name}({k}) = {v}" for k, v in values.items())
 
-    _emit_model_result(payload, m, as_json, text)
+    _emit_warned(payload, m.warnings, as_json, text)
 
 
 @main.command()
@@ -283,7 +285,7 @@ def radical(ideal, bounds, as_json, z_name):
         [p.element_by_name(z_name)] if z_name else p.by_degree.get(2, [])
     )
     verdicts = {z.name: repr(homlie_mod.radical_probe(p, z)) for z in targets}
-    _emit_model_result(verdicts, m, as_json, lambda v: "\n".join(
+    _emit_warned(verdicts, m.warnings, as_json, lambda v: "\n".join(
         f"{k}: {val}" for k, val in v.items()) or "(no pi^2)")
 
 
@@ -317,7 +319,11 @@ def verify_b(ideal, bounds, as_json):
 @with_common
 def jz(ideal, bounds, as_json):
     """Jacobi-Zariski four-term slice-exactness table."""
-    rep = conormal_mod.jacobi_zariski_check(ideal, bounds.intdeg)
+    # in characteristic p every partial of a generator can vanish, which
+    # jacobian_columns reports as a RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = conormal_mod.jacobi_zariski_check(ideal, bounds.intdeg)
     payload = {"exact": rep.exact, "rows": rep.rows(), "failures": rep.failures}
 
     def text(p):
@@ -327,7 +333,7 @@ def jz(ideal, bounds, as_json):
         lines.append(f"exact: {p['exact']}")
         return "\n".join(lines)
 
-    _emit(payload, as_json, text)
+    _emit_warned(payload, [str(w.message) for w in caught], as_json, text)
 
 
 @main.group()

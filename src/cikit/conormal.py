@@ -12,7 +12,9 @@ Both must agree in Hilbert function and minimal generator count; a
 disagreement is a bug, not a result.
 
 The Jacobi-Zariski check reads the dimension of ker(d: I/I^2 -> S^n(-1))
-off the rank of one linear map on R_d (:func:`differential_columns`).
+off the rank of one linear map on R_d (:func:`differential_columns`), whose
+columns are read off the quotient tables of S_d and S_{d-1}
+(:meth:`Ideal.quotient_slice`) through d x^a = sum_i a_i x^(a - e_i) dx_i.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import warnings
 from . import linalg
 from .dgmodel import DgAlgebraModel, build_minimal_model
 from .groebner import (
-    FreeSlices,
     Ideal,
     ModulePresentation,
     ideal_as_module,
@@ -135,11 +136,29 @@ def differential_columns(ideal: Ideal, d: int):
     """The map v -> (v, dv/dx_1, ..., dv/dx_n) from R_d into S (+) S^n(-1),
     one column per monomial of R_d, in quotient coordinates.  Its kernel is
     {v in I_d : all partials of v lie in I}, the degree-d slice of the
-    kernel of d: I/I^2 -> S^n(-1) before dividing by I^2."""
-    ring = ideal.ring
-    target = FreeSlices(ring, [0] + [1] * ring.nvars, ideal)
-    return [target.coords((v, *(v.partial_derivative(i) for i in range(ring.nvars))), d)
-            for v in map(ring.monomial, ring.monomials_of_degree(d))]
+    kernel of d: I/I^2 -> S^n(-1) before dividing by I^2.
+
+    The column of x^a is read off the quotient tables of S_d and S_{d-1}
+    (:meth:`Ideal.quotient_slice`) through d x^a = sum_i a_i x^(a - e_i)
+    dx_i: block 0 is the table entry of x^a, and block i, at offset
+    dim S_d + i dim S_{d-1}, is a_i times that of x^(a - e_i), empty when
+    the characteristic divides a_i."""
+    p = ideal.ring.field.p
+    top_basis, top = ideal.quotient_slice(d)
+    low_basis, low = ideal.quotient_slice(d - 1)
+    cols = []
+    for a in ideal.ring.monomials_of_degree(d):
+        col = dict(top[a])
+        for i, ai in enumerate(a):
+            if p:
+                ai %= p
+            if not ai:
+                continue
+            offset = len(top_basis) + i * len(low_basis)
+            for pos, c in low[a[:i] + (a[i] - 1,) + a[i + 1:]]:
+                col[offset + pos] = ai * c % p if p else ai * c
+        cols.append(col)
+    return cols
 
 
 # ---------------------------------------------------------------------------

@@ -301,3 +301,44 @@ def test_differential_kernel_slice_matches_the_stacked_construction(ring_gens):
                 row[pos[m]] = c
             rows.append(row)
         assert differential_kernel_slice(I, d) == linalg.rref(sparse(rows), ring.field)[0], d
+
+
+def _reference_differential_columns(ideal, d):
+    """Reference: the former differential_columns, which sends each monomial
+    v of R_d and its partials through FreeSlices(ring, [0, 1, ..., 1], I)."""
+    ring = ideal.ring
+    target = FreeSlices(ring, [0] + [1] * ring.nvars, ideal)
+    return [target.coords((v, *(v.partial_derivative(i) for i in range(ring.nvars))), d)
+            for v in map(ring.monomial, ring.monomials_of_degree(d))]
+
+
+@pytest.mark.parametrize("field, names, texts", [
+    (QQ, "xyz", ("1/2*x^2 - 3/4*y*z", "2/3*x*y + z^2")),
+    (GF(3), "xy", ("x^3",)),
+    (GF(32003), "xyzw", ("x^2 + y*z", "y^2 + z*w", "z^2 + x*w", "x*y + z*w")),
+    (QQ, "xy", ()),
+    (QQ, "xyz", ("x + 2*y - z",)),
+])
+def test_differential_columns_match_the_free_slices_construction(field, names, texts):
+    I = ideal(PolyRing(field, list(names)), *texts)
+    for d in range(9):
+        assert differential_columns(I, d) == _reference_differential_columns(I, d), d
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(homogeneous_ideals(max_vars=3))
+def test_differential_columns_match_on_random_ideals(ring_gens):
+    ring, gens = ring_gens
+    I = gr.Ideal(ring, gens)
+    for d in range(7):
+        assert differential_columns(I, d) == _reference_differential_columns(I, d), d
+
+
+def test_jz_in_characteristic_p_where_the_partials_vanish():
+    # d(x^3) = 3x^2 = 0 over GF(3), so D1 = I/I^2 = S(-3): the a_i = 3
+    # entries of the differential are zero mod 3 and drop out
+    ring = PolyRing(GF(3), ["x", "y"])
+    with pytest.warns(RuntimeWarning, match="vanish"):
+        rep = jacobi_zariski_check(ideal(ring, "x^3"), 6)
+    assert rep.exact, rep.failures
+    assert rep.d1 == rep.conormal == [0, 0, 0, 1, 2, 3, 3]

@@ -259,6 +259,21 @@ def test_cli_jz():
     assert "exact: True" in out.output
 
 
+def test_cli_jz_reports_vanishing_partials_as_a_warning():
+    # d(x^3) = 0 over GF(3): text mode says so on stderr alone, and the
+    # JSON payload carries it under "warnings"
+    ideal_args = ["--field", "F3", "--ring", "x,y", "x^3"]
+    warning = "all partial derivatives of x^3 vanish (characteristic 3 effect)"
+    out = run_cli("jz", *ideal_args)
+    assert out.exit_code == 0 and "exact: True" in out.stdout
+    assert out.stderr == f"warning: {warning}\n"
+    as_json = run_cli("jz", "--json", *ideal_args)
+    result = json.loads(as_json.stdout)["result"]
+    assert result["exact"] is True and result["warnings"] == [warning]
+    assert as_json.stderr == ""
+    assert json.loads(run_cli("jz", "--json", "--ring", "x", "x^2").stdout)["result"]["warnings"] == []
+
+
 def test_cli_koszul_and_conormal():
     out = run_cli("koszul", "--ring", "x,y", "x^2, x*y")
     assert "H1 minimal generators: 1" in out.output
