@@ -878,8 +878,10 @@ def standard_monomials(ideal: Ideal, d: int):
 
 def quotient_hilbert_by_monomials(ideal: Ideal, degree_bound: int):
     """Hilbert function of R/I by counting standard monomials (Groebner
-    route; independent of the slice-rank route)."""
-    return [len(standard_monomials(ideal, d)) for d in range(degree_bound + 1)]
+    route; independent of the slice-rank route).  Each degree is counted
+    once per ideal."""
+    return [ideal.memo(("standard_count", d), lambda d=d: len(standard_monomials(ideal, d)))
+            for d in range(degree_bound + 1)]
 
 
 def _min_cover(supports) -> int:

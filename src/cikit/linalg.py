@@ -14,9 +14,12 @@ Each eliminates at most once; `kernel` reads its RREF off one `nullspace`.
 Over Q an entry is an `int` where it is integral and a `Fraction`
 elsewhere (see `fields`).  Integral rows reach the integer kernel
 unconverted; a row with `Fraction` entries is scaled by the lcm of their
-denominators.  `rref` hands back the kernel's integer rows where the pivot
-is 1 and divides the rest exactly, so its entries are `int` wherever they
-are integral.  No function here returns a float.
+denominators.  The kernel only reads the rows it is given: it may keep
+one as it stands as a pivot row, and normalises it the first time it
+clears an entry (see `_rowred_py`), so a caller's row is never changed
+and never handed back.  `rref` hands back the kernel's integer rows where
+the pivot is 1 and divides the rest exactly, so its entries are `int`
+wherever they are integral.  No function here returns a float.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ def _scale_row_to_int(row):
     """An integer row (a dict) with the same span: ``row`` itself when
     every entry is an `int`, else ``row`` times the lcm of its
     denominators."""
-    if set(map(type, row.values())) <= {int}:
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
         return row
     den = lcm(*[v.denominator for v in row.values()])
     return {k: v.numerator * (den // v.denominator) for k, v in row.items()}

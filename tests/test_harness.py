@@ -570,6 +570,34 @@ def test_evaluate_entry_builds_each_reduced_kahler_matrix_and_koszul_complex_onc
     assert len(complexes) == 1
 
 
+def test_evaluate_entry_counts_standard_monomials_once_per_degree(corpus_entries, monkeypatch):
+    # The H_0 target of the model's acyclicity check and the S^n(-1) column
+    # of the Jacobi-Zariski check read one count of (R/I)_d's standard
+    # monomials per ideal and degree.
+    from cikit import conormal, dgmodel
+    from cikit import groebner as gr
+
+    counted, readers = [], []
+    standard_monomials = gr.standard_monomials
+    by_monomials = gr.quotient_hilbert_by_monomials
+
+    def recording_monomials(ideal, d):
+        counted.append((id(ideal), d))
+        return standard_monomials(ideal, d)
+
+    def recording_hilbert(ideal, degree_bound):
+        readers.append((id(ideal), degree_bound))
+        return by_monomials(ideal, degree_bound)
+
+    monkeypatch.setattr(gr, "standard_monomials", recording_monomials)
+    for module in (dgmodel, conormal):
+        monkeypatch.setattr(module, "quotient_hilbert_by_monomials", recording_hilbert)
+    entry = next(e for e in corpus_entries if e.name == "node_hypersurface")
+    assert harness.evaluate_entry(entry)["ok"]
+    assert len(readers) == 2 and len({key for key, _ in readers}) == 1
+    assert counted and len(counted) == len(set(counted))
+
+
 def test_results_keyed_by_position_not_name():
     entries = parse_corpus(
         "entry a / field Q / ring x, y / ideal x^2\n"

@@ -397,6 +397,144 @@ def test_kernel_matches_dense_reference(data):
     assert_kernel_matches("indep_fp", (d_rows, c_rows, p), ref_indep_fp, n)
 
 
+# -- raw pivot rows: kept as they come, normalised before they first clear -------
+
+
+def explicit_zeros(rows, rnd, zeros):
+    """The dense ``rows`` as dict rows that also hold some of their zero
+    entries, each drawn from ``zeros``: one just outside each end of a row's
+    nonzero span, so that its first and its last column read zero, and
+    others at random."""
+    out = []
+    for row in rows:
+        sparse_row = {j: v for j, v in enumerate(row) if v}
+        ends = {min(sparse_row, default=0) - 1, max(sparse_row, default=len(row) - 1) + 1}
+        for j, v in enumerate(row):
+            if not v and (j in ends or rnd.random() < 0.3):
+                sparse_row[j] = rnd.choice(zeros)
+        out.append(sparse_row)
+    return out
+
+
+def scaled(rows, rnd):
+    """Each dense row times a factor in [-6, 6] other than 0 and 1: rows
+    with content above 1 and, half of the time, a negative lead."""
+    return [[c * v for v in row] for row in rows
+            for c in [rnd.choice([-6, -4, -3, -2, -1, 2, 3, 4, 6])]]
+
+
+def assert_kernel_reads_rows(name, args, dense_args, reference, ncols):
+    """The kernel function on dict rows ``args`` against the reference on
+    ``dense_args``, the same rows written out densely.  An rref's rows hold
+    no zero entry and none of them is an input row; no input is changed."""
+    before = copy.deepcopy(args)
+    got = getattr(_rowred_py, name)(*args)
+    if name.startswith("rref"):
+        inputs = [row for a in args if isinstance(a, list) for row in a]
+        assert not any(out is row for out in got[0] for row in inputs), name
+        assert all(v for out in got[0] for v in out.values()), name
+        got = (dense(got[0], ncols), got[1])
+    assert got == reference(*copy.deepcopy(dense_args)), (name, args)
+    assert args == before, f"{name} mutated its input"
+
+
+def assert_all_kernels(rows, split, p, make_rows):
+    """All four kernel functions on ``make_rows`` of the dense ``rows``,
+    split into spanning and candidate rows at ``split``."""
+    n = len(rows[0]) if rows else 0
+    d_rows, c_rows = rows[:split], rows[split:]
+    sd, sc = make_rows(d_rows), make_rows(c_rows)
+    assert_kernel_reads_rows("rref_int", (sd + sc,), (rows,), ref_rref_int, n)
+    assert_kernel_reads_rows("indep_int", (sd, sc), (d_rows, c_rows), ref_indep_int, n)
+    assert_kernel_reads_rows("rref_fp", (sd + sc, p), (rows, p), ref_rref_fp, n)
+    assert_kernel_reads_rows("indep_fp", (sd, sc, p), (d_rows, c_rows, p), ref_indep_fp, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_reads_explicit_zero_entries(data):
+    # zero entries in the rows, also at the lead column of either end (and
+    # over GF(p) multiples of p there) give the reference's results
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = data.draw(kernel_rows(-30, 30))
+    split = data.draw(st.integers(0, len(rows)))
+    p = data.draw(st.sampled_from([2, 3, 32003]))
+    assert_all_kernels(rows, split, p, lambda rs: explicit_zeros(rs, rnd, [0]))
+    n = len(rows[0]) if rows else 0
+    for name, args, dense_args, reference in [
+        ("rref_fp", (explicit_zeros(rows, rnd, [0, p, -p, 3 * p]), p), (rows, p), ref_rref_fp),
+        ("indep_fp", ([], explicit_zeros(rows, rnd, [p, -2 * p]), p), ([], rows, p),
+         ref_indep_fp),
+    ]:
+        assert_kernel_reads_rows(name, args, dense_args, reference, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_reads_rows_with_content_and_negative_leads(data):
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = scaled(data.draw(kernel_rows(-30, 30)), rnd)
+    split = data.draw(st.integers(0, len(rows)))
+    p = data.draw(st.sampled_from([2, 3, 32003]))
+    assert_all_kernels(rows, split, p, sparse)
+
+
+def test_rref_hands_back_no_input_row():
+    # rows that are already in normal form come back equal, as new dicts
+    for rows in ([{0: 1, 2: 3}], [{0: 1}, {1: 2, 3: 1}], [{1: 1}, {0: 1, 1: 5}]):
+        red, _ = _rowred_py.rref_int(rows)
+        assert not any(out is row for out in red for row in rows)
+        red, _ = _rowred_py.rref_fp(rows, 7)
+        assert not any(out is row for out in red for row in rows)
+        for field in (QQ, GF(7)):
+            red, _ = linalg.rref(rows, field)
+            assert not any(out is row for out in red for row in rows)
+
+
+def test_pivot_rows_clear_only_in_normal_form(monkeypatch):
+    # the guard against coefficient growth: every pivot row that clears an
+    # entry is normalised first, with content 1 and a positive pivot over
+    # the integers, and with pivot 1 (not stored) and its entries in [1, p)
+    # over GF(p), also when the rows come with content, negative leads and
+    # entries outside [0, p); no input row ever clears
+    inputs, clears = [], []
+    clear_int, clear_fp = _rowred_py._clear_int, _rowred_py._clear_fp
+
+    def checked_int(row, srow, j, v):
+        assert srow[j] > 0 and gcd(*srow.values()) == 1 and all(srow.values()), srow
+        assert not any(srow is src for src in inputs)
+        clears.append("int")
+        clear_int(row, srow, j, v)
+
+    def checked_fp(row, srow, b):
+        assert 0 < b < p and all(0 < w < p for w in srow.values()), srow
+        assert not any(srow is src for src in inputs)
+        clears.append("fp")
+        clear_fp(row, srow, b)
+
+    monkeypatch.setattr(_rowred_py, "_clear_int", checked_int)
+    monkeypatch.setattr(_rowred_py, "_clear_fp", checked_fp)
+    rnd = random.Random(32)
+    for _ in range(40):
+        n = rnd.randrange(2, 10)
+        rows = [[rnd.randint(-9, 9) if rnd.random() < 0.6 else 0 for _ in range(n)]
+                for _ in range(rnd.randrange(2, 8))]
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+        rows = scaled(rows, rnd)
+        p = rnd.choice([3, 7, 32003])
+        inputs[:] = sparse(rows)
+        red, pivots = _rowred_py.rref_int(inputs)
+        assert (dense(red, n), pivots) == ref_rref_int(rows)
+        assert _rowred_py.indep_int(inputs[:2], inputs[2:]) == ref_indep_int(rows[:2], rows[2:])
+        inputs[:] = [{j: v + rnd.choice([p, -p, 5 * p]) for j, v in row.items()}
+                     for row in inputs]
+        red, pivots = _rowred_py.rref_fp(inputs, p)
+        assert (dense(red, n), pivots) == ref_rref_fp(rows, p)
+        assert _rowred_py.indep_fp(inputs[:2], inputs[2:], p) == \
+            ref_indep_fp(rows[:2], rows[2:], p)
+    assert clears.count("int") > 100 and clears.count("fp") > 100
+
+
 def test_linalg_above_2_31_matches_reference():
     F = GF(2147483659)
     p = F.p
