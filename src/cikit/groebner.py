@@ -16,8 +16,11 @@ finite-dimensional graded slices, which keeps one code path for modules
 over R and over quotients S = R/I: a slice is taken in quotient
 coordinates, on a k-basis of S_e read off the RREF of I_e
 (:meth:`Ideal.quotient_slice`), so slice sizes follow HF_S.  Over R the
-ideal is zero and the coordinates are the monomial ones.  The same
-:class:`ModulePresentation` slices serve the minimal model, whose differential
+ideal is zero and the coordinates are the monomial ones.  Slice rows look
+monomials up by packed integer keys (:func:`_pack`,
+:meth:`Ideal.packed_quotient`), under which the key of a product is the
+sum of its factors' keys, so no exponent tuple is built on the row path.
+The same :class:`ModulePresentation` slices serve the minimal model, whose differential
 d: A_h -> A_{h-1} is a matrix over R on its dg monomials
 (:mod:`cikit.dgmodel`), and the free-summand probe of Koszul H1, which
 reads Hom(H1, S) off the syzygy slices of the transposed presentation
@@ -62,6 +65,21 @@ def _reject_unit(ideal: Ideal):
     """Raise UnitIdeal when the homogeneous ideal holds a nonzero constant."""
     if any(g.homogeneous_degree() == 0 for g in ideal.generators):
         raise UnitIdeal("ideal contains a unit")
+
+
+# Bits per exponent in a packed monomial key (:func:`_pack`).
+_PACK_BITS = 16
+
+
+def _pack(m) -> int:
+    """The packed key sum_i m_i * 2^(_PACK_BITS * i) of an exponent tuple.
+
+    While every exponent is below 2^_PACK_BITS no two tuples share a key and
+    the key of a product is the sum of the factors' keys."""
+    key = 0
+    for e in reversed(m):
+        key = (key << _PACK_BITS) | e
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +452,11 @@ class Ideal:
         that basis, a tuple of (position, coefficient) pairs: a free
         monomial is itself, and a pivot monomial is minus the rest of its
         RREF row, since the row lies in I_e.  No Groebner basis is used, so
-        this stays apart from :func:`standard_monomials`."""
+        this stays apart from :func:`standard_monomials`.
+
+        This is the one table of S_e: :meth:`packed_quotient` rewrites it
+        with packed keys for the slice rows, and :meth:`FreeSlices.basis`
+        and :func:`cikit.conormal.differential_columns` read it as it is."""
 
         def compute():
             field = self.ring.field
@@ -450,6 +472,26 @@ class Ideal:
             return tuple(mons[j] for j in free), table
 
         return self.memo(("quotient_slice", e), compute)
+
+    def packed_quotient(self, e: int):
+        """(keys, table): :meth:`quotient_slice` with every monomial replaced
+        by its packed key (:func:`_pack`), the form in which
+        :class:`FreeSlices` looks products up.  ``keys`` packs the basis of
+        S_e and ``table`` maps the key of each degree-e monomial to its
+        coordinates.
+
+        A degree-e monomial has no exponent above e, so for e < 2^_PACK_BITS
+        the keys are distinct and the key of a degree-e product is the sum
+        of its factors' keys.  A larger e raises ValueError before any
+        monomial is listed."""
+        if e >= 1 << _PACK_BITS:
+            raise ValueError(f"degree {e} is beyond the {_PACK_BITS}-bit packed exponents")
+
+        def compute():
+            basis, table = self.quotient_slice(e)
+            return [_pack(m) for m in basis], {_pack(m): v for m, v in table.items()}
+
+        return self.memo(("packed_quotient", e), compute)
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
@@ -474,22 +516,25 @@ def _zero_ideal_of(field, names) -> Ideal:
     return Ideal(PolyRing(field, names), [])
 
 
-def _support(vec):
-    """(row, terms) for the nonzero entries of a vector of polynomials."""
-    return [(i, poly.terms) for i, poly in enumerate(vec) if poly.terms]
+def _packed_support(vec):
+    """(row, [(packed key, coefficient)]) for the nonzero entries of a vector
+    of polynomials."""
+    return [(i, [(_pack(m), c) for m, c in poly.terms.items()])
+            for i, poly in enumerate(vec) if poly.terms]
 
 
 def _add_multiple(row, blocks, support, m, c, p):
     """row += c * m * vec in quotient coordinates, for a sparse row (see
-    :class:`FreeSlices`) and vec given by its :func:`_support` (``blocks``
-    as in :meth:`FreeSlices._slice`): every product monomial goes through
-    its row's quotient table.  Entries stay reduced mod p over GF(p); p is
-    None over Q.  Entries that cancel stay, as zeros (:func:`_drop_zeros`)."""
+    :class:`FreeSlices`), a packed monomial key m and vec given by its
+    :func:`_packed_support` (``blocks`` as in :meth:`FreeSlices._slice`):
+    every product monomial is looked up in its row's table at the sum of
+    the keys.  Entries stay reduced mod p over GF(p); p is None over Q.
+    Entries that cancel stay, as zeros (:func:`_drop_zeros`)."""
     for i, terms in support:
         offset, table = blocks[i]
-        for pm, pc in terms.items():
+        for pm, pc in terms:
             pc *= c
-            for pos, a in table[monomial_mul(pm, m)]:
+            for pos, a in table[pm + m]:
                 k = offset + pos
                 row[k] = (row.get(k, 0) + pc * a) % p if p else row.get(k, 0) + pc * a
 
@@ -511,54 +556,80 @@ class FreeSlices:
     HF_S, not HF_R.  Over R the table is the identity and the basis is
     every monomial, in ring monomial order.
 
+    Rows are built on packed monomial keys: a slice holds its dimension and
+    each row's packed table (:meth:`Ideal.packed_quotient`), and the product
+    of monomials with keys a and b is looked up at a + b.  The basis itself
+    is built only for a caller that reads it (:meth:`basis`).
+
     Coordinates are sparse, in the row format of :mod:`cikit.linalg`: a
     dict from basis position to its nonzero coefficient.  Slices met in
     practice are a few percent nonzero, so no row is built at full width."""
 
-    __slots__ = ("ring", "modulus", "row_degrees", "_slices")
+    __slots__ = ("ring", "modulus", "row_degrees", "_slices", "_bases", "_key_bases")
 
     def __init__(self, ring: PolyRing, row_degrees, modulus=None):
         self.ring = ring
         self.modulus = _zero_ideal(ring) if modulus is None else modulus
         self.row_degrees = list(row_degrees)
         self._slices: dict = {}
+        self._bases: dict = {}
+        self._key_bases: dict = {}
 
     def _slice(self, d: int):
-        """(basis, blocks) at internal degree d; blocks[i] is (offset of row
-        i in the basis, the table of S_{d - row_degrees[i]})."""
-        if d not in self._slices:
-            basis, blocks = [], []
-            for i, rd in enumerate(self.row_degrees):
-                mons, table = self.modulus.quotient_slice(d - rd)
-                blocks.append((len(basis), table))
-                basis.extend((i, m) for m in mons)
-            self._slices[d] = (basis, blocks)
-        return self._slices[d]
+        """(dim, blocks) at internal degree d; blocks[i] is (offset of row i
+        in the basis, the packed table of S_{d - row_degrees[i]})."""
+        s = self._slices.get(d)
+        if s is None:
+            dim, blocks = 0, []
+            for rd in self.row_degrees:
+                keys, table = self.modulus.packed_quotient(d - rd)
+                blocks.append((dim, table))
+                dim += len(keys)
+            s = self._slices[d] = (dim, blocks)
+        return s
 
     def basis(self, d: int):
         """Slice basis [(row, expts)] at internal degree d, canonical order."""
-        return self._slice(d)[0]
+        basis = self._bases.get(d)
+        if basis is None:
+            basis = self._bases[d] = [
+                (i, m) for i, rd in enumerate(self.row_degrees)
+                for m in self.modulus.quotient_slice(d - rd)[0]]
+        return basis
+
+    def _key_basis(self, d: int):
+        """:meth:`basis` with packed keys: [(row, key)] at internal degree d."""
+        keys = self._key_bases.get(d)
+        if keys is None:
+            keys = self._key_bases[d] = [
+                (i, k) for i, rd in enumerate(self.row_degrees)
+                for k in self.modulus.packed_quotient(d - rd)[0]]
+        return keys
 
     def dim(self, d: int) -> int:
-        return len(self.basis(d))
+        return self._slice(d)[0]
 
-    def multiples(self, vec, monomials, d: int):
-        """Coordinate rows of m*vec, one per monomial m, for a homogeneous
-        vector (tuple of polynomials) with m*vec of internal degree d."""
+    def _rows(self, support, keys, d: int):
+        """Coordinate rows of m*vec, one per packed monomial key m, for vec
+        given by its :func:`_packed_support` and m*vec of internal degree d."""
         blocks = self._slice(d)[1]
         p = self.ring.field.p
-        support = _support(vec)
         rows = []
-        for m in monomials:
+        for m in keys:
             row = {}
             _add_multiple(row, blocks, support, m, 1, p)
             rows.append(_drop_zeros(row))
         return rows
 
+    def multiples(self, vec, monomials, d: int):
+        """Coordinate rows of m*vec, one per monomial m, for a homogeneous
+        vector (tuple of polynomials) with m*vec of internal degree d."""
+        return self._rows(_packed_support(vec), [_pack(m) for m in monomials], d)
+
     def coords(self, vec, d: int):
         """Coordinates of a homogeneous vector (tuple of polynomials) of
         internal degree d."""
-        return self.multiples(vec, [(0,) * self.ring.nvars], d)[0]
+        return self._rows(_packed_support(vec), (0,), d)[0]
 
     def from_coords(self, coords, d: int):
         """The vector with these coordinates, written on the basis monomials
@@ -572,16 +643,15 @@ class FreeSlices:
 
     def multiply_coords_by_var(self, coords, d: int, var: int):
         """Coordinates of x_var * v for v given in degree-d coordinates."""
-        src = self.basis(d)
+        src = self._key_basis(d)
         blocks = self._slice(d + 1)[1]
+        shift = 1 << (_PACK_BITS * var)
         p = self.ring.field.p
         out = {}
         for pos, c in coords.items():
-            i, m = src[pos]
-            mm = list(m)
-            mm[var] += 1
+            i, key = src[pos]
             offset, table = blocks[i]
-            for q, a in table[tuple(mm)]:
+            for q, a in table[key + shift]:
                 k = offset + q
                 out[k] = (out.get(k, 0) + c * a) % p if p else out.get(k, 0) + c * a
         return _drop_zeros(out)
@@ -606,8 +676,8 @@ class ModulePresentation:
     where I*F is zero, so no operation adds the I-multiples back in.
     """
 
-    __slots__ = ("ring", "modulus", "row_degrees", "columns", "col_degrees", "_slices",
-                 "_ranks")
+    __slots__ = ("ring", "modulus", "row_degrees", "columns", "col_degrees", "_supports",
+                 "_slices", "_ranks")
 
     def __init__(self, ring: PolyRing, modulus, row_degrees, columns):
         self.ring = ring
@@ -634,6 +704,8 @@ class ModulePresentation:
             degs.append(d)
         self.columns = cols
         self.col_degrees = degs
+        # packed once: nothing changes the columns after __init__
+        self._supports = [_packed_support(col) for col in cols]
         self._slices = FreeSlices(ring, self.row_degrees, self.modulus)
         # degree -> rank, shared with every content-identical presentation
         # over the same ring (:meth:`image_slice_dim`)
@@ -662,11 +734,11 @@ class ModulePresentation:
         is the k-th basis element of the free module on the columns mapped
         through the matrix."""
         rows = []
-        for col, cd in zip(self.columns, self.col_degrees):
+        for support, cd in zip(self._supports, self.col_degrees):
             if cd > d or (proper_only and cd == d):
                 continue
-            monomials, _ = self.modulus.quotient_slice(d - cd)
-            rows.extend(self._slices.multiples(col, monomials, d))
+            keys, _ = self.modulus.packed_quotient(d - cd)
+            rows.extend(self._slices._rows(support, keys, d))
         return rows
 
     # -- module data -------------------------------------------------------
@@ -807,13 +879,15 @@ def compose_is_zero(upper: ModulePresentation, lower: ModulePresentation) -> boo
     by linearity this is the full matrix identity."""
     p = upper.ring.field.p
     target = upper.slices()
-    supports = [_support(ucol) for ucol in upper.columns]
-    for col, cd in zip(lower.columns, lower.col_degrees):
+    supports = upper._supports
+    for col, cd in zip(lower._supports, lower.col_degrees):
         blocks = target._slice(cd)[1]
         image = {}
-        for entry, support in zip(col, supports):
-            for m, c in entry.terms.items():
-                _add_multiple(image, blocks, support, m, c, p)
+        for j, terms in col:
+            if j >= len(supports):
+                break  # no column of upper to pair with (a mismatched pair)
+            for m, c in terms:
+                _add_multiple(image, blocks, supports[j], m, c, p)
         if any(image.values()):
             return False
     return True

@@ -284,12 +284,24 @@ def dense_add_multiple(row, blocks, support, m, c, p):
                 row[k] = (row[k] + pc * a) % p if p else row[k] + pc * a
 
 
+def tuple_blocks(slices, d):
+    """(basis, blocks) of the degree-d slice as the former FreeSlices._slice
+    held them, read off Ideal.quotient_slice: blocks[i] is (offset of row i,
+    the tuple-keyed table of S_{d - row_degrees[i]})."""
+    basis, blocks = [], []
+    for i, rd in enumerate(slices.row_degrees):
+        mons, table = slices.modulus.quotient_slice(d - rd)
+        blocks.append((len(basis), table))
+        basis.extend((i, m) for m in mons)
+    return basis, blocks
+
+
 def dense_multiples(slices, vec, monomials, d):
     """Reference: the former FreeSlices.multiples, one dense row per
     monomial."""
-    basis, blocks = slices._slice(d)
+    basis, blocks = tuple_blocks(slices, d)
     p = slices.ring.field.p
-    support = gr._support(vec)
+    support = [(i, poly.terms) for i, poly in enumerate(vec) if poly.terms]
     rows = []
     for m in monomials:
         row = [0] * len(basis)
@@ -300,8 +312,8 @@ def dense_multiples(slices, vec, monomials, d):
 
 def dense_multiply_coords_by_var(slices, coords, d, var):
     """Reference: the former FreeSlices.multiply_coords_by_var, dense."""
-    src = slices.basis(d)
-    basis, blocks = slices._slice(d + 1)
+    src = tuple_blocks(slices, d)[0]
+    basis, blocks = tuple_blocks(slices, d + 1)
     p = slices.ring.field.p
     out = [0] * len(basis)
     for pos, c in enumerate(coords):
