@@ -220,12 +220,6 @@ def jacobi_zariski_check(ideal: Ideal, degree_bound: int) -> JacobiZariskiReport
 # cross-checks used by the harness
 
 
-def mu_invariant_check(ideal: Ideal, degree_bound: int) -> bool:
-    """mu(I/I^2) = mu(I) (graded Nakayama)."""
-    pres = conormal_route_a(ideal, degree_bound)
-    return minimalize_presentation(pres).nrows == len(ideal.minimal_generators())
-
-
 def koszul_strand_crosscheck(ideal: Ideal, degree_bound: int, model: DgAlgebraModel):
     """The module presented by the degree-3 map of the reduced Kaehler
     complex, ``model.reduced_kahler_matrix(3)`` (the coefficients of the

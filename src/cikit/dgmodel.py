@@ -582,7 +582,7 @@ def verify_kahler_complex(model: DgAlgebraModel):
     """d^2 = 0 on the reduced Kaehler complex
     (:meth:`DgAlgebraModel.reduced_kahler_matrix`).  Its minimality needs no
     check of its own: a unit entry is a unit coefficient on a bare variable
-    of some d(t), which :func:`verify_model_differential` rejects."""
+    of some d(t), a cycle on which :func:`_adjoin_stage` raises."""
     matrix = model.reduced_kahler_matrix
     return [
         f"reduced d^2 != 0 at degree {i}"

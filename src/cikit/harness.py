@@ -3,7 +3,10 @@
 The harness treats the rigidity theorems as proved facts: on corpus entries
 they become consistency tripwires.  Every inconclusive verdict carries its
 truncation bound; reports are deterministic (timings live in a separate,
-stripped section).
+stripped section).  Every check the report can carry has a mutation of the
+library in ``tests/test_check_census.py`` under which it fails; a check
+whose property holds by the construction of the object it checks is not
+made.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .dgmodel import (
     build_minimal_model,
     verify_kahler_complex,
     verify_model_acyclicity,
-    verify_model_differential,
 )
 from .fields import Field
 from .groebner import Ideal, height, ideal_as_module
@@ -31,7 +33,7 @@ from .resolution import projdim_probe, verify_composites, verify_resolution
 SCHEMA = "cikit-report/3"
 # Part of every cache key: bump whenever a fix can change a computed result,
 # so that results cached before the fix are never served after it.
-RESULTS_VERSION = 6
+RESULTS_VERSION = 7
 
 
 class CriteriaDisagree(RuntimeError):
@@ -91,8 +93,6 @@ class Bounds:
         out = Bounds() if base is None else Bounds(**base.to_dict())
         text = text.replace(",", " ")
         for part in text.split():
-            if not part:
-                continue
             key, _, val = part.partition("=")
             key = key.strip()
             if key not in ("hdeg", "intdeg", "reslen"):
@@ -387,23 +387,14 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
         _check(checks, "model_built", False, detail=str(exc))
         return
 
-    fails = verify_model_differential(model)
-    _check(checks, "model_d2_and_minimality", not fails, detail=fails)
     fails = verify_model_acyclicity(model)
     _check(checks, "model_acyclicity", not fails, detail=fails, bound=model.intdeg_bound)
-
-    h1 = koszul_h1(ideal, cap)
-    cx = h1.complex
-    _check(checks, "koszul_d2", cx.verify_d_squared())
-    data["koszul_ranks"] = cx.rank_profile()
 
     fails = verify_kahler_complex(model)
     _check(checks, "kahler_complex", not fails, detail=fails)
 
     pi = homlie_mod.compute_pi(model)
     data["pi_dims"] = [pi.dim(i) for i in range(2, pi.N + 1)]
-    fails = homlie_mod.check_antisymmetry(pi)
-    _check(checks, "lie_antisymmetry", not fails, detail=fails)
     fails = homlie_mod.check_jacobi(pi)
     _check(checks, "lie_jacobi", not fails, detail=fails)
 
@@ -425,8 +416,7 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     except Exception as exc:
         _check(checks, "conormal_routes_agree", False, detail=str(exc))
 
-    _check(checks, "mu_conormal_equals_mu_ideal", conormal_mod.mu_invariant_check(ideal, cap))
-
+    h1 = koszul_h1(ideal, cap)
     data["h1_mu"] = h1.minimal_generator_count()
     eps = model.deviations()
     x2 = eps[1] if len(eps) > 1 else 0
@@ -514,9 +504,8 @@ def _run_checks(entry: CorpusEntry, checks: list, data: dict):
     if cert is not None and cert["is_ci"]:
         ok = all(v["kind"] == "radical_witness" for v in verdicts)
         _check(checks, "ci_radical_witnesses", ok, bound=pi.N)
-        brackets_zero = all(not tbl for tbl in pi.bracket.values())
-        pi_above_2_empty = all(pi.dim(i) == 0 for i in range(3, pi.N + 1))
-        _check(checks, "ci_pi_structure", brackets_zero and pi_above_2_empty)
+        # every bracket lands in pi^{>=4}, so this also says the brackets vanish
+        _check(checks, "ci_pi_structure", all(pi.dim(i) == 0 for i in range(3, pi.N + 1)))
 
     if is_char0:
         jz = conormal_mod.jacobi_zariski_check(ideal, cap)

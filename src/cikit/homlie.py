@@ -301,12 +301,10 @@ class RadicalVerdict:
         return f"Inconclusive({self.bound})"
 
 
-def radical_probe(pi: HomotopyLieTruncation, z: PiBasisElement | None) -> RadicalVerdict:
+def radical_probe(pi: HomotopyLieTruncation, z: PiBasisElement) -> RadicalVerdict:
     """Bounded radical test for z in pi^2 via the vanishing of ad(z) in
-    high degrees.  z = None means the zero element."""
+    high degrees."""
     N = pi.N
-    if z is None:
-        return RadicalVerdict("radical_witness", 1, N)
     if z.degree != 2:
         raise ModelError("the radical probe is defined for degree-2 elements")
     nonzero_degrees = []

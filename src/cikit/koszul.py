@@ -111,17 +111,19 @@ class KoszulH1:
 
     def direct_hilbert_function(self, bound: int):
         """dim Z_1 - dim B_1 per degree, as dim Lambda^1 - rank d_1 - rank d_2
-        with both ranks taken from the Koszul complex's own maps.  It reads
-        neither Z_1's syzygies nor H1's relations, so it is an independent
-        route to the numbers :meth:`hilbert_function` reads off the
-        presentation.  It still ranks the Koszul maps themselves; the ranks
-        memo (:meth:`ModulePresentation.image_slice_dim`) shares a value
-        only with an identical matrix, such as d_1 against d_1 of the
+        with both ranks taken from the Koszul complex's own maps, and
+        dim Lambda^1_d = sum of dim R_{d-a} over the generator degrees a.
+        It reads neither Z_1's syzygies nor H1's relations, so it is an
+        independent route to the numbers :meth:`hilbert_function` reads off
+        the presentation.  It still ranks the Koszul maps themselves; the
+        ranks memo (:meth:`ModulePresentation.image_slice_dim`) shares a
+        value only with an identical matrix, such as d_1 against d_1 of the
         resolution of R/I, never with H1's presentation."""
         cx = self.complex
-        lambda1 = FreeSlices(cx.ideal.ring, cx.gen_degrees)
+        ring = cx.ideal.ring
         return [
-            lambda1.dim(d) - sum(m.image_slice_dim(d) for m in cx.maps[:2])
+            sum(ring.slice_dim(d - a) for a in cx.gen_degrees)
+            - sum(m.image_slice_dim(d) for m in cx.maps[:2])
             for d in range(bound + 1)
         ]
 

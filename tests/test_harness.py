@@ -533,8 +533,8 @@ def test_evaluate_entry_builds_route_a_and_h1_once_per_bound(corpus_entries, mon
 def test_evaluate_entry_builds_each_reduced_kahler_matrix_and_koszul_complex_once(
         corpus_entries, monkeypatch):
     # The kahler_complex check, route B and the H1 strand read the reduced
-    # Kaehler matrices from one cache on the model, and koszul_d2 reads H1's
-    # own Koszul complex.  A matrix build is recorded under the degree asked
+    # Kaehler matrices from one cache on the model, and the one Koszul
+    # complex is the one H1 builds.  A matrix build is recorded under the degree asked
     # for when its presentation is constructed inside reduced_kahler_matrix;
     # the model's differential matrices are built outside it.
     from cikit import dgmodel, koszul
