@@ -28,10 +28,16 @@ reads Hom(H1, S) off the syzygy slices of the transposed presentation
 
 Every Hilbert function of a presented module is a list of slice ranks,
 :meth:`ModulePresentation.image_slice_dim`, and each distinct matrix is
-ranked once per computation: the ranks are kept on the ring, which one
-computation builds and no later one reuses, under the key (modulus
+ranked at most once per computation: the ranks are kept on the ring, which
+one computation builds and no later one reuses, under the key (modulus
 object, row degrees, columns, d).  Two routes that meet on an identical
 matrix share its rank; a matrix that differs anywhere gets its own.
+Some slices are not ranked at all, because the grading settles them.  S is
+standard graded, so S_{e+1} = S_1 S_e, and for a free module F with every
+row degree at most e, F_{e+1} = S_1 F_e.  So a submodule that fills F_e
+fills F_{e+1}: an image of full rank in degree e has full rank in degree
+e + 1 (:meth:`ModulePresentation.image_slice_dim`), and an ideal with
+I_e = R_e has I_{e+1} = R_{e+1} (:meth:`Ideal.slice_rref`).
 
 Degree bounds are explicit everywhere a module is only knowable up to a
 slice: results above the bound are reported as unknown, never guessed.
@@ -435,11 +441,20 @@ class Ideal:
 
     def slice_rref(self, d: int):
         """Canonical (RREF) basis of the degree-d slice, in ring monomial
-        coordinates."""
-        return self.memo(
-            ("slice_rref", d),
-            lambda: linalg.rref(ideal_as_module(self).span_slice_rows(d), self.ring.field),
-        )
+        coordinates.
+
+        When the memo holds I_{d-1} = R_{d-1} != 0, then I_d = R_d, since
+        R_d = R_1 R_{d-1}, and the RREF is the identity, read off without an
+        elimination.  A lower degree is never computed just to test this."""
+
+        def compute():
+            below = self._memo.get(("slice_rref", d - 1), ((), ()))[1]
+            if below and len(below) == self.ring.slice_dim(d - 1):
+                n = self.ring.slice_dim(d)
+                return [{j: 1} for j in range(n)], list(range(n))
+            return linalg.rref(ideal_as_module(self).span_slice_rows(d), self.ring.field)
+
+        return self.memo(("slice_rref", d), compute)
 
     def slice_dim(self, d: int) -> int:
         return len(self.slice_rref(d)[0])
@@ -704,8 +719,7 @@ class ModulePresentation:
             degs.append(d)
         self.columns = cols
         self.col_degrees = degs
-        # packed once: nothing changes the columns after __init__
-        self._supports = [_packed_support(col) for col in cols]
+        self._supports = None  # packed on first use (:meth:`_packed_supports`)
         self._slices = FreeSlices(ring, self.row_degrees, self.modulus)
         # degree -> rank, shared with every content-identical presentation
         # over the same ring (:meth:`image_slice_dim`)
@@ -727,6 +741,13 @@ class ModulePresentation:
     def slices(self) -> FreeSlices:
         return self._slices
 
+    def _packed_supports(self):
+        """The :func:`_packed_support` of every column, packed once, when
+        first needed: nothing changes the columns after ``__init__``."""
+        if self._supports is None:
+            self._supports = [_packed_support(col) for col in self.columns]
+        return self._supports
+
     def span_slice_rows(self, d: int, proper_only=False):
         """Rows spanning the degree-d slice of the column span (of m_S times
         it when ``proper_only``), in the slices' quotient coordinates: each
@@ -734,7 +755,7 @@ class ModulePresentation:
         is the k-th basis element of the free module on the columns mapped
         through the matrix."""
         rows = []
-        for support, cd in zip(self._supports, self.col_degrees):
+        for support, cd in zip(self._packed_supports(), self.col_degrees):
             if cd > d or (proper_only and cd == d):
                 continue
             keys, _ = self.modulus.packed_quotient(d - cd)
@@ -747,8 +768,14 @@ class ModulePresentation:
         return self._slices.dim(d) - self.image_slice_dim(d)
 
     def image_slice_dim(self, d: int) -> int:
-        """The rank of :meth:`span_slice_rows` at d, computed once per
-        distinct matrix and computation.
+        """The rank of :meth:`span_slice_rows` at d, computed at most once
+        per distinct matrix and computation.
+
+        When d - 1 is at least every row degree and the rank memoized at
+        d - 1 is dim F_{d-1} > 0, the rank at d is dim F_d without an
+        elimination: S is standard graded, so F_d = S_1 F_{d-1} there, and
+        an image that fills F_{d-1} fills F_d.  Only a rank already in the
+        memo is read; a lower degree is never ranked just to test this.
 
         The ranks are memoized on the ring (:meth:`PolyRing.memo`), so they
         live as long as one computation, under the key (modulus object,
@@ -761,9 +788,15 @@ class ModulePresentation:
         if self._ranks is None:
             key = ("image_ranks", self.modulus, tuple(self.row_degrees), tuple(self.columns))
             self._ranks = self.ring.memo(key, dict)
-        if d not in self._ranks:
-            self._ranks[d] = linalg.rank(self.span_slice_rows(d), self.ring.field)
-        return self._ranks[d]
+        ranks = self._ranks
+        if d not in ranks:
+            below = ranks.get(d - 1)
+            if (below and d - 1 >= max(self.row_degrees)
+                    and below == self._slices.dim(d - 1)):
+                ranks[d] = self._slices.dim(d)
+            else:
+                ranks[d] = linalg.rank(self.span_slice_rows(d), self.ring.field)
+        return ranks[d]
 
     def hilbert_function(self, bound: int):
         """dim_k of the cokernel in degrees 0..bound."""
@@ -771,8 +804,10 @@ class ModulePresentation:
 
 
 def ideal_as_module(ideal: Ideal) -> ModulePresentation:
-    """The ideal's generators as columns of a rank-one free module over R."""
-    return ModulePresentation(ideal.ring, None, [0], [(g,) for g in ideal.generators])
+    """The ideal's generators as columns of a rank-one free module over R,
+    built once per ideal (:meth:`Ideal.memo`)."""
+    return ideal.memo(("as_module",), lambda: ModulePresentation(
+        ideal.ring, None, [0], [(g,) for g in ideal.generators]))
 
 
 def residue_field_presentation(ring: PolyRing, modulus) -> ModulePresentation:
@@ -879,8 +914,8 @@ def compose_is_zero(upper: ModulePresentation, lower: ModulePresentation) -> boo
     by linearity this is the full matrix identity."""
     p = upper.ring.field.p
     target = upper.slices()
-    supports = upper._supports
-    for col, cd in zip(lower._supports, lower.col_degrees):
+    supports = upper._packed_supports()
+    for col, cd in zip(lower._packed_supports(), lower.col_degrees):
         blocks = target._slice(cd)[1]
         image = {}
         for j, terms in col:
@@ -901,9 +936,13 @@ def minimalize_presentation(pres: ModulePresentation) -> ModulePresentation:
     """Remove unit entries by row/column pivoting.
 
     The result presents the same module with all matrix entries in the
-    irrelevant maximal ideal.
+    irrelevant maximal ideal.  A presentation with no such entry is already
+    minimal and is returned as it is, so its slices and ranks are kept.
     """
     ring = pres.ring
+    constant = (0,) * ring.nvars
+    if not any(constant in p.terms for col in pres.columns for p in col):
+        return pres
     field = ring.field
     rows = list(pres.row_degrees)
     cols = [list(c) for c in pres.columns]
@@ -944,10 +983,21 @@ def minimalize_presentation(pres: ModulePresentation) -> ModulePresentation:
 
 def standard_monomials(ideal: Ideal, d: int):
     """The degree-d monomials outside the lead ideal in(I): a k-basis of
-    (R/I)_d, in ring monomial order."""
-    leads = ideal.groebner().lead_monomials()
-    return [m for m in ideal.ring.monomials_of_degree(d)
-            if not any(monomial_divides(lm, m) for lm in leads)]
+    (R/I)_d, in ring monomial order.
+
+    Divisibility is tested on packed keys (:func:`_pack`) with the top bit
+    of each field as a guard: below 2^(_PACK_BITS - 1), with every guard set
+    in m, the guard of field i survives m - l iff m_i >= l_i, and no field
+    borrows from the next.  Only leads of degree at most d can divide, and
+    their exponents are at most d, so a d of 2^(_PACK_BITS - 1) or more
+    raises ValueError before any monomial is listed."""
+    if d >= 1 << (_PACK_BITS - 1):
+        raise ValueError(f"degree {d} is beyond the guarded {_PACK_BITS}-bit packed exponents")
+    ring = ideal.ring
+    guards = _pack((1 << (_PACK_BITS - 1),) * ring.nvars)
+    leads = [_pack(lm) for lm in ideal.groebner().lead_monomials() if sum(lm) <= d]
+    keys = ((m, _pack(m) | guards) for m in ring.monomials_of_degree(d))
+    return [m for m, key in keys if all((key - lm) & guards != guards for lm in leads)]
 
 
 def quotient_hilbert_by_monomials(ideal: Ideal, degree_bound: int):

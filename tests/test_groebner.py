@@ -149,7 +149,9 @@ def test_syzygy_of_free_module_is_zero(R):
 
 
 def test_syzygy_koszul_relation(R):
-    pres = gr.ideal_as_module(ideal(R, "x", "y"))
+    I = ideal(R, "x", "y")
+    pres = gr.ideal_as_module(I)
+    assert gr.ideal_as_module(I) is pres
     syz = gr.syzygies(pres, 8)
     assert syz.ncols == 1
     assert gr.compose_is_zero(pres, syz)
@@ -330,12 +332,15 @@ def test_minimalize_presentation(R):
         [(R.one(), R.from_string("2")), (R.from_string("x"), R.from_string("y"))],
     )
     pruned = gr.minimalize_presentation(pres)
+    assert pruned is not pres
     assert pruned.nrows == 1
     assert all(
         p.is_zero() or p.homogeneous_degree() > 0 for c in pruned.columns for p in c
     )
     # the cokernel is unchanged: R(-1)/(y - 2x) has Hilbert function 1,1,1...
     assert pruned.hilbert_function(4) == pres.hilbert_function(4)
+    # a minimal presentation is returned as it is
+    assert gr.minimalize_presentation(pruned) is pruned
 
 
 def test_prime_field_groebner():
@@ -369,6 +374,11 @@ def test_groebner_basis_is_reduced_and_canonical(ring_gens, rng):
     shuffled = list(gens)
     rng.shuffle(shuffled)
     assert gr.Ideal(ring, shuffled).groebner().elements == elems
+    # the standard monomials on packed keys are those the tuple test keeps
+    for d in range(7):
+        assert gr.standard_monomials(I, d) == [
+            m for m in ring.monomials_of_degree(d)
+            if not any(monomial_divides(lm, m) for lm in leads)]
     # the standard-monomial and slice-rank Hilbert routes agree
     assert gr.quotient_hilbert_by_monomials(I, 6) == gr.ideal_as_module(I).hilbert_function(6)
     # the two complete-intersection criteria agree (raises CriteriaDisagree).

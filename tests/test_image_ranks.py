@@ -1,9 +1,12 @@
 """Image ranks are memoized by content on the ring: each distinct matrix is
-ranked once per computation, a presentation that differs anywhere gets its
-own rank, and the memo does not outlive the computation's ring."""
+ranked at most once per computation, a presentation that differs anywhere
+gets its own rank, and the memo does not outlive the computation's ring.
+A slice the grading settles is not ranked: over a standard graded S, an
+image that fills F_{d-1} with d - 1 at least every row degree fills
+F_d = S_1 F_{d-1}, so its rank is read off as dim F_d."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import CORPUS_PATH, homogeneous_ideals
 
@@ -11,7 +14,13 @@ from cikit import harness, linalg
 from cikit.conormal import RouteDisagreement, conormal, conormal_route_a
 from cikit.dgmodel import build_minimal_model
 from cikit.fields import QQ
-from cikit.groebner import Ideal, ModulePresentation, _zero_ideal, ideal_as_module
+from cikit.groebner import (
+    Ideal,
+    ModulePresentation,
+    _zero_ideal,
+    ideal_as_module,
+    residue_field_presentation,
+)
 from cikit.koszul import koszul_complex, koszul_h1
 from cikit.poly import PolyRing, parse_poly_list
 from cikit.resolution import minimal_free_resolution, verify_resolution
@@ -31,23 +40,25 @@ def with_column(pres, j, col):
     return ModulePresentation(pres.ring, pres.modulus, pres.row_degrees, cols)
 
 
-@pytest.mark.parametrize("name, field_spec", [("aci_x2_xy", "Fp 32003"), ("socle_square", "Q")])
-def test_each_distinct_matrix_is_ranked_once(name, field_spec, monkeypatch):
-    keys, rank_calls, inside = set(), [], [0]
+@pytest.mark.parametrize("name, field_spec, read_off", [
+    ("aci_x2_xy", "Fp 32003", False), ("socle_square", "Q", True)])
+def test_no_distinct_matrix_is_ranked_twice(name, field_spec, read_off, monkeypatch):
+    keys, ranked, current = set(), [], []
     image_slice_dim, rank = ModulePresentation.image_slice_dim, linalg.rank
 
     def counting_image_slice_dim(self, d):
-        keys.add((self.ring, self.modulus, tuple(self.row_degrees),
-                  tuple(map(tuple, self.columns)), d))
-        inside[0] += 1
+        key = (self.ring, self.modulus, tuple(self.row_degrees),
+               tuple(map(tuple, self.columns)), d)
+        keys.add(key)
+        current.append(key)
         try:
             return image_slice_dim(self, d)
         finally:
-            inside[0] -= 1
+            current.pop()
 
     def counting_rank(rows, field):
-        if inside[0]:
-            rank_calls.append(len(rows))
+        if current:
+            ranked.append(current[-1])
         return rank(rows, field)
 
     monkeypatch.setattr(ModulePresentation, "image_slice_dim", counting_image_slice_dim)
@@ -55,14 +66,25 @@ def test_each_distinct_matrix_is_ranked_once(name, field_spec, monkeypatch):
     result = harness.evaluate_entry(corpus_entry(name, field_spec))
     assert all(c["status"] == "pass" for c in result["checks"]), result["checks"]
     assert keys
-    assert len(rank_calls) == len(keys)
+    assert len(ranked) == len(set(ranked))
+    # a slice answered without an elimination is read off the rank memoized
+    # one degree below it
+    read = keys - set(ranked)
+    assert all(key[:-1] + (key[-1] - 1,) in keys for key in read)
+    if read_off:
+        assert read
 
 
 def _presentations(ideal, cap):
-    """The H1 presentation, conormal route A, the maps of the resolution of
-    R/I over R and the Koszul maps."""
+    """The H1 presentation, conormal route A, k over S, the maps of the
+    resolution of R/I over R, the Koszul maps, and I beside a free summand
+    R(-5): where I fills R_4, F_5 is not S_1 F_4, so its rank is not read
+    off."""
+    ring = ideal.ring
     res = minimal_free_resolution(ideal_as_module(ideal), 4, cap)
-    return ([koszul_h1(ideal, cap).presentation, conormal_route_a(ideal, cap)]
+    beside = ModulePresentation(ring, None, [0, 5], [(g, ring.zero()) for g in ideal.generators])
+    return ([koszul_h1(ideal, cap).presentation, conormal_route_a(ideal, cap),
+             residue_field_presentation(ring, ideal), beside]
             + list(res.maps) + list(koszul_complex(ideal).maps))
 
 
@@ -73,12 +95,17 @@ def _assert_ranks_match(pres, cap):
         assert pres.image_slice_dim(d) == direct
 
 
+_R3 = PolyRing(QQ, ["x", "y", "z"])
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(homogeneous_ideals(max_vars=3, max_degree=2))
-def test_memoized_ranks_match_a_fresh_elimination(ring_gens):
+@given(homogeneous_ideals(max_vars=3, max_degree=2), st.just(5))
+# m-primary, so above degree 3 the images over R and over S fill their free
+# modules and ranks are read off one degree below
+@example((_R3, parse_poly_list(_R3, "x^2, y^2, z^2")), 12)
+def test_memoized_ranks_match_a_fresh_elimination(ring_gens, cap):
     ring, gens = ring_gens
     ideal = Ideal(ring, gens)
-    cap = 5
     presentations = _presentations(ideal, cap)
     for pres in presentations:
         _assert_ranks_match(pres, cap)

@@ -177,3 +177,7 @@ def test_packed_quotient_refuses_degrees_beyond_the_packing_width(monkeypatch):
     for e in (width, width + 1):
         with pytest.raises(ValueError):
             I.packed_quotient(e)
+    # standard monomials keep a guard bit per field, so their limit is half
+    for e in (width // 2, width // 2 + 1):
+        with pytest.raises(ValueError):
+            gr.standard_monomials(I, e)

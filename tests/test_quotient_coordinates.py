@@ -374,3 +374,11 @@ def test_quotient_slice_is_the_rref_complement():
     R7 = PolyRing(GF(7), ["x", "y"])
     F7 = gr.FreeSlices(R7, [0], gr.Ideal(R7, [R7.from_string("x^2 + y^2")]))
     assert F7.coords((R7.from_string("3*x^2 + y^2"),), 2) == {1: 5}
+    # I_3 = R_3 for (x^2, y^2), so from e = 4 on the RREF is read off as the
+    # identity: it matches an elimination in every degree
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(field, ["x", "y"])
+        I = gr.Ideal(ring, [ring.from_string("x^2"), ring.from_string("y^2")])
+        for e in range(13):
+            rows = gr.ideal_as_module(I).span_slice_rows(e)
+            assert I.slice_rref(e) == linalg.rref(rows, field)
