@@ -14,7 +14,8 @@ disagreement is a bug, not a result.
 The Jacobi-Zariski check reads the dimension of ker(d: I/I^2 -> S^n(-1))
 off the rank of one linear map on R_d (:func:`differential_columns`), whose
 columns are read off the quotient tables of S_d and S_{d-1}
-(:meth:`Ideal.quotient_slice`) through d x^a = sum_i a_i x^(a - e_i) dx_i.
+(:meth:`Ideal.quotient_slice`) through d x^a = sum_i a_i x^(a - e_i) dx_i,
+with x^(a - e_i) looked up by packed key.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import warnings
 from . import linalg
 from .dgmodel import DgAlgebraModel, build_minimal_model
 from .groebner import (
+    _PACK_BITS,
     Ideal,
     ModulePresentation,
+    _pack,
     ideal_as_module,
     minimalize_presentation,
     quotient_hilbert_by_monomials,
@@ -142,20 +145,22 @@ def differential_columns(ideal: Ideal, d: int):
     (:meth:`Ideal.quotient_slice`) through d x^a = sum_i a_i x^(a - e_i)
     dx_i: block 0 is the table entry of x^a, and block i, at offset
     dim S_d + i dim S_{d-1}, is a_i times that of x^(a - e_i), empty when
-    the characteristic divides a_i."""
+    the characteristic divides a_i.  On packed keys (:func:`_pack`) the key
+    of x^(a - e_i) is that of x^a less 2^(_PACK_BITS i)."""
     p = ideal.ring.field.p
-    top_basis, top = ideal.quotient_slice(d)
-    low_basis, low = ideal.quotient_slice(d - 1)
+    top_keys, top = ideal.quotient_slice(d)
+    low_keys, low = ideal.quotient_slice(d - 1)
     cols = []
     for a in ideal.ring.monomials_of_degree(d):
-        col = dict(top[a])
+        key = _pack(a)
+        col = dict(top[key])
         for i, ai in enumerate(a):
             if p:
                 ai %= p
             if not ai:
                 continue
-            offset = len(top_basis) + i * len(low_basis)
-            for pos, c in low[a[:i] + (a[i] - 1,) + a[i + 1:]]:
+            offset = len(top_keys) + i * len(low_keys)
+            for pos, c in low[key - (1 << (_PACK_BITS * i))]:
                 col[offset + pos] = ai * c % p if p else ai * c
         cols.append(col)
     return cols

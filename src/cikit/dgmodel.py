@@ -519,8 +519,8 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
         # coefficient on one variable), which we assert
         linear_positions = [
             pos
-            for pos, (i, m) in enumerate(h_slices.basis(d))
-            if not any(m) and model.dgmon_length(mons[i]) == 1
+            for pos, (i, key) in enumerate(h_slices.basis(d))
+            if key == 0 and model.dgmon_length(mons[i]) == 1
         ]
         if any(pos in z for z in cycles for pos in linear_positions):
             raise ModelError(f"cycle with unit linear term at stage {n}, degree {d}")

@@ -14,12 +14,12 @@ Module-level work (syzygies, minimal generators, Hilbert functions of
 presented modules) runs degree by degree through exact linear algebra on
 finite-dimensional graded slices, which keeps one code path for modules
 over R and over quotients S = R/I: a slice is taken in quotient
-coordinates, on a k-basis of S_e read off the RREF of I_e
-(:meth:`Ideal.quotient_slice`), so slice sizes follow HF_S.  Over R the
-ideal is zero and the coordinates are the monomial ones.  Slice rows look
-monomials up by packed integer keys (:func:`_pack`,
-:meth:`Ideal.packed_quotient`), under which the key of a product is the
-sum of its factors' keys, so no exponent tuple is built on the row path.
+coordinates, on a k-basis of S_e read off the RREF of I_e, so slice sizes
+follow HF_S.  Over R the ideal is zero and the coordinates are the monomial
+ones.  Monomials are packed integer keys (:func:`_pack`), under which the
+key of a product is the sum of its factors' keys, so no exponent tuple is
+built on the row path.  Each ideal keeps one table of S_e per degree, on
+these keys (:meth:`Ideal.quotient_slice`).
 The same :class:`ModulePresentation` slices serve the minimal model, whose differential
 d: A_h -> A_{h-1} is a matrix over R on its dg monomials
 (:mod:`cikit.dgmodel`), and the free-summand probe of Koszul H1, which
@@ -36,8 +36,8 @@ Some slices are not ranked at all, because the grading settles them.  S is
 standard graded, so S_{e+1} = S_1 S_e, and for a free module F with every
 row degree at most e, F_{e+1} = S_1 F_e.  So a submodule that fills F_e
 fills F_{e+1}: an image of full rank in degree e has full rank in degree
-e + 1 (:meth:`ModulePresentation.image_slice_dim`), and an ideal with
-I_e = R_e has I_{e+1} = R_{e+1} (:meth:`Ideal.slice_rref`).
+e + 1 (:meth:`ModulePresentation.image_slice_dim`), and S_e = 0 in a degree
+e >= 0 gives S_{e+1} = 0 (:meth:`Ideal.quotient_slice`).
 
 Degree bounds are explicit everywhere a module is only knowable up to a
 slice: results above the bound are reported as unknown, never guessed.
@@ -86,6 +86,12 @@ def _pack(m) -> int:
     for e in reversed(m):
         key = (key << _PACK_BITS) | e
     return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of length n whose :func:`_pack` key is ``key``."""
+    mask = (1 << _PACK_BITS) - 1
+    return tuple((key >> (_PACK_BITS * i)) & mask for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -439,61 +445,26 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def slice_rref(self, d: int):
-        """Canonical (RREF) basis of the degree-d slice, in ring monomial
-        coordinates.
-
-        When the memo holds I_{d-1} = R_{d-1} != 0, then I_d = R_d, since
-        R_d = R_1 R_{d-1}, and the RREF is the identity, read off without an
-        elimination.  A lower degree is never computed just to test this."""
-
-        def compute():
-            below = self._memo.get(("slice_rref", d - 1), ((), ()))[1]
-            if below and len(below) == self.ring.slice_dim(d - 1):
-                n = self.ring.slice_dim(d)
-                return [{j: 1} for j in range(n)], list(range(n))
-            return linalg.rref(ideal_as_module(self).span_slice_rows(d), self.ring.field)
-
-        return self.memo(("slice_rref", d), compute)
-
-    def slice_dim(self, d: int) -> int:
-        return len(self.slice_rref(d)[0])
+    def slice_dim(self, e: int) -> int:
+        """dim_k I_e."""
+        return self.ring.slice_dim(e) - len(self.quotient_slice(e)[0])
 
     def quotient_slice(self, e: int):
-        """(basis, table) of S_e for S = R/I, read off :meth:`slice_rref`.
+        """(keys, table) of S_e for S = R/I, on packed monomial keys
+        (:func:`_pack`), from one RREF of I_e.
 
         The degree-e monomials at the non-pivot columns form a k-basis of
-        S_e.  ``table`` maps every degree-e monomial to its coordinates on
-        that basis, a tuple of (position, coefficient) pairs: a free
-        monomial is itself, and a pivot monomial is minus the rest of its
-        RREF row, since the row lies in I_e.  No Groebner basis is used, so
-        this stays apart from :func:`standard_monomials`.
+        S_e, and ``keys`` lists their keys in ring monomial order.  ``table``
+        maps the key of every degree-e monomial to its coordinates on that
+        basis, a tuple of (position, coefficient) pairs: a free monomial is
+        itself, and a pivot monomial is minus the rest of its RREF row, since
+        the row lies in I_e.  No Groebner basis is used, so this stays apart
+        from :func:`standard_monomials`.  This is the one table of S_e: every
+        slice over S is read off it.
 
-        This is the one table of S_e: :meth:`packed_quotient` rewrites it
-        with packed keys for the slice rows, and :meth:`FreeSlices.basis`
-        and :func:`cikit.conormal.differential_columns` read it as it is."""
-
-        def compute():
-            field = self.ring.field
-            mons = self.ring.monomials_of_degree(e)
-            rows, pivots = self.slice_rref(e)
-            pivot_set = set(pivots)
-            free = [j for j in range(len(mons)) if j not in pivot_set]
-            position = {j: pos for pos, j in enumerate(free)}
-            table = {mons[j]: ((pos, 1),) for j, pos in position.items()}
-            for row, j in zip(rows, pivots):
-                table[mons[j]] = tuple(
-                    (position[k], field.neg(v)) for k, v in row.items() if k != j)
-            return tuple(mons[j] for j in free), table
-
-        return self.memo(("quotient_slice", e), compute)
-
-    def packed_quotient(self, e: int):
-        """(keys, table): :meth:`quotient_slice` with every monomial replaced
-        by its packed key (:func:`_pack`), the form in which
-        :class:`FreeSlices` looks products up.  ``keys`` packs the basis of
-        S_e and ``table`` maps the key of each degree-e monomial to its
-        coordinates.
+        When the memo holds S_{e-1} = 0 and R_{e-1} != 0, then S_e = 0,
+        since S_e = S_1 S_{e-1}, and the table is read off without an
+        elimination.  A lower degree is never computed just to test this.
 
         A degree-e monomial has no exponent above e, so for e < 2^_PACK_BITS
         the keys are distinct and the key of a degree-e product is the sum
@@ -503,10 +474,22 @@ class Ideal:
             raise ValueError(f"degree {e} is beyond the {_PACK_BITS}-bit packed exponents")
 
         def compute():
-            basis, table = self.quotient_slice(e)
-            return [_pack(m) for m in basis], {_pack(m): v for m, v in table.items()}
+            mons = [_pack(m) for m in self.ring.monomials_of_degree(e)]
+            below = self._memo.get(("quotient_slice", e - 1))
+            if below is not None and not below[0] and self.ring.slice_dim(e - 1):
+                return [], dict.fromkeys(mons, ())
+            field = self.ring.field
+            rows, pivots = linalg.rref(ideal_as_module(self).span_slice_rows(e), field)
+            pivot_set = set(pivots)
+            free = [j for j in range(len(mons)) if j not in pivot_set]
+            position = {j: pos for pos, j in enumerate(free)}
+            table = {mons[j]: ((pos, 1),) for j, pos in position.items()}
+            for row, j in zip(rows, pivots):
+                table[mons[j]] = tuple(
+                    (position[k], field.neg(v)) for k, v in row.items() if k != j)
+            return [mons[j] for j in free], table
 
-        return self.memo(("packed_quotient", e), compute)
+        return self.memo(("quotient_slice", e), compute)
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
@@ -571,16 +554,16 @@ class FreeSlices:
     HF_S, not HF_R.  Over R the table is the identity and the basis is
     every monomial, in ring monomial order.
 
-    Rows are built on packed monomial keys: a slice holds its dimension and
-    each row's packed table (:meth:`Ideal.packed_quotient`), and the product
-    of monomials with keys a and b is looked up at a + b.  The basis itself
-    is built only for a caller that reads it (:meth:`basis`).
+    Monomials are packed keys (:func:`_pack`): a slice holds its dimension
+    and each row's table, and the product of monomials with keys a and b is
+    looked up at a + b.  The basis itself is built only for a caller that
+    reads it (:meth:`basis`).
 
     Coordinates are sparse, in the row format of :mod:`cikit.linalg`: a
     dict from basis position to its nonzero coefficient.  Slices met in
     practice are a few percent nonzero, so no row is built at full width."""
 
-    __slots__ = ("ring", "modulus", "row_degrees", "_slices", "_bases", "_key_bases")
+    __slots__ = ("ring", "modulus", "row_degrees", "_slices", "_bases")
 
     def __init__(self, ring: PolyRing, row_degrees, modulus=None):
         self.ring = ring
@@ -588,38 +571,29 @@ class FreeSlices:
         self.row_degrees = list(row_degrees)
         self._slices: dict = {}
         self._bases: dict = {}
-        self._key_bases: dict = {}
 
     def _slice(self, d: int):
         """(dim, blocks) at internal degree d; blocks[i] is (offset of row i
-        in the basis, the packed table of S_{d - row_degrees[i]})."""
+        in the basis, the table of S_{d - row_degrees[i]})."""
         s = self._slices.get(d)
         if s is None:
             dim, blocks = 0, []
             for rd in self.row_degrees:
-                keys, table = self.modulus.packed_quotient(d - rd)
+                keys, table = self.modulus.quotient_slice(d - rd)
                 blocks.append((dim, table))
                 dim += len(keys)
             s = self._slices[d] = (dim, blocks)
         return s
 
     def basis(self, d: int):
-        """Slice basis [(row, expts)] at internal degree d, canonical order."""
+        """Slice basis [(row, packed monomial key)] at internal degree d,
+        canonical order."""
         basis = self._bases.get(d)
         if basis is None:
             basis = self._bases[d] = [
-                (i, m) for i, rd in enumerate(self.row_degrees)
-                for m in self.modulus.quotient_slice(d - rd)[0]]
-        return basis
-
-    def _key_basis(self, d: int):
-        """:meth:`basis` with packed keys: [(row, key)] at internal degree d."""
-        keys = self._key_bases.get(d)
-        if keys is None:
-            keys = self._key_bases[d] = [
                 (i, k) for i, rd in enumerate(self.row_degrees)
-                for k in self.modulus.packed_quotient(d - rd)[0]]
-        return keys
+                for k in self.modulus.quotient_slice(d - rd)[0]]
+        return basis
 
     def dim(self, d: int) -> int:
         return self._slice(d)[0]
@@ -636,11 +610,6 @@ class FreeSlices:
             rows.append(_drop_zeros(row))
         return rows
 
-    def multiples(self, vec, monomials, d: int):
-        """Coordinate rows of m*vec, one per monomial m, for a homogeneous
-        vector (tuple of polynomials) with m*vec of internal degree d."""
-        return self._rows(_packed_support(vec), [_pack(m) for m in monomials], d)
-
     def coords(self, vec, d: int):
         """Coordinates of a homogeneous vector (tuple of polynomials) of
         internal degree d."""
@@ -650,15 +619,16 @@ class FreeSlices:
         """The vector with these coordinates, written on the basis monomials
         (so in the normal form the quotient basis defines)."""
         basis = self.basis(d)
+        n = self.ring.nvars
         polys = [dict() for _ in self.row_degrees]
         for pos, c in coords.items():
-            i, m = basis[pos]
-            polys[i][m] = c
+            i, key = basis[pos]
+            polys[i][_unpack(key, n)] = c
         return tuple(Polynomial(self.ring, t) for t in polys)
 
     def multiply_coords_by_var(self, coords, d: int, var: int):
         """Coordinates of x_var * v for v given in degree-d coordinates."""
-        src = self._key_basis(d)
+        src = self.basis(d)
         blocks = self._slice(d + 1)[1]
         shift = 1 << (_PACK_BITS * var)
         p = self.ring.field.p
@@ -758,7 +728,7 @@ class ModulePresentation:
         for support, cd in zip(self._packed_supports(), self.col_degrees):
             if cd > d or (proper_only and cd == d):
                 continue
-            keys, _ = self.modulus.packed_quotient(d - cd)
+            keys, _ = self.modulus.quotient_slice(d - cd)
             rows.extend(self._slices._rows(support, keys, d))
         return rows
 

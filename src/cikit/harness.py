@@ -112,16 +112,25 @@ def ci_certificate(ideal: Ideal, degree_bound: int) -> dict:
     first Koszul homology vanishes, which is certified when Z_1 is complete
     (its Schreyer bound is within the degree bound, a cap).  Certified
     criteria must agree or the run aborts; below the Schreyer bound,
-    ``h1_mu == 0`` against ``is_ci`` says whether they agreed."""
-    h1 = koszul_h1(ideal, degree_bound)
-    mu = len(ideal.minimal_generators())
-    ht = height(ideal)
-    is_ci = mu == ht
-    if h1.is_zero() != is_ci and ideal.generator_syzygy_bound() <= degree_bound:
-        raise CriteriaDisagree(
-            f"H1 says CI={h1.is_zero()} but mu={mu}, height={ht} says CI={is_ci}"
-        )
-    return {"is_ci": is_ci, "mu": mu, "height": ht, "h1_mu": h1.minimal_generator_count()}
+    ``h1_mu == 0`` against ``is_ci`` says whether they agreed.
+
+    Computed once per ideal and degree bound (:meth:`Ideal.memo`); a
+    disagreement raises again on every call.  The dict is shared, so
+    callers must not modify it."""
+
+    def compute():
+        h1 = koszul_h1(ideal, degree_bound)
+        mu = len(ideal.minimal_generators())
+        ht = height(ideal)
+        is_ci = mu == ht
+        if h1.is_zero() != is_ci and ideal.generator_syzygy_bound() <= degree_bound:
+            raise CriteriaDisagree(
+                f"H1 says CI={h1.is_zero()} but mu={mu}, height={ht} says CI={is_ci}"
+            )
+        return {"is_ci": is_ci, "mu": mu, "height": ht,
+                "h1_mu": h1.minimal_generator_count()}
+
+    return ideal.memo(("ci_certificate", degree_bound), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -229,11 +229,10 @@ def h1_free_summand_probe(h1: KoszulH1) -> str:
         ring, pres.modulus, [-c for c in pres.col_degrees],
         [tuple(col[j] for col in pres.columns) for j in gens])
     domain = FreeSlices(ring, transposed.col_degrees, pres.modulus)
-    unit = (0,) * ring.nvars
     for a in sorted(set(degrees)):
         homs = _syzygy_slice(transposed, -a)
         basis = domain.basis(-a)
-        units = [basis.index((i, unit)) for i in gens if degrees[i] == a]
+        units = [basis.index((i, 0)) for i in gens if degrees[i] == a]
         if any(p in v for v in homs for p in units):
             return "FreeSummand"
     return "NoneFoundWithinBound"

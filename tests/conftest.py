@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cikit import harness, linalg
 from cikit.fields import QQ, GF
-from cikit.poly import PolyRing, Polynomial
+from cikit.poly import PolyRing, Polynomial, monomial_mul
 
 CORPUS_PATH = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "standard.corpus"
 
@@ -68,6 +68,32 @@ def bruteforce_kernel(cols, W, field):
             rows[t][j] = v
     kernel = dense(linalg.nullspace(sparse(rows), n + len(W), field), n + len(W))
     return dense(linalg.rref(sparse([v[:n] for v in kernel]), field)[0], n)
+
+
+def ideal_rref(ideal, e):
+    """Reference: the RREF of I_e in ring monomial coordinates, eliminating
+    the rows m*g for every generator g and monomial m of degree e - deg g."""
+    ring = ideal.ring
+    column = {m: j for j, m in enumerate(ring.monomials_of_degree(e))}
+    rows = [{column[monomial_mul(gm, m)]: c for gm, c in g.terms.items()}
+            for g in ideal.generators
+            for m in ring.monomials_of_degree(e - g.homogeneous_degree())]
+    return linalg.rref(rows, ring.field)
+
+
+def tuple_quotient_slice(ideal, e):
+    """Reference: (basis, table) of S_e on exponent tuples, read off
+    :func:`ideal_rref`: the monomials at the non-pivot columns are the
+    basis, and a pivot monomial is minus the rest of its row."""
+    field = ideal.ring.field
+    mons = ideal.ring.monomials_of_degree(e)
+    rows, pivots = ideal_rref(ideal, e)
+    free = [j for j in range(len(mons)) if j not in set(pivots)]
+    position = {j: pos for pos, j in enumerate(free)}
+    table = {mons[j]: ((pos, 1),) for j, pos in position.items()}
+    for row, j in zip(rows, pivots):
+        table[mons[j]] = tuple((position[k], field.neg(v)) for k, v in row.items() if k != j)
+    return tuple(mons[j] for j in free), table
 
 
 FUZZ_FIELDS = (QQ, GF(32003))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import bruteforce_kernel, dense, homogeneous_ideals, sparse
+from conftest import bruteforce_kernel, dense, homogeneous_ideals, ideal_rref, sparse
 
 from cikit import groebner as gr
 from cikit import linalg
@@ -259,11 +259,11 @@ def _differential_kernel_slice_stacked(ideal, d):
             row[pos[m]] = c
         return row
 
-    basis = dense(ideal.slice_rref(d)[0], len(ring.monomials_of_degree(d)))
+    basis = dense(ideal_rref(ideal, d)[0], len(ring.monomials_of_degree(d)))
     if not basis:
         return []
     lower_dim = len(ring.monomials_of_degree(d - 1))
-    lower = dense(ideal.slice_rref(d - 1)[0], lower_dim)
+    lower = dense(ideal_rref(ideal, d - 1)[0], lower_dim)
     cols = []
     for vec in basis:
         v = to_poly(vec, d)

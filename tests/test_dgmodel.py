@@ -218,8 +218,8 @@ def full_range_adjoin_stage(model, n):
             continue
         linear_positions = [
             pos
-            for pos, (i, m) in enumerate(h_slices.basis(d))
-            if not any(m) and model.dgmon_length(mons[i]) == 1
+            for pos, (i, key) in enumerate(h_slices.basis(d))
+            if key == 0 and model.dgmon_length(mons[i]) == 1
         ]
         for z in cycles:
             for pos in linear_positions:

@@ -123,6 +123,12 @@ def test_h1_is_memoized_per_ideal_and_bound(R):
     assert koszul_h1(ideal(R, "x^2", "x*y"), 6) is not h1
 
 
+def _multiples(slices, vec, monomials, d):
+    """Coordinate rows of m*vec, one per monomial m, each product formed as
+    polynomials."""
+    return [slices.coords(tuple(p.mul_monomial(m) for p in vec), d) for m in monomials]
+
+
 def _h1_cycle_reps_by_hand(ideal, degree_bound):
     """Reference: the former generator selection of H1, a Nakayama loop over
     the cycle degrees with denominator boundaries + m * Z_1."""
@@ -143,10 +149,10 @@ def _h1_cycle_reps_by_hand(ideal, degree_bound):
             bd = next(p.homogeneous_degree() + rd
                       for p, rd in zip(b, cx.gen_degrees) if not p.is_zero())
             if bd <= d:
-                denom.extend(dom.multiples(b, ring.monomials_of_degree(d - bd), d))
+                denom.extend(_multiples(dom, b, ring.monomials_of_degree(d - bd), d))
         for col, cd in zip(cycles.columns, cycles.col_degrees):
             if cd < d:
-                denom.extend(dom.multiples(col, ring.monomials_of_degree(d - cd), d))
+                denom.extend(_multiples(dom, col, ring.monomials_of_degree(d - cd), d))
         cand_idx = [j for j, cd in enumerate(cycles.col_degrees) if cd == d]
         cands = [dom.coords(cycles.columns[j], d) for j in cand_idx]
         chosen.extend(cand_idx[c] for c in linalg.independent_subset(denom, cands, field))
@@ -221,7 +227,8 @@ def reference_direct_hilbert_function(h1, bound):
             out.append(0)
             continue
         rows = []
-        for j, m in dom.basis(d):
+        for j, key in dom.basis(d):
+            m = gr._unpack(key, ring.nvars)
             vec = tuple(p.mul_monomial(m) for p in d1.columns[j])
             rows.append(tgt.coords(vec, d))
         cycle_dim = dim_dom - linalg.rank(rows, ring.field)

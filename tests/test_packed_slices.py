@@ -1,11 +1,13 @@
 """Slice rows on packed monomial keys against the tuple-keyed rows they
 replaced.  The reference bodies below are the former tuple-keyed ones, read
-off Ideal.quotient_slice, kept here only to check the packed path."""
+off a tuple-keyed table of S_e built from I_e's RREF in ring monomial
+coordinates (conftest.tuple_quotient_slice), kept here only to check the
+packed path."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import homogeneous_ideals
+from conftest import homogeneous_ideals, tuple_quotient_slice
 
 from cikit import groebner as gr
 from cikit.conormal import kahler_s_over_k
@@ -18,7 +20,7 @@ def ref_slice(slices, d):
     blocks[i] = (offset of row i, tuple-keyed table of S_{d - row_degrees[i]})."""
     basis, blocks = [], []
     for i, rd in enumerate(slices.row_degrees):
-        mons, table = slices.modulus.quotient_slice(d - rd)
+        mons, table = tuple_quotient_slice(slices.modulus, d - rd)
         blocks.append((len(basis), table))
         basis.extend((i, m) for m in mons)
     return basis, blocks
@@ -95,7 +97,7 @@ def ref_span_slice_rows(pres, d, proper_only=False):
     for col, cd in zip(pres.columns, pres.col_degrees):
         if cd > d or (proper_only and cd == d):
             continue
-        monomials, _ = pres.modulus.quotient_slice(d - cd)
+        monomials, _ = tuple_quotient_slice(pres.modulus, d - cd)
         rows.extend(ref_multiples(pres.slices(), col, monomials, d))
     return rows
 
@@ -137,7 +139,7 @@ def test_packed_rows_match_the_tuple_keyed_rows(ring_gens, data):
     for pres in _presentations(I, bound):
         slices = pres.slices()
         for d in range(bound + 1):
-            assert slices.basis(d) == ref_slice(slices, d)[0]
+            assert slices.basis(d) == [(i, gr._pack(m)) for i, m in ref_slice(slices, d)[0]]
             assert slices.dim(d) == len(slices.basis(d))
             for proper in (False, True):
                 assert pres.span_slice_rows(d, proper) == ref_span_slice_rows(pres, d, proper)
@@ -176,8 +178,27 @@ def test_packed_quotient_refuses_degrees_beyond_the_packing_width(monkeypatch):
     monkeypatch.setattr(PolyRing, "monomials_of_degree", listed)
     for e in (width, width + 1):
         with pytest.raises(ValueError):
-            I.packed_quotient(e)
+            I.quotient_slice(e)
     # standard monomials keep a guard bit per field, so their limit is half
     for e in (width // 2, width // 2 + 1):
         with pytest.raises(ValueError):
             gr.standard_monomials(I, e)
+
+
+@given(st.lists(st.integers(0, (1 << gr._PACK_BITS) - 1), max_size=4))
+@example([(1 << gr._PACK_BITS) - 1] * 4)
+def test_unpack_inverts_pack(m):
+    assert gr._unpack(gr._pack(m), len(m)) == tuple(m)
+
+
+def test_coordinates_round_trip_at_the_top_packed_degree():
+    # in k[x] the top degree 2^16 - 1 fills the one 16-bit field; one degree
+    # more is refused
+    top = (1 << gr._PACK_BITS) - 1
+    for field in (QQ, GF(32003)):
+        R = PolyRing(field, ["x"])
+        slices = gr.FreeSlices(R, [0, 1])
+        v = (R.monomial((top,), 3), R.monomial((top - 1,), 5))
+        assert slices.from_coords(slices.coords(v, top), top) == v
+        with pytest.raises(ValueError):
+            gr.Ideal(R, [R.gen(0) ** 2]).quotient_slice(top + 1)

@@ -5,7 +5,14 @@ check the quotient path."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import bruteforce_kernel, dense, homogeneous_ideals, sparse
+from conftest import (
+    bruteforce_kernel,
+    dense,
+    homogeneous_ideals,
+    ideal_rref,
+    sparse,
+    tuple_quotient_slice,
+)
 
 from cikit import groebner as gr
 from cikit import linalg
@@ -83,7 +90,7 @@ def _ideal_echelon(pres, slices, d):
         e = d - rd
         width = pres.ring.slice_dim(e)
         if width:
-            local_rows, local_pivs = pres.modulus.slice_rref(e)
+            local_rows, local_pivs = ideal_rref(pres.modulus, e)
             for lr, lp in zip(dense(local_rows, width), local_pivs):
                 row = [0] * total
                 row[offset: offset + width] = lr
@@ -286,11 +293,11 @@ def dense_add_multiple(row, blocks, support, m, c, p):
 
 def tuple_blocks(slices, d):
     """(basis, blocks) of the degree-d slice as the former FreeSlices._slice
-    held them, read off Ideal.quotient_slice: blocks[i] is (offset of row i,
-    the tuple-keyed table of S_{d - row_degrees[i]})."""
+    held them, with the tuple-keyed tables of conftest.tuple_quotient_slice:
+    blocks[i] is (offset of row i, the table of S_{d - row_degrees[i]})."""
     basis, blocks = [], []
     for i, rd in enumerate(slices.row_degrees):
-        mons, table = slices.modulus.quotient_slice(d - rd)
+        mons, table = tuple_quotient_slice(slices.modulus, d - rd)
         blocks.append((len(basis), table))
         basis.extend((i, m) for m in mons)
     return basis, blocks
@@ -344,7 +351,7 @@ def test_sparse_slice_rows_match_the_dense_rows(ring_gens):
         for col, cd in zip(pres.columns, pres.col_degrees):
             for d in range(cd, bound + 1):
                 mons = ring.monomials_of_degree(d - cd)
-                rows = slices.multiples(col, mons, d)
+                rows = slices._rows(gr._packed_support(col), [gr._pack(m) for m in mons], d)
                 want = dense_multiples(slices, col, mons, d)
                 assert rows == sparse(want) and all(v for r in rows for v in r.values())
                 for row, full in zip(rows, want):
@@ -356,29 +363,42 @@ def test_sparse_slice_rows_match_the_dense_rows(ring_gens):
                         assert all(got.values())
 
 
-def test_quotient_slice_is_the_rref_complement():
+def test_quotient_slice_is_the_rref_complement(monkeypatch):
     # S = Q[x, y]/(x^2 - y^2, x*y): S_2 has basis y^2, x^2 = y^2 in S, and
     # x*y = 0; over R the table is the identity
     R = PolyRing(QQ, ["x", "y"])
+    key = gr._pack
     I = gr.Ideal(R, [R.from_string("x^2 - y^2"), R.from_string("x*y")])
     basis, table = I.quotient_slice(2)
-    assert basis == ((0, 2),)
-    assert table == {(2, 0): ((0, 1),), (1, 1): (), (0, 2): ((0, 1),)}
-    assert I.quotient_slice(3) == ((), {(3, 0): (), (2, 1): (), (1, 2): (), (0, 3): ()})
+    assert basis == [key((0, 2))]
+    assert table == {key((2, 0)): ((0, 1),), key((1, 1)): (), key((0, 2)): ((0, 1),)}
+    assert I.quotient_slice(3) == ([], {key(m): () for m in R.monomials_of_degree(3)})
     F = gr.FreeSlices(R, [0, 1], I)
-    assert F.basis(2) == [(0, (0, 2)), (1, (1, 0)), (1, (0, 1))]
+    assert F.basis(2) == [(0, key((0, 2))), (1, key((1, 0))), (1, key((0, 1)))]
     x, y = R.gens()
     assert F.coords((x * x + x * y, x + y), 2) == {0: 1, 1: 1, 2: 1}
-    assert gr.FreeSlices(R, [0]).basis(2) == [(0, m) for m in R.monomials_of_degree(2)]
+    assert gr.FreeSlices(R, [0]).basis(2) == [(0, key(m)) for m in R.monomials_of_degree(2)]
     # over GF(7), x^2 = -y^2 in S, so 3x^2 + y^2 = -2y^2 = 5y^2
     R7 = PolyRing(GF(7), ["x", "y"])
     F7 = gr.FreeSlices(R7, [0], gr.Ideal(R7, [R7.from_string("x^2 + y^2")]))
     assert F7.coords((R7.from_string("3*x^2 + y^2"),), 2) == {1: 5}
-    # I_3 = R_3 for (x^2, y^2), so from e = 4 on the RREF is read off as the
-    # identity: it matches an elimination in every degree
+    # S_3 = 0 for (x^2, y^2), so from e = 4 on the table is read off with no
+    # elimination: it matches the table of a full elimination in every degree
+    eliminated = []
+    rref = linalg.rref
+
+    def counted_rref(rows, field):
+        eliminated.append(rows)
+        return rref(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
     for field in (QQ, GF(32003)):
         ring = PolyRing(field, ["x", "y"])
         I = gr.Ideal(ring, [ring.from_string("x^2"), ring.from_string("y^2")])
         for e in range(13):
-            rows = gr.ideal_as_module(I).span_slice_rows(e)
-            assert I.slice_rref(e) == linalg.rref(rows, field)
+            mons, want = tuple_quotient_slice(I, e)
+            eliminated.clear()
+            keys, table = I.quotient_slice(e)
+            assert bool(eliminated) == (e < 4), e
+            assert keys == [key(m) for m in mons]
+            assert table == {key(m): v for m, v in want.items()}
