@@ -2,17 +2,17 @@
 
 Every math command takes the ideal as a positional comma-separated list of
 polynomials plus `--ring`/`--field`; `--json` switches reports to the
-versioned JSON schema.
+versioned JSON schema.  ``main(argv)`` parses with argparse and returns the
+exit code.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
 import sys
 import warnings
-
-import click
 
 from . import conormal as conormal_mod
 from . import harness
@@ -38,18 +38,17 @@ from .resolution import minimal_free_resolution
 from .harness import Bounds
 
 
-def _bounds(ctx, param, value: str) -> Bounds:
-    try:
-        return Bounds.parse(value)
-    except harness.CorpusError as exc:
-        raise click.ClickException(f"--bounds: {exc}") from None
+def _error(message: str) -> int:
+    """Print the one-line ``Error:`` report; returns exit code 1."""
+    print(f"Error: {message}", file=sys.stderr)
+    return 1
 
 
 def _emit(data, as_json: bool, text_fn):
     if as_json:
-        click.echo(json.dumps({"schema": harness.SCHEMA, "result": data}, sort_keys=True, indent=2))
+        print(json.dumps({"schema": harness.SCHEMA, "result": data}, sort_keys=True, indent=2))
     else:
-        click.echo(text_fn(data))
+        print(text_fn(data))
 
 
 def _emit_warned(data, notes, as_json: bool, text_fn):
@@ -60,41 +59,37 @@ def _emit_warned(data, notes, as_json: bool, text_fn):
         data = {**data, "warnings": notes}
     else:
         for note in notes:
-            click.echo(f"warning: {note}", err=True)
+            print(f"warning: {note}", file=sys.stderr)
     _emit(data, as_json, text_fn)
 
 
-common_options = [
-    click.argument("ideal_arg"),
-    click.option("--ring", "ring_opt", required=True, help="comma-separated variable names"),
-    click.option("--field", "field_opt", default="Q", show_default=True,
-                 help="Q or Fp <p> (e.g. F7)"),
-    click.option("--bounds", default="", callback=_bounds,
-                 help="e.g. 'hdeg=5 intdeg=12 reslen=8'; intdeg caps internal "
-                      "degrees (Z_1 runs to Schreyer's bound, the model to "
-                      "Backelin's, R/I over R and H1's relations to bounds from "
-                      "the Taylor bounds of in(I), each at most intdeg; probes "
-                      "over S and Hilbert lists run to intdeg); reslen is the "
-                      "length bound of resolve only (projective-dimension "
-                      "probes stop at dim S + 1 steps); the Ext cross-check "
-                      "compares degrees up to hdeg, k resolved to Backelin's bound"),
-    click.option("--json", "as_json", is_flag=True, help="emit JSON"),
-]
+_BOUNDS_HELP = ("e.g. 'hdeg=5 intdeg=12 reslen=8'; intdeg caps internal "
+                "degrees (Z_1 runs to Schreyer's bound, the model to "
+                "Backelin's, R/I over R and H1's relations to bounds from "
+                "the Taylor bounds of in(I), each at most intdeg; probes "
+                "over S and Hilbert lists run to intdeg); reslen is the "
+                "length bound of resolve only (projective-dimension "
+                "probes stop at dim S + 1 steps); the Ext cross-check "
+                "compares degrees up to hdeg, k resolved to Backelin's bound")
 
 
-def with_common(fn):
-    """The ideal argument and the common options; the command is called
-    with the parsed ideal in place of the ideal, ring and field texts."""
+def _add_common(parser):
+    """The ideal argument and the options every math command takes; main
+    hands the command the parsed ideal in place of the ideal, ring and
+    field texts."""
+    parser.add_argument("ideal_arg", metavar="IDEAL_ARG")
+    parser.add_argument("--ring", dest="ring_opt", required=True, metavar="TEXT",
+                        help="comma-separated variable names")
+    parser.add_argument("--field", dest="field_opt", default="Q", metavar="TEXT",
+                        help="Q or Fp <p> (e.g. F7)  [default: %(default)s]")
+    parser.add_argument("--bounds", default="", metavar="TEXT", help=_BOUNDS_HELP)
+    parser.add_argument("--json", dest="as_json", action="store_true", help="emit JSON")
 
-    @functools.wraps(fn)
-    def command(ideal_arg, ring_opt, field_opt, **kwargs):
-        names = [v.strip() for v in ring_opt.split(",") if v.strip()]
-        ring = PolyRing(Field.parse(field_opt), names)
-        return fn(Ideal(ring, parse_poly_list(ring, ideal_arg)), **kwargs)
 
-    for opt in reversed(common_options):
-        command = opt(command)
-    return command
+def _parse_ideal(ideal_arg: str, ring_opt: str, field_opt: str) -> Ideal:
+    names = [v.strip() for v in ring_opt.split(",") if v.strip()]
+    ring = PolyRing(Field.parse(field_opt), names)
+    return Ideal(ring, parse_poly_list(ring, ideal_arg))
 
 
 # errors the math layers raise on input they cannot take, reported in one
@@ -104,35 +99,12 @@ _MATH_ERRORS = (ParseError, FieldError, AmbientMismatch, InhomogeneousError, Uni
                 ModelError)
 
 
-class _Main(click.Group):
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except _MATH_ERRORS as exc:
-            raise click.ClickException(str(exc)) from None
-
-
-@click.group(cls=_Main)
-def main():
-    """Exact commutative algebra: Groebner bases, resolutions, Koszul
-    homology, minimal models, homotopy Lie brackets, conormal modules."""
-
-
-@main.command()
-@with_common
-@click.option("--order", "order_opt", default="degrevlex", show_default=True)
 def gb(ideal, bounds, as_json, order_opt):
     """Reduced Groebner basis of the ideal."""
     basis = ideal.groebner(MonomialOrder.parse(order_opt))
     _emit([str(g) for g in basis], as_json, lambda gs: "\n".join(gs))
 
 
-@main.command()
-@with_common
-@click.option("--module", "module_opt", default="k", show_default=True,
-              type=click.Choice(["k", "s", "ideal", "conormal", "h1"]),
-              help="which module to resolve: k, conormal or h1 over S = R/I, "
-                   "or s (R/I) or ideal (I) over R")
 def resolve(ideal, bounds, as_json, module_opt):
     """Minimal free resolution with bigraded and total Betti numbers."""
     if module_opt == "k":
@@ -164,8 +136,6 @@ def resolve(ideal, bounds, as_json, module_opt):
     _emit(payload, as_json, text)
 
 
-@main.command()
-@with_common
 def koszul(ideal, bounds, as_json):
     """Koszul complex ranks and the first homology module."""
     h1 = koszul_h1(ideal, bounds.intdeg)
@@ -190,8 +160,6 @@ def koszul(ideal, bounds, as_json):
     _emit(payload, as_json, text)
 
 
-@main.command()
-@with_common
 def conormal(ideal, bounds, as_json):
     """I/I^2 by both routes with the agreement certificate."""
     con = conormal_mod.conormal(ideal, bounds.intdeg)
@@ -213,8 +181,6 @@ def conormal(ideal, bounds, as_json):
     _emit(payload, as_json, text)
 
 
-@main.command()
-@with_common
 def model(ideal, bounds, as_json):
     """Minimal model dump: `name : hdeg intdeg : differential` per line."""
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
@@ -222,8 +188,6 @@ def model(ideal, bounds, as_json):
     _emit_warned(payload, m.warnings, as_json, lambda p: "\n".join(p["dump"]))
 
 
-@main.command()
-@with_common
 def pi(ideal, bounds, as_json):
     """Dimensions and basis of the homotopy Lie algebra truncation."""
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
@@ -243,8 +207,6 @@ def pi(ideal, bounds, as_json):
     _emit_warned(payload, m.warnings, as_json, text)
 
 
-@main.command()
-@with_common
 def bracket(ideal, bounds, as_json):
     """Full bracket table in canonical order."""
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
@@ -253,9 +215,6 @@ def bracket(ideal, bounds, as_json):
     _emit_warned({"table": dump.splitlines()}, m.warnings, as_json, lambda pp: dump or "(empty)")
 
 
-@main.command()
-@with_common
-@click.option("--z", "z_name", required=True, help="pi^2 basis element, e.g. p2_1")
 def theta(ideal, bounds, as_json, z_name):
     """The commutator derivation theta_z: values on every model variable."""
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
@@ -274,9 +233,6 @@ def theta(ideal, bounds, as_json, z_name):
     _emit_warned(payload, m.warnings, as_json, text)
 
 
-@main.command()
-@with_common
-@click.option("--z", "z_name", default="", help="pi^2 basis element; default all")
 def radical(ideal, bounds, as_json, z_name):
     """Bounded radical probes for degree-2 elements."""
     m = build_minimal_model(ideal, bounds.hdeg, bounds.intdeg)
@@ -289,8 +245,6 @@ def radical(ideal, bounds, as_json, z_name):
         f"{k}: {val}" for k, val in v.items()) or "(no pi^2)")
 
 
-@main.command()
-@with_common
 def ci(ideal, bounds, as_json):
     """Complete-intersection certificate (Koszul H1 and mu = height)."""
     cert = harness.ci_certificate(ideal, bounds.intdeg)
@@ -299,24 +253,18 @@ def ci(ideal, bounds, as_json):
                      f"(mu = {c['mu']}, height = {c['height']}, mu(H1) = {c['h1_mu']})"))
 
 
-@main.command(name="verify-a")
-@with_common
 def verify_a(ideal, bounds, as_json):
     """Conormal rigidity consistency report for one ideal."""
     rep, _ = harness.verify_conormal_rigidity(ideal, bounds)
     _emit(rep, as_json, lambda r: json.dumps(r, indent=2, sort_keys=True))
 
 
-@main.command(name="verify-b")
-@with_common
 def verify_b(ideal, bounds, as_json):
     """Koszul-homology rigidity consistency report for one ideal."""
     rep, _ = harness.verify_koszul_rigidity(ideal, bounds)
     _emit(rep, as_json, lambda r: json.dumps(r, indent=2, sort_keys=True))
 
 
-@main.command()
-@with_common
 def jz(ideal, bounds, as_json):
     """Jacobi-Zariski four-term slice-exactness table."""
     # in characteristic p every partial of a generator can vanish, which
@@ -336,31 +284,100 @@ def jz(ideal, bounds, as_json):
     _emit_warned(payload, [str(w.message) for w in caught], as_json, text)
 
 
-@main.group()
-def corpus():
-    """Corpus file operations."""
-
-
-@corpus.command(name="run")
-@click.argument("path", type=click.Path(exists=True))
-@click.option("--parallel", default=1, show_default=True,
-              help="number of worker processes; 1 runs the entries in this process")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--cache-dir", default=None, help="result cache directory (insert-only)")
-@click.option("--bounds", default="", callback=_bounds, help="override default bounds (hdeg >= 3)")
 def corpus_run(path, parallel, as_json, cache_dir, bounds):
     """Run the full invariant and theorem suite over a corpus file."""
     try:
         report = harness.run_corpus_file(path, parallel, cache_dir, bounds)
     except harness.CorpusError as exc:
-        raise click.ClickException(str(exc)) from None
+        return _error(str(exc))
     if as_json:
-        click.echo(harness.report_json(report))
+        print(harness.report_json(report))
     else:
-        click.echo(harness.report_to_text(report))
-    if report["summary"]["failed"]:
-        sys.exit(1)
+        print(harness.report_to_text(report))
+    return 1 if report["summary"]["failed"] else 0
+
+
+def _existing_path(value: str) -> str:
+    if not os.path.exists(value):
+        raise argparse.ArgumentTypeError(f"Path '{value}' does not exist.")
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command; each subcommand's ``func`` default is
+    the function that runs it."""
+    parser = argparse.ArgumentParser(
+        prog="cikit", allow_abbrev=False,
+        description="Exact commutative algebra: Groebner bases, resolutions, Koszul "
+                    "homology, minimal models, homotopy Lie brackets, conormal modules.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def add(func, name=None):
+        sub = commands.add_parser(name or func.__name__, help=func.__doc__,
+                                  description=func.__doc__, allow_abbrev=False)
+        _add_common(sub)
+        sub.set_defaults(func=func)
+        return sub
+
+    add(gb).add_argument("--order", dest="order_opt", default="degrevlex", metavar="TEXT",
+                         help="[default: %(default)s]")
+    add(resolve).add_argument(
+        "--module", dest="module_opt", default="k",
+        choices=["k", "s", "ideal", "conormal", "h1"],
+        help="which module to resolve: k, conormal or h1 over S = R/I, "
+             "or s (R/I) or ideal (I) over R  [default: %(default)s]")
+    add(koszul)
+    add(conormal)
+    add(model)
+    add(pi)
+    add(bracket)
+    add(theta).add_argument("--z", dest="z_name", required=True, metavar="TEXT",
+                            help="pi^2 basis element, e.g. p2_1")
+    add(radical).add_argument("--z", dest="z_name", default="", metavar="TEXT",
+                              help="pi^2 basis element; default all")
+    add(ci)
+    add(verify_a, "verify-a")
+    add(verify_b, "verify-b")
+    add(jz)
+
+    corpus = commands.add_parser("corpus", help="Corpus file operations.",
+                                 description="Corpus file operations.", allow_abbrev=False)
+    run = corpus.add_subparsers(metavar="COMMAND", required=True).add_parser(
+        "run", help=corpus_run.__doc__, description=corpus_run.__doc__, allow_abbrev=False)
+    run.add_argument("path", metavar="PATH", type=_existing_path)
+    run.add_argument("--parallel", type=int, default=1, metavar="INTEGER",
+                     help="number of worker processes; 1 runs the entries in this process"
+                          "  [default: %(default)s]")
+    run.add_argument("--json", dest="as_json", action="store_true")
+    run.add_argument("--cache-dir", default=None, metavar="TEXT",
+                     help="result cache directory (insert-only)")
+    run.add_argument("--bounds", default="", metavar="TEXT",
+                     help="override default bounds (hdeg >= 3)")
+    run.set_defaults(func=corpus_run)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code: 0, or 1 after a one-line ``Error:`` report (a bad
+    --bounds value, a math error, a corpus error or a failed corpus run).
+    Usage errors and --help exit through argparse (codes 2 and 0)."""
+    args = vars(_parser().parse_args(argv))
+    func = args.pop("func")
+    # parsed here, not as an argparse type, so that a bad value is an
+    # Error: line with code 1 rather than a usage error
+    try:
+        args["bounds"] = Bounds.parse(args["bounds"])
+    except harness.CorpusError as exc:
+        return _error(f"--bounds: {exc}")
+    try:
+        if "ideal_arg" in args:
+            args["ideal"] = _parse_ideal(args.pop("ideal_arg"), args.pop("ring_opt"),
+                                         args.pop("field_opt"))
+        return func(**args) or 0
+    except _MATH_ERRORS as exc:
+        return _error(str(exc))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,6 @@ made.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -598,9 +597,14 @@ _pool = None
 def _kept_pool(parallelism: int):
     """The kept pool with ``parallelism`` workers, built on first use.  A
     pool of another size is shut down first: forking while its threads run
-    is unsafe.  The class is looked up at build time, so that a patched
-    ``concurrent.futures.ProcessPoolExecutor`` is the one built."""
+    is unsafe.  ``concurrent.futures`` is imported here and in
+    ``_pool_round``, not with this module, so that a process that never
+    builds a pool never loads it (nor the ``logging`` it imports); its
+    ``ProcessPoolExecutor`` is looked up at build time, so that a patched
+    class is the one built."""
     global _pool
+    import concurrent.futures
+
     if _pool is not None and _pool[0] != parallelism:
         _close_pool()
     if _pool is None:
@@ -643,6 +647,8 @@ def _pool_round(entries, to_compute, parallelism, finish):
     closed) and finish each entry it evaluates.  Returns the entries a
     broken pool failed, found at submit or by a future, as (position, key,
     t0, exception); the broken pool is closed."""
+    import concurrent.futures
+
     pool = _kept_pool(parallelism)
     futures = {}
     broken = []

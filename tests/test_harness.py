@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 import os
 import pickle
@@ -6,9 +7,10 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import homogeneous_ideals
@@ -194,8 +196,26 @@ def test_report_text_rendering():
 # -- CLI ------------------------------------------------------------------
 
 
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
 def run_cli(*args):
-    return CliRunner().invoke(cli_main, list(args), catch_exceptions=False)
+    """Runs the CLI in this process on ``args``; exceptions other than an
+    exit propagate."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli_main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def test_cli_gb():
@@ -293,8 +313,7 @@ def test_cli_corpus_run(tmp_path):
     # a wrong flag produces a nonzero exit and names the entry
     bad = tmp_path / "bad.corpus"
     bad.write_text("entry liar / field Q / ring x, y / ideal x^2, y^2 / expect ci=false\n")
-    runner = CliRunner()
-    res = runner.invoke(cli_main, ["corpus", "run", str(bad)])
+    res = run_cli("corpus", "run", str(bad))
     assert res.exit_code == 1
     assert "liar" in res.output
 
@@ -379,6 +398,25 @@ def test_cli_resolve_to_length_zero_gives_f0_alone(module, gens, terminated, bet
     payload = json.loads(out.output)["result"]
     assert payload["status"]["terminated"] is terminated and payload["status"]["at"] == 0
     assert payload["betti_total"] == betti
+
+
+def test_the_module_entry_point_exits_with_the_command_code():
+    # python -m cikit.cli runs sys.exit(main()), as the installed cikit script does
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "cikit.cli", *args], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+
+    gb = cli("gb", "--ring", "x,y", "x^2, x*y")
+    assert (gb.returncode, gb.stdout, gb.stderr) == (0, "x*y\nx^2\n", "")
+    bad = cli("ci", "--field", "F4", "--ring", "x", "x")
+    assert (bad.returncode, bad.stdout, bad.stderr) == (1, "", "Error: 4 is not prime\n")
+    usage = cli("--help")
+    assert usage.returncode == 0
+    for command in ("gb", "resolve", "koszul", "conormal", "model", "pi", "bracket", "theta",
+                    "radical", "ci", "verify-a", "verify-b", "jz", "corpus"):
+        assert f"\n    {command} " in usage.stdout, command
 
 
 # -- probe verdicts in the theorem checks ------------------------------------
@@ -817,12 +855,14 @@ def test_a_parallel_run_exits_cleanly_and_leaves_no_worker():
 
 
 def test_importing_cikit_loads_no_process_pool_machinery():
-    # multiprocessing costs every CLI start its import time; only a pool needs it
+    # multiprocessing, concurrent.futures and the logging it imports cost
+    # every CLI start their import time, and only a pool needs them; click
+    # is no longer a dependency at all
     proc = _python("import importlib, pkgutil, sys, cikit\n"
                    "for m in pkgutil.iter_modules(cikit.__path__):\n"
                    "    importlib.import_module('cikit.' + m.name)\n"
                    "print(*[m for m in sys.modules if m.startswith('multiprocessing')\n"
-                   "        or m == 'concurrent.futures.process'])\n")
+                   "        or m.split('.')[0] in ('click', 'concurrent', 'logging')])\n")
     assert proc.stdout.split() == []
 
 

@@ -1,9 +1,11 @@
 """Every name a cikit module imports is read somewhere in that module, every
-function it defines is named somewhere in the project, and every slot of its
-classes is read somewhere in the project."""
+module it imports is cikit's own or the standard library's, every function it
+defines is named somewhere in the project, and every slot of its classes is
+read somewhere in the project."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -38,6 +40,39 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source: str):
+    """Top-level names of the modules the module's imports (at any depth)
+    load that are neither relative (cikit's own), ``cikit`` nor in the
+    standard library, in order of import."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append(node.module)
+    return [name for name in (m.split(".")[0] for m in modules)
+            if name != "cikit" and name not in sys.stdlib_module_names]
+
+
+def test_the_scan_finds_a_third_party_import():
+    source = ("from __future__ import annotations\nimport os.path, click\n"
+              "from . import poly\nfrom .fields import QQ\nfrom cikit import harness\n"
+              "def f():\n    import numpy.linalg\n    from concurrent import futures\n")
+    assert non_stdlib_imports(source) == ["click", "numpy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_imports_only_the_standard_library(path):
+    # cikit has no runtime dependency: an installed CLI loads nothing else
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []
 
 
 def unreferenced_functions(defining: dict, reading: list):
