@@ -21,6 +21,7 @@ from .dgmodel import ModelError, build_minimal_model
 from .fields import Field, FieldError
 from .groebner import (
     Ideal,
+    PackedDegreeError,
     UnitIdeal,
     ideal_as_module,
     residue_field_presentation,
@@ -96,7 +97,7 @@ def _parse_ideal(ideal_arg: str, ring_opt: str, field_opt: str) -> Ideal:
 # line like a bad --bounds value; the theorem tripwires, which mean a bug,
 # keep their traceback
 _MATH_ERRORS = (ParseError, FieldError, AmbientMismatch, InhomogeneousError, UnitIdeal,
-                ModelError)
+                PackedDegreeError, ModelError)
 
 
 def gb(ideal, bounds, as_json, order_opt):

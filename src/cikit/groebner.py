@@ -16,10 +16,17 @@ finite-dimensional graded slices, which keeps one code path for modules
 over R and over quotients S = R/I: a slice is taken in quotient
 coordinates, on a k-basis of S_e read off the RREF of I_e, so slice sizes
 follow HF_S.  Over R the ideal is zero and the coordinates are the monomial
-ones.  Monomials are packed integer keys (:func:`_pack`), under which the
-key of a product is the sum of its factors' keys, so no exponent tuple is
-built on the row path.  Each ideal keeps one table of S_e per degree, on
-these keys (:meth:`Ideal.quotient_slice`).
+ones.  In both engines monomials are packed integer keys (:func:`_pack`),
+under which the key of a product is the sum of its factors' keys, so no
+exponent tuple is built on the row path, in Buchberger's loop or in a
+normal form.  Buchberger and normal forms use keys fitted to the monomial
+order (:class:`_OrderKeys`): the basis is homogeneous, so a reduction
+step keeps to one degree, where terms compare as integers, and
+divisibility and lcms are read off guard bits, which need degrees below
+2^15.  Exponent tuples are built only for the elements and leads a
+:class:`GroebnerBasis` hands back and for the normal forms it returns.
+Each ideal keeps one table of S_e per degree, on these keys
+(:meth:`Ideal.quotient_slice`).
 The same :class:`ModulePresentation` slices serve the minimal model, whose differential
 d: A_h -> A_{h-1} is a matrix over R on its dg monomials
 (:mod:`cikit.dgmodel`), and the free-summand probe of Koszul H1, which
@@ -49,6 +56,7 @@ from bisect import insort
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd
+from struct import Struct
 
 from . import linalg
 from .poly import (
@@ -75,6 +83,13 @@ def _reject_unit(ideal: Ideal):
 
 # Bits per exponent in a packed monomial key (:func:`_pack`).
 _PACK_BITS = 16
+# Degrees below this leave the top bit of every field free, as a guard for
+# divisibility tests on packed keys (:func:`_divides`).
+_GUARDED_LIMIT = 1 << (_PACK_BITS - 1)
+
+
+class PackedDegreeError(ValueError):
+    """A degree is beyond what packed monomial keys (:func:`_pack`) hold."""
 
 
 def _pack(m) -> int:
@@ -94,6 +109,103 @@ def _unpack(key: int, n: int) -> tuple:
     return tuple((key >> (_PACK_BITS * i)) & mask for i in range(n))
 
 
+def _check_guarded(d: int):
+    """Raise PackedDegreeError unless degree-d monomials keep their guard bits."""
+    if d >= _GUARDED_LIMIT:
+        raise PackedDegreeError(
+            f"degree {d} is beyond the guarded {_PACK_BITS}-bit packed exponents")
+
+
+def _divides(l: int, m: int, guards: int) -> bool:
+    """Whether the monomial of :func:`_pack` key l divides that of key m,
+    both of degree below _GUARDED_LIMIT, with ``guards`` the key with the
+    top bit of every field set: the guard of field i survives
+    (m | guards) - l iff m_i >= l_i, and no field borrows from the next."""
+    return ((m | guards) - l) & guards == guards
+
+
+def _lcm(a: int, b: int, guards: int) -> int:
+    """The :func:`_pack` key of the lcm of the monomials of keys a and b, of
+    degree below _GUARDED_LIMIT: the guards that survive (a | guards) - b
+    mark the fields where a_i >= b_i (:func:`_divides`), and each spreads to
+    a mask of the bits below it."""
+    ge = ((a | guards) - b) & guards
+    mask = ge - (ge >> (_PACK_BITS - 1))
+    return (a & mask) | (b & ~mask)
+
+
+def _degree(key: int) -> int:
+    """The degree of the monomial of :func:`_pack` key ``key``, when it is
+    below 2^_PACK_BITS - 1: 2^_PACK_BITS is 1 modulo 2^_PACK_BITS - 1, so the
+    key is the sum of its fields modulo that number."""
+    return key % ((1 << _PACK_BITS) - 1)
+
+
+class _OrderKeys:
+    """Monomial keys of the Groebner loops (:func:`_remainder`,
+    :func:`buchberger`) under one monomial order in n variables.
+
+    The key of m is -_pack(m) under degrevlex and _pack(m reversed) under
+    deglex and lex, and ``sign`` * key is the :func:`_pack` key of m or of m
+    reversed, its positive key, on which divisibility and lcms are read
+    (:func:`_divides`, :func:`_lcm`).  Both are sums over factors, so the
+    key of a product is the sum of the factors' keys.
+
+    Of two monomials of one degree below _GUARDED_LIMIT the larger has the
+    larger key.  Comparing _pack keys as integers compares exponents from
+    the most significant field down: the last variable's for _pack(m), the
+    first variable's for _pack(m reversed).  Of two monomials of one
+    degree, the larger under degrevlex has the smaller exponent at the last
+    variable where they differ, so the smaller _pack key and the larger
+    key; under lex, and deglex within a degree, it has the larger exponent
+    at the first variable where they differ, so the larger key.  Lex keys
+    compare so across degrees as well; leads of different degrees are
+    sorted by :meth:`rank`."""
+
+    __slots__ = ("nvars", "sign", "graded", "guards", "_fields", "_byteorder")
+
+    def __init__(self, order: MonomialOrder, nvars: int):
+        self.nvars = nvars
+        self.sign = -1 if order.name == "degrevlex" else 1
+        self.graded = order.name != "lex"
+        self.guards = _pack((_GUARDED_LIMIT,) * nvars)
+        # with 16-bit fields, _pack(m) reads m's exponents as little-endian
+        # unsigned shorts, and _pack(m reversed) reads them big-endian
+        self._byteorder = "little" if self.sign < 0 else "big"
+        self._fields = Struct(("<" if self.sign < 0 else ">") + "H" * nvars)
+
+    def key(self, m) -> int:
+        return self.sign * int.from_bytes(self._fields.pack(*m), self._byteorder)
+
+    def monomial(self, key: int) -> tuple:
+        return self._fields.unpack((self.sign * key).to_bytes(2 * self.nvars, self._byteorder))
+
+    def terms(self, f: Polynomial) -> dict:
+        """The terms of f on keys.  A term of degree _GUARDED_LIMIT or more
+        raises PackedDegreeError."""
+        _check_guarded(max(map(sum, f.terms), default=0))
+        pack, byteorder, sign = self._fields.pack, self._byteorder, self.sign
+        return {sign * int.from_bytes(pack(*m), byteorder): c for m, c in f.terms.items()}
+
+    def polynomial(self, ring: PolyRing, terms: dict) -> Polynomial:
+        unpack, byteorder, sign = self._fields.unpack, self._byteorder, self.sign
+        width = 2 * self.nvars
+        return Polynomial(ring, {unpack((sign * k).to_bytes(width, byteorder)): c
+                                 for k, c in terms.items()})
+
+    def rank(self, lead: int):
+        """Sort key, in the monomial order, of the monomial of positive key
+        ``lead``, of degree below 2^_PACK_BITS - 1, across degrees: (degree,
+        key) under the graded orders, the key under lex."""
+        key = self.sign * lead
+        return (_degree(lead), key) if self.graded else key
+
+
+@lru_cache(maxsize=None)
+def _order_keys(order: MonomialOrder, nvars: int) -> _OrderKeys:
+    return _OrderKeys(order, nvars)
+
+
 # ---------------------------------------------------------------------------
 # division and Buchberger
 
@@ -104,10 +216,10 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
     Returns (quotients, remainder) with f = sum(q_i * d_i) + r and no term
     of r divisible by any divisor's leading term.
 
-    This is the textbook algorithm, kept as the reference: Buchberger and
-    normal forms run on :func:`_remainder`, while the checks that a basis and
-    its S-pairs reduce to zero divide with this function, so they share no
-    code with what they check.
+    This is the textbook algorithm on exponent tuples, kept as the
+    reference: Buchberger and normal forms run on :func:`_remainder`, while
+    the checks that a basis and its S-pairs reduce to zero divide with this
+    function, so they share no code with what they check.
     """
     ring = f.ring
     F = ring.field
@@ -146,45 +258,60 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
 
 
 def _divisor(d: Polynomial, order: MonomialOrder):
-    """Monic divisor data of a nonzero divisor d: (lead monomial, 1, tail
-    terms of d divided by its lead coefficient)."""
+    """Monic divisor data of a nonzero homogeneous divisor d on the keys of
+    :func:`_order_keys`: (positive lead key, 1, tail terms of d divided by
+    its lead coefficient).  d's terms share a degree, so its lead has the
+    largest key."""
     F = d.ring.field
-    lm, lc = d.leading_term(order)
-    inv = F.inv(lc)
-    return lm, 1, [(m, F.mul(c, inv)) for m, c in d.terms.items() if m != lm]
+    keys = _order_keys(order, d.ring.nvars)
+    terms = keys.terms(d)
+    lead = max(terms)
+    inv = F.inv(terms[lead])
+    return keys.sign * lead, 1, [(m, F.mul(c, inv)) for m, c in terms.items() if m != lead]
 
 
-def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
+def _remainder(f: dict, divisors, keys: _OrderKeys, field) -> dict:
     """Remainder of f on division by the divisor data ``divisors``, triples
-    (lead monomial, lead coefficient a, tail terms).
+    (positive lead key, lead coefficient a, tail terms) of homogeneous
+    divisors.  f, the tails and the result are dicts on the keys of ``keys``
+    (:class:`_OrderKeys`), and every term of f has degree below
+    _GUARDED_LIMIT = 2^15, which :meth:`_OrderKeys.terms` checks.
 
-    Terms wait in ``queue``, sorted by order key, and leave it largest
-    first, each going to the first divisor whose lead divides it, as in
-    :func:`multivariate_divide`.  A term is queued once, when it first
-    appears.  One that cancels stays in ``work`` at zero, where it can come
-    back, and is skipped when popped.
+    Terms wait in ``queue``, sorted by key, and leave it largest first, each
+    going to the first divisor whose lead divides it, as in
+    :func:`multivariate_divide`.  A step on a term c*m brings in terms of
+    (m/lead)*tail, of m's degree and below m.  So the terms of one degree
+    leave the queue in the monomial order, which on one degree is the
+    integer order of keys (:class:`_OrderKeys`); no exponent exceeds that
+    degree, so the guard test (:func:`_divides`) on positive keys decides
+    which leads divide; and terms of different degrees never meet, so how
+    the degrees interleave in the queue changes nothing.  The key of m/lead
+    is m - sign*lead, and that of a product is a sum.  A term is queued
+    once, when it first appears.  One that cancels stays in ``work`` at
+    zero, where it can come back, and is skipped when popped.
 
     A step on term c*m with a = 1 subtracts c*(m/lead)*tail.  On monic data
     (:func:`_divisor`) every step is such a step, so the result is the
     remainder of :func:`multivariate_divide`, exactly.  Over Q an integer
     divisor may have a != 1 (:func:`buchberger`): with g = gcd(a, c) the
     step scales the waiting and remainder terms by a/g and subtracts
-    (c/g)*(m/lead)*tail, so no fraction appears.  The result is then that
-    remainder times a nonzero integer, and at every step the support is
-    the one the exact division has."""
-    F = f.ring.field
-    key = order.key
-    work = dict(f.terms)
-    queue = sorted((key(m), m) for m in work)
+    (c/g)*(m/lead)*tail, so no fraction appears.  For a homogeneous f the
+    result is then that remainder times a nonzero integer, and at every
+    step the support is the one the exact division has."""
+    p = field.p
+    sign, guards = keys.sign, keys.guards
+    work = dict(f)
+    queue = sorted(work)
     remainder = {}
     while queue:
-        m = queue.pop()[1]
+        m = queue.pop()
         c = work.pop(m)
         if not c:
             continue
-        for lm, a, tail in divisors:
-            if monomial_divides(lm, m):
-                q_mon = monomial_div(m, lm)
+        mg = (sign * m) | guards
+        for lead, a, tail in divisors:
+            if (mg - lead) & guards == guards:
+                q = m - sign * lead
                 if a != 1:
                     g = gcd(a, c)
                     s, c = a // g, c // g
@@ -193,37 +320,37 @@ def _remainder(f: Polynomial, divisors, order: MonomialOrder) -> Polynomial:
                             work[t] *= s
                         for t in remainder:
                             remainder[t] *= s
-                for dm, dc in tail:
-                    t = monomial_mul(dm, q_mon)
+                for t, dc in tail:
+                    t += q
                     old = work.get(t)
                     if old is None:
                         old = 0
-                        insort(queue, (key(t), t))
-                    work[t] = F.sub(old, F.mul(dc, c))
+                        insort(queue, t)
+                    work[t] = (old - dc * c) % p if p else old - dc * c
                 break
         else:
             remainder[m] = c
-    return Polynomial(f.ring, remainder)
+    return remainder
 
 
-def _primitive(g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """The primitive integer polynomial with positive lead coefficient that
-    is a rational multiple of g (over Q): denominators cleared, content
+def _primitive(g: dict) -> dict:
+    """The primitive integer multiple, with positive lead coefficient, of
+    the homogeneous g over Q on loop keys: denominators cleared, content
     divided out."""
-    coeffs = linalg._scale_row_to_int(g.terms)
+    coeffs = linalg._scale_row_to_int(g)
     content = gcd(*coeffs.values())
-    if g.leading_term(order)[1] < 0:
+    if coeffs[max(coeffs)] < 0:
         content = -content
-    return Polynomial(g.ring, {m: c // content for m, c in coeffs.items()})
+    return {m: c // content for m, c in coeffs.items()}
 
 
-def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    """f divided by its lead coefficient, integral quotients as `int`."""
-    F = f.ring.field
-    lc = f.leading_term(order)[1]
+def _monic(g: dict, field) -> dict:
+    """The homogeneous g on loop keys divided by its lead coefficient,
+    integral quotients as `int`."""
+    lc = g[max(g)]
     if lc == 1:
-        return f
-    return Polynomial(f.ring, {m: F.of_fraction(c, lc) for m, c in f.terms.items()})
+        return g
+    return {m: field.of_fraction(c, lc) for m, c in g.items()}
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -241,12 +368,13 @@ class GroebnerBasis:
     with each element's :func:`_divisor` data computed once, for
     :meth:`normal_form`."""
 
-    __slots__ = ("ring", "order", "elements", "_divisors")
+    __slots__ = ("ring", "order", "elements", "_keys", "_divisors")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, elements):
         self.ring = ring
         self.order = order
         self.elements = list(elements)
+        self._keys = _order_keys(order, ring.nvars)
         self._divisors = [_divisor(g, order) for g in self.elements]
 
     def __iter__(self):
@@ -256,10 +384,15 @@ class GroebnerBasis:
         return len(self.elements)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return _remainder(f, self._divisors, self.order)
+        """The remainder of f on division by the basis (:func:`_remainder`).
+        A term of f of degree 2^15 or more raises PackedDegreeError."""
+        keys = self._keys
+        r = _remainder(keys.terms(f), self._divisors, keys, self.ring.field)
+        return keys.polynomial(self.ring, r)
 
     def lead_monomials(self):
-        return [g.leading_term(self.order)[0] for g in self.elements]
+        keys = self._keys
+        return [keys.monomial(keys.sign * lead) for lead, _, _ in self._divisors]
 
 
 def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
@@ -277,6 +410,19 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
     representations, which combine into one for (i, j).  Each element's
     lead and divisor data are computed once, when it joins the basis.
 
+    Elements are dicts on the packed keys of :class:`_OrderKeys`, and
+    exponent tuples are built only for the final basis.  Every element is
+    homogeneous and so is every S-polynomial, of its lcm degree, so within
+    one element or one reduction the monomial order is the integer order of
+    keys (:func:`_remainder`).  Leads are kept as positive keys: the
+    criteria read lcms and divisibility off them with guard bits
+    (:func:`_lcm`, :func:`_divides`), a product of monomials is a sum of
+    keys, and leads of different degrees are sorted by
+    :meth:`_OrderKeys.rank`.  The guards need every degree met below
+    2^15: a generator or a reduced pair lcm of degree 2^15 or more raises
+    PackedDegreeError.  Two leads below 2^15 have an lcm of degree below
+    2^16 - 1, whose degree :func:`_degree` reads off its key.
+
     Over GF(p) the elements are monic.  Over Q they are primitive integer
     polynomials, so no fraction arises: with lead coefficients a_i, a_j
     and g = gcd(a_i, a_j), the S-pair is (a_j/g)(lcm/lead_i) f_i -
@@ -287,61 +433,71 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
     basis is made monic."""
     ring = ideal.ring
     F = ring.field
-    key = order.key
-    basis: list[Polynomial] = []  # monic over GF(p), primitive over Q
-    leads: list = []
+    keys = _order_keys(order, ring.nvars)
+    sign, guards = keys.sign, keys.guards
+    basis: list[dict] = []  # monic over GF(p), primitive over Q
+    leads: list[int] = []  # positive keys
     divisors: list = []  # (lead, lead coefficient, tail) of basis
     heap: list = []
     pending: set = set()
 
-    def adjoin(g: Polynomial):
-        g = _primitive(g, order) if F.is_rationals else _monic(g, order)
-        lm, lc = g.leading_term(order)
+    def adjoin(g: dict):
+        g = _primitive(g) if F.is_rationals else _monic(g, F)
+        top = max(g)
+        lead = sign * top
         j = len(basis)
         basis.append(g)
-        leads.append(lm)
-        divisors.append((lm, lc, [(m, c) for m, c in g.terms.items() if m != lm]))
+        leads.append(lead)
+        divisors.append((lead, g[top], [(m, c) for m, c in g.items() if m != top]))
         for i in range(j):
+            lcm = _lcm(leads[i], lead, guards)
             pending.add((i, j))
-            heappush(heap, (sum(monomial_lcm(leads[i], lm)), i, j))
+            heappush(heap, (_degree(lcm), i, j, lcm))
 
     def is_pending(a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in pending
 
-    for g in sorted(ideal.generators, key=lambda g: key(g.leading_term(order)[0])):
+    for g in sorted((keys.terms(g) for g in ideal.generators),
+                    key=lambda g: keys.rank(sign * max(g))):
         adjoin(g)
     while heap:
-        _, i, j = heappop(heap)
+        d, i, j, lcm = heappop(heap)
         pending.remove((i, j))
-        mi, mj = leads[i], leads[j]
-        lcm = monomial_lcm(mi, mj)
-        if lcm == monomial_mul(mi, mj):
+        li, lj = leads[i], leads[j]
+        if lcm == li + lj:
             continue  # first criterion: coprime leads
         if any(
-            k != i and k != j and not is_pending(i, k) and not is_pending(j, k)
-            and monomial_divides(mk, lcm)
-            for k, mk in enumerate(leads)
+            _divides(lk, lcm, guards) and k != i and k != j
+            and not is_pending(i, k) and not is_pending(j, k)
+            for k, lk in enumerate(leads)
         ):
             continue  # chain criterion
-        ai, aj = divisors[i][1], divisors[j][1]
+        _check_guarded(d)
+        ai, ti = divisors[i][1:]
+        aj, tj = divisors[j][1:]
         g = gcd(ai, aj)
-        s = basis[i].mul_monomial(monomial_div(lcm, mi), aj // g) - basis[j].mul_monomial(
-            monomial_div(lcm, mj), ai // g)
-        r = _remainder(s, divisors, order)
-        if not r.is_zero():
+        si, sj = ai // g, aj // g
+        # the S-pair's leads cancel, so it is built from the shifted tails
+        qi, qj = sign * (lcm - li), sign * (lcm - lj)
+        s = {m + qi: c * sj for m, c in ti}
+        for m, c in tj:
+            F.add_into(s, m + qj, F.neg(F.mul(c, si)))
+        r = _remainder(s, divisors, keys, F)
+        if r:
             adjoin(r)
 
     # minimal basis: in increasing lead order a lead's divisors come first,
     # so keep an element iff no kept lead divides its lead
     minimal: list[int] = []
-    for k in sorted(range(len(basis)), key=lambda k: key(leads[k])):
-        if not any(monomial_divides(leads[h], leads[k]) for h in minimal):
+    for k in sorted(range(len(basis)), key=lambda k: keys.rank(leads[k])):
+        if not any(_divides(leads[h], leads[k], guards) for h in minimal):
             minimal.append(k)
     # tail-reduce against the rest of the minimal basis: the leads are
     # pairwise non-dividing, so each lead survives and the result is the
     # unique reduced basis
     final = [
-        _monic(_remainder(basis[k], [divisors[h] for h in minimal if h != k], order), order)
+        keys.polynomial(ring, _monic(
+            _remainder(basis[k], [divisors[h] for h in minimal if h != k], keys, F), F))
         for k in minimal
     ]
     return GroebnerBasis(ring, order, final)
@@ -468,10 +624,11 @@ class Ideal:
 
         A degree-e monomial has no exponent above e, so for e < 2^_PACK_BITS
         the keys are distinct and the key of a degree-e product is the sum
-        of its factors' keys.  A larger e raises ValueError before any
-        monomial is listed."""
+        of its factors' keys.  A larger e raises PackedDegreeError before
+        any monomial is listed."""
         if e >= 1 << _PACK_BITS:
-            raise ValueError(f"degree {e} is beyond the {_PACK_BITS}-bit packed exponents")
+            raise PackedDegreeError(
+                f"degree {e} is beyond the {_PACK_BITS}-bit packed exponents")
 
         def compute():
             mons = [_pack(m) for m in self.ring.monomials_of_degree(e)]
@@ -956,15 +1113,13 @@ def standard_monomials(ideal: Ideal, d: int):
     (R/I)_d, in ring monomial order.
 
     Divisibility is tested on packed keys (:func:`_pack`) with the top bit
-    of each field as a guard: below 2^(_PACK_BITS - 1), with every guard set
-    in m, the guard of field i survives m - l iff m_i >= l_i, and no field
-    borrows from the next.  Only leads of degree at most d can divide, and
-    their exponents are at most d, so a d of 2^(_PACK_BITS - 1) or more
-    raises ValueError before any monomial is listed."""
-    if d >= 1 << (_PACK_BITS - 1):
-        raise ValueError(f"degree {d} is beyond the guarded {_PACK_BITS}-bit packed exponents")
+    of each field as a guard (:func:`_divides`).  Only leads of degree at
+    most d can divide, and their exponents are at most d, so a d of
+    _GUARDED_LIMIT = 2^(_PACK_BITS - 1) or more raises PackedDegreeError
+    before any monomial is listed."""
+    _check_guarded(d)
     ring = ideal.ring
-    guards = _pack((1 << (_PACK_BITS - 1),) * ring.nvars)
+    guards = _pack((_GUARDED_LIMIT,) * ring.nvars)
     leads = [_pack(lm) for lm in ideal.groebner().lead_monomials() if sum(lm) <= d]
     keys = ((m, _pack(m) | guards) for m in ring.monomials_of_degree(d))
     return [m for m, key in keys if all((key - lm) & guards != guards for lm in leads)]

@@ -359,26 +359,19 @@ def _join_terms(terms) -> str:
 # integer or a/b rational coefficients, e.g. "3/2*x^2*y - y^3"
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character at {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append((m.group("op"), m.group("op")))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"bad character at {text[m.start():]!r}")
+        val = m.group(kind)
+        tokens.append((val, val) if kind == "op" else (kind, val))
     tokens.append(("end", ""))
     return tokens
 
@@ -398,40 +391,57 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Polynomial:
+        """A sum of products, collected into one dict of terms."""
+        field = self.ring.field
+        terms: dict = {}
         sign = 1
         while self.peek() in ("+", "-"):
             if self.next()[0] == "-":
                 sign = -sign
-        result = self.parse_product()
-        if sign < 0:
-            result = -result
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            term = self.parse_product()
-            result = result + term if op == "+" else result - term
-        return result
+        while True:
+            for m, c in self.parse_product().terms.items():
+                field.add_into(terms, m, c if sign > 0 else field.neg(c))
+            if self.peek() not in ("+", "-"):
+                return Polynomial(self.ring, terms)
+            sign = 1 if self.next()[0] == "+" else -1
 
     def parse_product(self) -> Polynomial:
-        result = self.parse_power()
+        result = self.parse_factor()
         while True:
             kind = self.peek()
             if kind == "*":
                 self.next()
-                result = result * self.parse_power()
+                result = result * self.parse_factor()
             elif kind in ("num", "name", "("):  # juxtaposition
                 result = result * self.parse_power()
             else:
                 return result
 
-    def parse_power(self) -> Polynomial:
-        base = self.parse_atom()
-        if self.peek() == "^":
+    def parse_factor(self) -> Polynomial:
+        """A power, or a unary minus before a factor: it binds looser than
+        ``^``, so ``x*-y^2`` is -x*y^2, as a leading minus is."""
+        if self.peek() == "-":
             self.next()
-            kind, val = self.next()
-            if kind != "num" or "/" in val:
-                raise ParseError("exponent must be a non-negative integer")
-            return base ** int(val)
-        return base
+            return -self.parse_factor()
+        return self.parse_power()
+
+    def parse_power(self) -> Polynomial:
+        """An atom, or an atom to a non-negative integer power.  A term c*m
+        goes to c^n * m^n directly; any other base through
+        :meth:`Polynomial.__pow__`."""
+        base = self.parse_atom()
+        if self.peek() != "^":
+            return base
+        self.next()
+        kind, val = self.next()
+        if kind != "num" or "/" in val:
+            raise ParseError("exponent must be a non-negative integer")
+        n = int(val)
+        if len(base.terms) != 1 or not n:
+            return base ** n
+        ((m, c),) = base.terms.items()
+        p = self.ring.field.p
+        return Polynomial(self.ring, {tuple(e * n for e in m): pow(c, n, p) if p else c ** n})
 
     def parse_atom(self) -> Polynomial:
         kind, val = self.next()
@@ -451,8 +461,6 @@ class _Parser:
             if self.next()[0] != ")":
                 raise ParseError("unbalanced parentheses")
             return inner
-        if kind == "-":
-            return -self.parse_atom()
         raise ParseError(f"unexpected token {val!r}")
 
 

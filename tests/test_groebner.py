@@ -128,13 +128,19 @@ def test_normal_forms_reuse_the_divisor_data(R, monkeypatch):
     assert calls == gb.elements
 
 
+def remainder(f, data, order):
+    """_remainder of f by packed divisor data, back on exponent tuples."""
+    keys = gr._order_keys(order, f.ring.nvars)
+    return keys.polynomial(f.ring, gr._remainder(keys.terms(f), data, keys, f.ring.field))
+
+
 def test_reduce_requeues_a_term_that_cancels_and_comes_back(R):
     # x^3 goes to 2x^2 + 2y^2 and brings in x*y^2; x^2*y brings in -y^3,
     # which cancels the y^3 of f; x*y^2 goes to x + 2y and brings y^3 back
     f = R.from_string("-x^3 + x^2*y + y^3")
     divisors = [R.from_string("2*x^2 + 2*y^2"), R.from_string("x + 2*y")]
     data = [gr._divisor(d, DEGREVLEX) for d in divisors]
-    assert gr._remainder(f, data, DEGREVLEX) == R.from_string("-2*y^3")
+    assert remainder(f, data, DEGREVLEX) == R.from_string("-2*y^3")
     assert gr.multivariate_divide(f, divisors)[1] == R.from_string("-2*y^3")
 
 
@@ -526,11 +532,13 @@ def test_reduce_on_integer_data_is_a_multiple_of_the_remainder(ring_gens, data):
     f = Polynomial(ring, {m: data.draw(st.integers(-5, 5).filter(bool)) for m in support})
     divisors = [g.scale(data.draw(st.sampled_from((2, -3, 6)))) for g in gens]
     for order in (DEGREVLEX, DEGLEX, LEX):
+        keys = gr._order_keys(order, ring.nvars)
         integer_data = []
         for d in divisors:
             lm, lc = d.leading_term(order)
-            integer_data.append((lm, lc, [(m, c) for m, c in d.terms.items() if m != lm]))
-        r = gr._remainder(f, integer_data, order)
+            integer_data.append((keys.sign * keys.key(lm), lc,
+                                 [(keys.key(m), c) for m, c in d.terms.items() if m != lm]))
+        r = remainder(f, integer_data, order)
         exact = gr.multivariate_divide(f, divisors, order)[1]
         assert all(type(c) is int for c in r.terms.values())
         assert r.terms.keys() == exact.terms.keys()
@@ -551,7 +559,71 @@ def test_reduce_matches_multivariate_divide(ring_gens, data):
     divisors = gens + list(gr.Ideal(ring, gens).groebner())
     for order in (DEGREVLEX, DEGLEX, LEX):
         data = [gr._divisor(d, order) for d in divisors]
-        assert gr._remainder(f, data, order) == gr.multivariate_divide(f, divisors, order)[1]
+        assert remainder(f, data, order) == gr.multivariate_divide(f, divisors, order)[1]
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two exponent tuples in 1-5 variables, each of degree below 2^15; in
+    half the draws the second permutes the first, so the degrees agree."""
+    n = draw(st.integers(1, 5))
+    exps = st.lists(st.integers(0, (gr._GUARDED_LIMIT - 1) // n), min_size=n, max_size=n)
+    a = draw(exps)
+    return tuple(a), tuple(draw(st.one_of(exps, st.permutations(a))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_pairs())
+def test_order_keys_follow_the_tuple_order(pair):
+    # sums for products, the order within a degree, rank across degrees,
+    # and divisibility, lcm and degree on the positive keys
+    a, b = pair
+    for order in (DEGREVLEX, DEGLEX, LEX):
+        keys = gr._order_keys(order, len(a))
+        ka, kb = keys.key(a), keys.key(b)
+        pa, pb = keys.sign * ka, keys.sign * kb
+        assert pa == gr._pack(a if order is DEGREVLEX else a[::-1])
+        assert keys.monomial(ka) == a
+        assert keys.key(monomial_mul(a, b)) == ka + kb
+        if sum(a) == sum(b):
+            assert (ka < kb) == (order.key(a) < order.key(b))
+        assert (keys.rank(pa) < keys.rank(pb)) == (order.key(a) < order.key(b))
+        assert gr._divides(pa, pb, keys.guards) == monomial_divides(a, b)
+        lcm = gr._lcm(pa, pb, keys.guards)
+        assert keys.monomial(keys.sign * lcm) == monomial_lcm(a, b)
+        assert gr._degree(lcm) == sum(monomial_lcm(a, b))
+
+
+def test_degrees_just_below_the_guard_give_the_reference_basis():
+    # exponents of 2^15 - 1 fill the 15 bits below each guard; the S-pair of
+    # x^top + 2y^top and x^top has that degree and brings y^top in
+    top = gr._GUARDED_LIMIT - 1
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(field, ["x", "y"])
+        I = ideal(ring, f"x^{top} + 2*y^{top}", f"x^{top}")
+        f = ring.from_string(f"x^{top} + 3*x*y^{top - 1} - y^{top}")
+        for order in (DEGREVLEX, DEGLEX, LEX):
+            gb = gr.buchberger(I, order)
+            assert gb.elements == reference_buchberger(I, order).elements
+            assert len(gb) == 2
+            assert gb.normal_form(f) == gr.multivariate_divide(f, gb.elements, order)[1]
+
+
+def test_degrees_at_the_guard_raise():
+    # leads x^h*y and x*y^h share x*y, and their lcm has degree 2h = 2^15
+    limit = gr._GUARDED_LIMIT
+    h = limit // 2
+    ring = PolyRing(QQ, ["x", "y"])
+    for order in (DEGREVLEX, DEGLEX, LEX):
+        with pytest.raises(gr.PackedDegreeError):
+            gr.buchberger(ideal(ring, f"x^{h}*y", f"x*y^{h}"), order)
+    with pytest.raises(gr.PackedDegreeError):
+        gr.buchberger(ideal(ring, f"x^{limit}"))
+    with pytest.raises(gr.PackedDegreeError):
+        ideal(ring, "x*y").groebner().normal_form(ring.from_string(f"y^{limit} + x"))
+    # coprime leads are never reduced, so a large lcm of theirs is fine
+    coprime = ideal(ring, f"x^{limit - 1}", f"y^{limit - 1}")
+    assert set(gr.buchberger(coprime).elements) == set(coprime.generators)
 
 
 # -- d^2 = 0 against the polynomial-product construction ----------------------

@@ -357,6 +357,8 @@ def test_cli_math_errors_are_one_line(tmp_path):
         (["resolve", "--ring", "x,y", "x^2 + y"], "Error: mixed degrees [1, 2] in x^2 + y"),
         (["ci", "--field", "F4", "--ring", "x", "x"], "Error: 4 is not prime"),
         (["gb", "--ring", "x,y", "x^2 + 1/0*y^2"], "Error: zero denominator in 1/0"),
+        (["gb", "--ring", "x,y", "x^32768*y, x*y^32768"],
+         "Error: degree 32769 is beyond the guarded 16-bit packed exponents"),
         *(([command, *extra, "--ring", "x,y", "1"], "Error: ideal contains a unit")
           for command, extra in (("pi", ()), ("model", ()), ("bracket", ()),
                                  ("theta", ("--z", "p2_1")), ("radical", ()), ("conormal", ()),

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cikit.fields import QQ, GF
 from cikit.poly import (
@@ -195,3 +195,82 @@ def printable_polys(draw):
 @given(printable_polys(), st.sampled_from((DEGREVLEX, DEGLEX, LEX)))
 def test_to_string_matches_the_former_body(p, order):
     assert p.to_string(order) == reference_to_string(p, order)
+
+
+# -- unary minus and the parser's precedence ------------------------------------
+
+
+def test_unary_minus_binds_looser_than_a_power(R):
+    # inside a term, as at the start of one, -a^n is -(a^n)
+    assert R.from_string("x - -y^2") == R.from_string("x + y^2")
+    assert R.from_string("x*-y^2") == R.from_string("-x*y^2")
+    assert R.from_string("x*--y^2") == R.from_string("x*y^2")
+    assert R.from_string("x + -2^2*y") == R.from_string("x - 4*y")
+    assert R.from_string("x*(-y)^2") == R.from_string("x*y^2")
+    assert R.from_string("-x^2") == R.from_string("-(x^2)")
+
+
+def test_powers_of_one_term_match_repeated_products():
+    for field in (QQ, GF(7)):
+        ring = PolyRing(field, ["x", "y"])
+        for text, product in (("(3/2*x*y^2)^3", "(3/2*x*y^2)*(3/2*x*y^2)*(3/2*x*y^2)"),
+                              ("(-2*y)^5", "(-2*y)*(-2*y)*(-2*y)*(-2*y)*(-2*y)"),
+                              ("(x+y)^2", "(x+y)*(x+y)"), ("(5*x)^0", "1"), ("0^2", "0")):
+            assert ring.from_string(text) == ring.from_string(product), (field, text)
+
+
+# expression trees: ("var", name), ("num", text), ("neg", a), ("add", a, b),
+# ("sub", a, b), ("mul", a, b), ("pow", a, n).  Each prints at a binding
+# level (0 sum, 1 product, 2 unary minus, 3 power, 4 atom) and puts
+# parentheses round an operand that binds looser than its place needs.
+_LEVEL = {"add": 0, "sub": 0, "mul": 1, "neg": 2, "pow": 3, "var": 4, "num": 4}
+
+expr_trees = st.recursive(
+    st.one_of(st.tuples(st.just("var"), st.sampled_from(["x", "y"])),
+              st.tuples(st.just("num"), st.sampled_from(["0", "1", "2", "3/2", "7"]))),
+    lambda sub: st.one_of(
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), sub, sub),
+        st.tuples(st.just("pow"), sub, st.integers(0, 3))),
+    max_leaves=8)
+
+
+def _print_tree(t, level=0):
+    kind = t[0]
+    if kind in ("var", "num"):
+        text = t[1]
+    elif kind == "neg":
+        text = "-" + _print_tree(t[1], 2)
+    elif kind == "pow":
+        text = f"{_print_tree(t[1], 4)}^{t[2]}"
+    else:
+        op = {"add": " + ", "sub": " - ", "mul": "*"}[kind]
+        text = _print_tree(t[1], _LEVEL[kind]) + op + _print_tree(t[2], _LEVEL[kind] + 1)
+    return text if _LEVEL[kind] >= level else f"({text})"
+
+
+def _eval_tree(ring, t):
+    kind = t[0]
+    if kind == "var":
+        return ring.gen(ring.names.index(t[1]))
+    if kind == "num":
+        num, _, den = t[1].partition("/")
+        return ring.constant(ring.field.of_fraction(int(num), int(den or 1)))
+    if kind == "neg":
+        return -_eval_tree(ring, t[1])
+    if kind == "pow":
+        return _eval_tree(ring, t[1]) ** t[2]
+    a, b = _eval_tree(ring, t[1]), _eval_tree(ring, t[2])
+    return {"add": a + b, "sub": a - b, "mul": a * b}[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_trees, st.sampled_from([QQ, GF(32003)]))
+@example(("mul", ("var", "x"), ("neg", ("pow", ("var", "y"), 2))), QQ)
+@example(("sub", ("var", "x"), ("neg", ("pow", ("var", "y"), 2))), GF(32003))
+def test_printed_expression_trees_parse_to_their_value(tree, field):
+    # unary minus inside sums, products and powers, printed with the
+    # fewest parentheses the precedence needs
+    ring = PolyRing(field, ["x", "y"])
+    text = _print_tree(tree)
+    assert ring.from_string(text) == _eval_tree(ring, tree), text
