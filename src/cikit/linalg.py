@@ -3,13 +3,14 @@
 A row (or vector) is a dict from column index to entry; a missing column is
 zero, and the rows built in this package hold no zero entry.
 
-Six field-aware functions: `rref`, `rank`, `independent_subset`,
-`nullspace`, `kernel` and `transpose`.  They reach only the four functions
-of the row-reduction kernel `_rowred_py`: ``rref_int``, ``indep_int``,
-``rref_fp`` and ``indep_fp``.  There is one kernel.  It is reached through
-`_impl`, and `KERNEL` names it; both stay because the benchmark (`cibench`)
-reads them, to trace the kernel's calls and to record which kernel ran.
-Each eliminates at most once; `kernel` reads its RREF off one `nullspace`.
+Four field-aware functions: `rref`, `rank`, `independent_subset` and
+`kernel`.  They reach only the six functions of the row-reduction kernel
+`_rowred_py`: ``rref_int``, ``indep_int``, ``kernel_int``, ``rref_fp``,
+``indep_fp`` and ``kernel_fp``.  There is one kernel.  It is reached
+through `_impl`, and `KERNEL` names it; both stay because the benchmark
+(`cibench`) reads them, to trace the kernel's calls and to record which
+kernel ran.  Each eliminates at most once; `kernel` runs one forward
+elimination, with no transpose and no backward pass.
 
 Over Q an entry is an `int` where it is integral and a `Fraction`
 elsewhere (see `fields`).  Integral rows reach the integer kernel
@@ -17,9 +18,10 @@ unconverted; a row with `Fraction` entries is scaled by the lcm of their
 denominators.  The kernel only reads the rows it is given: it may keep
 one as it stands as a pivot row, and normalises it the first time it
 clears an entry (see `_rowred_py`), so a caller's row is never changed
-and never handed back.  `rref` hands back the kernel's integer rows where
-the pivot is 1 and divides the rest exactly, so its entries are `int`
-wherever they are integral.  No function here returns a float.
+and never handed back.  `rref` and `kernel` hand back the kernel's integer
+rows and vectors where the pivot is 1 and divide the rest exactly, so
+their entries are `int` wherever they are integral.  No function here
+returns a float.
 """
 
 from __future__ import annotations
@@ -82,48 +84,34 @@ def independent_subset(d_rows, c_rows, field: Field):
     return _impl.indep_fp(d_rows, c_rows, field.p)
 
 
-def nullspace(rows, ncols: int, field: Field):
-    """Basis of {x : M x = 0} for the matrix M with the given rows and
-    ``ncols`` columns.
-
-    The basis is canonical: one vector per free column of the RREF, ordered
-    by free column index.
-    """
-    red, pivots = rref(rows, field)
-    entries = {}  # free column -> {pivot column: entry}
-    for row, pc in zip(red, pivots):
-        for k, v in row.items():
-            if k != pc:
-                entries.setdefault(k, {})[pc] = field.neg(v)
-    pivot_set = set(pivots)
-    return [{f: 1, **entries.get(f, {})} for f in range(ncols) if f not in pivot_set]
-
-
-def kernel(cols, field: Field):
-    """Canonical basis (RREF) of {x : sum_i x_i * cols[i] = 0}, from one
-    elimination.  With the columns reversed, the nullspace vector of free
-    column f has its 1 at f and its other entries at pivot columns left of
-    f, and every other vector is 0 at f.  So each vector read backwards
-    leads with a 1 where the rest are 0, and reversing the list sorts the
-    leads: that is the unique RREF.
+def kernel(rows, field: Field):
+    """Canonical basis (RREF) of {x : sum_k x_k * rows[k] = 0}, from one
+    forward elimination of the rows from last to first, which keeps the
+    rows that do not depend on the rows after them.  Row k that does gives
+    the vector with 1 at k and, at the kept rows after it, the one
+    expression of -rows[k] in them; every other vector is 0 at k.  The
+    vectors come in increasing k, each with its 1 first and its other
+    entries in decreasing index.
 
     Slices of modules over S = R/I are taken in the quotient coordinates
     of :class:`cikit.groebner.FreeSlices`, where I*F is zero, so a kernel
     there needs no subspace to divide by.
     """
-    if not cols:
+    if not rows:
         return []
-    n = len(cols)
-    height = 1 + max(map(max, filter(None, cols)), default=-1)
-    rows = transpose(cols[::-1], height)
-    return [{n - 1 - k: v for k, v in vec.items()}
-            for vec in reversed(nullspace(rows, n, field))]
-
-
-def transpose(rows, ncols: int):
-    """The ``ncols`` columns of the matrix with these rows, as rows."""
-    out = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            out[j][i] = v
+    if not field.is_rationals:
+        return _impl.kernel_fp(rows, field.p)
+    int_rows = [_scale_row_to_int(r) for r in rows]
+    # the combinations are of the integer rows: a row that was scaled puts
+    # its factor into the entry it gets
+    scales = {k: lcm(*[v.denominator for v in r.values()])
+              for k, (r, s) in enumerate(zip(rows, int_rows)) if s is not r}
+    out = []
+    for vec in _impl.kernel_int(int_rows):
+        if scales:
+            vec = {j: v * scales.get(j, 1) for j, v in vec.items()}
+        piv = next(iter(vec.values()))
+        if piv != 1:
+            vec = {j: v // piv if v % piv == 0 else Fraction(v, piv) for j, v in vec.items()}
+        out.append(vec)
     return out

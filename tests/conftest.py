@@ -55,6 +55,21 @@ def dense(rows, ncols):
     return out
 
 
+def nullspace(rows, ncols, field):
+    """Reference: basis of {x : M x = 0} for the matrix M with these sparse
+    rows and ``ncols`` columns, read off `linalg.rref`: one sparse vector
+    per free column, in column order, with 1 there and minus the free
+    column's entries of the reduced rows at their pivot columns."""
+    red, pivots = linalg.rref(rows, field)
+    entries = {}  # free column -> {pivot column: entry}
+    for row, pc in zip(red, pivots):
+        for k, v in row.items():
+            if k != pc:
+                entries.setdefault(k, {})[pc] = field.neg(v)
+    pivot_set = set(pivots)
+    return [{f: 1, **entries.get(f, {})} for f in range(ncols) if f not in pivot_set]
+
+
 def bruteforce_kernel(cols, W, field):
     """Reference for {x : sum_i x_i * cols[i] in span(W)}, for dense
     vectors: the x-parts of the nullspace of the matrix [cols | W], in RREF,
@@ -66,7 +81,7 @@ def bruteforce_kernel(cols, W, field):
     for j, col in enumerate(list(cols) + list(W)):
         for t, v in enumerate(col):
             rows[t][j] = v
-    kernel = dense(linalg.nullspace(sparse(rows), n + len(W), field), n + len(W))
+    kernel = dense(nullspace(sparse(rows), n + len(W), field), n + len(W))
     return dense(linalg.rref(sparse([v[:n] for v in kernel]), field)[0], n)
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import homogeneous_ideals, sparse
+from conftest import homogeneous_ideals, nullspace, sparse
 
 from cikit import dgmodel
 from cikit import groebner as gr
@@ -301,9 +301,11 @@ def reference_cycle_slice(model, hdeg, d):
     basis, _ = reference_slice_basis(model, hdeg, d)
     if not basis:
         return []
-    rows = reference_differential_rows(model, hdeg, d)
-    matrix = linalg.transpose(rows, reference_slice_dim(model, hdeg - 1, d))
-    return linalg.nullspace(matrix, len(basis), model.field)
+    matrix = [{} for _ in range(reference_slice_dim(model, hdeg - 1, d))]
+    for i, row in enumerate(reference_differential_rows(model, hdeg, d)):
+        for j, v in row.items():
+            matrix[j][i] = v
+    return nullspace(matrix, len(basis), model.field)
 
 
 def reference_boundary_rows(model, hdeg, d):

@@ -26,7 +26,8 @@ def test_rref_canonical():
 def test_rank_and_nullspace():
     rows = frac_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert linalg.rank(sparse(rows), QQ) == 2
-    ns = dense(linalg.nullspace(sparse(rows), 3, QQ), 3)
+    # the nullspace of the matrix is the kernel of its columns
+    ns = dense(linalg.kernel(sparse(list(map(list, zip(*rows)))), QQ), 3)
     assert len(ns) == 1
     for v in ns:
         for row in rows:
@@ -336,6 +337,34 @@ def ref_transpose(rows, ncols, field):
     return out
 
 
+def ref_kernel_int(rows):
+    """The kernel of integer rows as ``kernel_int`` gives it: each vector
+    of `ref_kernel` over Q times the lcm of its denominators, which leaves
+    it primitive, since its lead is 1."""
+    out = []
+    for vec in ref_kernel(rows, QQ):
+        den = lcm(*(Fraction(v).denominator for v in vec))
+        out.append([int(Fraction(v) * den) for v in vec])
+    return out
+
+
+class RefPrimeField:
+    """What the dense reference reads of GF(p), for every prime p: `Field`
+    refuses p = 2, which the kernel functions take."""
+
+    is_rationals = False
+
+    def __init__(self, p):
+        self.p = p
+
+    def neg(self, a):
+        return -a % self.p
+
+
+def ref_kernel_fp(rows, p):
+    return ref_kernel(rows, RefPrimeField(p))
+
+
 # -- the sparse path against the dense reference ---------------------------------
 
 
@@ -374,6 +403,8 @@ def assert_kernel_matches(name, args, reference, ncols):
     got = getattr(_rowred_py, name)(*sparse_args)
     if name.startswith("rref"):
         got = (dense(got[0], ncols), got[1])
+    elif name.startswith("kernel"):
+        got = dense(got, ncols)
     assert got == reference(*copy.deepcopy(args)), (name, args)
     assert sparse_args == before, f"{name} mutated its input"
 
@@ -387,6 +418,7 @@ def test_kernel_matches_dense_reference(data):
     split = data.draw(st.integers(0, len(rows)))
     assert_kernel_matches("rref_int", (rows,), ref_rref_int, n)
     assert_kernel_matches("indep_int", (rows[:split], rows[split:]), ref_indep_int, n)
+    assert_kernel_matches("kernel_int", (rows,), ref_kernel_int, len(rows))
 
     p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]))
     rows = data.draw(kernel_rows(-2 * p - 3, 2 * p + 3))
@@ -395,6 +427,7 @@ def test_kernel_matches_dense_reference(data):
     d_rows, c_rows = rows[:split], rows[split:]
     assert_kernel_matches("rref_fp", (d_rows + c_rows, p), ref_rref_fp, n)
     assert_kernel_matches("indep_fp", (d_rows, c_rows, p), ref_indep_fp, n)
+    assert_kernel_matches("kernel_fp", (rows, p), ref_kernel_fp, len(rows))
 
 
 # -- raw pivot rows: kept as they come, normalised before they first clear -------
@@ -425,29 +458,33 @@ def scaled(rows, rnd):
 
 def assert_kernel_reads_rows(name, args, dense_args, reference, ncols):
     """The kernel function on dict rows ``args`` against the reference on
-    ``dense_args``, the same rows written out densely.  An rref's rows hold
-    no zero entry and none of them is an input row; no input is changed."""
+    ``dense_args``, the same rows written out densely (``ncols`` long).  The
+    rows of an rref and the vectors of a kernel hold no zero entry and none
+    of them is an input row; no input is changed."""
     before = copy.deepcopy(args)
     got = getattr(_rowred_py, name)(*args)
-    if name.startswith("rref"):
+    if name.startswith(("rref", "kernel")):
         inputs = [row for a in args if isinstance(a, list) for row in a]
-        assert not any(out is row for out in got[0] for row in inputs), name
-        assert all(v for out in got[0] for v in out.values()), name
-        got = (dense(got[0], ncols), got[1])
+        rows = got[0] if name.startswith("rref") else got
+        assert not any(out is row for out in rows for row in inputs), name
+        assert all(v for out in rows for v in out.values()), name
+        got = (dense(got[0], ncols), got[1]) if name.startswith("rref") else dense(got, ncols)
     assert got == reference(*copy.deepcopy(dense_args)), (name, args)
     assert args == before, f"{name} mutated its input"
 
 
 def assert_all_kernels(rows, split, p, make_rows):
-    """All four kernel functions on ``make_rows`` of the dense ``rows``,
+    """All six kernel functions on ``make_rows`` of the dense ``rows``,
     split into spanning and candidate rows at ``split``."""
-    n = len(rows[0]) if rows else 0
+    n, m = len(rows[0]) if rows else 0, len(rows)
     d_rows, c_rows = rows[:split], rows[split:]
     sd, sc = make_rows(d_rows), make_rows(c_rows)
     assert_kernel_reads_rows("rref_int", (sd + sc,), (rows,), ref_rref_int, n)
     assert_kernel_reads_rows("indep_int", (sd, sc), (d_rows, c_rows), ref_indep_int, n)
+    assert_kernel_reads_rows("kernel_int", (sd + sc,), (rows,), ref_kernel_int, m)
     assert_kernel_reads_rows("rref_fp", (sd + sc, p), (rows, p), ref_rref_fp, n)
     assert_kernel_reads_rows("indep_fp", (sd, sc, p), (d_rows, c_rows, p), ref_indep_fp, n)
+    assert_kernel_reads_rows("kernel_fp", (sd + sc, p), (rows, p), ref_kernel_fp, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,8 +502,11 @@ def test_kernel_reads_explicit_zero_entries(data):
         ("rref_fp", (explicit_zeros(rows, rnd, [0, p, -p, 3 * p]), p), (rows, p), ref_rref_fp),
         ("indep_fp", ([], explicit_zeros(rows, rnd, [p, -2 * p]), p), ([], rows, p),
          ref_indep_fp),
+        ("kernel_fp", (explicit_zeros(rows, rnd, [0, p, -p, 3 * p]), p), (rows, p),
+         ref_kernel_fp),
     ]:
-        assert_kernel_reads_rows(name, args, dense_args, reference, n)
+        assert_kernel_reads_rows(name, args, dense_args, reference,
+                                 len(rows) if name.startswith("kernel") else n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -526,12 +566,14 @@ def test_pivot_rows_clear_only_in_normal_form(monkeypatch):
         red, pivots = _rowred_py.rref_int(inputs)
         assert (dense(red, n), pivots) == ref_rref_int(rows)
         assert _rowred_py.indep_int(inputs[:2], inputs[2:]) == ref_indep_int(rows[:2], rows[2:])
+        assert dense(_rowred_py.kernel_int(inputs), len(rows)) == ref_kernel_int(rows)
         inputs[:] = [{j: v + rnd.choice([p, -p, 5 * p]) for j, v in row.items()}
                      for row in inputs]
         red, pivots = _rowred_py.rref_fp(inputs, p)
         assert (dense(red, n), pivots) == ref_rref_fp(rows, p)
         assert _rowred_py.indep_fp(inputs[:2], inputs[2:], p) == \
             ref_indep_fp(rows[:2], rows[2:], p)
+        assert dense(_rowred_py.kernel_fp(inputs, p), len(rows)) == ref_kernel_fp(rows, p)
     assert clears.count("int") > 100 and clears.count("fp") > 100
 
 
@@ -555,11 +597,12 @@ def test_linalg_above_2_31_matches_reference():
 def slice_matrices(draw, entry):
     """(dense rows, column count) shaped like the slice matrices: wide and
     sparse (up to 12 x 160 at 1-10% nonzero), block-diagonal under a random
-    column permutation, or small and of any density; then zero rows, copies
-    and multiples of earlier rows are put in at random places.  ``entry``
-    draws one nonzero entry from a `random.Random`."""
+    column permutation, small and of any density, or tall (up to 30 x 6,
+    most rows depending on the others); then zero rows, copies and
+    multiples of earlier rows are put in at random places.  ``entry`` draws
+    one nonzero entry from a `random.Random`."""
     rnd = random.Random(draw(st.integers(0, 2**32)))
-    shape = draw(st.sampled_from(["wide", "blocks", "small"]))
+    shape = draw(st.sampled_from(["wide", "blocks", "small", "tall"]))
     if shape == "blocks":
         sizes = [(rnd.randint(1, 4), rnd.randint(1, 5)) for _ in range(draw(st.integers(1, 5)))]
         n = sum(c for _, c in sizes)
@@ -578,6 +621,9 @@ def slice_matrices(draw, entry):
         if shape == "wide":
             m, n = draw(st.integers(0, 12)), draw(st.integers(40, 160))
             density = draw(st.sampled_from([0.01, 0.03, 0.1]))
+        elif shape == "tall":
+            m, n = draw(st.integers(8, 30)), draw(st.integers(1, 6))
+            density = draw(st.sampled_from([0.2, 0.5, 1.0]))
         else:
             m, n = draw(st.integers(0, 7)), draw(st.integers(1, 12))
             density = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0]))
@@ -594,23 +640,44 @@ def slice_matrices(draw, entry):
     return rows, n
 
 
+def assert_kernel_rref(basis, field):
+    """``basis`` from `linalg.kernel` is in RREF, in its own order: each
+    vector's first entry is a 1 at its least index, where every other
+    vector is 0; the leads increase, and the other entries follow in
+    decreasing index, none of them zero.  Over GF(p) every entry is in
+    [1, p); over Q it is an `int` wherever it is integral."""
+    leads = [next(iter(vec)) for vec in basis]
+    assert leads == sorted(set(leads)), leads
+    for vec, k in zip(basis, leads):
+        assert vec[k] == 1 and list(vec) == [k] + sorted(set(vec) - {k}, reverse=True), vec
+        assert not any(k in other for other in basis if other is not vec)
+        if field.is_rationals:
+            assert all(v and (type(v) is int or v.denominator != 1) for v in vec.values()), vec
+        else:
+            assert all(0 < v < field.p for v in vec.values()), vec
+
+
 def assert_linalg_matches(rows, n, extra, field):
-    """Each of the six `linalg` functions on the sparse form of the dense
+    """Each of the four `linalg` functions on the sparse form of the dense
     ``rows`` (n columns) against its dense reference; ``extra`` rows span
-    the subspace of `independent_subset`."""
+    the subspace of `independent_subset`.  No input row is changed, and
+    none is handed back."""
     sp = sparse(rows)
+    before = copy.deepcopy(sp)
     red, pivots = linalg.rref(sp, field)
     assert (dense(red, n), pivots) == ref_rref(rows, field)
     assert all(red_row[pc] == 1 for red_row, pc in zip(red, pivots))
     assert linalg.rank(sp, field) == ref_rank(rows, field)
     assert linalg.independent_subset(sparse(extra), sp, field) == \
         ref_independent_subset(extra, rows, field)
-    assert dense(linalg.nullspace(sp, n, field), n) == ref_nullspace(rows, n, field)
-    assert dense(linalg.kernel(sp, field), len(rows)) == ref_kernel(rows, field)
-    assert linalg.transpose(sp, n) == sparse(ref_transpose(rows, n, field))
-    # no zero entry is handed back
-    for out in (red, linalg.nullspace(sp, n, field), linalg.kernel(sp, field)):
+    basis = linalg.kernel(sp, field)
+    assert dense(basis, len(rows)) == ref_kernel(rows, field)
+    assert_kernel_rref(basis, field)
+    assert sp == before
+    # no zero entry and no input row is handed back
+    for out in (red, basis):
         assert all(v for row in out for v in row.values())
+        assert not any(row is src for row in out for src in sp)
 
 
 PRIMES = [3, 32003, 2147483587, 2147483629, 2147483647, 2147483659]
@@ -711,7 +778,6 @@ def test_q_rows_give_equal_results_as_int_fraction_or_mixed(data):
         out = (
             dense(red, n), pivots,
             linalg.rank(rows, QQ),
-            dense(linalg.nullspace(rows, n, QQ), n),
             linalg.independent_subset(extra, rows, QQ),
             dense(linalg.kernel(rows, QQ), m),
         )
@@ -720,7 +786,7 @@ def test_q_rows_give_equal_results_as_int_fraction_or_mixed(data):
     assert results[0] == results[1] == results[2]
 
 
-KERNEL_CONTRACT = {"rref_int", "indep_int", "rref_fp", "indep_fp"}
+KERNEL_CONTRACT = {"rref_int", "indep_int", "kernel_int", "rref_fp", "indep_fp", "kernel_fp"}
 
 
 def public_functions(module):
@@ -742,21 +808,23 @@ class _RecordingKernel:
 
 
 def test_kernel_contract(monkeypatch):
-    # the kernel defines exactly four functions; cibench's tracer looks each
+    # the kernel defines exactly six functions; cibench's tracer looks each
     # name up on linalg._impl and records linalg.KERNEL, and linalg reaches
-    # no other kernel name
+    # no other kernel name; linalg.kernel reaches only the kernel functions
+    # of its own, one elimination and no rref
     assert public_functions(_rowred_py) == KERNEL_CONTRACT
     assert linalg._impl is _rowred_py and linalg.KERNEL == "python"
-    assert public_functions(linalg) == {
-        "rref", "rank", "independent_subset", "nullspace", "kernel", "transpose"}
+    assert public_functions(linalg) == {"rref", "rank", "independent_subset", "kernel"}
     seen = set()
     monkeypatch.setattr(linalg, "_impl", _RecordingKernel(linalg._impl, seen))
     rows = sparse([[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+    q_rows = [{0: Fraction(1, 2), 1: 1}, {1: Fraction(2, 3)}, {0: 3, 1: 1}]
+    for field in (QQ, GF(7), GF(2147483659)):
+        assert linalg.kernel(rows, field)
+    assert linalg.kernel(q_rows, QQ)
+    assert seen == {"kernel_int", "kernel_fp"}
     for field in (QQ, GF(7), GF(2147483659)):
         linalg.rref(rows, field)
         linalg.rank(rows, field)
         linalg.independent_subset(rows[:1], rows[1:], field)
-        linalg.nullspace(rows, 3, field)
-        linalg.kernel(rows, field)
-        linalg.transpose(rows, 3)
     assert seen == KERNEL_CONTRACT
