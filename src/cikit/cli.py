@@ -289,7 +289,7 @@ def corpus_run(path, parallel, as_json, cache_dir, bounds):
     """Run the full invariant and theorem suite over a corpus file."""
     try:
         report = harness.run_corpus_file(path, parallel, cache_dir, bounds)
-    except harness.CorpusError as exc:
+    except (harness.CorpusError, OSError) as exc:
         return _error(str(exc))
     if as_json:
         print(harness.report_json(report))
@@ -361,7 +361,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
     return its exit code: 0, or 1 after a one-line ``Error:`` report (a bad
-    --bounds value, a math error, a corpus error or a failed corpus run).
+    --bounds value, a math error, a corpus error, an OS error on a corpus
+    run's file or cache directory, or a failed corpus run).
     Usage errors and --help exit through argparse (codes 2 and 0)."""
     args = vars(_parser().parse_args(argv))
     func = args.pop("func")

@@ -3,7 +3,7 @@
 A model is built stage by stage: X_1 kills a minimal generating set of the
 ideal, and each X_n (n >= 2) kills a minimal generating set of the homology
 H_{n-1} of the previous stage, chosen slice-by-slice in increasing internal
-degree through exact linear algebra.  Odd-degree variables square to zero,
+degree by graded Nakayama.  Odd-degree variables square to zero,
 even ones are polynomial.  The Koszul signs live in two places: the
 monomial merge :meth:`DgAlgebraModel.dgmon_mul` (products) and the prefix
 sign in :meth:`DgAlgebraModel._leibniz` (derivations, d among them).
@@ -12,8 +12,10 @@ Each A_h is a free R-module on the dg monomials of homological degree h, one
 row each in its internal degree, and d: A_h -> A_{h-1} is a
 :class:`cikit.groebner.ModulePresentation` over R with one column d(w) per
 dg monomial w (:meth:`DgAlgebraModel.differential_matrix`).  Cycles are its
-syzygy slices, boundaries the span of the next one, and the acyclicity ranks
-its image ranks, all in the slice coordinates every other matrix uses.
+syzygy slices and boundaries the span of the next one, so the loop that
+chooses minimal syzygies (:func:`cikit.groebner._minimal_syzygies_by_degree`)
+chooses each stage, with d_n as the boundaries of d_{n-1}; the acyclicity
+check ranks its image slices, in the coordinates every other matrix uses.
 
 The construction refuses characteristic 2 (globally) and prime fields with
 p <= the homological bound: even-variable p-th powers would create spurious
@@ -24,13 +26,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from . import linalg
 from .fields import Field
 from .groebner import (
     Ideal,
     ModulePresentation,
+    _minimal_syzygies_by_degree,
     _reject_unit,
-    _syzygy_slice,
     compose_is_zero,
     quotient_hilbert_by_monomials,
 )
@@ -495,26 +496,23 @@ def build_minimal_model(ideal: Ideal, hdeg_bound: int, intdeg_bound: int) -> DgA
 
 
 def _adjoin_stage(model: DgAlgebraModel, n: int):
-    """Adjoin X_n killing minimal generators of H_{n-1} of the current stage.
+    """Adjoin X_n killing minimal generators of H_{n-1} of the current stage,
+    chosen by the syzygy loop (:func:`cikit.groebner._minimal_syzygies_by_degree`)
+    on d_{n-1} with d_n as its boundaries.
 
     X_n spans pi^{n+1}(S) in Ext^{n+1}_S(k, k), so its internal degrees are
     at most Backelin's ``ext_degree_bound(ideal, n + 1)``: the search runs
     over the degrees up to that bound or the model's ``intdeg_bound``,
     whichever is lower."""
-    field = model.field
-    nvars = model.ring.nvars
     h = n - 1
     boundaries = model.differential_matrix(n)
     h_slices = boundaries.slices()
     mons = model.dg_monomials(h)
-    cycles: list = []
     new_vars = []  # (intdeg, cycle element)
     top = min(model.intdeg_bound, ext_degree_bound(model.ideal, n + 1))
 
-    for d in range(0, top + 1):
-        prev, cycles = cycles, _syzygy_slice(model.differential_matrix(h), d)
-        if not cycles:
-            continue
+    for d, cycles, chosen in _minimal_syzygies_by_degree(
+            model.differential_matrix(h), top, boundaries):
         # a minimal model never produces cycles through a bare variable (unit
         # coefficient on one variable), which we assert
         linear_positions = [
@@ -524,12 +522,7 @@ def _adjoin_stage(model: DgAlgebraModel, n: int):
         ]
         if any(pos in z for z in cycles for pos in linear_positions):
             raise ModelError(f"cycle with unit linear term at stage {n}, degree {d}")
-        denom = boundaries.span_slice_rows(d) + [
-            h_slices.multiply_coords_by_var(z, d - 1, var)
-            for z in prev for var in range(nvars)]
-        chosen = linalg.independent_subset(denom, cycles, field)
-        for c in chosen:
-            new_vars.append((d, model.element_from_coords(cycles[c], h, d)))
+        new_vars.extend((d, model.element_from_coords(cycles[c], h, d)) for c in chosen)
 
     # X_n joins only now: the loop above reads the stage caches, which
     # add_variable clears

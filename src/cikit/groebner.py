@@ -3,13 +3,13 @@
 Two engines live here.  Buchberger's algorithm provides ideal-level
 normal forms and lead-term data (standard monomials, height).
 Its reductions and every normal form run on one loop, :func:`_remainder`,
-over divisor data computed once per basis element;
+over divisor data built once per element by :func:`_divisor`, in
+Buchberger and in the :class:`GroebnerBasis` it hands its packed elements to;
 :func:`multivariate_divide`, the textbook division with quotients, is the
 reference that checks them.  Over Q, Buchberger keeps its elements as
 primitive integer polynomials and reduces without fractions, each
 remainder an integer multiple of the exact one, and makes the final basis
-monic.  Normal forms divide by monic data (:func:`_divisor`), so they are
-exact.
+monic.  Normal forms divide by that monic data, so they are exact.
 Module-level work (syzygies, minimal generators, Hilbert functions of
 presented modules) runs degree by degree through exact linear algebra on
 finite-dimensional graded slices, which keeps one code path for modules
@@ -257,17 +257,12 @@ def multivariate_divide(f: Polynomial, divisors, order: MonomialOrder = DEGREVLE
     return qs, Polynomial(ring, remainder)
 
 
-def _divisor(d: Polynomial, order: MonomialOrder):
-    """Monic divisor data of a nonzero homogeneous divisor d on the keys of
-    :func:`_order_keys`: (positive lead key, 1, tail terms of d divided by
-    its lead coefficient).  d's terms share a degree, so its lead has the
-    largest key."""
-    F = d.ring.field
-    keys = _order_keys(order, d.ring.nvars)
-    terms = keys.terms(d)
-    lead = max(terms)
-    inv = F.inv(terms[lead])
-    return keys.sign * lead, 1, [(m, F.mul(c, inv)) for m, c in terms.items() if m != lead]
+def _divisor(g: dict, sign: int):
+    """Divisor data (positive lead key, lead coefficient, tail terms) of the
+    nonzero homogeneous g on the keys of an :class:`_OrderKeys` of this
+    ``sign``.  g's terms share a degree, so its lead has the largest key."""
+    top = max(g)
+    return sign * top, g[top], [(m, c) for m, c in g.items() if m != top]
 
 
 def _remainder(f: dict, divisors, keys: _OrderKeys, field) -> dict:
@@ -291,7 +286,7 @@ def _remainder(f: dict, divisors, keys: _OrderKeys, field) -> dict:
     zero, where it can come back, and is skipped when popped.
 
     A step on term c*m with a = 1 subtracts c*(m/lead)*tail.  On monic data
-    (:func:`_divisor`) every step is such a step, so the result is the
+    (:class:`GroebnerBasis`) every step is such a step, so the result is the
     remainder of :func:`multivariate_divide`, exactly.  Over Q an integer
     divisor may have a != 1 (:func:`buchberger`): with g = gcd(a, c) the
     step scales the waiting and remainder terms by a/g and subtracts
@@ -364,18 +359,18 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis (monic elements, sorted by leading term),
-    with each element's :func:`_divisor` data computed once, for
-    :meth:`normal_form`."""
+    """A reduced Groebner basis, sorted by leading term, from its monic
+    elements on the keys of :func:`_order_keys` (:func:`buchberger`), with
+    each element's :func:`_divisor` data built once, for :meth:`normal_form`."""
 
     __slots__ = ("ring", "order", "elements", "_keys", "_divisors")
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, elements):
+    def __init__(self, ring: PolyRing, order: MonomialOrder, monic):
         self.ring = ring
         self.order = order
-        self.elements = list(elements)
-        self._keys = _order_keys(order, ring.nvars)
-        self._divisors = [_divisor(g, order) for g in self.elements]
+        self._keys = keys = _order_keys(order, ring.nvars)
+        self._divisors = [_divisor(g, keys.sign) for g in monic]
+        self.elements = [keys.polynomial(ring, g) for g in monic]
 
     def __iter__(self):
         return iter(self.elements)
@@ -443,12 +438,12 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
 
     def adjoin(g: dict):
         g = _primitive(g) if F.is_rationals else _monic(g, F)
-        top = max(g)
-        lead = sign * top
+        data = _divisor(g, sign)
+        lead = data[0]
         j = len(basis)
         basis.append(g)
         leads.append(lead)
-        divisors.append((lead, g[top], [(m, c) for m, c in g.items() if m != top]))
+        divisors.append(data)
         for i in range(j):
             lcm = _lcm(leads[i], lead, guards)
             pending.add((i, j))
@@ -495,12 +490,9 @@ def buchberger(ideal: "Ideal", order: MonomialOrder = DEGREVLEX) -> GroebnerBasi
     # tail-reduce against the rest of the minimal basis: the leads are
     # pairwise non-dividing, so each lead survives and the result is the
     # unique reduced basis
-    final = [
-        keys.polynomial(ring, _monic(
-            _remainder(basis[k], [divisors[h] for h in minimal if h != k], keys, F), F))
-        for k in minimal
-    ]
-    return GroebnerBasis(ring, order, final)
+    return GroebnerBasis(ring, order, [
+        _monic(_remainder(basis[k], [divisors[h] for h in minimal if h != k], keys, F), F)
+        for k in minimal])
 
 
 class Ideal:
@@ -993,42 +985,48 @@ def _syzygy_slice(pres: ModulePresentation, d: int):
     return linalg.kernel(rows, pres.ring.field)
 
 
-def _minimal_syzygies_by_degree(pres: ModulePresentation, degree_bound: int):
-    """Yield (d, minimal syzygy generators of degree d) for each degree up
-    to the bound with a nonzero syzygy slice, in increasing degree.
+def _minimal_syzygies_by_degree(pres: ModulePresentation, degree_bound: int, boundaries=None):
+    """Yield (d, kernel, chosen) for each degree d up to the bound with a
+    nonzero syzygy slice (:func:`_syzygy_slice`), in increasing degree, with
+    ``chosen`` the positions in ``kernel`` of new minimal generators.
 
     Graded Nakayama on each slice: a vector is a new generator iff it leaves
-    m * (the degree d-1 slice); over S the I-multiples of the domain are
-    already zero in quotient coordinates.  :func:`syzygy_generators` and
-    :func:`first_syzygy_degree` both read this one loop."""
+    m * (the degree d-1 slice) plus the degree-d span of ``boundaries`` (a
+    presentation into the free module on the columns, or None); over S the
+    I-multiples of the domain are already zero in quotient coordinates.
+    :func:`syzygy_generators` and :func:`first_syzygy_degree` read this loop
+    with no boundaries, :func:`cikit.dgmodel._adjoin_stage` on d_{n-1} with
+    d_n as boundaries, so that it chooses minimal generators of H_{n-1}."""
     if not pres.columns:
         return
     ring = pres.ring
-    field = ring.field
     domain = FreeSlices(ring, pres.col_degrees, pres.modulus)
     prev: list = []
     for d in range(min(pres.col_degrees), degree_bound + 1):
-        basis_rows = _syzygy_slice(pres, d)
-        if basis_rows:
-            denom = [domain.multiply_coords_by_var(v, d - 1, var)
-                     for v in prev for var in range(ring.nvars)]
-            chosen = linalg.independent_subset(denom, basis_rows, field)
-            yield d, [domain.from_coords(basis_rows[c], d) for c in chosen]
-        prev = basis_rows
+        kernel = _syzygy_slice(pres, d)
+        if kernel:
+            denom = [] if boundaries is None else boundaries.span_slice_rows(d)
+            denom += [domain.multiply_coords_by_var(v, d - 1, var)
+                      for v in prev for var in range(ring.nvars)]
+            yield d, kernel, linalg.independent_subset(denom, kernel, ring.field)
+        prev = kernel
 
 
 def syzygy_generators(pres: ModulePresentation, degree_bound: int):
     """The columns of the minimal syzygy generators of the columns, complete
     up to the degree bound, in increasing degree."""
-    return [gen for _, gens in _minimal_syzygies_by_degree(pres, degree_bound) for gen in gens]
+    domain = FreeSlices(pres.ring, pres.col_degrees, pres.modulus)
+    return [domain.from_coords(kernel[c], d)
+            for d, kernel, chosen in _minimal_syzygies_by_degree(pres, degree_bound)
+            for c in chosen]
 
 
 def first_syzygy_degree(pres: ModulePresentation, degree_bound: int):
     """Smallest degree <= bound carrying a minimal syzygy generator of the
     columns, or None.  Stops there: used to decide (non-)termination of a
     resolution without materialising the next syzygy module."""
-    for d, gens in _minimal_syzygies_by_degree(pres, degree_bound):
-        if gens:
+    for d, _, chosen in _minimal_syzygies_by_degree(pres, degree_bound):
+        if chosen:
             return d
     return None
 

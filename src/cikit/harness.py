@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 
 from . import conormal as conormal_mod
@@ -267,13 +268,14 @@ def _parse_expect_value(key, val):
 def parse_corpus(text: str, base_bounds: Bounds | None = None):
     """Parse the corpus text format: one entry per line, `/`-separated
     clauses `entry NAME / field Q | Fp p / ring x, y / ideal f, g / bounds
-    k=v... / expect k=v...`, with `#` comments."""
+    k=v... / expect k=v...`, with `#` comments.  A `/` followed, after
+    spaces, by a digit is a fraction bar, as in `ideal 1/2*x^2 + y^2`."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        clauses = [c.strip() for c in line.split("/")]
+        clauses = [c.strip() for c in re.split(r"/(?!\s*[0-9])", line)]
         name = None
         field_spec = "Q"
         ring_vars: list[str] = []
@@ -573,9 +575,9 @@ def cache_lookup(cache_dir: str | None, key: str):
 
 
 def cache_insert(cache_dir: str | None, key: str, value: dict):
+    """Store a result in ``cache_dir``, which :func:`run_corpus` makes."""
     if not cache_dir:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
     if _read_cached(path) is not None:
         return  # insert-only; an unreadable file is replaced
@@ -689,7 +691,10 @@ def run_corpus(
     Entries with one cache key are evaluated once, and every copy gets that
     result.  Cached and uncached runs produce identical reports.  A crashed
     entry (see :func:`evaluate_entry`, and :func:`_run_in_pool` for a pool
-    worker that died) is reported, not cached."""
+    worker that died) is reported, not cached.  The cache directory is made
+    first, so an OSError there comes before any entry runs."""
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
     entries = list(entries)
     keys = [cache_key(entry) for entry in entries]
     first: dict = {}  # cache key -> position of its first entry

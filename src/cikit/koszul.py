@@ -40,12 +40,6 @@ class KoszulComplex:
     def basis(self, i: int):
         return list(itertools.combinations(range(len(self.generators)), i))
 
-    def rank(self, i: int) -> int:
-        c = len(self.generators)
-        if i < 0 or i > c:
-            return 0
-        return math.comb(c, i)
-
     def subset_degree(self, subset) -> int:
         return sum(self.gen_degrees[t] for t in subset)
 
@@ -72,7 +66,9 @@ class KoszulComplex:
         )
 
     def rank_profile(self):
-        return [self.rank(i) for i in range(len(self.generators) + 1)]
+        """rank Lambda^i = C(c, i) for i = 0..c, on c generators."""
+        c = len(self.generators)
+        return [math.comb(c, i) for i in range(c + 1)]
 
 
 def koszul_complex(ideal: Ideal) -> KoszulComplex:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import homogeneous_ideals
 
 from cikit import harness
-from cikit.cli import main as cli_main
+from cikit.cli import _parse_ideal as cli_parse_ideal, main as cli_main
 from cikit.fields import QQ
 from cikit.groebner import Ideal, ModulePresentation
 from cikit.harness import (
@@ -151,6 +151,18 @@ def test_corpus_parse_errors():
     # inconsistent flags: ci=true forces h1zero and conormal_free
     with pytest.raises(CorpusError):
         parse_corpus("entry a / ring x / ideal x / expect ci=true h1zero=false")
+
+
+def test_corpus_ideal_may_hold_rational_coefficients():
+    # a `/` before a digit is a fraction bar, not a clause break, so the
+    # line gives the ideal the CLI reads from the same text
+    [entry] = parse_corpus("entry h / field Q / ring x, y / ideal 1/2*x^2 + y^2, x*y"
+                           " / expect ci=true\n")
+    assert entry.expect == {"ci": True}
+    ring, I = entry.build()
+    cli = cli_parse_ideal("1/2*x^2 + y^2, x*y", "x, y", "Q")
+    assert ring.names == cli.ring.names
+    assert [g.terms for g in I.generators] == [g.terms for g in cli.generators]
 
 
 def test_empty_corpus_runs_clean():
@@ -316,6 +328,25 @@ def test_cli_corpus_run(tmp_path):
     res = run_cli("corpus", "run", str(bad))
     assert res.exit_code == 1
     assert "liar" in res.output
+
+
+def test_cli_corpus_run_on_a_directory_is_one_error_line(tmp_path):
+    out = run_cli("corpus", "run", str(tmp_path))
+    assert out.exit_code == 1
+    assert out.output == f"Error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_cli_corpus_run_with_a_file_as_cache_dir_fails_before_any_entry(tmp_path,
+                                                                       monkeypatch):
+    path = tmp_path / "mini.corpus"
+    path.write_text(MINI_CORPUS)
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    ran = []
+    monkeypatch.setattr(harness, "evaluate_entry", ran.append)
+    out = run_cli("corpus", "run", "--cache-dir", str(not_a_dir), str(path))
+    assert out.exit_code == 1 and not ran
+    assert out.output == f"Error: [Errno 17] File exists: '{not_a_dir}'\n"
 
 
 def test_cli_bound_errors_are_one_line(tmp_path):
